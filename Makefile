@@ -37,12 +37,11 @@ bench-smoke:
 # bench-lp runs the simplex-kernel micro-benches: a dense and a hyper-sparse
 # FTRAN against the live LU factor (both must be 0 allocs/op; the sparse one
 # additionally asserts >= 90% of singleton solves stay under the density
-# gate), the warm-start bound-fix/unfix repair loop (reports pivots,
-# refactorizations, and bound flips per op and asserts >= 95% of solves stay
-# on the warm path), and the devex vs steepest-edge pricing comparison
-# (pivots/op is the argument for the extra FTRAN per dual pivot).
+# gate) and the warm-start bound-fix/unfix repair loop (reports pivots,
+# refactorizations, bound flips, and sparse vs dense basis solves per op and
+# asserts >= 95% of solves stay on the warm path).
 bench-lp:
-	$(GO) test -run '^$$' -bench 'BenchmarkLP_(FTRAN|SparseFTRAN|Warm|Pricing)' -count 1 -benchmem ./internal/lp/
+	$(GO) test -run '^$$' -bench 'BenchmarkLP_(FTRAN|SparseFTRAN|Warm)' -count 1 -benchmem ./internal/lp/
 
 # bench-gate runs the suite fresh and fails when a gated metric (allocs/op,
 # B&B-nodes, pivots/op, refactorizations/op, bound-flips/op, nodes/sec)
@@ -88,11 +87,9 @@ stress:
 
 # stress-short is the CI slice of the stress lane: pack12 — the canonical
 # near-capacity packing proof — must close within its manifest node budget
-# on every push, under both dual pricing rules (the steepest-edge lane
-# drives the exact-weight recurrences through thousands of warm-started
-# solves), plus the branch-and-price portfolio slice: the mixed-cardinality
-# instance (pack2638) and the 102-task chain-of-blocks instance
-# (chainblocks102) must both close to proven optimality through the pattern
-# master. The full portfolio stays in the manual 10-minute lane.
+# on every push, plus the branch-and-price portfolio slice: the
+# mixed-cardinality instance (pack2638) and the 102-task chain-of-blocks
+# instance (chainblocks102) must both close to proven optimality through
+# the pattern master. The full portfolio stays in the manual 10-minute lane.
 stress-short:
-	$(GO) test -run 'TestHardPortfolio/(pack12|pack2638-patterns|chainblocks102-patterns)|TestHardPortfolioSteepestEdge|TestPatternMixedCardinality2638' -count=1 -v ./internal/tempart/
+	$(GO) test -run 'TestHardPortfolio/(pack12|pack2638-patterns|chainblocks102-patterns)|TestPatternMixedCardinality2638' -count=1 -v ./internal/tempart/

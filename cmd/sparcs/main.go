@@ -24,7 +24,6 @@ import (
 	"repro/internal/fission"
 	"repro/internal/hls"
 	"repro/internal/jpeg"
-	"repro/internal/lp"
 	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/tempart"
@@ -44,7 +43,6 @@ func main() {
 		traceArg   = flag.Int("trace", 0, "print the first N simulation trace events")
 		workersArg = flag.Int("workers", 1, "parallel B&B search workers (ilp partitioner)")
 		specArg    = flag.Int("speculate", 1, "concurrent partition-count probes in the relax-N loop")
-		priceArg   = flag.String("pricing", "devex", "dual simplex pricing rule: devex or steepest-edge")
 		formArg    = flag.String("formulation", "rows", "ILP model: rows (assignment variables) or patterns (branch-and-price)")
 		maxPartArg = flag.Int("max-partitions", 0, "cap on the partition count search (0 = the solver's default window)")
 		outArg     = flag.String("o", "text", "output format: text, or json (the machine-readable service payload; skips simulation)")
@@ -56,7 +54,7 @@ func main() {
 		Strategy: *stratArg, I: *iArg, Pow2: *pow2Arg, DOT: *dotArg,
 		Verilog: *verilogArg, Sequencer: *seqArg, Trace: *traceArg,
 		Workers: *workersArg, SpeculateN: *specArg, Output: *outArg,
-		Pricing: *priceArg, Formulation: *formArg, MaxPartitions: *maxPartArg,
+		Formulation: *formArg, MaxPartitions: *maxPartArg,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "sparcs:", err)
 		os.Exit(1)
@@ -73,9 +71,6 @@ type cliOptions struct {
 	// Output selects "text" (the human report + simulation) or "json"
 	// (the exact internal/service Result payload, solve only).
 	Output string
-	// Pricing selects the dual simplex pricing rule ("", "devex", or
-	// "steepest-edge") for the ilp partitioner.
-	Pricing string
 	// Formulation selects the ilp partitioner's model: "" or "rows" for
 	// the assignment-variable row model, "patterns" for branch-and-price
 	// over partition-pattern columns.
@@ -104,13 +99,6 @@ func run(o cliOptions) error {
 	cfg.Pow2Blocks = o.Pow2
 	cfg.ILP.Workers = o.Workers
 	cfg.SpeculateN = o.SpeculateN
-	switch o.Pricing {
-	case "", "devex":
-	case "steepest-edge":
-		cfg.ILP.Pricing = lp.PricingSteepestEdge
-	default:
-		return fmt.Errorf("unknown pricing %q (want devex or steepest-edge)", o.Pricing)
-	}
 	switch o.Formulation {
 	case "", "rows":
 		cfg.Formulation = tempart.FormulationRows

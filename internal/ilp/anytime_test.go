@@ -1,8 +1,10 @@
 package ilp
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 )
@@ -95,6 +97,48 @@ func TestDeadlineAlreadyExpired(t *testing.T) {
 	}
 	if s.X != nil {
 		t.Fatalf("expired-deadline solve returned an incumbent after zero search")
+	}
+}
+
+// TestDeadlineStopWithoutIncumbent: a limit that trips once the deadline has
+// passed is a deadline stop. The root's separation round sleeps past the
+// deadline, so the next limit check sees it together with the node budget
+// or a closed Stop channel. With no incumbent the search must report
+// Timeout (tempart's ErrDeadline, the service's greedy fallback), never
+// Limit (which the service answers with HTTP 500).
+func TestDeadlineStopWithoutIncumbent(t *testing.T) {
+	values, weights, cap := randKnapsack(7, 30)
+	for _, tc := range []struct {
+		name string
+		opts func(dl time.Time, stop chan struct{}) Options
+	}{
+		{"node-budget", func(dl time.Time, _ chan struct{}) Options {
+			return Options{MaxNodes: 1, Deadline: dl}
+		}},
+		{"stop-and-context", func(dl time.Time, stop chan struct{}) Options {
+			ctx, cancel := context.WithDeadline(context.Background(), dl)
+			t.Cleanup(cancel)
+			return Options{Stop: stop, Context: ctx}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dl := time.Now().Add(30 * time.Millisecond)
+			stop := make(chan struct{})
+			var once sync.Once
+			opt := tc.opts(dl, stop)
+			opt.Separate = func(*SeparationPoint) []Cut {
+				time.Sleep(time.Until(dl) + time.Millisecond)
+				once.Do(func() { close(stop) })
+				return nil
+			}
+			s, err := Solve(knapsack(values, weights, cap), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Status != Timeout || s.X != nil {
+				t.Fatalf("status = %v (incumbent %v), want timeout without incumbent", s.Status, s.X != nil)
+			}
+		})
 	}
 }
 

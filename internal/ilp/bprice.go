@@ -79,10 +79,6 @@ type BPOptions struct {
 	MaxNodes         int // node budget (default 10000)
 	MaxPricingRounds int // pricing re-solves per node (default 500)
 
-	// Pricing selects the master LP's dual simplex pricing rule (the same
-	// knob ilp.Options.Pricing exposes for the row-formulation search).
-	Pricing lp.Pricing
-
 	Deadline time.Time
 	Stop     <-chan struct{}
 	Context  context.Context
@@ -188,8 +184,7 @@ type bpState struct {
 	lpIters       int
 
 	deadline time.Time
-	stopped  bool
-	timedOut bool
+	stopped  bool // limitHit tripped (sticky)
 	duals    []float64
 }
 
@@ -214,12 +209,7 @@ func SolveBP(opts BPOptions) (*BPSolution, error) {
 	if opts.MaxPricingRounds <= 0 {
 		opts.MaxPricingRounds = 500
 	}
-	deadline := opts.Deadline
-	if opts.Context != nil {
-		if d, ok := opts.Context.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-			deadline = d
-		}
-	}
+	deadline := searchDeadline(opts.Deadline, 0, opts.Context)
 
 	// Restricted master: artificial columns 0..NumItems-1 (cost ArtCost,
 	// unit entry in their own cover row, no count-row entry — artificials
@@ -245,7 +235,6 @@ func SolveBP(opts BPOptions) (*BPSolution, error) {
 		deadline:  deadline,
 	}
 	st.sv.SetReuseSolution(true)
-	st.sv.SetPricing(opts.Pricing)
 	if err := st.addColumns(opts.Seeds); err != nil {
 		return nil, err
 	}
@@ -279,7 +268,7 @@ func SolveBP(opts BPOptions) (*BPSolution, error) {
 		LPIterations:     st.lpIters,
 		Solver:           st.sv.Stats,
 	}
-	exhausted := len(stack) == 0 && !st.stopped && !st.timedOut && st.nodes <= opts.MaxNodes
+	exhausted := len(stack) == 0 && !st.stopped && st.nodes <= opts.MaxNodes
 	switch {
 	case exhausted && st.haveInc:
 		sol.Status = Optimal
@@ -292,7 +281,9 @@ func SolveBP(opts BPOptions) (*BPSolution, error) {
 		sol.Bound = math.Inf(1)
 		sol.BoundTrusted = true
 	default:
-		if st.timedOut {
+		// Past the deadline an unproven stop is a deadline stop, whichever
+		// limit tripped first (as in the row search's finish).
+		if pastDeadline(st.deadline) {
 			sol.Status = Timeout
 		} else {
 			sol.Status = Limit
@@ -310,32 +301,10 @@ func SolveBP(opts BPOptions) (*BPSolution, error) {
 // limitHit checks the wall-clock/stop/context limits (the node budget is
 // checked by the caller).
 func (st *bpState) limitHit() bool {
-	if st.stopped || st.timedOut {
-		return true
+	if !st.stopped {
+		st.stopped = pastDeadline(st.deadline) || stopRequested(st.opt.Stop, st.opt.Context)
 	}
-	if !st.deadline.IsZero() && time.Now().After(st.deadline) {
-		st.timedOut = true
-		return true
-	}
-	if st.opt.Stop != nil {
-		select {
-		case <-st.opt.Stop:
-			st.stopped = true
-			return true
-		default:
-		}
-	}
-	if st.opt.Context != nil {
-		if err := st.opt.Context.Err(); err != nil {
-			if err == context.DeadlineExceeded {
-				st.timedOut = true
-			} else {
-				st.stopped = true
-			}
-			return true
-		}
-	}
-	return false
+	return st.stopped
 }
 
 // addColumns registers and appends new master columns, deduplicating by

@@ -216,18 +216,38 @@ func TestSolveBPDeadline(t *testing.T) {
 }
 
 // TestSolveBPNodeLimit: MaxNodes 1 on the fractional instance cannot close
-// the proof and must report Limit with the (trusted) root bound.
+// the proof and must report Limit with the (trusted) root bound. When the
+// deadline has passed by the time the budget trips (the root's converging
+// pricing round sleeps past it), the stop is a deadline stop: Timeout.
 func TestSolveBPNodeLimit(t *testing.T) {
-	opts := binPackOpts([]int{2, 2, 2}, 4, 3)
-	opts.MaxNodes = 1
-	sol, err := SolveBP(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != Limit {
-		t.Fatalf("status %v, want Limit", sol.Status)
-	}
-	if !sol.BoundTrusted || math.Abs(sol.Bound-1.5) > 1e-6 {
-		t.Fatalf("root bound %v trusted=%v, want trusted 1.5", sol.Bound, sol.BoundTrusted)
+	for _, pastDeadline := range []bool{false, true} {
+		opts := binPackOpts([]int{2, 2, 2}, 4, 3)
+		opts.MaxNodes = 1
+		want := Limit
+		if pastDeadline {
+			want = Timeout
+			dl := time.Now().Add(30 * time.Millisecond)
+			opts.Deadline = dl
+			price := opts.Pricer
+			opts.Pricer = func(lambda []float64, mu float64, same, differ [][2]int, forbidden map[string]bool) ([]BPColumn, bool) {
+				cols, inexact := price(lambda, mu, same, differ, forbidden)
+				if len(cols) == 0 {
+					time.Sleep(time.Until(dl) + time.Millisecond)
+				}
+				return cols, inexact
+			}
+		}
+		sol, err := SolveBP(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Status != want || sol.Columns != nil {
+			t.Fatalf("past deadline %v: status %v (columns %v), want %v without an incumbent",
+				pastDeadline, sol.Status, sol.Columns, want)
+		}
+		if !sol.BoundTrusted || math.Abs(sol.Bound-1.5) > 1e-6 {
+			t.Fatalf("past deadline %v: root bound %v trusted=%v, want trusted 1.5",
+				pastDeadline, sol.Bound, sol.BoundTrusted)
+		}
 	}
 }

@@ -48,7 +48,6 @@ package ilp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -129,8 +128,9 @@ type Options struct {
 	// Deadline, when non-zero, is an absolute wall-clock bound on the
 	// search: at the deadline the search stops cleanly and reports the
 	// best incumbent (or its absence) with Status Timeout — the anytime
-	// contract. It composes with TimeLimit (the earlier of the two wins)
-	// and with Context deadline expiry, which is mapped to the same cause.
+	// contract. It composes with TimeLimit and the Context's deadline (the
+	// earliest wins). Any unproven stop after the deadline — even one
+	// tripped by MaxNodes or Stop — reports Timeout.
 	Deadline time.Time
 	// AbsGap stops the search when bound and incumbent are closer than this
 	// (default 1e-6).
@@ -166,20 +166,10 @@ type Options struct {
 	// point does not violate beyond a tolerance are dropped; the rest are
 	// added to the node's live LP, which is re-solved warm, and the next
 	// round begins. The node branches only when a round yields no new cut,
-	// the point turns integral, or the round budget is exhausted. The
-	// callback must be safe for concurrent use when Workers > 1.
+	// the point turns integral, or the round budget (maxCutRounds) is
+	// exhausted. The callback must be safe for concurrent use when
+	// Workers > 1.
 	Separate func(pt *SeparationPoint) []Cut
-	// MaxCutRounds caps separation rounds per node at every depth. It is
-	// the blunt override; leave it 0 and use RootCutRounds/NodeCutRounds
-	// for the split budget (root cuts are shared by the whole tree and
-	// deserve the larger one).
-	MaxCutRounds int
-	// RootCutRounds caps separation rounds at the root node (0 = default
-	// 8). Ignored when MaxCutRounds is set.
-	RootCutRounds int
-	// NodeCutRounds caps separation rounds at non-root nodes (0 = default
-	// 2). Ignored when MaxCutRounds is set.
-	NodeCutRounds int
 	// MaxCuts bounds the global cut pool (0 = default 512). Past the bound
 	// the pool evicts its least active half.
 	MaxCuts int
@@ -194,15 +184,9 @@ type Options struct {
 	// model and the workers share one incumbent, so the optimal objective
 	// found is identical to the sequential search.
 	Workers int
-	// Pricing selects the dual simplex pricing rule for every worker's
-	// solver: lp.PricingDevex (the zero value, default) or
-	// lp.PricingSteepestEdge. Exact steepest edge spends one extra FTRAN
-	// per dual pivot to maintain exact row weights; it tends to pay off on
-	// models where devex's approximate weights drift and inflate the pivot
-	// count. The optimum found is identical either way.
-	Pricing lp.Pricing
-	// Stop, when non-nil, aborts the search as soon as it is closed. The
-	// partial result is reported exactly as if a node limit had been hit.
+	// Stop, when non-nil, aborts the search as soon as it is closed. Before
+	// the deadline the partial result is reported exactly as if a node
+	// limit had been hit.
 	// This lets a caller racing several solves (e.g. the speculative
 	// partition-count probes in internal/tempart) reclaim workers early.
 	Stop <-chan struct{}
@@ -298,19 +282,11 @@ type SeparationPoint struct {
 	Bounds func(j int) (lo, hi float64)
 }
 
-// maxCutRounds resolves the per-node separation round budget.
-func (o *Options) maxCutRounds(depth int) int {
-	if o.MaxCutRounds > 0 {
-		return o.MaxCutRounds
-	}
+// maxCutRounds is the per-node separation round budget: root cuts are
+// shared by the whole tree and get the larger one.
+func maxCutRounds(depth int) int {
 	if depth == 0 {
-		if o.RootCutRounds > 0 {
-			return o.RootCutRounds
-		}
 		return 8
-	}
-	if o.NodeCutRounds > 0 {
-		return o.NodeCutRounds
 	}
 	return 2
 }
@@ -325,18 +301,37 @@ func (s *Solution) Gap() float64 {
 
 const intTol = 1e-6
 
-// stopCause records why limitHit tripped, so finish can distinguish a
-// deadline stop (reported as Timeout — the anytime contract) from node
-// limits, Stop-channel aborts, and plain cancellation.
-type stopCause int
+// pastDeadline reports whether a (non-zero) search deadline has passed.
+func pastDeadline(deadline time.Time) bool {
+	return !deadline.IsZero() && !time.Now().Before(deadline)
+}
 
-const (
-	causeNone stopCause = iota
-	causeNodes
-	causeDeadline
-	causeStop
-	causeCancel
-)
+// stopRequested reports whether the caller has closed stop or cancelled
+// ctx (either may be nil).
+func stopRequested(stop <-chan struct{}, ctx context.Context) bool {
+	select {
+	case <-stop:
+		return true
+	default:
+	}
+	return ctx != nil && ctx.Err() != nil
+}
+
+// searchDeadline is the earliest of the deadline, the time limit counted
+// from now, and the context's deadline (zero when none is set).
+func searchDeadline(deadline time.Time, timeLimit time.Duration, ctx context.Context) time.Time {
+	if timeLimit > 0 {
+		if d := time.Now().Add(timeLimit); deadline.IsZero() || d.Before(deadline) {
+			deadline = d
+		}
+	}
+	if ctx != nil {
+		if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
+			deadline = d
+		}
+	}
+	return deadline
+}
 
 // sharedBasis is a refcounted basis snapshot shared by all children of one
 // branched node. The snapshot's slices come from (and return to) the search
@@ -429,7 +424,6 @@ func newSearcher(p *Problem, opt *Options, st *searchState, isInt []bool) *searc
 	// search retains from a result (incumbents, rounding candidates) is
 	// copied out explicitly.
 	w.solver.SetReuseSolution(true)
-	w.solver.SetPricing(opt.Pricing)
 	for j := 0; j < n; j++ {
 		w.rootLo[j], w.rootHi[j] = p.LP.Bounds(j)
 	}
@@ -707,7 +701,7 @@ func (w *searcher) processNode(nd *node, incObj float64) (*nodeResult, error) {
 	// current basis; the new rows' slacks are the only infeasibilities).
 	// Branching below only happens when separation dries up.
 	if w.opt.Separate != nil {
-		maxRounds := w.opt.maxCutRounds(nd.depth)
+		maxRounds := maxCutRounds(nd.depth)
 		for round := 0; round < maxRounds; round++ {
 			if res.Obj > incObj-w.opt.AbsGap || integralPoint(res.X, w.p.Integers) {
 				break
@@ -918,12 +912,7 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 		pcDownSum:    make([]float64, nVars),
 		pcUpN:        make([]int32, nVars),
 		pcDownN:      make([]int32, nVars),
-	}
-	if opt.TimeLimit > 0 {
-		st.deadline = time.Now().Add(opt.TimeLimit)
-	}
-	if !opt.Deadline.IsZero() && (st.deadline.IsZero() || opt.Deadline.Before(st.deadline)) {
-		st.deadline = opt.Deadline
+		deadline:     searchDeadline(opt.Deadline, opt.TimeLimit, opt.Context),
 	}
 	if opt.Separate != nil {
 		st.pool = newCutPool(opt.MaxCuts)
@@ -1014,7 +1003,7 @@ type searchState struct {
 	stopped  bool
 	err      error
 	deadline time.Time
-	cause    stopCause
+	limited  bool // limitHit tripped (sticky)
 
 	incumbent []float64
 	incObj    float64
@@ -1162,43 +1151,18 @@ func (st *searchState) recordPseudoCost(nd *node, childObj float64) {
 	st.pcMu.Unlock()
 }
 
-// limitHit reports whether the search must stop, recording WHY in st.cause
-// (first cause wins; every trigger is monotone, so caching it is sound).
-// finish uses the cause to label a truncated search honestly: a deadline
-// stop becomes Timeout, everything else keeps the Feasible/Limit labels.
-// The parallel path calls this under st.mu; the sequential path is
-// single-threaded, so the unguarded write is safe in both.
+// limitHit reports whether the search must stop: node budget, deadline,
+// Stop channel, or context. Every trigger is monotone, so the first trip is
+// cached. finish labels the stop by whether the deadline has passed, not by
+// which trigger fired first. The parallel path calls this under st.mu; the
+// sequential path is single-threaded, so the unguarded write is safe in
+// both.
 func (st *searchState) limitHit() bool {
-	if st.cause != causeNone {
-		return true
+	if !st.limited {
+		st.limited = st.nodes >= st.opt.MaxNodes || pastDeadline(st.deadline) ||
+			stopRequested(st.opt.Stop, st.opt.Context)
 	}
-	if st.nodes >= st.opt.MaxNodes {
-		st.cause = causeNodes
-		return true
-	}
-	if !st.deadline.IsZero() && time.Now().After(st.deadline) {
-		st.cause = causeDeadline
-		return true
-	}
-	if st.opt.Stop != nil {
-		select {
-		case <-st.opt.Stop:
-			st.cause = causeStop
-			return true
-		default:
-		}
-	}
-	if st.opt.Context != nil {
-		if err := st.opt.Context.Err(); err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				st.cause = causeDeadline
-			} else {
-				st.cause = causeCancel
-			}
-			return true
-		}
-	}
-	return false
+	return st.limited
 }
 
 // releaseBasis drops one reference to a shared parent-basis snapshot,
@@ -1430,11 +1394,11 @@ func (st *searchState) finish() *Solution {
 	} else if exhausted {
 		sol.Status = Infeasible
 	}
-	// A deadline stop is surfaced as Timeout unless the search still
-	// completed its proof (Optimal/Infeasible/Unbounded stand on their
-	// own; a racing worker may have recorded the cause after another
-	// emptied the heap).
-	if st.cause == causeDeadline && (sol.Status == Feasible || sol.Status == Limit) {
+	// A search that stops unproven once its deadline has passed is a
+	// deadline stop, reported as Timeout whichever limit tripped first (a
+	// node budget or a Stop channel can win that race). Optimal, Infeasible
+	// and Unbounded stand on their own.
+	if (sol.Status == Feasible || sol.Status == Limit) && pastDeadline(st.deadline) {
 		sol.Status = Timeout
 	}
 	return sol

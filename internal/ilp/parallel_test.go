@@ -72,32 +72,6 @@ func TestWorkersMatchSequentialAssignment(t *testing.T) {
 	}
 }
 
-// TestPricingWorkerEquivalence: the dual pricing rule is a per-worker
-// heuristic, so steepest edge must reach the same optimum as devex on the
-// same instance, sequentially and with 4 workers sharing the cut pool and
-// incumbent (this is the race lane's coverage of the steepest-edge weight
-// updates under concurrent solves).
-func TestPricingWorkerEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		ref, err := Solve(randomKnapsack(seed, 12), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 4} {
-			se, err := Solve(randomKnapsack(seed, 12), Options{Workers: workers, Pricing: lp.PricingSteepestEdge})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if se.Status != ref.Status {
-				t.Fatalf("seed %d workers %d: steepest-edge status %v, devex %v", seed, workers, se.Status, ref.Status)
-			}
-			if ref.Status == Optimal && math.Abs(se.Obj-ref.Obj) > 1e-5 {
-				t.Fatalf("seed %d workers %d: steepest-edge obj %g, devex %g", seed, workers, se.Obj, ref.Obj)
-			}
-		}
-	}
-}
-
 // TestWorkersInfeasible: the parallel search must prove infeasibility too.
 func TestWorkersInfeasible(t *testing.T) {
 	P := &Problem{LP: lp.NewProblem(1)}

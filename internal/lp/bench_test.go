@@ -150,47 +150,6 @@ func BenchmarkLP_SparseFTRAN(b *testing.B) {
 	b.ReportMetric(frac, "sparse-hit-fraction")
 }
 
-// BenchmarkLP_Pricing compares the dual pricing rules on the warm-start
-// bound-fix/unfix repair loop: devex (approximate reference weights, no
-// extra solves) against exact steepest edge (one extra FTRAN per dual pivot
-// for exact row weights). The pivots/op delta is the entire argument for
-// steepest edge; sparse-solves/op shows the extra τ FTRANs riding the
-// hyper-sparse path rather than the dense one.
-func BenchmarkLP_Pricing(b *testing.B) {
-	for _, rule := range []Pricing{PricingDevex, PricingSteepestEdge} {
-		b.Run(rule.String(), func(b *testing.B) {
-			const nVars = 240
-			p := benchProblem(nVars, 120, 8, 1)
-			s := NewSolver(p)
-			s.SetPricing(rule)
-			if _, err := s.Solve(); err != nil {
-				b.Fatal(err)
-			}
-			base := s.Stats
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				j := i % nVars
-				s.SetVarBounds(j, 1, 1)
-				if _, err := s.Solve(); err != nil {
-					b.Fatal(err)
-				}
-				s.SetVarBounds(j, 0, 1)
-				if _, err := s.Solve(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			d := s.Stats.Delta(base)
-			n := float64(b.N)
-			b.ReportMetric(float64(d.Pivots)/n, "pivots/op")
-			b.ReportMetric(float64(d.DualPivots)/n, "dual-pivots/op")
-			b.ReportMetric(float64(d.SparseFTRANs+d.SparseBTRANs)/n, "sparse-solves/op")
-			b.ReportMetric(float64(d.DenseFallbacks)/n, "dense-fallbacks/op")
-		})
-	}
-}
-
 // BenchmarkLP_Warm measures the warm-start repair path the branch-and-bound
 // search lives on: fix one variable to 1 (the branching move; always feasible
 // for a covering LP), dual-repair to the new optimum, unfix, and repair back.

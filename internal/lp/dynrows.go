@@ -177,7 +177,6 @@ func (s *Solver) AddRows(rows []CutRow) error {
 	s.y = growZero(s.y, k)
 	s.rho = growZero(s.rho, k)
 	s.flipCol = growZero(s.flipCol, k)
-	s.tau = growZero(s.tau, k)
 	s.rowMark = growZero(s.rowMark, k)
 	s.dualW = growZero(s.dualW, k)
 
@@ -370,16 +369,14 @@ func (s *Solver) DropAddedRows() {
 	s.y = s.y[:s.m]
 	s.rho = s.rho[:s.m]
 	s.flipCol = s.flipCol[:s.m]
-	s.tau = s.tau[:s.m]
 	s.rowMark = s.rowMark[:s.m]
 	s.dualW = s.dualW[:s.m]
 	// The sparse-pattern lists may reference truncated rows; mark every
 	// sparse-capable vector dense-dirty so the next load does a full clear.
-	s.alphaDense, s.rhoDense, s.flipDense, s.tauDense = true, true, true, true
+	s.alphaDense, s.rhoDense, s.flipDense = true, true, true
 	s.alphaNZ = s.alphaNZ[:0]
 	s.rhoNZ = s.rhoNZ[:0]
 	s.flipNZ = s.flipNZ[:0]
-	s.tauNZ = s.tauNZ[:0]
 
 	s.lo = s.lo[:s.nTotal]
 	s.hi = s.hi[:s.nTotal]

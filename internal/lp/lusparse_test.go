@@ -206,45 +206,3 @@ func TestSparseSolveFallbackBoundary(t *testing.T) {
 		t.Fatal("every singleton on a dense factor stayed sparse; the gate is not engaging")
 	}
 }
-
-// TestPricingSameOptimum asserts the pricing rule is a pure heuristic: devex
-// and exact steepest edge must reach the same optimal objective (pivot
-// counts and paths may differ) on the randomized covering portfolio, both
-// from a cold start and through the warm bound-fix/unfix repair loop.
-func TestPricingSameOptimum(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		p := benchProblem(80, 40, 5, seed)
-		obj := map[Pricing]float64{}
-		for _, rule := range []Pricing{PricingDevex, PricingSteepestEdge} {
-			s := NewSolver(p)
-			s.SetPricing(rule)
-			sol, err := s.Solve()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sol.Status != Optimal {
-				t.Fatalf("seed %d %v: status %v", seed, rule, sol.Status)
-			}
-			cold := sol.Obj
-			// Warm repair loop must land on the same optimum too.
-			for j := 0; j < 10; j++ {
-				s.SetVarBounds(j, 1, 1)
-				if _, err := s.Solve(); err != nil {
-					t.Fatal(err)
-				}
-				s.SetVarBounds(j, 0, 1)
-			}
-			sol, err = s.Solve()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(sol.Obj-cold) > 1e-7*(1+math.Abs(cold)) {
-				t.Fatalf("seed %d %v: warm loop drifted %g -> %g", seed, rule, cold, sol.Obj)
-			}
-			obj[rule] = cold
-		}
-		if d, s := obj[PricingDevex], obj[PricingSteepestEdge]; math.Abs(d-s) > 1e-7*(1+math.Abs(d)) {
-			t.Fatalf("seed %d: devex optimum %g != steepest-edge optimum %g", seed, d, s)
-		}
-	}
-}

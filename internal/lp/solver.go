@@ -117,16 +117,15 @@ type Solver struct {
 	luSpare   *luFactor
 	factorAge int
 
-	// Scratch (allocated once; alpha/y/rho/flip/tau are length m, d/dw
+	// Scratch (allocated once; alpha/y/rho/flip are length m, d/dw
 	// length nTotal).
 	alpha   []float64 // FTRAN pivot column
 	y       []float64 // BTRAN dual prices
 	rho     []float64 // BTRAN unit row
 	flipCol []float64 // combined bound-flip column (dual long step)
-	tau     []float64 // steepest-edge: FTRAN of the pivot row
 	d       []float64 // incremental reduced costs (primal devex pricing)
 	dw      []float64 // devex reference weights per column (primal)
-	dualW   []float64 // reference weights per row slot (dual devex / steepest edge)
+	dualW   []float64 // devex reference weights per row slot (dual)
 	bp      []dualBP  // dual ratio-test breakpoints
 
 	// Hyper-sparse bookkeeping: each sparse-capable scratch vector carries
@@ -139,16 +138,12 @@ type Solver struct {
 	alphaNZ    []int32
 	rhoNZ      []int32
 	flipNZ     []int32
-	tauNZ      []int32
 	alphaDense bool
 	rhoDense   bool
 	flipDense  bool
-	tauDense   bool
 	colIdx     []int32  // sparse column-load index scratch
 	unitIdx    [1]int32 // unit-vector seed for btranUnit
 	rowMark    []bool   // dedup marks for the combined flip column
-
-	pricing Pricing // dual pricing rule (SetPricing)
 
 	built     bool // engine state materialized (ensureBuilt)
 	valid     bool // basis + factorization reusable for a warm start
@@ -182,39 +177,6 @@ type SolverStats struct {
 	SparseBTRANs     int // BTRANs completed on the hyper-sparse path
 	DenseFallbacks   int // index-carrying solves that crossed the density threshold
 }
-
-// Pricing selects the dual-simplex leaving-row pricing rule (SetPricing).
-type Pricing uint8
-
-const (
-	// PricingDevex is the default: approximate reference weights updated
-	// with the max-rule from the FTRAN'd entering column, no extra solves.
-	PricingDevex Pricing = iota
-	// PricingSteepestEdge maintains exact steepest-edge row weights in the
-	// reference framework (Forrest–Goldfarb): each dual pivot spends one
-	// extra FTRAN of the (hyper-sparse) pivot row to update the weights
-	// exactly, usually buying fewer pivots on degenerate repairs.
-	PricingSteepestEdge
-)
-
-// String returns the wire/metrics spelling of the pricing rule.
-func (p Pricing) String() string {
-	if p == PricingSteepestEdge {
-		return "steepest-edge"
-	}
-	return "devex"
-}
-
-// dseWeightFloor guards the exact steepest-edge recurrence against
-// roundoff driving a reference weight to zero or negative.
-const dseWeightFloor = 1e-10
-
-// SetPricing selects the dual pricing rule; it takes effect at the next
-// Solve and is safe to set at any point between solves.
-func (s *Solver) SetPricing(p Pricing) { s.pricing = p }
-
-// PricingRule returns the selected dual pricing rule.
-func (s *Solver) PricingRule() Pricing { return s.pricing }
 
 // Delta returns the field-wise difference s - base: the activity between
 // two snapshots of a live Solver's Stats. This is how span-scoped
@@ -333,7 +295,7 @@ func (s *Solver) ensureBuilt() {
 	// The CSC covers exactly the Problem's columns: AddRows and AddCols both
 	// force the build before mutating, so nStruct == nStructBase here.
 	m, n, nTotal := s.m, s.nStructBase, s.nTotal
-	buf := make([]float64, 9*m+3*nTotal)
+	buf := make([]float64, 8*m+3*nTotal)
 	grab := func(k int) []float64 {
 		p := buf[:k:k]
 		buf = buf[k:]
@@ -346,7 +308,6 @@ func (s *Solver) ensureBuilt() {
 	s.y = grab(m)
 	s.rho = grab(m)
 	s.flipCol = grab(m)
-	s.tau = grab(m)
 	s.dualW = grab(m)
 	s.cost = grab(nTotal)
 	s.d = grab(nTotal)
@@ -691,9 +652,8 @@ func (s *Solver) loadColSparse(j int, v []float64, idx []int32) []int32 {
 }
 
 // btranUnit computes rho = BTRAN(e_r) — the pivot row of slot r — via the
-// hyper-sparse path. The returned index list is non-nil when the result
-// is sparse (rho zero outside it), nil on a dense fallback.
-func (s *Solver) btranUnit(r int) ([]float64, []int32) {
+// hyper-sparse path, falling back to a dense solve past the density gate.
+func (s *Solver) btranUnit(r int) []float64 {
 	if s.rhoDense {
 		for i := range s.rho {
 			s.rho[i] = 0
@@ -710,47 +670,12 @@ func (s *Solver) btranUnit(r int) ([]float64, []int32) {
 	if ok {
 		s.Stats.SparseBTRANs++
 		s.rhoNZ = append(s.rhoNZ[:0], nz...)
-		return s.rho, s.rhoNZ
+		return s.rho
 	}
 	s.Stats.DenseFallbacks++
 	s.rhoDense = true
 	s.rhoNZ = s.rhoNZ[:0]
-	return s.rho, nil
-}
-
-// computeTau prepares the exact steepest-edge update term τ = B⁻¹ρ for
-// the current pivot row (rho must hold BTRAN(e_r); rhoNZ its sparse
-// pattern or nil). τ lands in s.tau under the zero-outside-pattern
-// invariant, ready for the weight recurrence after the entering column's
-// FTRAN.
-func (s *Solver) computeTau(rhoNZ []int32) {
-	if s.tauDense {
-		for i := range s.tau {
-			s.tau[i] = 0
-		}
-		s.tauDense = false
-	} else {
-		for _, i := range s.tauNZ {
-			s.tau[i] = 0
-		}
-	}
-	if rhoNZ != nil {
-		for _, i := range rhoNZ {
-			s.tau[i] = s.rho[i]
-		}
-		nz, ok := s.lu.ftranSparse(s.tau, rhoNZ)
-		if ok {
-			s.Stats.SparseFTRANs++
-			s.tauNZ = append(s.tauNZ[:0], nz...)
-			return
-		}
-		s.Stats.DenseFallbacks++
-	} else {
-		copy(s.tau, s.rho)
-		s.lu.ftran(s.tau)
-	}
-	s.tauDense = true
-	s.tauNZ = s.tauNZ[:0]
+	return s.rho
 }
 
 // computeY prices the basis: y = BTRAN(cost_B), the dual prices under the
@@ -988,7 +913,7 @@ func (s *Solver) dual() Status {
 		// (recorded, applied below) and the first column that cannot flip
 		// enters the basis.
 		s.computeY()
-		rho, rhoNZ := s.btranUnit(r)
+		rho := s.btranUnit(r)
 		bp := s.bp[:0]
 		for j := 0; j < s.nStruct+s.m; j++ {
 			if s.status[j] == basic || !s.movable(j) {
@@ -1063,12 +988,6 @@ func (s *Solver) dual() Status {
 		if nFlips > 0 {
 			s.applyFlips(bp[:nFlips])
 		}
-		if s.pricing == PricingSteepestEdge {
-			// τ = B⁻¹ρ for the exact weight recurrence below; computed
-			// before the entering column's FTRAN so that solve's spike
-			// stash is the one the pivot update consumes.
-			s.computeTau(rhoNZ)
-		}
 		var target float64
 		var leaveStatus varStatus
 		if below {
@@ -1099,67 +1018,35 @@ func (s *Solver) dual() Status {
 				}
 			}
 		}
-		// Row-weight update from the FTRAN'd entering column. Devex takes
-		// the max-rule approximation for free; steepest edge applies the
-		// exact Forrest–Goldfarb recurrence using τ (one extra FTRAN).
+		// Devex row-weight update from the FTRAN'd entering column: the
+		// max-rule approximation, no extra solves.
 		ar := col[r]
 		wr := dw[r]
-		if s.pricing == PricingSteepestEdge {
-			dseRow := func(i int) {
-				if a := col[i]; a != 0 {
-					q := a / ar
-					w := dw[i] - q*(2*s.tau[i]-q*wr)
-					if w < dseWeightFloor {
-						w = dseWeightFloor
-					}
-					dw[i] = w
+		devexRow := func(i int) {
+			if a := col[i]; a != 0 {
+				q := a / ar
+				if g := q * q * wr; g > dw[i] {
+					dw[i] = g
 				}
 			}
-			if colNZ != nil {
-				for _, ii := range colNZ {
-					if int(ii) != r {
-						dseRow(int(ii))
-					}
+		}
+		if colNZ != nil {
+			for _, ii := range colNZ {
+				if int(ii) != r {
+					devexRow(int(ii))
 				}
-			} else {
-				for i := 0; i < s.m; i++ {
-					if i != r {
-						dseRow(i)
-					}
-				}
-			}
-			if w := wr / (ar * ar); w > dseWeightFloor {
-				dw[r] = w
-			} else {
-				dw[r] = dseWeightFloor
 			}
 		} else {
-			devexRow := func(i int) {
-				if a := col[i]; a != 0 {
-					q := a / ar
-					if g := q * q * wr; g > dw[i] {
-						dw[i] = g
-					}
+			for i := 0; i < s.m; i++ {
+				if i != r {
+					devexRow(i)
 				}
 			}
-			if colNZ != nil {
-				for _, ii := range colNZ {
-					if int(ii) != r {
-						devexRow(int(ii))
-					}
-				}
-			} else {
-				for i := 0; i < s.m; i++ {
-					if i != r {
-						devexRow(i)
-					}
-				}
-			}
-			if g := wr / (ar * ar); g > 1 {
-				dw[r] = g
-			} else {
-				dw[r] = 1
-			}
+		}
+		if g := wr / (ar * ar); g > 1 {
+			dw[r] = g
+		} else {
+			dw[r] = 1
 		}
 		out := s.basis[r]
 		s.status[out] = leaveStatus
@@ -1693,7 +1580,7 @@ func (s *Solver) primal() Status {
 			arq := col[leave]
 			pr := s.d[enter] / arq
 			gq := s.dw[enter]
-			rho, _ := s.btranUnit(leave)
+			rho := s.btranUnit(leave)
 			for j := 0; j < s.nTotal; j++ {
 				if s.status[j] == basic || j == enter {
 					continue
@@ -1744,7 +1631,7 @@ func (s *Solver) driveOutArtificials() {
 		if s.basis[i] < firstArt {
 			continue
 		}
-		rho, _ := s.btranUnit(i)
+		rho := s.btranUnit(i)
 		piv := -1
 		for j := 0; j < firstArt; j++ {
 			if s.status[j] == basic {

@@ -21,7 +21,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/ilp"
 	"repro/internal/listpart"
-	"repro/internal/lp"
 	"repro/internal/obs"
 	"repro/internal/tempart"
 )
@@ -40,24 +39,16 @@ type Request struct {
 
 	// Solver knobs, all optional. Workers and SpeculateN tune the search
 	// without changing its answer and are excluded from the cache key;
-	// the remaining knobs — including the cutting-plane budgets — can
-	// change the reported result and are keyed.
+	// the remaining knobs can change the reported result and are keyed.
 	Workers            int
 	SpeculateN         int
 	MaxPartitions      int
 	PathCap            int
 	MaxNodes           int
-	CutRoundsRoot      int
-	CutRoundsNode      int
-	MaxCuts            int
 	NoSymmetryBreaking bool
-	// Pricing is the validated dual pricing rule ("", "devex",
-	// "steepest-edge"). It changes the pivot trajectory (and node counts
-	// under MaxNodes limits), so it is keyed like the cut budgets.
-	Pricing string
 	// Formulation is the validated ILP model selector ("", "rows",
 	// "patterns"). It changes the search shape (and which incumbent a
-	// budget-bound solve returns), so it is keyed like Pricing.
+	// budget-bound solve returns), so it is keyed.
 	Formulation string
 
 	// NoCache bypasses the memo cache (always a fresh solve, result not
@@ -168,22 +159,10 @@ func (ilpBackend) Solve(ctx context.Context, req *Request) (*tempart.Partitionin
 		SpeculateN:         req.SpeculateN,
 		Trace:              req.TraceSink,
 		ILP: ilp.Options{
-			Workers:       req.Workers,
-			MaxNodes:      req.MaxNodes,
-			RootCutRounds: req.CutRoundsRoot,
-			NodeCutRounds: req.CutRoundsNode,
-			MaxCuts:       req.MaxCuts,
-			Pricing:       pricingRule(req.Pricing),
+			Workers:  req.Workers,
+			MaxNodes: req.MaxNodes,
 		},
 	})
-}
-
-// pricingRule maps the validated wire knob to the solver's pricing enum.
-func pricingRule(s string) lp.Pricing {
-	if s == "steepest-edge" {
-		return lp.PricingSteepestEdge
-	}
-	return lp.PricingDevex
 }
 
 // listBackend exposes the greedy list-partitioning baseline. It is

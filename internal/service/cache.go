@@ -48,12 +48,6 @@ func (r *Request) CacheKey() string {
 	put(uint64(r.MaxPartitions))
 	put(uint64(r.PathCap))
 	put(uint64(r.MaxNodes))
-	put(uint64(r.CutRoundsRoot))
-	put(uint64(r.CutRoundsNode))
-	put(uint64(r.MaxCuts))
-	// Pricing changes the pivot trajectory, hence node counts under
-	// MaxNodes limits and which optimum ties break to — keyed.
-	puts(r.Pricing)
 	// Formulation changes the search shape (rows vs branch-and-price),
 	// hence which optimum ties break to and the reported stats — keyed.
 	puts(r.Formulation)
@@ -119,7 +113,6 @@ type entry struct {
 	lpSparseFT   int
 	lpSparseBT   int
 	lpDenseFalls int
-	pricing      string
 	formulation  string
 	columnsGen   int
 	priceRounds  int
@@ -145,7 +138,6 @@ func newEntry(g *dfg.Graph, p *tempart.Partitioning) *entry {
 		lpSparseFT:   p.Stats.Solver.SparseFTRANs,
 		lpSparseBT:   p.Stats.Solver.SparseBTRANs,
 		lpDenseFalls: p.Stats.Solver.DenseFallbacks,
-		pricing:      p.Stats.Pricing,
 		formulation:  p.Stats.Formulation,
 		columnsGen:   p.Stats.ColumnsGenerated,
 		priceRounds:  p.Stats.PricingRounds,
@@ -219,7 +211,6 @@ func (e *entry) apply(req *Request) (*tempart.Partitioning, error) {
 				SparseBTRANs:     e.lpSparseBT,
 				DenseFallbacks:   e.lpDenseFalls,
 			},
-			Pricing:     e.pricing,
 			Formulation: e.formulation,
 		},
 	}, nil

@@ -44,24 +44,6 @@ type SolveRequest struct {
 	// cache key.
 	Trace bool `json:"trace,omitempty"`
 
-	// Cutting-plane budgets (0 = engine defaults). CutRoundsRoot and
-	// CutRoundsNode bound separation rounds per node at the root and
-	// below; MaxCuts bounds the shared cut pool before compaction. They
-	// shape the search (and with pathological values its node counts), so
-	// they are part of the solve-cache key.
-	CutRoundsRoot int `json:"cut_rounds_root,omitempty"`
-	CutRoundsNode int `json:"cut_rounds_node,omitempty"`
-	MaxCuts       int `json:"max_cuts,omitempty"`
-
-	// Pricing selects the dual simplex pricing rule: "" or "devex" (the
-	// default, approximate reference weights) or "steepest-edge" (exact
-	// dual steepest edge — one extra FTRAN per dual pivot buys exact row
-	// weights and usually fewer pivots on drift-prone models). The optimum
-	// is the same either way, but the pivot trajectory — and with it node
-	// counts under MaxNodes limits — can differ, so it is part of the
-	// solve-cache key.
-	Pricing string `json:"pricing,omitempty"`
-
 	// Formulation selects the ILP backend's model: "" or "rows" (the
 	// assignment-variable row model) or "patterns" (branch-and-price over
 	// partition-pattern columns — falls back to rows when the instance
@@ -96,15 +78,8 @@ func (sr *SolveRequest) Parse() (*Request, error) {
 		return nil, err
 	}
 	if sr.Workers < 0 || sr.SpeculateN < 0 || sr.MaxPartitions < 0 ||
-		sr.PathCap < 0 || sr.MaxNodes < 0 ||
-		sr.CutRoundsRoot < 0 || sr.CutRoundsNode < 0 || sr.MaxCuts < 0 ||
-		sr.DeadlineMS < 0 {
+		sr.PathCap < 0 || sr.MaxNodes < 0 || sr.DeadlineMS < 0 {
 		return nil, fmt.Errorf("service: negative solver knob")
-	}
-	switch sr.Pricing {
-	case "", "devex", "steepest-edge":
-	default:
-		return nil, fmt.Errorf("service: unknown pricing %q (have: devex, steepest-edge)", sr.Pricing)
 	}
 	switch sr.Formulation {
 	case "", tempart.FormulationRows, tempart.FormulationPatterns:
@@ -123,10 +98,6 @@ func (sr *SolveRequest) Parse() (*Request, error) {
 		MaxPartitions:      sr.MaxPartitions,
 		PathCap:            sr.PathCap,
 		MaxNodes:           sr.MaxNodes,
-		CutRoundsRoot:      sr.CutRoundsRoot,
-		CutRoundsNode:      sr.CutRoundsNode,
-		MaxCuts:            sr.MaxCuts,
-		Pricing:            sr.Pricing,
 		Formulation:        sr.Formulation,
 		NoSymmetryBreaking: sr.NoSymmetryBreaking,
 		NoCache:            sr.NoCache,
@@ -146,12 +117,12 @@ type PartitionResult struct {
 // Result is the machine-readable solve payload. cmd/sparcs emits exactly
 // this struct under `-o json`, so CLI and service clients parse one schema.
 type Result struct {
-	Graph      string            `json:"graph"`
-	Engine     string            `json:"engine"`
-	Board      string            `json:"board"`
-	N          int               `json:"n"`
-	Optimal    bool              `json:"optimal"`
-	LatencyNS  float64           `json:"latency_ns"`
+	Graph     string  `json:"graph"`
+	Engine    string  `json:"engine"`
+	Board     string  `json:"board"`
+	N         int     `json:"n"`
+	Optimal   bool    `json:"optimal"`
+	LatencyNS float64 `json:"latency_ns"`
 
 	// Anytime fields (deadline_ms requests). Partial marks a result whose
 	// proof was cut short by the deadline: the assignment is feasible but
@@ -180,22 +151,21 @@ type Result struct {
 	// LPSparseFTRANs/LPSparseBTRANs count basis solves the hyper-sparse
 	// kernel completed on the symbolic-reachability path, LPDenseFallbacks
 	// the ones that exceeded the density gate and fell back to the dense
-	// O(m) loops; Pricing names the dual pricing rule the engine ran with.
-	Nodes               int     `json:"nodes,omitempty"`
-	PrunedCombinatorial int     `json:"nodes_pruned_combinatorial,omitempty"`
-	LPSolvesSkipped     int     `json:"lp_solves_skipped,omitempty"`
-	CutsAdded           int     `json:"cuts_added,omitempty"`
-	SeparationRounds    int     `json:"separation_rounds,omitempty"`
-	ConflictCuts        int     `json:"conflict_cuts,omitempty"`
-	CGCuts              int     `json:"cg_cuts,omitempty"`
-	DualBoundFathoms    int     `json:"dual_bound_fathoms,omitempty"`
-	LPIterations        int     `json:"lp_iterations,omitempty"`
-	LPRefactorizations  int     `json:"lp_refactorizations,omitempty"`
-	LPBoundFlips        int     `json:"lp_bound_flips,omitempty"`
-	LPSparseFTRANs      int     `json:"lp_sparse_ftrans,omitempty"`
-	LPSparseBTRANs      int     `json:"lp_sparse_btrans,omitempty"`
-	LPDenseFallbacks    int     `json:"lp_dense_fallbacks,omitempty"`
-	Pricing             string  `json:"pricing,omitempty"`
+	// O(m) loops.
+	Nodes               int `json:"nodes,omitempty"`
+	PrunedCombinatorial int `json:"nodes_pruned_combinatorial,omitempty"`
+	LPSolvesSkipped     int `json:"lp_solves_skipped,omitempty"`
+	CutsAdded           int `json:"cuts_added,omitempty"`
+	SeparationRounds    int `json:"separation_rounds,omitempty"`
+	ConflictCuts        int `json:"conflict_cuts,omitempty"`
+	CGCuts              int `json:"cg_cuts,omitempty"`
+	DualBoundFathoms    int `json:"dual_bound_fathoms,omitempty"`
+	LPIterations        int `json:"lp_iterations,omitempty"`
+	LPRefactorizations  int `json:"lp_refactorizations,omitempty"`
+	LPBoundFlips        int `json:"lp_bound_flips,omitempty"`
+	LPSparseFTRANs      int `json:"lp_sparse_ftrans,omitempty"`
+	LPSparseBTRANs      int `json:"lp_sparse_btrans,omitempty"`
+	LPDenseFallbacks    int `json:"lp_dense_fallbacks,omitempty"`
 	// Formulation names the ILP model the solve actually ran ("rows" or
 	// "patterns" — the latter may fall back to rows when inapplicable);
 	// ColumnsGenerated and PricingRounds report the branch-and-price
@@ -243,7 +213,6 @@ func NewResult(g *dfg.Graph, boardName, engine string, p *tempart.Partitioning) 
 		LPSparseFTRANs:      p.Stats.Solver.SparseFTRANs,
 		LPSparseBTRANs:      p.Stats.Solver.SparseBTRANs,
 		LPDenseFallbacks:    p.Stats.Solver.DenseFallbacks,
-		Pricing:             p.Stats.Pricing,
 		Formulation:         p.Stats.Formulation,
 		ColumnsGenerated:    p.Stats.ColumnsGenerated,
 		PricingRounds:       p.Stats.PricingRounds,

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -390,7 +391,6 @@ func TestBadRequests(t *testing.T) {
 		{"unknown-board", `{"graph":{"tasks":[{"name":"a"}]},"board":"nope"}`, http.StatusBadRequest},
 		{"unknown-engine", `{"graph":{"tasks":[{"name":"a"}]},"engine":"magic"}`, http.StatusBadRequest},
 		{"negative-knob", `{"graph":{"tasks":[{"name":"a"}]},"workers":-1}`, http.StatusBadRequest},
-		{"bad-pricing", `{"graph":{"tasks":[{"name":"a"}]},"pricing":"dantzig"}`, http.StatusBadRequest},
 		{"bad-formulation", `{"graph":{"tasks":[{"name":"a"}]},"formulation":"columns"}`, http.StatusBadRequest},
 		{"task-too-large", `{"graph":{"tasks":[{"name":"a","resources":9999,"delay":1}]},"board":"small"}`,
 			http.StatusUnprocessableEntity},
@@ -523,7 +523,6 @@ func TestCacheKeyExcludesParallelismKnobs(t *testing.T) {
 		"path-cap":    func(sr *SolveRequest) { sr.PathCap = 9 },
 		"no-symmetry": func(sr *SolveRequest) { sr.NoSymmetryBreaking = true },
 		"max-parts":   func(sr *SolveRequest) { sr.MaxPartitions = 5 },
-		"pricing":     func(sr *SolveRequest) { sr.Pricing = "steepest-edge" },
 		"formulation": func(sr *SolveRequest) { sr.Formulation = "patterns" },
 	} {
 		sr := base
@@ -590,6 +589,53 @@ func TestSolveFormulationKnob(t *testing.T) {
 	if again.Formulation != "patterns" || again.ColumnsGenerated != pats.ColumnsGenerated {
 		t.Errorf("cache hit lost branch-and-price stats: formulation %q, columns %d (want %q, %d)",
 			again.Formulation, again.ColumnsGenerated, pats.Formulation, pats.ColumnsGenerated)
+	}
+}
+
+// TestRetiredKnobsIgnored: clients written against the older API still send
+// pricing, cut_rounds_root, cut_rounds_node and max_cuts
+// (testdata/retired_knobs.json holds them as such a client sent them). The
+// decoder ignores unknown fields, so such a request must get the bare
+// request's answer from a fresh solve and, sent after the bare request, be
+// served from the same cache entry.
+func TestRetiredKnobsIgnored(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	g := marshalGraph(t, chainGraph())
+	knobs, err := os.ReadFile("testdata/retired_knobs.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := map[string]any{}
+	if err := json.Unmarshal(knobs, &req); err != nil {
+		t.Fatal(err)
+	}
+	req["graph"], req["board"] = g, "small"
+	solve := func(name string, body any) Result {
+		t.Helper()
+		code, data := postJSON(t, ts.URL+"/v1/solve", body)
+		if code != http.StatusOK {
+			t.Fatalf("%s solve: HTTP %d: %s", name, code, data)
+		}
+		var res Result
+		if err := json.Unmarshal(data, &res); err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	bare := solve("bare", SolveRequest{Graph: g, Board: "small"})
+	req["no_cache"] = true
+	fresh := solve("fresh retired-knob", req)
+	delete(req, "no_cache")
+	cached := solve("retired-knob", req)
+	for _, old := range []Result{fresh, cached} {
+		if old.N != bare.N || old.LatencyNS != bare.LatencyNS || old.Optimal != bare.Optimal {
+			t.Errorf("retired-knob request N=%d latency=%g optimal=%v, bare N=%d latency=%g optimal=%v",
+				old.N, old.LatencyNS, old.Optimal, bare.N, bare.LatencyNS, bare.Optimal)
+		}
+	}
+	if bare.Cache != "miss" || cached.Cache != "hit" {
+		t.Errorf("cache origins %q/%q, want miss/hit", bare.Cache, cached.Cache)
 	}
 }
 

@@ -620,7 +620,6 @@ func solveForNPatterns(in Input, pre *presolve, paths [][]int, N int, tally *pro
 		Deadline:       in.ILP.Deadline,
 		Stop:           in.ILP.Stop,
 		Context:        in.ILP.Context,
-		Pricing:        in.ILP.Pricing,
 	}
 	buildTime := time.Since(buildStart)
 	buildSpan.End()
@@ -698,7 +697,6 @@ func solveForNPatterns(in Input, pre *presolve, paths [][]int, N int, tally *pro
 			PricingRounds:    sol.PricingRounds,
 			BuildTime:        buildTime, SolveTime: solveTime,
 			Solver:      sol.Solver,
-			Pricing:     in.ILP.Pricing.String(),
 			Formulation: FormulationPatterns,
 		},
 	}

@@ -148,9 +148,6 @@ type SolveStats struct {
 	// Solver aggregates the warm/cold solve and pivot counts of the
 	// underlying simplex engine across the whole B&B search.
 	Solver lp.SolverStats
-	// Pricing names the dual pricing rule the simplex engine ran with
-	// ("devex" or "steepest-edge"); empty for non-ILP results.
-	Pricing string
 	// Formulation names the model the winning probe actually solved
 	// ("rows" or "patterns"); empty for non-ILP results. It can differ
 	// from Input.Formulation when the pattern backend declined the
@@ -961,7 +958,6 @@ func solveForN(in Input, pre *presolve, paths [][]int, N int, tally *proofTally)
 			CGCuts:    m.cgRoot,
 			BuildTime: buildTime, SolveTime: solveTime,
 			Solver:      sol.Solver,
-			Pricing:     opts.Pricing.String(),
 			Formulation: FormulationRows,
 		},
 	}

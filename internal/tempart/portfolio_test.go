@@ -12,7 +12,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/dfg"
 	"repro/internal/ilp"
-	"repro/internal/lp"
 )
 
 // The hard-instance portfolio (ROADMAP open item): a committed corpus of
@@ -189,47 +188,6 @@ func TestHardPortfolio(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestHardPortfolioSteepestEdge re-runs the canonical near-capacity packing
-// proof (pack12) with exact steepest-edge pricing instead of devex: the
-// pricing rule steers every dual repair in the search, so the infeasibility
-// proof must still close within the same manifest node budget and reach the
-// same optimum. This is the stress-short lane's guard that the steepest-edge
-// weight recurrences survive thousands of warm-started solves.
-func TestHardPortfolioSteepestEdge(t *testing.T) {
-	if testing.Short() {
-		t.Skip("portfolio searches are sequential throughput yardsticks; skipped under -short (the race lane)")
-	}
-	for _, e := range loadPortfolio(t) {
-		if e.File != "pack12.json" {
-			continue
-		}
-		p, err := Solve(Input{
-			Graph:              e.graph,
-			Board:              e.board,
-			NoSymmetryBreaking: e.NoSymmetry,
-			DisableWarmStart:   e.NoWarm,
-			ILP:                ilp.Options{MaxNodes: e.MaxNodes, Pricing: lp.PricingSteepestEdge},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.N != e.WantN {
-			t.Errorf("N=%d, want %d", p.N, e.WantN)
-		}
-		if !p.Optimal {
-			t.Error("not proven optimal under steepest-edge pricing")
-		}
-		if p.Stats.Pricing != "steepest-edge" {
-			t.Errorf("Stats.Pricing = %q, want steepest-edge", p.Stats.Pricing)
-		}
-		if err := CheckFeasible(e.graph, e.board, p.Assign, p.N); err != nil {
-			t.Error(err)
-		}
-		return
-	}
-	t.Fatal("pack12.json not in portfolio manifest")
 }
 
 // BenchmarkHardPortfolio is the stress yardstick (`make stress`): every
