@@ -62,8 +62,8 @@ type Config struct {
 	// ILP tunes the branch-and-bound search (ILPPartitioner only); in
 	// particular ILP.Workers enables the parallel subtree search.
 	ILP ilp.Options
-	// SpeculateN enables tempart's speculative relax-N loop: up to this many
-	// candidate partition counts are probed concurrently (<= 1 sequential).
+	// SpeculateN is tempart's relax-N window: up to this many candidate
+	// partition counts are probed concurrently (<= 1 probes one at a time).
 	SpeculateN int
 	// Formulation selects the ILP model ("" or tempart.FormulationRows for
 	// the row model, tempart.FormulationPatterns for branch-and-price over

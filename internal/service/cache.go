@@ -15,7 +15,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/dfg"
 	"repro/internal/faultinject"
-	"repro/internal/lp"
 	"repro/internal/tempart"
 )
 
@@ -97,50 +96,18 @@ type entry struct {
 	// (dfg.CanonicalOrder) of the solved graph.
 	assignCanon []int
 	latencyNS   float64
-	// The original solve's search statistics, reported on hits for
-	// observability (a hit did zero search of its own).
-	nodes        int
-	prunedComb   int
-	lpSkipped    int
-	cutsAdded    int
-	sepRounds    int
-	conflictCuts int
-	cgCuts       int
-	dualFathoms  int
-	lpIters      int
-	lpRefactor   int
-	lpFlips      int
-	lpSparseFT   int
-	lpSparseBT   int
-	lpDenseFalls int
-	formulation  string
-	columnsGen   int
-	priceRounds  int
+	// formulation is the model the original solve ran, echoed on hits
+	// (the search counters are not kept: a hit did no search of its own).
+	formulation string
 }
 
 // newEntry canonicalizes a partitioning of g into a cache entry.
 func newEntry(g *dfg.Graph, p *tempart.Partitioning) *entry {
 	e := &entry{
-		n:            p.N,
-		optimal:      p.Optimal,
-		latencyNS:    p.Latency,
-		nodes:        p.Stats.Nodes,
-		prunedComb:   p.Stats.PrunedCombinatorial,
-		lpSkipped:    p.Stats.LPSolvesSkipped,
-		cutsAdded:    p.Stats.CutsAdded,
-		sepRounds:    p.Stats.SeparationRounds,
-		conflictCuts: p.Stats.ConflictCuts,
-		cgCuts:       p.Stats.CGCuts,
-		dualFathoms:  p.Stats.DualBoundFathoms,
-		lpIters:      p.Stats.LPIterations,
-		lpRefactor:   p.Stats.Solver.Refactorizations,
-		lpFlips:      p.Stats.Solver.BoundFlips,
-		lpSparseFT:   p.Stats.Solver.SparseFTRANs,
-		lpSparseBT:   p.Stats.Solver.SparseBTRANs,
-		lpDenseFalls: p.Stats.Solver.DenseFallbacks,
-		formulation:  p.Stats.Formulation,
-		columnsGen:   p.Stats.ColumnsGenerated,
-		priceRounds:  p.Stats.PricingRounds,
+		n:           p.N,
+		optimal:     p.Optimal,
+		latencyNS:   p.Latency,
+		formulation: p.Stats.Formulation,
 	}
 	if p.N > 0 {
 		ord := g.CanonicalOrder()
@@ -157,7 +124,8 @@ func newEntry(g *dfg.Graph, p *tempart.Partitioning) *entry {
 // the cached optimum latency. An error means the graphs collided or WL ties
 // were not interchangeable — the caller must fall back to a fresh solve
 // (this guards correctness against the theoretical imperfection of WL
-// hashing; it never silently serves a wrong answer).
+// hashing; it never silently serves a wrong answer). The transferred
+// partitioning reports zero search counters: this call did no search.
 func (e *entry) apply(req *Request) (*tempart.Partitioning, error) {
 	if faultinject.Fire(faultinject.CacheVerifyFail) {
 		return nil, fmt.Errorf("service: injected cache verification failure")
@@ -196,23 +164,7 @@ func (e *entry) apply(req *Request) (*tempart.Partitioning, error) {
 	}
 	return &tempart.Partitioning{
 		N: e.n, Assign: assign, Delays: delays, Latency: lat, Optimal: e.optimal,
-		Stats: tempart.SolveStats{
-			N: e.n, Nodes: e.nodes, LPIterations: e.lpIters,
-			PrunedCombinatorial: e.prunedComb, LPSolvesSkipped: e.lpSkipped,
-			CutsAdded: e.cutsAdded, SeparationRounds: e.sepRounds,
-			ConflictCuts: e.conflictCuts, CGCuts: e.cgCuts,
-			DualBoundFathoms: e.dualFathoms,
-			ColumnsGenerated: e.columnsGen,
-			PricingRounds:    e.priceRounds,
-			Solver: lp.SolverStats{
-				Refactorizations: e.lpRefactor,
-				BoundFlips:       e.lpFlips,
-				SparseFTRANs:     e.lpSparseFT,
-				SparseBTRANs:     e.lpSparseBT,
-				DenseFallbacks:   e.lpDenseFalls,
-			},
-			Formulation: e.formulation,
-		},
+		Stats: tempart.SolveStats{N: e.n, Formulation: e.formulation},
 	}, nil
 }
 

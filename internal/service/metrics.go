@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -49,24 +50,12 @@ type histKey struct {
 
 // Metrics aggregates service counters. Safe for concurrent use.
 type Metrics struct {
-	mu           sync.Mutex
-	started      time.Time
-	solves       map[string]uint64 // per engine
-	nodes        map[string]uint64 // per engine: B&B nodes explored (LP solved)
-	pruned       map[string]uint64 // per engine: nodes fathomed combinatorially
-	lpSkipped    map[string]uint64 // per engine: nodes discarded without an LP solve
-	cutsAdded    map[string]uint64 // per engine: cutting planes added by separation
-	sepRounds    map[string]uint64 // per engine: node LP re-solves from cut rounds
-	conflictCuts map[string]uint64 // per engine: no-goods learned from infeasible subtrees
-	cgCuts       map[string]uint64 // per engine: Chvátal–Gomory cardinality cuts in play
-	dualFathoms  map[string]uint64 // per engine: bin-packing dual-bound fathoms
-	lpRefactor   map[string]uint64 // per engine: LP basis reinversions
-	lpFlips      map[string]uint64 // per engine: dual long-step bound flips
-	lpSparseFT   map[string]uint64 // per engine: hyper-sparse FTRANs completed
-	lpSparseBT   map[string]uint64 // per engine: hyper-sparse BTRANs completed
-	lpDenseFalls map[string]uint64 // per engine: basis solves past the density gate
-	columnsGen   map[string]uint64 // per engine: branch-and-price columns generated
-	priceRounds  map[string]uint64 // per engine: pricing-problem invocations
+	mu      sync.Mutex
+	started time.Time
+	solves  map[string]uint64 // per engine
+	// search holds each engine's search-counter totals, indexed like
+	// searchFamilies.
+	search       map[string][]uint64
 	errors       uint64
 	cancelled    uint64
 	timeouts     uint64 // solves stopped by a deadline (anytime or not)
@@ -86,25 +75,11 @@ type Metrics struct {
 // NewMetrics returns an empty metrics set.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		started:      time.Now(),
-		solves:       map[string]uint64{},
-		nodes:        map[string]uint64{},
-		pruned:       map[string]uint64{},
-		lpSkipped:    map[string]uint64{},
-		cutsAdded:    map[string]uint64{},
-		sepRounds:    map[string]uint64{},
-		conflictCuts: map[string]uint64{},
-		cgCuts:       map[string]uint64{},
-		dualFathoms:  map[string]uint64{},
-		lpRefactor:   map[string]uint64{},
-		lpFlips:      map[string]uint64{},
-		lpSparseFT:   map[string]uint64{},
-		lpSparseBT:   map[string]uint64{},
-		lpDenseFalls: map[string]uint64{},
-		columnsGen:   map[string]uint64{},
-		priceRounds:  map[string]uint64{},
-		hist:         map[histKey]*obs.Histogram{},
-		phaseNS:      map[string]map[string]int64{},
+		started: time.Now(),
+		solves:  map[string]uint64{},
+		search:  map[string][]uint64{},
+		hist:    map[histKey]*obs.Histogram{},
+		phaseNS: map[string]map[string]int64{},
 	}
 }
 
@@ -153,58 +128,19 @@ func (m *Metrics) RecordPhases(engine string, tr *obs.Trace) {
 	m.mu.Unlock()
 }
 
-// SearchCounters is one fresh solve's branch-and-bound activity: nodes
-// whose LP relaxation was solved, nodes fathomed by the presolve's
-// combinatorial bound, nodes discarded without any LP solve, the
-// cutting-plane engine's cuts/rounds, the infeasibility-proof engine's
-// conflict cuts, CG cardinality cuts, and bin-packing dual-bound fathoms,
-// and the simplex kernel's basis reinversions and dual long-step bound
-// flips (the two counters that say whether the Forrest–Tomlin update path
-// and the bound-flipping ratio test are carrying the warm-start load), and
-// the hyper-sparse triangular-solve counters (FTRANs/BTRANs completed on
-// the symbolic-reachability path versus solves past the density gate that
-// fell back to the dense O(m) loops).
-type SearchCounters struct {
-	Nodes               int
-	PrunedCombinatorial int
-	LPSolvesSkipped     int
-	CutsAdded           int
-	SeparationRounds    int
-	ConflictCuts        int
-	CGCuts              int
-	DualBoundFathoms    int
-	LPRefactorizations  int
-	LPBoundFlips        int
-	LPSparseFTRANs      int
-	LPSparseBTRANs      int
-	LPDenseFallbacks    int
-	// Branch-and-price column-generation effort (zero under the row
-	// formulation): master columns appended beyond the artificials and
-	// pricing-problem invocations.
-	ColumnsGenerated int
-	PricingRounds    int
-}
-
 // RecordSearch folds one fresh solve's search counters into the per-engine
 // aggregates. Cache hits and shared solves are not recorded (their search
 // ran at most once, elsewhere).
 func (m *Metrics) RecordSearch(engine string, c SearchCounters) {
 	m.mu.Lock()
-	m.nodes[engine] += uint64(c.Nodes)
-	m.pruned[engine] += uint64(c.PrunedCombinatorial)
-	m.lpSkipped[engine] += uint64(c.LPSolvesSkipped)
-	m.cutsAdded[engine] += uint64(c.CutsAdded)
-	m.sepRounds[engine] += uint64(c.SeparationRounds)
-	m.conflictCuts[engine] += uint64(c.ConflictCuts)
-	m.cgCuts[engine] += uint64(c.CGCuts)
-	m.dualFathoms[engine] += uint64(c.DualBoundFathoms)
-	m.lpRefactor[engine] += uint64(c.LPRefactorizations)
-	m.lpFlips[engine] += uint64(c.LPBoundFlips)
-	m.lpSparseFT[engine] += uint64(c.LPSparseFTRANs)
-	m.lpSparseBT[engine] += uint64(c.LPSparseBTRANs)
-	m.lpDenseFalls[engine] += uint64(c.LPDenseFallbacks)
-	m.columnsGen[engine] += uint64(c.ColumnsGenerated)
-	m.priceRounds[engine] += uint64(c.PricingRounds)
+	tot := m.search[engine]
+	if tot == nil {
+		tot = make([]uint64, len(searchFamilies))
+		m.search[engine] = tot
+	}
+	for i, f := range searchFamilies {
+		tot[i] += uint64(f.get(&c))
+	}
 	m.mu.Unlock()
 }
 
@@ -251,32 +187,20 @@ func (m *Metrics) RecordWorkerPanic() {
 
 // Snapshot is a point-in-time metrics view used by /healthz and /metrics.
 type Snapshot struct {
-	UptimeMS     int64             `json:"uptime_ms"`
-	Solves       map[string]uint64 `json:"solves"`
-	Nodes        map[string]uint64 `json:"bb_nodes,omitempty"`
-	Pruned       map[string]uint64 `json:"bb_pruned_combinatorial,omitempty"`
-	LPSkipped    map[string]uint64 `json:"lp_solves_skipped,omitempty"`
-	CutsAdded    map[string]uint64 `json:"cuts_added,omitempty"`
-	SepRounds    map[string]uint64 `json:"separation_rounds,omitempty"`
-	ConflictCuts map[string]uint64 `json:"conflict_cuts,omitempty"`
-	CGCuts       map[string]uint64 `json:"cg_cuts,omitempty"`
-	DualFathoms  map[string]uint64 `json:"dual_bound_fathoms,omitempty"`
-	LPRefactor   map[string]uint64 `json:"lp_refactorizations,omitempty"`
-	LPFlips      map[string]uint64 `json:"lp_bound_flips,omitempty"`
-	LPSparseFT   map[string]uint64 `json:"lp_sparse_ftrans,omitempty"`
-	LPSparseBT   map[string]uint64 `json:"lp_sparse_btrans,omitempty"`
-	LPDenseFalls map[string]uint64 `json:"lp_dense_fallbacks,omitempty"`
-	ColumnsGen   map[string]uint64 `json:"columns_generated,omitempty"`
-	PriceRounds  map[string]uint64 `json:"pricing_rounds,omitempty"`
-	Errors       uint64            `json:"errors"`
-	Cancelled    uint64            `json:"cancelled"`
-	Timeouts     uint64            `json:"timeouts"`
-	Anytime      uint64            `json:"anytime_solves"`
-	Fallbacks    uint64            `json:"fallback_solves"`
-	Shed         uint64            `json:"jobs_shed"`
-	WorkerPanics uint64            `json:"worker_panics"`
-	P50MS        float64           `json:"latency_p50_ms"`
-	P99MS        float64           `json:"latency_p99_ms"`
+	UptimeMS int64             `json:"uptime_ms"`
+	Solves   map[string]uint64 `json:"solves"`
+	// Search maps each searchFamilies name to its per-engine totals; the
+	// JSON form flattens it into one key per family (see MarshalJSON).
+	Search       map[string]map[string]uint64 `json:"-"`
+	Errors       uint64                       `json:"errors"`
+	Cancelled    uint64                       `json:"cancelled"`
+	Timeouts     uint64                       `json:"timeouts"`
+	Anytime      uint64                       `json:"anytime_solves"`
+	Fallbacks    uint64                       `json:"fallback_solves"`
+	Shed         uint64                       `json:"jobs_shed"`
+	WorkerPanics uint64                       `json:"worker_panics"`
+	P50MS        float64                      `json:"latency_p50_ms"`
+	P99MS        float64                      `json:"latency_p99_ms"`
 }
 
 // Snapshot captures current counters and latency quantiles (interpolated
@@ -287,21 +211,7 @@ func (m *Metrics) Snapshot() Snapshot {
 	s := Snapshot{
 		UptimeMS:     time.Since(m.started).Milliseconds(),
 		Solves:       copyCounters(m.solves),
-		Nodes:        copyCounters(m.nodes),
-		Pruned:       copyCounters(m.pruned),
-		LPSkipped:    copyCounters(m.lpSkipped),
-		CutsAdded:    copyCounters(m.cutsAdded),
-		SepRounds:    copyCounters(m.sepRounds),
-		ConflictCuts: copyCounters(m.conflictCuts),
-		CGCuts:       copyCounters(m.cgCuts),
-		DualFathoms:  copyCounters(m.dualFathoms),
-		LPRefactor:   copyCounters(m.lpRefactor),
-		LPFlips:      copyCounters(m.lpFlips),
-		LPSparseFT:   copyCounters(m.lpSparseFT),
-		LPSparseBT:   copyCounters(m.lpSparseBT),
-		LPDenseFalls: copyCounters(m.lpDenseFalls),
-		ColumnsGen:   copyCounters(m.columnsGen),
-		PriceRounds:  copyCounters(m.priceRounds),
+		Search:       make(map[string]map[string]uint64, len(searchFamilies)),
 		Errors:       m.errors,
 		Cancelled:    m.cancelled,
 		Timeouts:     m.timeouts,
@@ -310,11 +220,40 @@ func (m *Metrics) Snapshot() Snapshot {
 		Shed:         m.shed,
 		WorkerPanics: m.workerPanics,
 	}
+	for i, f := range searchFamilies {
+		vals := make(map[string]uint64, len(m.search))
+		for engine, tot := range m.search {
+			vals[engine] = tot[i]
+		}
+		s.Search[f.name] = vals
+	}
 	if merged := m.mergedHistLocked(); merged.Count() > 0 {
 		s.P50MS = merged.Quantile(0.50) * 1e3
 		s.P99MS = merged.Quantile(0.99) * 1e3
 	}
 	return s
+}
+
+// MarshalJSON renders the snapshot flat: one key per search family (in
+// searchFamilies order, omitted while no engine has recorded a search)
+// after the fixed fields.
+func (s Snapshot) MarshalJSON() ([]byte, error) {
+	type plain Snapshot
+	b, err := json.Marshal(plain(s))
+	if err != nil {
+		return nil, err
+	}
+	b = b[:len(b)-1] // reopen the object
+	for _, f := range searchFamilies {
+		if vals := s.Search[f.name]; len(vals) > 0 {
+			v, err := json.Marshal(vals)
+			if err != nil {
+				return nil, err
+			}
+			b = append(fmt.Appendf(append(b, ','), "%q:", f.name), v...)
+		}
+	}
+	return append(b, '}'), nil
 }
 
 // mergedHistLocked folds every (engine, outcome) histogram into one for
@@ -393,42 +332,9 @@ func (m *Metrics) Exposition(cache CacheStats, queueDepth, running int) string {
 	}
 
 	engineFamily("solve_total", "Completed solve requests per engine.", s.Solves)
-	// Per-engine search counters: how much branch-and-bound work fresh
-	// solves did, and how much of it the presolve pruned before the simplex
-	// ran. A healthy prune-first deployment shows pruned+skipped growing
-	// much faster than nodes.
-	engineFamily("bb_nodes_total", "Branch-and-bound nodes whose LP relaxation was solved.", s.Nodes)
-	engineFamily("bb_pruned_combinatorial_total", "Nodes fathomed by the combinatorial presolve bound.", s.Pruned)
-	engineFamily("lp_solves_skipped_total", "Nodes discarded without an LP solve.", s.LPSkipped)
-	// Cutting-plane engine: cuts the separators admitted and the node LP
-	// re-solves they triggered (branch-and-cut grows the model instead of
-	// the tree; rising cuts with flat nodes is the engine working).
-	engineFamily("cuts_added_total", "Cutting planes admitted by separation.", s.CutsAdded)
-	engineFamily("separation_rounds_total", "Node LP re-solves triggered by cut rounds.", s.SepRounds)
-	// Infeasibility-proof engine: no-goods learned from fathomed-infeasible
-	// subtrees, Chvátal–Gomory cardinality cuts in play, and bin-packing
-	// dual-bound fathoms (N probes and B&B nodes killed LP-free). Rising
-	// fathoms with flat nodes is the proof engine doing the pruning.
-	engineFamily("conflict_cuts_total", "No-good cuts learned from infeasible subtrees.", s.ConflictCuts)
-	engineFamily("cg_cuts_total", "Chvatal-Gomory cardinality cuts in play.", s.CGCuts)
-	engineFamily("dual_bound_fathoms_total", "Bin-packing dual-bound fathoms (LP-free).", s.DualFathoms)
-	// Simplex kernel: basis reinversions (the Forrest–Tomlin update path
-	// exists to keep these rare) and dual long-step bound flips
-	// (infeasibility absorbed without a pivot).
-	engineFamily("lp_refactorizations_total", "LP basis reinversions.", s.LPRefactor)
-	engineFamily("lp_bound_flips_total", "Dual long-step bound flips.", s.LPFlips)
-	// Hyper-sparse triangular solves: FTRANs/BTRANs completed on the
-	// symbolic-reachability path versus solves whose predicted fill blew
-	// the density gate and ran the dense O(m) loops instead. A healthy
-	// sparse-dominated workload shows ftrans+btrans far above fallbacks.
-	engineFamily("lp_sparse_ftrans_total", "Hyper-sparse FTRAN solves completed.", s.LPSparseFT)
-	engineFamily("lp_sparse_btrans_total", "Hyper-sparse BTRAN solves completed.", s.LPSparseBT)
-	engineFamily("lp_dense_fallbacks_total", "Basis solves past the density gate (dense path).", s.LPDenseFalls)
-	// Branch-and-price engine: master columns the pricing problem generated
-	// and pricing rounds run. Rising columns with flat nodes is the pattern
-	// formulation closing instances at the master LP instead of branching.
-	engineFamily("columns_generated_total", "Branch-and-price master columns generated.", s.ColumnsGen)
-	engineFamily("pricing_rounds_total", "Branch-and-price pricing-problem invocations.", s.PriceRounds)
+	for _, f := range searchFamilies {
+		engineFamily(f.name+"_total", f.help, s.Search[f.name])
+	}
 
 	scalar("solve_errors_total", "counter", "Solve requests that ended in error.", s.Errors)
 	scalar("jobs_cancelled_total", "counter", "Jobs cancelled by clients or context death.", s.Cancelled)

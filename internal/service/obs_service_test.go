@@ -359,6 +359,16 @@ func TestPrometheusExpositionParses(t *testing.T) {
 		`sparcsd_solve_duration_seconds_bucket{engine="list",outcome="cancelled",le="+Inf"}`,
 		`sparcsd_phase_seconds_total{engine="ilp",phase="presolve"}`,
 		`sparcsd_phase_seconds_total{engine="ilp",phase="search"}`,
+		`sparcsd_bb_nodes_total{engine="ilp"}`,
+		`sparcsd_bb_pruned_combinatorial_total{engine="ilp"}`,
+		`sparcsd_lp_solves_skipped_total{engine="ilp"}`,
+		`sparcsd_cuts_added_total{engine="ilp"}`,
+		`sparcsd_separation_rounds_total{engine="ilp"}`,
+		`sparcsd_conflict_cuts_total{engine="ilp"}`,
+		`sparcsd_cg_cuts_total{engine="ilp"}`,
+		`sparcsd_dual_bound_fathoms_total{engine="ilp"}`,
+		`sparcsd_lp_refactorizations_total{engine="ilp"}`,
+		`sparcsd_lp_bound_flips_total{engine="ilp"}`,
 		`sparcsd_lp_sparse_ftrans_total{engine="ilp"}`,
 		`sparcsd_lp_sparse_btrans_total{engine="ilp"}`,
 		`sparcsd_lp_dense_fallbacks_total{engine="ilp"}`,

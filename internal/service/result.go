@@ -140,40 +140,13 @@ type Result struct {
 	// Assign maps task name -> 0-based partition.
 	Assign map[string]int `json:"assign,omitempty"`
 
-	// Solver statistics (zero for pure cache hits). PrunedCombinatorial and
-	// LPSolvesSkipped report how much of the branch-and-bound tree the
-	// presolve fathomed without running the simplex; CutsAdded and
-	// SeparationRounds how much the cutting-plane engine grew the node LPs
-	// instead of branching; LPRefactorizations and LPBoundFlips how the
-	// simplex kernel spent the iterations (basis reinversions the
-	// Forrest–Tomlin update path could not avoid, and dual long-step bound
-	// flips that absorbed infeasibility without a pivot).
-	// LPSparseFTRANs/LPSparseBTRANs count basis solves the hyper-sparse
-	// kernel completed on the symbolic-reachability path, LPDenseFallbacks
-	// the ones that exceeded the density gate and fell back to the dense
-	// O(m) loops.
-	Nodes               int `json:"nodes,omitempty"`
-	PrunedCombinatorial int `json:"nodes_pruned_combinatorial,omitempty"`
-	LPSolvesSkipped     int `json:"lp_solves_skipped,omitempty"`
-	CutsAdded           int `json:"cuts_added,omitempty"`
-	SeparationRounds    int `json:"separation_rounds,omitempty"`
-	ConflictCuts        int `json:"conflict_cuts,omitempty"`
-	CGCuts              int `json:"cg_cuts,omitempty"`
-	DualBoundFathoms    int `json:"dual_bound_fathoms,omitempty"`
-	LPIterations        int `json:"lp_iterations,omitempty"`
-	LPRefactorizations  int `json:"lp_refactorizations,omitempty"`
-	LPBoundFlips        int `json:"lp_bound_flips,omitempty"`
-	LPSparseFTRANs      int `json:"lp_sparse_ftrans,omitempty"`
-	LPSparseBTRANs      int `json:"lp_sparse_btrans,omitempty"`
-	LPDenseFallbacks    int `json:"lp_dense_fallbacks,omitempty"`
+	// SearchCounters is the solve's search effort (zero for cache hits
+	// and shared results).
+	SearchCounters
 	// Formulation names the ILP model the solve actually ran ("rows" or
-	// "patterns" — the latter may fall back to rows when inapplicable);
-	// ColumnsGenerated and PricingRounds report the branch-and-price
-	// engine's column-generation effort (zero under the row model).
-	Formulation      string  `json:"formulation,omitempty"`
-	ColumnsGenerated int     `json:"columns_generated,omitempty"`
-	PricingRounds    int     `json:"pricing_rounds,omitempty"`
-	SolveMS          float64 `json:"solve_ms"`
+	// "patterns" — the latter may fall back to rows when inapplicable).
+	Formulation string  `json:"formulation,omitempty"`
+	SolveMS     float64 `json:"solve_ms"`
 
 	// Cache reports how the service produced the result: "miss" (fresh
 	// solve), "hit" (memo cache), "shared" (deduplicated onto another
@@ -188,34 +161,19 @@ type Result struct {
 // NewResult assembles the shared payload from a partitioning.
 func NewResult(g *dfg.Graph, boardName, engine string, p *tempart.Partitioning) *Result {
 	r := &Result{
-		Graph:               g.Name,
-		Engine:              engine,
-		Board:               boardName,
-		N:                   p.N,
-		Optimal:             p.Optimal,
-		LatencyNS:           p.Latency,
-		Partial:             p.Partial,
-		Fallback:            p.Fallback,
-		LatencyBoundNS:      p.LatencyBound,
-		GapNS:               p.Gap,
-		BoundTrusted:        p.BoundTrusted,
-		Nodes:               p.Stats.Nodes,
-		PrunedCombinatorial: p.Stats.PrunedCombinatorial,
-		LPSolvesSkipped:     p.Stats.LPSolvesSkipped,
-		CutsAdded:           p.Stats.CutsAdded,
-		SeparationRounds:    p.Stats.SeparationRounds,
-		ConflictCuts:        p.Stats.ConflictCuts,
-		CGCuts:              p.Stats.CGCuts,
-		DualBoundFathoms:    p.Stats.DualBoundFathoms,
-		LPIterations:        p.Stats.LPIterations,
-		LPRefactorizations:  p.Stats.Solver.Refactorizations,
-		LPBoundFlips:        p.Stats.Solver.BoundFlips,
-		LPSparseFTRANs:      p.Stats.Solver.SparseFTRANs,
-		LPSparseBTRANs:      p.Stats.Solver.SparseBTRANs,
-		LPDenseFallbacks:    p.Stats.Solver.DenseFallbacks,
-		Formulation:         p.Stats.Formulation,
-		ColumnsGenerated:    p.Stats.ColumnsGenerated,
-		PricingRounds:       p.Stats.PricingRounds,
+		Graph:          g.Name,
+		Engine:         engine,
+		Board:          boardName,
+		N:              p.N,
+		Optimal:        p.Optimal,
+		LatencyNS:      p.Latency,
+		Partial:        p.Partial,
+		Fallback:       p.Fallback,
+		LatencyBoundNS: p.LatencyBound,
+		GapNS:          p.Gap,
+		BoundTrusted:   p.BoundTrusted,
+		SearchCounters: searchCountersOf(p.Stats),
+		Formulation:    p.Stats.Formulation,
 	}
 	if p.N == 0 {
 		return r

@@ -226,27 +226,11 @@ func (s *Server) solve(ctx context.Context, req *Request) (*Result, error) {
 				append(logAttrs, slog.String("error", fr.Error))...)
 			return nil, err
 		}
-		if origin == OriginMiss {
-			s.metrics.RecordSearch(be.Name(), SearchCounters{
-				Nodes:               p.Stats.Nodes,
-				PrunedCombinatorial: p.Stats.PrunedCombinatorial,
-				LPSolvesSkipped:     p.Stats.LPSolvesSkipped,
-				CutsAdded:           p.Stats.CutsAdded,
-				SeparationRounds:    p.Stats.SeparationRounds,
-				ConflictCuts:        p.Stats.ConflictCuts,
-				CGCuts:              p.Stats.CGCuts,
-				DualBoundFathoms:    p.Stats.DualBoundFathoms,
-				LPRefactorizations:  p.Stats.Solver.Refactorizations,
-				LPBoundFlips:        p.Stats.Solver.BoundFlips,
-				LPSparseFTRANs:      p.Stats.Solver.SparseFTRANs,
-				LPSparseBTRANs:      p.Stats.Solver.SparseBTRANs,
-				LPDenseFallbacks:    p.Stats.Solver.DenseFallbacks,
-				ColumnsGenerated:    p.Stats.ColumnsGenerated,
-				PricingRounds:       p.Stats.PricingRounds,
-			})
-		}
 		res := NewResult(req.Graph, req.BoardName, be.Name(), p)
 		res.Cache = string(origin)
+		if origin == OriginMiss {
+			s.metrics.RecordSearch(be.Name(), res.SearchCounters)
+		}
 		if res.Partial {
 			fr.Partial, fr.Fallback = res.Partial, res.Fallback
 			if res.Fallback {
@@ -256,16 +240,6 @@ func (s *Server) solve(ctx context.Context, req *Request) (*Result, error) {
 			}
 			logAttrs = append(logAttrs,
 				slog.Bool("partial", true), slog.Float64("gap_ns", res.GapNS))
-		}
-		if origin == OriginHit || origin == OriginShared {
-			// The search ran (at most) once, elsewhere; report zero local
-			// search so aggregate node counts stay meaningful.
-			res.Nodes, res.LPIterations = 0, 0
-			res.PrunedCombinatorial, res.LPSolvesSkipped = 0, 0
-			res.CutsAdded, res.SeparationRounds = 0, 0
-			res.ConflictCuts, res.CGCuts, res.DualBoundFathoms = 0, 0, 0
-			res.LPRefactorizations, res.LPBoundFlips = 0, 0
-			res.LPSparseFTRANs, res.LPSparseBTRANs, res.LPDenseFallbacks = 0, 0, 0
 		}
 		res.SolveMS = fr.SolveMS
 		if req.Trace {
@@ -311,10 +285,15 @@ func (s *Server) solve(ctx context.Context, req *Request) (*Result, error) {
 		return finish(p, tr, OriginMiss, err)
 	}
 
-	// freshTrace is written by the singleflight closure only when THIS
-	// call launched it (origin == miss); the flight's done-channel close
-	// orders the write before our read.
-	var freshTrace *obs.Trace
+	// freshTrace and freshStats are written by the singleflight closure
+	// only when THIS call launched it (origin == miss); the flight's
+	// done-channel close orders the writes before our read. The cache
+	// entry keeps no search counters, so the miss caller reports the
+	// fresh solve's own.
+	var (
+		freshTrace *obs.Trace
+		freshStats tempart.SolveStats
+	)
 	ent, origin, err := s.cache.GetOrSolve(ctx, key, func(sctx context.Context) (*entry, error) {
 		p, tr, err := runBackend(sctx, nil)
 		if err != nil {
@@ -325,7 +304,7 @@ func (s *Server) solve(ctx context.Context, req *Request) (*Result, error) {
 			// the never-cache-a-partial invariant is cheap to enforce.
 			return nil, fmt.Errorf("service: partial result cannot be cached")
 		}
-		freshTrace = tr
+		freshTrace, freshStats = tr, p.Stats
 		return newEntry(req.Graph, p), nil
 	})
 	if err != nil {
@@ -343,6 +322,8 @@ func (s *Server) solve(ctx context.Context, req *Request) (*Result, error) {
 	}
 	if origin != OriginMiss {
 		freshTrace = nil // another call's solve; its phases are not ours
+	} else {
+		p.Stats = freshStats
 	}
 	return finish(p, freshTrace, origin, nil)
 }

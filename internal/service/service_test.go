@@ -234,6 +234,10 @@ func TestE2EBatchCacheAndCancel(t *testing.T) {
 			t.Fatalf("batch item %d (%s) not proven optimal", i, item.Result.Graph)
 		}
 		served[item.Result.Cache]++
+		if item.Result.Cache != string(OriginMiss) && item.Result.SearchCounters != (SearchCounters{}) {
+			t.Errorf("batch item %d (%s, %s) reported search counters %+v, want all zero",
+				i, item.Result.Graph, item.Result.Cache, item.Result.SearchCounters)
+		}
 	}
 	if served[string(OriginMiss)] != len(graphs) {
 		t.Errorf("want exactly %d misses (one per distinct graph), got %v", len(graphs), served)
@@ -265,6 +269,9 @@ func TestE2EBatchCacheAndCancel(t *testing.T) {
 	}
 	if isoRes.Cache != string(OriginHit) {
 		t.Errorf("isomorphic graph got cache=%q, want hit", isoRes.Cache)
+	}
+	if isoRes.SearchCounters != (SearchCounters{}) {
+		t.Errorf("isomorphic hit reported search counters %+v, want all zero", isoRes.SearchCounters)
 	}
 	w := wants["chain"]
 	if isoRes.N != w.n || isoRes.LatencyNS != w.lat {
@@ -468,6 +475,28 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if health.Metrics.Solves["ilp"] != 2 {
 		t.Errorf("metrics solves: %+v", health.Metrics.Solves)
 	}
+	// The per-engine search counters keep their /healthz keys: the one
+	// fresh solve above recorded every family under engine "ilp".
+	var raw struct {
+		Metrics map[string]json.RawMessage `json:"metrics"`
+	}
+	getJSON(t, ts.URL+"/healthz", &raw)
+	for _, key := range []string{
+		"bb_nodes", "bb_pruned_combinatorial", "lp_solves_skipped",
+		"cuts_added", "separation_rounds", "conflict_cuts", "cg_cuts",
+		"dual_bound_fathoms", "lp_refactorizations", "lp_bound_flips",
+		"lp_sparse_ftrans", "lp_sparse_btrans", "lp_dense_fallbacks",
+		"columns_generated", "pricing_rounds",
+	} {
+		var perEngine map[string]uint64
+		if err := json.Unmarshal(raw.Metrics[key], &perEngine); err != nil {
+			t.Errorf("healthz metrics.%s: %v (raw %s)", key, err, raw.Metrics[key])
+			continue
+		}
+		if _, ok := perEngine["ilp"]; !ok {
+			t.Errorf("healthz metrics.%s has no ilp entry: %v", key, perEngine)
+		}
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -586,9 +615,13 @@ func TestSolveFormulationKnob(t *testing.T) {
 	if again.Cache != "hit" {
 		t.Errorf("repeat patterns solve origin %q, want hit", again.Cache)
 	}
-	if again.Formulation != "patterns" || again.ColumnsGenerated != pats.ColumnsGenerated {
-		t.Errorf("cache hit lost branch-and-price stats: formulation %q, columns %d (want %q, %d)",
-			again.Formulation, again.ColumnsGenerated, pats.Formulation, pats.ColumnsGenerated)
+	// A hit echoes the formulation its entry was solved with but reports
+	// zero search: the search ran once, for the miss above.
+	if again.Formulation != "patterns" {
+		t.Errorf("cache hit formulation %q, want patterns", again.Formulation)
+	}
+	if again.SearchCounters != (SearchCounters{}) {
+		t.Errorf("cache hit reported search counters %+v, want all zero", again.SearchCounters)
 	}
 }
 

@@ -20,11 +20,13 @@
 //
 // A preprocessing step computes the partition lower bound
 // N0 = ⌈Σ_t R(t) / R_max⌉ and the bound is relaxed by one partition at a
-// time until the model is feasible, exactly as in the paper. With
-// Input.SpeculateN > 1 the relax loop instead probes several candidate
-// partition counts concurrently and returns the lowest feasible N — the
-// same answer, without serializing infeasibility proofs behind each other;
-// ilp.Options.Workers additionally parallelizes each probe's search tree.
+// time until the model is feasible, exactly as in the paper. The relax
+// loop probes a window of Input.SpeculateN candidate partition counts
+// concurrently (one at a time by default, as in the paper) and returns the
+// lowest feasible N — the same answer at every window size, without
+// serializing infeasibility proofs behind each other when the window is
+// wider; ilp.Options.Workers additionally parallelizes each probe's search
+// tree.
 package tempart
 
 import (
@@ -70,12 +72,13 @@ type Input struct {
 	// change the optimum and substantially prune the search on regular
 	// DSP graphs. Disable only to measure the ablation.
 	NoSymmetryBreaking bool
-	// SpeculateN, when > 1, runs the relax-N loop speculatively: up to
-	// SpeculateN candidate partition counts (N0, N0+1, ...) are built and
-	// solved concurrently, and the lowest feasible N wins — exactly the
-	// answer the sequential loop produces, without serializing the
-	// infeasibility proofs of the too-small Ns behind each other. Probes
-	// made moot by a lower feasible N are aborted through ilp.Options.Stop.
+	// SpeculateN is the relax-N loop's window (<= 1 probes one candidate
+	// at a time, as in the paper): up to SpeculateN candidate partition
+	// counts (N0, N0+1, ...) are built and solved concurrently, and the
+	// lowest feasible N wins — the same answer at every window size,
+	// without serializing the infeasibility proofs of the too-small Ns
+	// behind each other. Probes made moot by a lower feasible N are
+	// aborted through ilp.Options.Stop.
 	SpeculateN int
 	// DisableWarmStart suppresses the list-partitioner warm start (for
 	// ablation benchmarks).
@@ -357,45 +360,7 @@ func Solve(in Input) (*Partitioning, error) {
 		return nil, fmt.Errorf("tempart: %w (use the list partitioner for graphs this path-dense)", pathErr)
 	}
 	preSpan.End()
-	if in.SpeculateN > 1 {
-		return solveSpeculative(in, pre, paths, n0, maxN, prunedN, tally)
-	}
-	relax := 0
-	for n := n0; n <= maxN; n++ {
-		relax++
-		probeSpan := in.Trace.BeginArg(obs.PhaseProbe, int64(n))
-		// Bin-packing dual bound: a candidate count below the packing need
-		// is infeasible outright — cheaper than both the exact packing DFS
-		// below and any branch-and-bound infeasibility proof, and immune to
-		// the DFS's node budget.
-		if n < tally.packNeed {
-			prunedN++
-			tally.dualFathoms.Add(1)
-			probeSpan.End()
-			continue
-		}
-		// Multi-resource bin-packing pre-check: ignoring temporal order and
-		// memory can only make the problem easier, so packing
-		// infeasibility proves ILP infeasibility at this N without paying
-		// for a branch-and-bound infeasibility proof.
-		if !pre.packingFeasibleAll(n) {
-			prunedN++
-			probeSpan.End()
-			continue
-		}
-		part, err := solveForN(in, pre, paths, n, tally)
-		probeSpan.End()
-		if err != nil {
-			return nil, err
-		}
-		if part != nil {
-			part.Stats.RelaxSteps = relax
-			part.Stats.NProbesPruned = prunedN
-			tally.stampProofStats(part)
-			return part, nil
-		}
-	}
-	return nil, fmt.Errorf("%w (tried N=%d..%d)", ErrNoSolution, n0, maxN)
+	return relaxN(in, pre, paths, n0, maxN, prunedN, tally)
 }
 
 // proofTally accumulates the infeasibility-proof telemetry of one Solve
@@ -424,35 +389,35 @@ func (tally *proofTally) absorb(sub *proofTally) {
 }
 
 // stampProofStats folds the tally into a winning partitioning's stats. It
-// must run at acceptance — in the sequential loop that is right after
-// solveForN, in the speculative loop after every consumed probe's
-// sub-tally has been absorbed (the consumer accepts in ascending N order,
-// so all infeasibility proofs below the winner have already contributed
-// and moot higher-N probes never do).
+// must run at acceptance, after every consumed probe's sub-tally has been
+// absorbed (the consumer accepts in ascending N order, so all
+// infeasibility proofs below the winner have already contributed and moot
+// higher-N probes never do).
 func (tally *proofTally) stampProofStats(part *Partitioning) {
 	part.Stats.ConflictCuts = int(tally.conflictCuts.Load())
 	part.Stats.CGCuts += int(tally.cgCuts.Load())
 	part.Stats.DualBoundFathoms = int(tally.dualFathoms.Load())
 }
 
-// solveSpeculative is the parallel relax-N loop: a sliding window of
+// relaxN is the relax-N loop: a sliding window of max(SpeculateN, 1)
 // candidate partition counts is solved concurrently and results are
-// consumed in ascending N order, so the returned partitioning is the one
-// the sequential loop would have found. Probes for N values made moot by a
-// lower feasible N are cancelled; their goroutines drain into buffered
-// channels and are discarded.
-func solveSpeculative(in Input, pre *presolve, paths [][]int, n0, maxN, prunedN int, tally *proofTally) (*Partitioning, error) {
+// consumed in ascending N order, so the returned partitioning is the one a
+// window of 1 finds. Probes for N values made moot by a lower feasible N
+// are cancelled; their goroutines drain into buffered channels and are
+// discarded.
+func relaxN(in Input, pre *presolve, paths [][]int, n0, maxN, prunedN int, tally *proofTally) (*Partitioning, error) {
 	// Each probe gets its own sub-tally; the consumer folds a probe's
 	// counts into the shared tally only when it CONSUMES the probe, in
 	// ascending N order. Cancelled higher-N probes are never consumed, so
-	// the stamped proof telemetry covers exactly the probes the sequential
-	// loop would have run — deterministic, and free of contamination from
-	// moot goroutines still winding down.
+	// the stamped proof telemetry covers exactly the probes a window of 1
+	// runs — deterministic, and free of contamination from moot goroutines
+	// still winding down.
 	type probe struct {
 		part       *Partitioning
 		err        error
 		packPruned bool
 		tally      *proofTally
+		panicked   any // a recovered solver panic, re-raised by the consumer
 	}
 	stop := make(chan struct{})
 	defer close(stop)
@@ -476,30 +441,40 @@ func solveSpeculative(in Input, pre *presolve, paths [][]int, n0, maxN, prunedN 
 		ch := make(chan probe, 1)
 		pt := &proofTally{packNeed: tally.packNeed}
 		go func() {
-			// Each probe gets its own (overlapping) span; moot probes that
-			// are cancelled mid-search never End theirs and vanish from
-			// the summary, matching the consumed-probes-only telemetry.
+			// Each probe gets its own (overlapping) span, ended before the
+			// result is sent so the consumer's trace always holds the
+			// spans of the probes it consumed. A panic is recovered and
+			// re-raised by the consumer, on the caller's goroutine.
 			probeSpan := spec.Trace.BeginArg(obs.PhaseProbe, int64(n))
-			defer probeSpan.End()
-			// The dual-bound and packing pre-checks of the sequential loop,
-			// hoisted into the probe so a cheap infeasibility proof also
-			// runs off the consumer's critical path.
-			if n < pt.packNeed {
+			r := probe{tally: pt}
+			defer func() {
+				if v := recover(); v != nil {
+					r = probe{panicked: v, tally: pt}
+				}
+				probeSpan.End()
+				ch <- r
+			}()
+			// Bin-packing dual bound: a candidate count below the packing
+			// need is infeasible outright — cheaper than both the exact
+			// packing check below and any branch-and-bound infeasibility
+			// proof. Ignoring temporal order and memory can only make the
+			// problem easier, so multi-resource packing infeasibility
+			// likewise proves ILP infeasibility at this N. Both run inside
+			// the probe, off the consumer's critical path.
+			switch {
+			case n < pt.packNeed:
 				pt.dualFathoms.Add(1)
-				ch <- probe{packPruned: true, tally: pt}
-				return
+				r.packPruned = true
+			case !pre.packingFeasibleAll(n):
+				r.packPruned = true
+			default:
+				r.part, r.err = solveForN(spec, pre, paths, n, pt)
 			}
-			if !pre.packingFeasibleAll(n) {
-				ch <- probe{packPruned: true, tally: pt}
-				return
-			}
-			part, err := solveForN(spec, pre, paths, n, pt)
-			ch <- probe{part: part, err: err, tally: pt}
 		}()
 		return ch
 	}
 
-	window := in.SpeculateN
+	window := max(in.SpeculateN, 1)
 	pending := make(map[int]chan probe, window)
 	next := n0
 	for ; next <= maxN && next < n0+window; next++ {
@@ -508,6 +483,9 @@ func solveSpeculative(in Input, pre *presolve, paths [][]int, n0, maxN, prunedN 
 	for n := n0; n <= maxN; n++ {
 		r := <-pending[n]
 		delete(pending, n)
+		if r.panicked != nil {
+			panic(r.panicked)
+		}
 		if r.err != nil {
 			if errors.Is(r.err, ErrDeadline) {
 				// Anytime salvage: the probe at n hit the deadline with no

@@ -34,9 +34,9 @@ func randomDAG(seed int64, tasks int) *dfg.Graph {
 	return g
 }
 
-// TestSpeculativeNMatchesSequential: the speculative relax-N loop must
-// return the same partition count, latency, and optimality flag as the
-// sequential loop on a spread of random instances.
+// TestSpeculativeNMatchesSequential: a relax-N window of 3 must return the
+// same partition count, latency, and optimality flag as the default
+// one-probe window on a spread of random instances.
 func TestSpeculativeNMatchesSequential(t *testing.T) {
 	b := board(100, 1024, 500)
 	for seed := int64(0); seed < 8; seed++ {
@@ -102,5 +102,25 @@ func TestWarmStartEngages(t *testing.T) {
 	}
 	if st.WarmSolves == 0 {
 		t.Errorf("no warm solves across %d node LPs (stats %+v)", st.Solves, st)
+	}
+}
+
+// TestProbePanicReachesCaller: a panic inside a relax-N probe (here a
+// panicking ILP log hook) surfaces on Solve's own goroutine at every
+// window size, where a caller's recover — the service's solver-panic
+// guard — can catch it, instead of killing the process from the probe
+// goroutine.
+func TestProbePanicReachesCaller(t *testing.T) {
+	b := board(100, 1024, 500)
+	for _, window := range []int{1, 3} {
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Errorf("window %d: recovered %v, want the probe's panic", window, r)
+				}
+			}()
+			Solve(Input{Graph: randomDAG(0, 7), Board: b, SpeculateN: window,
+				ILP: ilp.Options{Log: func(string, ...any) { panic("boom") }}})
+		}()
 	}
 }
