@@ -37,11 +37,12 @@ bench-smoke:
 # bench-lp runs the simplex-kernel micro-benches: a dense and a hyper-sparse
 # FTRAN against the live LU factor (both must be 0 allocs/op; the sparse one
 # additionally asserts >= 90% of singleton solves stay under the density
-# gate) and the warm-start bound-fix/unfix repair loop (reports pivots,
+# gate), the reinversion of a slack-heavy basis (must be 0 allocs/op), and
+# the warm-start bound-fix/unfix repair loop (reports pivots,
 # refactorizations, bound flips, and sparse vs dense basis solves per op and
 # asserts >= 95% of solves stay on the warm path).
 bench-lp:
-	$(GO) test -run '^$$' -bench 'BenchmarkLP_(FTRAN|SparseFTRAN|Warm)' -count 1 -benchmem ./internal/lp/
+	$(GO) test -run '^$$' -bench 'BenchmarkLP_(FTRAN|SparseFTRAN|Refactor|Warm)' -count 1 -benchmem ./internal/lp/
 
 # bench-gate runs the suite fresh and fails when a gated metric (allocs/op,
 # B&B-nodes, pivots/op, refactorizations/op, bound-flips/op, nodes/sec)

@@ -190,3 +190,55 @@ func BenchmarkLP_Warm(b *testing.B) {
 	b.ReportMetric(float64(d.SparseFTRANs+d.SparseBTRANs)/n, "sparse-solves/op")
 	b.ReportMetric(float64(d.DenseFallbacks)/n, "dense-fallbacks/op")
 }
+
+// BenchmarkLP_Refactor times one reinversion of a slack-heavy basis, the
+// shape branch-and-cut leaves behind: the optimal basis of the covering
+// LP plus 360 loose cut rows whose slacks stay basic, so about 80% of the
+// basis columns are unit slacks. The loop must not allocate (the sort
+// buckets, the non-empty-eta list and the L/U arenas are factor scratch
+// retained across reinversions).
+func BenchmarkLP_Refactor(b *testing.B) {
+	p := benchProblem(240, 120, 8, 1)
+	s := NewSolver(p)
+	if _, err := s.Solve(); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	cuts := make([]CutRow, 360)
+	for i := range cuts {
+		for k := 0; k < 4; k++ {
+			cuts[i].Cols = append(cuts[i].Cols, rng.Intn(240))
+			cuts[i].Vals = append(cuts[i].Vals, 1)
+		}
+		cuts[i].Kind, cuts[i].RHS = LE, 10
+	}
+	if err := s.AddRows(cuts); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.Solve(); err != nil {
+		b.Fatal(err)
+	}
+	slacks := 0
+	for _, j := range s.basis {
+		if j >= s.nStruct {
+			slacks++
+		}
+	}
+	refactor := func() {
+		if !s.factorizeBasis(s.luSpare) {
+			b.Fatal("reinversion of an optimal basis failed")
+		}
+	}
+	refactor()
+	if allocs := testing.AllocsPerRun(20, refactor); allocs > 0 {
+		b.Fatalf("reinversion allocated %.1f times", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		refactor()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(slacks)/float64(s.m), "slack-fraction")
+	b.ReportMetric(float64(s.luSpare.baseNNZ), "factor-nnz")
+}

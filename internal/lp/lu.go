@@ -29,6 +29,21 @@ import "math"
 // product-form eta file does. When the new diagonal comes out unstable the
 // update reports failure and the solver refactorizes from the column data.
 //
+// Path exactness: no shortcut in this kernel may move a pivot. The simplex
+// above breaks ratio-test ties on computed values, and visits the entries
+// of a sparse result in its index-list order, so a faster reinversion must
+// build the factor the plain dense elimination would, bit for bit, and a
+// solve must keep both its values and its sparse-or-dense outcome. A
+// gather-form stage computes each result entry as one dot product in a
+// fixed entry order, so visit order does not matter: FTRAN's U
+// back-substitution and every BTRAN stage (Uᵀ, Fᵀ, Lᵀ) give the same
+// values dense or sparse (up to the sign of a zero). A scatter-form stage
+// adds each pivot's multiple into the entries below it, so visit order
+// sets the rounding: FTRAN's L pass runs the etas in elimination order
+// when dense and in DFS topological order when sparse, and the two can
+// differ in the last bit. The sparse FTRAN therefore always keeps its
+// L-stage DFS (lusparse.go).
+//
 // Index spaces: FTRAN maps a row-space vector (a column of A) to a
 // slot-space vector (coefficients per basis position); BTRAN maps
 // slot-space (costs of the basic variables) to row-space (dual prices).
@@ -73,11 +88,14 @@ type luFactor struct {
 	m int
 
 	// L: column etas (unit diagonal; stored values are already divided by
-	// the pivot) in elimination order, arena-backed.
+	// the pivot) in elimination order, arena-backed. Most etas are empty
+	// (every slack pivots without fill); lNZ lists the ones with entries,
+	// in elimination order, so the dense passes skip the rest.
 	lR   []int32
 	lPtr []int32
 	lIdx []int32
 	lVal []float64
+	lNZ  []int32
 
 	// U by basis slot.
 	upiv    []float64 // diagonal of slot s (at row prow[s])
@@ -104,7 +122,8 @@ type luFactor struct {
 	rs       []float64 // update: spike-row accumulator by slot
 	queued   []bool    // update: slot already in the elimination heap
 	heap     []int32   // update: min-heap of slots by elimination position
-	keys     []int32   // factorize: column-ordering keys / row counts
+	keys     []int32   // factorize: remaining nonzeros per row
+	buckets  []int32   // factorize: counting-sort buckets by column nonzeros
 	assigned []bool    // factorize: rows already pivoted
 
 	// Hyper-sparse solve machinery (lusparse.go). lEta maps each row to
@@ -141,6 +160,7 @@ func (f *luFactor) init(m int) {
 	f.lPtr = f.lPtr[:1]
 	f.lIdx = f.lIdx[:0]
 	f.lVal = f.lVal[:0]
+	f.lNZ = f.lNZ[:0]
 	f.fSrc, f.fTgt, f.fVal = f.fSrc[:0], f.fTgt[:0], f.fVal[:0]
 	f.updates = 0
 	f.unnz = 0
@@ -235,8 +255,8 @@ func (f *luFactor) fNNZ() int { return len(f.fVal) }
 // space. The intermediate spike F⁻¹L⁻¹v is stashed for a following
 // Forrest–Tomlin update.
 func (f *luFactor) ftran(v []float64) {
-	// L pass.
-	for k := range f.lR {
+	// L pass, empty etas skipped.
+	for _, k := range f.lNZ {
 		t := v[f.lR[k]]
 		if t == 0 {
 			continue
@@ -253,7 +273,14 @@ func (f *luFactor) ftran(v []float64) {
 	}
 	copy(f.spike, v)
 	f.spikeDense = true
-	// U back-substitution, highest elimination position first.
+	f.uSolve(v)
+	copy(v, f.z)
+}
+
+// uSolve runs FTRAN's U back-substitution, highest elimination position
+// first, from the post-L/F intermediate v into the slot-indexed z; v is
+// left untouched.
+func (f *luFactor) uSolve(v []float64) {
 	z := f.z
 	for k := f.m - 1; k >= 0; k-- {
 		s := f.order[k]
@@ -263,7 +290,6 @@ func (f *luFactor) ftran(v []float64) {
 		}
 		z[s] = t / f.upiv[s]
 	}
-	copy(v, z)
 }
 
 // btran solves yᵀB = c in place. Input v is in slot space (one coefficient
@@ -286,8 +312,15 @@ func (f *luFactor) btran(v []float64) {
 			z[f.fSrc[k]] -= f.fVal[k] * t
 		}
 	}
-	// Lᵀ pass (reverse eta order; unit diagonal).
-	for k := len(f.lR) - 1; k >= 0; k-- {
+	f.ltSolve(z)
+	copy(v, z)
+}
+
+// ltSolve applies the Lᵀ pass (reverse eta order, unit diagonal, empty
+// etas skipped) to the row-space z.
+func (f *luFactor) ltSolve(z []float64) {
+	for e := len(f.lNZ) - 1; e >= 0; e-- {
+		k := f.lNZ[e]
 		r := f.lR[k]
 		t := z[r]
 		for q := f.lPtr[k]; q < f.lPtr[k+1]; q++ {
@@ -295,7 +328,6 @@ func (f *luFactor) btran(v []float64) {
 		}
 		z[r] = t
 	}
-	copy(v, z)
 }
 
 // factorizeBasis builds f from the solver's current basis columns. Columns
@@ -304,15 +336,23 @@ func (f *luFactor) btran(v []float64) {
 // row nonzeros (approximate Markowitz with threshold partial pivoting).
 // Returns false — leaving f unusable — when the basis is numerically
 // singular; the caller must keep using its previous factor or rebuild.
+//
+// Slack-heavy bases are the common case (most rows keep their slack basic),
+// so the cost is kept proportional to the non-singleton part: singleton
+// columns pivot in O(1) and the elimination walks only the non-empty etas.
+// Both shortcuts build exactly the factor the plain dense elimination would.
 func (s *Solver) factorizeBasis(f *luFactor) bool {
 	m := s.m
 	f.init(m)
 	// Remaining-nonzeros-per-row counts for the Markowitz tiebreak, from
 	// the sparse column data (fill-in is not counted: "Markowitz-lite").
+	// pos doubles as the per-slot column size until the pivot loop
+	// overwrites it with the elimination position.
 	rc := f.keys
 	for i := range rc {
 		rc[i] = 0
 	}
+	maxNNZ := 0
 	for slot := 0; slot < m; slot++ {
 		j := s.basis[slot]
 		switch {
@@ -339,13 +379,33 @@ func (s *Solver) factorizeBasis(f *luFactor) bool {
 		default:
 			rc[j-s.nStruct-s.m]++
 		}
+		n := s.colNNZ(j)
+		f.pos[slot] = int32(n)
+		if n > maxNNZ {
+			maxNNZ = n
+		}
 	}
-	// Install thin columns first to limit fill.
+	// Install thin columns first to limit fill: a stable counting sort by
+	// column size, ties in slot order.
+	if cap(f.buckets) < maxNNZ+2 {
+		f.buckets = make([]int32, maxNNZ+2, max(maxNNZ, m)+2)
+	}
+	cnt := f.buckets[:maxNNZ+2]
+	for i := range cnt {
+		cnt[i] = 0
+	}
+	for slot := 0; slot < m; slot++ {
+		cnt[f.pos[slot]+1]++
+	}
+	for n := 1; n < len(cnt); n++ {
+		cnt[n] += cnt[n-1]
+	}
 	ord := f.order
-	for i := range ord {
-		ord[i] = int32(i)
+	for slot := 0; slot < m; slot++ {
+		n := f.pos[slot]
+		ord[cnt[n]] = int32(slot)
+		cnt[n]++
 	}
-	insertionSortByKey(ord, func(slot int32) int32 { return int32(s.colNNZ(s.basis[slot])) })
 
 	assigned := f.assigned
 	for i := range assigned {
@@ -356,9 +416,24 @@ func (s *Solver) factorizeBasis(f *luFactor) bool {
 	for k := 0; k < m; k++ {
 		slot := int(ord[k])
 		j := s.basis[slot]
+		if len(f.lNZ) == 0 && s.colNNZ(j) == 1 {
+			// A singleton column while every L eta is still empty: the
+			// elimination leaves it untouched, so it pivots on its one
+			// entry with no U entries and an empty eta, or the basis is
+			// singular (its row is taken, or the entry is below pivotEps;
+			// NaN fails like it does in the dense scan).
+			i, a := s.soleEntry(j)
+			if assigned[i] || !(math.Abs(a) > pivotEps) {
+				return false
+			}
+			f.setPivot(slot, k, i, a)
+			f.lR = append(f.lR, int32(i))
+			f.lPtr = append(f.lPtr, int32(len(f.lIdx)))
+			continue
+		}
 		s.loadCol(j, x)
-		// Eliminate with the L columns built so far.
-		for e := range f.lR {
+		// Eliminate with the non-empty L columns built so far.
+		for _, e := range f.lNZ {
 			t := x[f.lR[e]]
 			if t == 0 {
 				continue
@@ -395,12 +470,7 @@ func (s *Solver) factorizeBasis(f *luFactor) bool {
 			}
 		}
 		piv := x[best]
-		f.upiv[slot] = piv
-		f.prow[slot] = int32(best)
-		f.rowSlot[best] = int32(slot)
-		f.pos[slot] = int32(k)
-		f.order[k] = int32(slot) // ord aliases f.order; position k is final
-		assigned[best] = true
+		f.setPivot(slot, k, best, piv)
 		// Store U entries (already-pivoted rows) and the L eta (the rest).
 		for i := 0; i < m; i++ {
 			v := x[i]
@@ -417,12 +487,26 @@ func (s *Solver) factorizeBasis(f *luFactor) bool {
 			f.lIdx = append(f.lIdx, int32(i))
 			f.lVal = append(f.lVal, v/piv)
 		}
+		if int(f.lPtr[k]) < len(f.lIdx) {
+			f.lNZ = append(f.lNZ, int32(k))
+		}
 		f.lR = append(f.lR, int32(best))
 		f.lPtr = append(f.lPtr, int32(len(f.lIdx)))
 	}
 	f.baseNNZ = m + f.unnz + len(f.lVal)
 	f.buildLTranspose()
 	return true
+}
+
+// setPivot records that basis slot slot pivots on row row with diagonal
+// piv at elimination position k.
+func (f *luFactor) setPivot(slot, k, row int, piv float64) {
+	f.upiv[slot] = piv
+	f.prow[slot] = int32(row)
+	f.rowSlot[row] = int32(slot)
+	f.pos[slot] = int32(k)
+	f.order[k] = int32(slot) // ord aliases f.order; position k is final
+	f.assigned[row] = true
 }
 
 // buildLTranspose derives the row-indexed views of L that the hyper-sparse
@@ -469,23 +553,6 @@ func (f *luFactor) buildLTranspose() {
 		f.ltPtr[i] = f.ltPtr[i-1]
 	}
 	f.ltPtr[0] = 0
-}
-
-// insertionSortByKey stable-sorts ord ascending by key. The basis column
-// sizes it orders are tiny and nearly sorted across refactorizations, and
-// an insertion sort avoids the sort.Slice closure allocation on the node
-// hot path.
-func insertionSortByKey(ord []int32, key func(int32) int32) {
-	for i := 1; i < len(ord); i++ {
-		v := ord[i]
-		kv := key(v)
-		j := i - 1
-		for j >= 0 && key(ord[j]) > kv {
-			ord[j+1] = ord[j]
-			j--
-		}
-		ord[j+1] = v
-	}
 }
 
 // ftUpdate replaces the column of basis slot s with the one whose spike

@@ -27,6 +27,13 @@ import "repro/internal/faultinject"
 // the solve finishes on the dense path from the current stage — the
 // symbolic work is wasted but bounded, so worst-case cost is unchanged.
 //
+// Path exactness (see lu.go): the gather-form stages (FTRAN U; BTRAN Uᵀ,
+// Fᵀ, Lᵀ) give the same values whichever path finishes them, so a
+// fallback from one of them changes no bit. The FTRAN L stage is
+// scatter-form: its sparse pass applies the etas in DFS topological order
+// and can round differently from the dense pass, so the sparse/dense
+// decision itself must not change for a given factor and right-hand side.
+//
 // Invariants: the caller's vector must be zero outside its index list; on
 // a sparse return (ok=true) it is zero outside the returned list, which
 // aliases factor scratch and is valid until the next solve. zs and the
@@ -119,7 +126,8 @@ func (f *luFactor) symbolic(mode int, seeds []int32, mark []bool, out []int32, m
 
 // sparseMax returns the symbolic abort threshold, or 0 when the sparse
 // path is disabled for this factor (tiny dimension, or a chaos test armed
-// the fallback shot).
+// the fallback shot). Every sparse solve calls it first, so an armed
+// fallback fault forces the whole solve dense.
 func (f *luFactor) sparseMax() int {
 	if f.m < luSparseMinDim || faultinject.Fire(faultinject.SparseSolveFallback) {
 		return 0
@@ -146,21 +154,6 @@ func (f *luFactor) stashSpikeSparse(v []float64, rows []int32) {
 	for _, r := range rows {
 		f.spike[r] = v[r]
 	}
-}
-
-// denseU runs the dense U back-substitution tail of an FTRAN (v holds the
-// post-L/F intermediate; the spike has already been stashed).
-func (f *luFactor) denseU(v []float64) {
-	z := f.z
-	for k := f.m - 1; k >= 0; k-- {
-		s := f.order[k]
-		t := v[f.prow[s]]
-		for _, e := range f.urows[s] {
-			t -= e.val * z[e.slot]
-		}
-		z[s] = t / f.upiv[s]
-	}
-	copy(v, z)
 }
 
 // ftranSparse solves B x = v for a v that is zero outside idx (row space).
@@ -193,12 +186,20 @@ func (f *luFactor) ftranSparse(v []float64, idx []int32) ([]int32, bool) {
 			v[f.lIdx[q]] -= f.lVal[q] * t
 		}
 	}
-	// Symbolic F pass: the pattern grows monotonically in append order, so
-	// one forward scan closes it before any value moves.
+	// F pass, symbolic and numeric in one forward scan. The pattern grows
+	// monotonically in append order and a row outside it holds zero, so
+	// this applies exactly the transforms the dense pass would.
 	for k := range f.fVal {
-		if f.markR[f.fSrc[k]] && !f.markR[f.fTgt[k]] {
-			f.markR[f.fTgt[k]] = true
-			rows = append(rows, f.fTgt[k])
+		src, tgt := f.fSrc[k], f.fTgt[k]
+		if !f.markR[src] {
+			continue
+		}
+		if !f.markR[tgt] {
+			f.markR[tgt] = true
+			rows = append(rows, tgt)
+		}
+		if t := v[src]; t != 0 {
+			v[tgt] -= f.fVal[k] * t
 		}
 	}
 	f.nzRows = rows
@@ -206,22 +207,12 @@ func (f *luFactor) ftranSparse(v []float64, idx []int32) ([]int32, bool) {
 		for _, r := range rows {
 			f.markR[r] = false
 		}
-		// L is already applied; finish with the dense F and U tails.
-		for k := range f.fVal {
-			if t := v[f.fSrc[k]]; t != 0 {
-				v[f.fTgt[k]] -= f.fVal[k] * t
-			}
-		}
+		// L and F are applied; finish with the dense U tail.
 		copy(f.spike, v)
 		f.spikeDense = true
-		f.denseU(v)
+		f.uSolve(v)
+		copy(v, f.z)
 		return nil, false
-	}
-	// Numeric F pass.
-	for k := range f.fVal {
-		if t := v[f.fSrc[k]]; t != 0 {
-			v[f.fTgt[k]] -= f.fVal[k] * t
-		}
 	}
 	f.stashSpikeSparse(v, rows)
 	slots, ok := f.symbolic(graphUF, rows, f.markS, f.nzSlots[:0], max)
@@ -230,7 +221,8 @@ func (f *luFactor) ftranSparse(v []float64, idx []int32) ([]int32, bool) {
 		for _, r := range rows {
 			f.markR[r] = false
 		}
-		f.denseU(v)
+		f.uSolve(v)
+		copy(v, f.z)
 		return nil, false
 	}
 	// Numeric U back-substitution in topological order: urows entries sit
@@ -292,23 +284,25 @@ func (f *luFactor) btranSparse(v []float64, idx []int32) ([]int32, bool) {
 		f.markR[r] = true
 		rows = append(rows, r)
 	}
-	// Symbolic Fᵀ pass in reverse append order.
+	// Fᵀ pass, symbolic and numeric in one scan in reverse append order
+	// (the same argument as FTRAN's F pass).
 	for k := len(f.fVal) - 1; k >= 0; k-- {
-		if f.markR[f.fTgt[k]] && !f.markR[f.fSrc[k]] {
-			f.markR[f.fSrc[k]] = true
-			rows = append(rows, f.fSrc[k])
+		tgt, src := f.fTgt[k], f.fSrc[k]
+		if !f.markR[tgt] {
+			continue
+		}
+		if !f.markR[src] {
+			f.markR[src] = true
+			rows = append(rows, src)
+		}
+		if t := zs[tgt]; t != 0 {
+			zs[src] -= f.fVal[k] * t
 		}
 	}
 	f.nzRows = rows
 	if len(rows) > max {
-		f.btranDenseTail(v, rows, slots, true)
+		f.btranDenseTail(v, rows, slots)
 		return nil, false
-	}
-	// Numeric Fᵀ pass.
-	for k := len(f.fVal) - 1; k >= 0; k-- {
-		if t := zs[f.fTgt[k]]; t != 0 {
-			zs[f.fSrc[k]] -= f.fVal[k] * t
-		}
 	}
 	// Lᵀ stage. The seeds are the (already markR-marked) F-stage rows, so
 	// the DFS tracks visits in markV; the discovered superset rows2 is the
@@ -316,7 +310,7 @@ func (f *luFactor) btranSparse(v []float64, idx []int32) ([]int32, bool) {
 	rows2, ok := f.symbolic(graphLB, rows, f.markV, f.nzRows2[:0], max)
 	f.nzRows2 = rows2
 	if !ok {
-		f.btranDenseTail(v, rows, slots, false)
+		f.btranDenseTail(v, rows, slots)
 		return nil, false
 	}
 	for k := len(rows2) - 1; k >= 0; k-- {
@@ -347,11 +341,11 @@ func (f *luFactor) btranSparse(v []float64, idx []int32) ([]int32, bool) {
 	return rows2, true
 }
 
-// btranDenseTail finishes a btran densely after the sparse Uᵀ stage:
-// scatter the zs intermediate into the dense workspace, run the remaining
-// passes (Fᵀ included unless already applied), and clear every sparse
-// mark. v is fully overwritten with the dense result.
-func (f *luFactor) btranDenseTail(v []float64, rows, slots []int32, withF bool) {
+// btranDenseTail finishes a btran densely after the sparse Uᵀ and Fᵀ
+// stages: scatter the zs intermediate into the dense workspace, run the
+// Lᵀ pass, and clear every sparse mark. v is fully overwritten with the
+// dense result.
+func (f *luFactor) btranDenseTail(v []float64, rows, slots []int32) {
 	z := f.z
 	for i := range z {
 		z[i] = 0
@@ -364,20 +358,6 @@ func (f *luFactor) btranDenseTail(v []float64, rows, slots []int32, withF bool) 
 	for _, s := range slots {
 		f.markS[s] = false
 	}
-	if withF {
-		for k := len(f.fVal) - 1; k >= 0; k-- {
-			if t := z[f.fTgt[k]]; t != 0 {
-				z[f.fSrc[k]] -= f.fVal[k] * t
-			}
-		}
-	}
-	for k := len(f.lR) - 1; k >= 0; k-- {
-		r := f.lR[k]
-		t := z[r]
-		for q := f.lPtr[k]; q < f.lPtr[k+1]; q++ {
-			t -= f.lVal[q] * z[f.lIdx[q]]
-		}
-		z[r] = t
-	}
+	f.ltSolve(z)
 	copy(v, z)
 }

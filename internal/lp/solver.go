@@ -767,6 +767,30 @@ func (s *Solver) colNNZ(j int) int {
 	}
 }
 
+// soleEntry returns the row and value of a column with exactly one stored
+// nonzero (colNNZ(j) == 1).
+func (s *Solver) soleEntry(j int) (int, float64) {
+	switch {
+	case j < s.nStructBase:
+		if k := s.colPtr[j]; k < s.colPtr[j+1] {
+			return int(s.colRow[k]), s.colVal[k]
+		}
+		e := s.extCols[j][0]
+		return int(e.i), e.v
+	case j < s.nStruct:
+		if c := s.newCols[j-s.nStructBase]; len(c) > 0 {
+			return int(c[0].i), c[0].v
+		}
+		e := s.extCols[j][0]
+		return int(e.i), e.v
+	case j < s.nStruct+s.m:
+		return j - s.nStruct, 1
+	default:
+		i := j - s.nStruct - s.m
+		return i, s.artSign[i]
+	}
+}
+
 // maybeRefactor reinverts when the update file has outgrown the base
 // factorization — past roughly 150% of the factored nonzeros the F file
 // costs more per FTRAN/BTRAN than a fresh factor would — or after
