@@ -30,9 +30,11 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -count 1 -benchmem -json . > BENCH_$(DATE).json
 	@echo wrote BENCH_$(DATE).json
 
-# bench-smoke is the quick CI variant: just the tempart solver-core benches.
+# bench-smoke is the quick CI variant: the headline DCT solve, which closes
+# at the root, and the chain9 portfolio solve, which pivots through about a
+# hundred nodes and reports the warm-start counters.
 bench-smoke:
-	$(GO) test -run '^$$' -bench BenchmarkTempart -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkILP_(DCTPartitioning|Chain9)$$' -benchtime 1x -benchmem .
 
 # bench-lp runs the simplex-kernel micro-benches: a dense and a hyper-sparse
 # FTRAN against the live LU factor (both must be 0 allocs/op; the sparse one

@@ -269,77 +269,6 @@ func BenchmarkILP_DCTPartitioningTraced(b *testing.B) {
 	b.ReportMetric(float64(tr.Dropped), "dropped-events")
 }
 
-// BenchmarkTempartDCTWarmStart is the solver-core benchmark behind the CI
-// perf smoke: the headline DCT partitioning solve, reporting how much of
-// the branch-and-bound search the warm-started lp.Solver serves without a
-// from-scratch simplex rebuild.
-func BenchmarkTempartDCTWarmStart(b *testing.B) {
-	fixtures(b)
-	var p *tempart.Partitioning
-	for i := 0; i < b.N; i++ {
-		var err error
-		p, err = tempart.Solve(tempart.Input{Graph: fx.graph, Board: fx.board})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if p.N != 3 || !p.Optimal {
-		b.Fatalf("N=%d optimal=%v, want 3/true", p.N, p.Optimal)
-	}
-	st := p.Stats.Solver
-	b.ReportMetric(float64(p.Stats.Nodes)/p.Stats.SolveTime.Seconds(), "nodes/sec")
-	b.ReportMetric(float64(st.WarmSolves), "warm-solves")
-	b.ReportMetric(float64(st.ColdSolves), "cold-solves")
-	b.ReportMetric(float64(st.DualPivots), "dual-pivots")
-	b.ReportMetric(float64(st.Pivots), "pivots/op")
-	b.ReportMetric(float64(st.Refactorizations), "refactorizations/op")
-	b.ReportMetric(float64(st.BoundFlips), "bound-flips/op")
-	b.ReportMetric(float64(st.SparseFTRANs+st.SparseBTRANs), "sparse-solves/op")
-	b.ReportMetric(float64(st.DenseFallbacks), "dense-fallbacks/op")
-	b.ReportMetric(float64(p.Stats.PrunedCombinatorial), "nodes-pruned-combinatorial")
-	b.ReportMetric(float64(p.Stats.LPSolvesSkipped), "lp-solves-skipped")
-}
-
-// BenchmarkTempartDCTParallel runs the same solve with the parallel subtree
-// search and the speculative relax-N loop enabled (the wall-clock win
-// scales with available cores; the objective is identical by construction).
-func BenchmarkTempartDCTParallel(b *testing.B) {
-	fixtures(b)
-	var p *tempart.Partitioning
-	for i := 0; i < b.N; i++ {
-		var err error
-		p, err = tempart.Solve(tempart.Input{
-			Graph: fx.graph, Board: fx.board,
-			SpeculateN: 2, ILP: ilp.Options{Workers: 4},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if p.N != 3 || !p.Optimal {
-		b.Fatalf("N=%d optimal=%v, want 3/true", p.N, p.Optimal)
-	}
-	b.ReportMetric(float64(p.Stats.Nodes)/p.Stats.SolveTime.Seconds(), "nodes/sec")
-	b.ReportMetric(p.Latency, "latency-ns")
-}
-
-// BenchmarkILP_NoSymmetryBreaking is the ablation: the same solve without
-// the interchangeable-task ordering constraints.
-func BenchmarkILP_NoSymmetryBreaking(b *testing.B) {
-	fixtures(b)
-	for i := 0; i < b.N; i++ {
-		p, err := tempart.Solve(tempart.Input{
-			Graph: fx.graph, Board: fx.board, NoSymmetryBreaking: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if p.N != 3 {
-			b.Fatalf("N=%d", p.N)
-		}
-	}
-}
-
 // BenchmarkListVsILP regenerates the Sec. 4 comparison: the greedy list
 // partitioner's latency versus the ILP's on the DCT graph.
 func BenchmarkListVsILP(b *testing.B) {
@@ -347,7 +276,7 @@ func BenchmarkListVsILP(b *testing.B) {
 	var lp *tempart.Partitioning
 	for i := 0; i < b.N; i++ {
 		var err error
-		lp, err = listpart.Solve(fx.graph, fx.board, 0)
+		lp, err = listpart.Solve(fx.graph, fx.board)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -618,11 +547,15 @@ func benchPackPortfolio(b *testing.B, file string) {
 	b.ReportMetric(float64(p.Stats.NProbesPruned), "n-probes-pruned")
 	b.ReportMetric(float64(p.Stats.ColumnsGenerated), "columns-generated")
 	b.ReportMetric(float64(p.Stats.PricingRounds), "pricing-rounds")
-	b.ReportMetric(float64(p.Stats.Solver.Pivots), "pivots/op")
-	b.ReportMetric(float64(p.Stats.Solver.Refactorizations), "refactorizations/op")
-	b.ReportMetric(float64(p.Stats.Solver.BoundFlips), "bound-flips/op")
-	b.ReportMetric(float64(p.Stats.Solver.SparseFTRANs+p.Stats.Solver.SparseBTRANs), "sparse-solves/op")
-	b.ReportMetric(float64(p.Stats.Solver.DenseFallbacks), "dense-fallbacks/op")
+	st := p.Stats.Solver
+	b.ReportMetric(float64(st.WarmSolves), "warm-solves")
+	b.ReportMetric(float64(st.ColdSolves), "cold-solves")
+	b.ReportMetric(float64(st.DualPivots), "dual-pivots")
+	b.ReportMetric(float64(st.Pivots), "pivots/op")
+	b.ReportMetric(float64(st.Refactorizations), "refactorizations/op")
+	b.ReportMetric(float64(st.BoundFlips), "bound-flips/op")
+	b.ReportMetric(float64(st.SparseFTRANs+st.SparseBTRANs), "sparse-solves/op")
+	b.ReportMetric(float64(st.DenseFallbacks), "dense-fallbacks/op")
 	b.ReportMetric(p.Stats.SolveTime.Seconds()*1e3, "solve-ms")
 }
 
@@ -649,7 +582,9 @@ func BenchmarkILP_Pack2638(b *testing.B) { benchPackPortfolio(b, "pack2638.json"
 // bound with the order and cover separators. Unlike the packing proofs it
 // pivots throughout the search (about a hundred nodes and some ninety
 // reinversions of slack-heavy bases), so its pivot, refactorization,
-// bound-flip and sparse/dense solve counters track the LP kernel.
+// bound-flip and sparse/dense solve counters track the LP kernel, and its
+// warm-solves, cold-solves and dual-pivots measure the warm start. It is
+// also CI's perf smoke (make bench-smoke).
 func BenchmarkILP_Chain9(b *testing.B) { benchPackPortfolio(b, "chain9.json") }
 
 // BenchmarkDCT8x8Greedy partitions the 128-task 8x8 DCT generalization
@@ -662,7 +597,7 @@ func BenchmarkDCT8x8Greedy(b *testing.B) {
 	board := arch.PaperXC4044Board()
 	var p *tempart.Partitioning
 	for i := 0; i < b.N; i++ {
-		p, err = listpart.Solve(g, board, 0)
+		p, err = listpart.Solve(g, board)
 		if err != nil {
 			b.Fatal(err)
 		}

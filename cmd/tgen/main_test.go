@@ -82,7 +82,7 @@ func TestGeneratedGraphsPartition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := listpart.Solve(g, board, 0)
+		p, err := listpart.Solve(g, board)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}

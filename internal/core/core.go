@@ -57,8 +57,6 @@ type Config struct {
 	Strategy fission.Strategy
 	// Pow2Blocks selects the power-of-two memory block layout of Sec. 3.
 	Pow2Blocks bool
-	// PathCap bounds exact path enumeration.
-	PathCap int
 	// ILP tunes the branch-and-bound search (ILPPartitioner only); in
 	// particular ILP.Workers enables the parallel subtree search.
 	ILP ilp.Options
@@ -133,12 +131,12 @@ func BuildContext(ctx context.Context, g *dfg.Graph, cfg Config) (*Design, error
 	switch cfg.Partitioner {
 	case ILPPartitioner:
 		part, err = tempart.SolveContext(ctx, tempart.Input{
-			Graph: g, Board: cfg.Board, PathCap: cfg.PathCap, ILP: cfg.ILP,
+			Graph: g, Board: cfg.Board, ILP: cfg.ILP,
 			SpeculateN: cfg.SpeculateN, Formulation: cfg.Formulation,
 			MaxPartitions: cfg.MaxPartitions,
 		})
 	case ListPartitioner:
-		part, err = listpart.Solve(g, cfg.Board, cfg.PathCap)
+		part, err = listpart.Solve(g, cfg.Board)
 	default:
 		return nil, fmt.Errorf("core: unknown partitioner %v", cfg.Partitioner)
 	}

@@ -122,7 +122,7 @@ func TestDCT8PartitioningScale(t *testing.T) {
 	if n0 < 4 {
 		t.Errorf("lower bound %d suspiciously small for 128 wide tasks", n0)
 	}
-	p, err := listpart.Solve(g, board, 0)
+	p, err := listpart.Solve(g, board)
 	if err != nil {
 		t.Fatal(err)
 	}

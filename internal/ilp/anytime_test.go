@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 )
@@ -65,7 +64,9 @@ func TestDeadlineAnytime(t *testing.T) {
 		} {
 			P := knapsack(values, weights, cap)
 			start := time.Now()
-			s, err := Solve(P, Options{Workers: workers, Deadline: start.Add(budget)})
+			ctx, cancel := context.WithDeadline(context.Background(), start.Add(budget))
+			s, err := Solve(P, Options{Workers: workers, Context: ctx})
+			cancel()
 			if err != nil {
 				t.Fatalf("workers=%d budget=%v: %v", workers, budget, err)
 			}
@@ -88,7 +89,9 @@ func TestDeadlineAnytime(t *testing.T) {
 func TestDeadlineAlreadyExpired(t *testing.T) {
 	values, weights, cap := randKnapsack(7, 30)
 	P := knapsack(values, weights, cap)
-	s, err := Solve(P, Options{Deadline: time.Now().Add(-time.Millisecond)})
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
+	defer cancel()
+	s, err := Solve(P, Options{Context: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,35 +103,34 @@ func TestDeadlineAlreadyExpired(t *testing.T) {
 	}
 }
 
-// TestDeadlineStopWithoutIncumbent: a limit that trips once the deadline has
-// passed is a deadline stop. The root's separation round sleeps past the
-// deadline, so the next limit check sees it together with the node budget
-// or a closed Stop channel. With no incumbent the search must report
-// Timeout (tempart's ErrDeadline, the service's greedy fallback), never
-// Limit (which the service answers with HTTP 500).
+// TestDeadlineStopWithoutIncumbent: a limit that trips once the context's
+// deadline has passed is a deadline stop. The root's separation round
+// sleeps past the deadline, so the next limit check sees it together with
+// the node budget or the caller's cancel (the stop). With no incumbent the
+// search must report Timeout (tempart's ErrDeadline, the service's greedy
+// fallback), never Limit (which the service answers with HTTP 500).
 func TestDeadlineStopWithoutIncumbent(t *testing.T) {
 	values, weights, cap := randKnapsack(7, 30)
 	for _, tc := range []struct {
-		name string
-		opts func(dl time.Time, stop chan struct{}) Options
+		name     string
+		maxNodes int
+		stop     bool
 	}{
-		{"node-budget", func(dl time.Time, _ chan struct{}) Options {
-			return Options{MaxNodes: 1, Deadline: dl}
-		}},
-		{"stop-and-context", func(dl time.Time, stop chan struct{}) Options {
-			ctx, cancel := context.WithDeadline(context.Background(), dl)
-			t.Cleanup(cancel)
-			return Options{Stop: stop, Context: ctx}
-		}},
+		{"node-budget", 1, false},
+		{"stop-and-context", 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dl := time.Now().Add(30 * time.Millisecond)
-			stop := make(chan struct{})
-			var once sync.Once
-			opt := tc.opts(dl, stop)
+			ctx, cancelDeadline := context.WithDeadline(context.Background(), dl)
+			defer cancelDeadline()
+			ctx, stop := context.WithCancel(ctx)
+			defer stop()
+			opt := Options{MaxNodes: tc.maxNodes, Context: ctx}
 			opt.Separate = func(*SeparationPoint) []Cut {
 				time.Sleep(time.Until(dl) + time.Millisecond)
-				once.Do(func() { close(stop) })
+				if tc.stop {
+					stop()
+				}
 				return nil
 			}
 			s, err := Solve(knapsack(values, weights, cap), opt)
@@ -139,27 +141,6 @@ func TestDeadlineStopWithoutIncumbent(t *testing.T) {
 				t.Fatalf("status = %v (incumbent %v), want timeout without incumbent", s.Status, s.X != nil)
 			}
 		})
-	}
-}
-
-// TestDeadlineComposesWithTimeLimit: the earlier of Deadline and TimeLimit
-// wins, and either way the truncated status is Timeout.
-func TestDeadlineComposesWithTimeLimit(t *testing.T) {
-	values, weights, cap := randKnapsack(13, 45)
-	P := knapsack(values, weights, cap)
-	start := time.Now()
-	s, err := Solve(P, Options{
-		TimeLimit: time.Hour,
-		Deadline:  start.Add(time.Millisecond),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("deadline lost to the hour-long TimeLimit (ran %v)", elapsed)
-	}
-	if s.Status != Optimal && s.Status != Timeout {
-		t.Fatalf("status = %v, want optimal or timeout", s.Status)
 	}
 }
 

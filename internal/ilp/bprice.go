@@ -76,12 +76,11 @@ type BPOptions struct {
 	// search must grind the gap below 1 by branching alone.
 	ObjInteger bool
 
-	MaxNodes         int // node budget (default 10000)
-	MaxPricingRounds int // pricing re-solves per node (default 500)
+	MaxNodes int // node budget (default 10000)
 
-	Deadline time.Time
-	Stop     <-chan struct{}
-	Context  context.Context
+	// Context, when non-nil, stops the search when it is cancelled or
+	// passes its deadline, with the contract of Options.Context.
+	Context context.Context
 }
 
 // BPSolution is the result of a branch-and-price search.
@@ -156,6 +155,10 @@ const (
 	bpFixOut
 )
 
+// maxPricingRounds bounds the pricing re-solves at one node; past it the
+// node's bound counts as unconverged.
+const maxPricingRounds = 500
+
 // bpState is the shared search state of one SolveBP call.
 type bpState struct {
 	opt     BPOptions
@@ -206,10 +209,7 @@ func SolveBP(opts BPOptions) (*BPSolution, error) {
 	if opts.MaxNodes <= 0 {
 		opts.MaxNodes = 10000
 	}
-	if opts.MaxPricingRounds <= 0 {
-		opts.MaxPricingRounds = 500
-	}
-	deadline := searchDeadline(opts.Deadline, 0, opts.Context)
+	deadline := searchDeadline(opts.Context)
 
 	// Restricted master: artificial columns 0..NumItems-1 (cost ArtCost,
 	// unit entry in their own cover row, no count-row entry — artificials
@@ -298,11 +298,11 @@ func SolveBP(opts BPOptions) (*BPSolution, error) {
 	return sol, nil
 }
 
-// limitHit checks the wall-clock/stop/context limits (the node budget is
+// limitHit checks the deadline and context limits (the node budget is
 // checked by the caller).
 func (st *bpState) limitHit() bool {
 	if !st.stopped {
-		st.stopped = pastDeadline(st.deadline) || stopRequested(st.opt.Stop, st.opt.Context)
+		st.stopped = pastDeadline(st.deadline) || stopRequested(st.opt.Context)
 	}
 	return st.stopped
 }
@@ -558,7 +558,7 @@ func (st *bpState) solveAndPrice() (*lp.Solution, bool, error) {
 		if st.opt.Pricer == nil {
 			return sol, true, nil
 		}
-		if round >= st.opt.MaxPricingRounds {
+		if round >= maxPricingRounds {
 			return sol, false, nil
 		}
 		if st.limitHit() {

@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -201,11 +202,13 @@ func TestSolveBPSeedsOnly(t *testing.T) {
 	}
 }
 
-// TestSolveBPDeadline: an already-expired deadline yields Timeout without
-// touching a node.
+// TestSolveBPDeadline: an already-expired context deadline yields Timeout
+// without touching a node.
 func TestSolveBPDeadline(t *testing.T) {
 	opts := binPackOpts([]int{2, 2, 2}, 4, 3)
-	opts.Deadline = time.Now().Add(-time.Second)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	opts.Context = ctx
 	sol, err := SolveBP(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +230,9 @@ func TestSolveBPNodeLimit(t *testing.T) {
 		if pastDeadline {
 			want = Timeout
 			dl := time.Now().Add(30 * time.Millisecond)
-			opts.Deadline = dl
+			ctx, cancel := context.WithDeadline(context.Background(), dl)
+			defer cancel()
+			opts.Context = ctx
 			price := opts.Pricer
 			opts.Pricer = func(lambda []float64, mu float64, same, differ [][2]int, forbidden map[string]bool) ([]BPColumn, bool) {
 				cols, inexact := price(lambda, mu, same, differ, forbidden)

@@ -35,16 +35,6 @@ const maxNoGoodSize = 24
 // shrinking below maxNoGoodSize anyway.
 const maxMinimizeFixes = 4 * maxNoGoodSize
 
-// minConflictDepth resolves the learning depth gate: nodes shallower than
-// this never emit conflicts. The root (depth 0) is always excluded — a
-// root infeasibility has no fixes to learn from.
-func (o *Options) minConflictDepth() int {
-	if o.MinConflictDepth > 1 {
-		return o.MinConflictDepth
-	}
-	return 1
-}
-
 // conflictFixes reduces a node's fix list to its 0-1 conflict set. It
 // returns ok=false when the box is not exactly representable as binary
 // fixes (a fix on a continuous variable, a non-0/1 bound, or a
@@ -167,7 +157,8 @@ func (cp *conflictProbe) minimize(f1, f0 []int) ([]int, []int) {
 // cost for a cut that would be discarded anyway. Returns 1 when a cut was
 // admitted.
 func (w *searcher) learnConflict(nd *node, fromNodeBound bool) int {
-	if w.st.pool == nil || nd.depth < w.opt.minConflictDepth() {
+	// The root has no fixes to learn from; every other node learns.
+	if w.st.pool == nil || nd.depth == 0 {
 		return 0
 	}
 	f1, f0, ok := w.conflictFixes(nd.fixes)

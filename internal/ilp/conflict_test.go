@@ -202,32 +202,3 @@ func TestConflictLearningWorkerEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestMinConflictDepthGate: raising MinConflictDepth above the tree depth
-// disables learning entirely without changing the answer.
-func TestMinConflictDepthGate(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	ap := newConflictProblem(rng, 6, 3, 90)
-	on, err := Solve(ap.prob, Options{
-		Separate:  func(pt *SeparationPoint) []Cut { return nil },
-		NodeBound: ap.nodeBound,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := Solve(ap.prob, Options{
-		Separate:         func(pt *SeparationPoint) []Cut { return nil },
-		NodeBound:        ap.nodeBound,
-		MinConflictDepth: 1 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.ConflictCuts != 0 {
-		t.Errorf("MinConflictDepth gate ignored: %d conflicts learned", off.ConflictCuts)
-	}
-	if on.Status != off.Status || (on.Status == Optimal && math.Abs(on.Obj-off.Obj) > 1e-6) {
-		t.Errorf("gating conflict learning changed the answer: %v/%g vs %v/%g",
-			on.Status, on.Obj, off.Status, off.Obj)
-	}
-}

@@ -42,8 +42,9 @@
 // With Options.Workers > 1 independent subtrees are farmed out to worker
 // goroutines that share one incumbent; the objective value found is
 // identical to the sequential search (the set of explored nodes may
-// differ). The solver keeps the best incumbent and its bound, honours node
-// and time limits, and can report a proven-optimal or best-effort solution.
+// differ). The solver keeps the best incumbent and its bound, honours its
+// node budget and its context, and can report a proven-optimal or
+// best-effort solution.
 package ilp
 
 import (
@@ -73,10 +74,10 @@ const (
 	Infeasible
 	// Unbounded means the LP relaxation is unbounded.
 	Unbounded
-	// Limit means a node/time limit was hit before any incumbent was found.
+	// Limit means the node budget ran out, or the Context was cancelled,
+	// before any incumbent was found.
 	Limit
-	// Timeout means the search was stopped by a wall-clock deadline —
-	// Options.Deadline, Options.TimeLimit, or context-deadline expiry —
+	// Timeout means the search was stopped by its Options.Context deadline
 	// before proving its claim. X holds the best incumbent when one was
 	// found (X == nil means the deadline fired first); Bound and Gap stay
 	// valid and BoundTrusted keeps its usual meaning, so the caller can
@@ -123,21 +124,6 @@ type Problem struct {
 type Options struct {
 	// MaxNodes bounds the number of explored B&B nodes (0 = default 200000).
 	MaxNodes int
-	// TimeLimit bounds wall-clock search time (0 = no limit).
-	TimeLimit time.Duration
-	// Deadline, when non-zero, is an absolute wall-clock bound on the
-	// search: at the deadline the search stops cleanly and reports the
-	// best incumbent (or its absence) with Status Timeout — the anytime
-	// contract. It composes with TimeLimit and the Context's deadline (the
-	// earliest wins). Any unproven stop after the deadline — even one
-	// tripped by MaxNodes or Stop — reports Timeout.
-	Deadline time.Time
-	// AbsGap stops the search when bound and incumbent are closer than this
-	// (default 1e-6).
-	AbsGap float64
-	// RoundingHeuristic, when true (default via DefaultOptions), attempts to
-	// round each fractional LP solution to a feasible incumbent.
-	RoundingHeuristic bool
 	// Incumbent optionally provides a known feasible point to warm-start
 	// pruning. Its objective is evaluated against the LP objective.
 	Incumbent []float64
@@ -173,28 +159,19 @@ type Options struct {
 	// MaxCuts bounds the global cut pool (0 = default 512). Past the bound
 	// the pool evicts its least active half.
 	MaxCuts int
-	// MinConflictDepth sets the shallowest node depth at which conflict
-	// (no-good) learning applies; fathomed-infeasible nodes above it never
-	// emit conflict cuts. 0 selects the default 1 — every non-root node
-	// learns. Conflict learning is active whenever Separate is set (the
-	// learned no-goods ride the same shared cut pool); see conflict.go.
-	MinConflictDepth int
 	// Workers sets the number of concurrent search workers (<= 1 means the
 	// sequential search). Each worker owns its own lp.Solver over the shared
 	// model and the workers share one incumbent, so the optimal objective
 	// found is identical to the sequential search.
 	Workers int
-	// Stop, when non-nil, aborts the search as soon as it is closed. Before
-	// the deadline the partial result is reported exactly as if a node
-	// limit had been hit.
-	// This lets a caller racing several solves (e.g. the speculative
-	// partition-count probes in internal/tempart) reclaim workers early.
-	Stop <-chan struct{}
-	// Context, when non-nil, aborts the search when the context is
-	// cancelled, exactly like Stop (the two compose; either one fires).
-	// This is how request-scoped cancellation in internal/service reaches
-	// the branch-and-bound loop: an HTTP job cancel propagates down to the
-	// next limitHit check of every search worker.
+	// Context, when non-nil, is besides MaxNodes the only way a search
+	// stops short. A cancel ends the search at the next limit check of
+	// every worker, reported exactly as if the node budget had run out
+	// (an HTTP job cancel, or tempart reclaiming the workers of
+	// speculative probes made moot). At its deadline the search stops
+	// cleanly and reports the best incumbent (or its absence) with Status
+	// Timeout — the anytime contract. Any unproven stop after the
+	// deadline, even one tripped by MaxNodes or a cancel, reports Timeout.
 	Context context.Context
 	// Log, when non-nil, receives progress lines. With Workers > 1 it must
 	// be safe for concurrent use.
@@ -212,14 +189,12 @@ type Options struct {
 	testCapturePool func([]lp.CutRow)
 }
 
-// DefaultOptions returns the options used when a zero Options is passed.
-func DefaultOptions() Options {
-	return Options{
-		MaxNodes:          200000,
-		AbsGap:            1e-6,
-		RoundingHeuristic: true,
-	}
-}
+const (
+	// defaultMaxNodes is the node budget of a zero Options.MaxNodes.
+	defaultMaxNodes = 200000
+	// absGap closes the search once incumbent and bound are this close.
+	absGap = 1e-6
+)
 
 // Solution is the result of an ILP solve.
 type Solution struct {
@@ -232,8 +207,8 @@ type Solution struct {
 	Bound float64
 	// BoundTrusted is false when nodes had to be discarded because their LP
 	// relaxation hit the simplex iteration limit. Bound remains valid (the
-	// discarded subtrees' parent bounds enter it, so a within-AbsGap
-	// incumbent may still be reported Optimal), but exhaustive-search
+	// discarded subtrees' parent bounds enter it, so an incumbent within
+	// 1e-6 of it may still be reported Optimal), but exhaustive-search
 	// claims — Optimal via tree exhaustion, or Infeasible — are degraded.
 	BoundTrusted bool
 	// Dropped counts discarded (unexplorable) nodes.
@@ -306,30 +281,18 @@ func pastDeadline(deadline time.Time) bool {
 	return !deadline.IsZero() && !time.Now().Before(deadline)
 }
 
-// stopRequested reports whether the caller has closed stop or cancelled
-// ctx (either may be nil).
-func stopRequested(stop <-chan struct{}, ctx context.Context) bool {
-	select {
-	case <-stop:
-		return true
-	default:
-	}
+// stopRequested reports whether ctx (possibly nil) is done: cancelled or
+// past its deadline.
+func stopRequested(ctx context.Context) bool {
 	return ctx != nil && ctx.Err() != nil
 }
 
-// searchDeadline is the earliest of the deadline, the time limit counted
-// from now, and the context's deadline (zero when none is set).
-func searchDeadline(deadline time.Time, timeLimit time.Duration, ctx context.Context) time.Time {
-	if timeLimit > 0 {
-		if d := time.Now().Add(timeLimit); deadline.IsZero() || d.Before(deadline) {
-			deadline = d
-		}
+// searchDeadline returns ctx's deadline (zero when ctx is nil or has none).
+func searchDeadline(ctx context.Context) time.Time {
+	if ctx == nil {
+		return time.Time{}
 	}
-	if ctx != nil {
-		if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-			deadline = d
-		}
-	}
+	deadline, _ := ctx.Deadline()
 	return deadline
 }
 
@@ -631,7 +594,7 @@ func (w *searcher) processNode(nd *node, incObj float64) (*nodeResult, error) {
 	// learns a conflict: a bound-dominated box may still hold feasible
 	// (just not better) points, which a no-good would wrongly cut off.
 	if w.opt.NodeBound != nil {
-		if bnd, feasible := w.opt.NodeBound(w.solver.Bounds); !feasible || bnd > incObj-w.opt.AbsGap {
+		if bnd, feasible := w.opt.NodeBound(w.solver.Bounds); !feasible || bnd > incObj-absGap {
 			r.pruned = true
 			r.lpStatus = lp.Infeasible
 			if !feasible {
@@ -703,7 +666,7 @@ func (w *searcher) processNode(nd *node, incObj float64) (*nodeResult, error) {
 	if w.opt.Separate != nil {
 		maxRounds := maxCutRounds(nd.depth)
 		for round := 0; round < maxRounds; round++ {
-			if res.Obj > incObj-w.opt.AbsGap || integralPoint(res.X, w.p.Integers) {
+			if res.Obj > incObj-absGap || integralPoint(res.X, w.p.Integers) {
 				break
 			}
 			admitted, progressed, err := w.applyCuts(nd, res, round, r)
@@ -733,7 +696,7 @@ func (w *searcher) processNode(nd *node, incObj float64) (*nodeResult, error) {
 	w.recordCutActivity(res.X)
 	r.obj = res.Obj
 
-	if res.Obj > incObj-w.opt.AbsGap {
+	if res.Obj > incObj-absGap {
 		return r, nil // bound prune: no children
 	}
 
@@ -785,20 +748,11 @@ func (w *searcher) processNode(nd *node, incObj float64) (*nodeResult, error) {
 
 	if bestGroup < 0 && branchVar == -1 {
 		// Integral: candidate incumbent.
-		if res.Obj < incObj-w.opt.AbsGap {
+		if res.Obj < incObj-absGap {
 			r.incumbent = roundInts(res.X, w.isInt)
 			r.incObj = res.Obj
 		}
 		return r, nil
-	}
-
-	if w.opt.RoundingHeuristic {
-		if cand := roundCandidate(res.X, w.isInt); cand != nil {
-			if ok, obj := checkFeasibleBounds(w.p, w.solver.Bounds, cand); ok && obj < incObj-w.opt.AbsGap {
-				r.incumbent = cand
-				r.incObj = obj
-			}
-		}
 	}
 
 	// A parent-basis snapshot is only ever consumed by a worker whose own
@@ -888,12 +842,8 @@ func (sb *sharedBasis) setRefs(n int) {
 
 // Solve runs branch and bound and returns the best solution found.
 func Solve(p *Problem, opt Options) (*Solution, error) {
-	def := DefaultOptions()
 	if opt.MaxNodes == 0 {
-		opt.MaxNodes = def.MaxNodes
-	}
-	if opt.AbsGap == 0 {
-		opt.AbsGap = def.AbsGap
+		opt.MaxNodes = defaultMaxNodes
 	}
 	nVars := p.LP.NumVars()
 	isInt := make([]bool, nVars)
@@ -912,7 +862,7 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 		pcDownSum:    make([]float64, nVars),
 		pcUpN:        make([]int32, nVars),
 		pcDownN:      make([]int32, nVars),
-		deadline:     searchDeadline(opt.Deadline, opt.TimeLimit, opt.Context),
+		deadline:     searchDeadline(opt.Context),
 	}
 	if opt.Separate != nil {
 		st.pool = newCutPool(opt.MaxCuts)
@@ -936,8 +886,8 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 
 	// The root node is always processed sequentially: it decides Unbounded,
 	// establishes the root bound, and seeds the heap with first children.
-	// A pre-closed Stop channel (a speculative probe already made moot) or a
-	// zero budget skips even that.
+	// A context already done (a speculative probe already made moot, or a
+	// request past its deadline) skips even that.
 	if st.limitHit() {
 		// The unexplored root is DROPPED, not exhausted: finish must not
 		// read the empty heap as a completed proof (a pre-expired deadline
@@ -1151,8 +1101,8 @@ func (st *searchState) recordPseudoCost(nd *node, childObj float64) {
 	st.pcMu.Unlock()
 }
 
-// limitHit reports whether the search must stop: node budget, deadline,
-// Stop channel, or context. Every trigger is monotone, so the first trip is
+// limitHit reports whether the search must stop: node budget, deadline, or
+// cancelled context. Every trigger is monotone, so the first trip is
 // cached. finish labels the stop by whether the deadline has passed, not by
 // which trigger fired first. The parallel path calls this under st.mu; the
 // sequential path is single-threaded, so the unguarded write is safe in
@@ -1160,7 +1110,7 @@ func (st *searchState) recordPseudoCost(nd *node, childObj float64) {
 func (st *searchState) limitHit() bool {
 	if !st.limited {
 		st.limited = st.nodes >= st.opt.MaxNodes || pastDeadline(st.deadline) ||
-			stopRequested(st.opt.Stop, st.opt.Context)
+			stopRequested(st.opt.Context)
 	}
 	return st.limited
 }
@@ -1191,7 +1141,7 @@ func (st *searchState) pruneFrontier() {
 func (st *searchState) step(w *searcher) error {
 	nd := st.popNode()
 
-	if nd.bound > st.incObj-st.opt.AbsGap && !math.IsInf(nd.bound, -1) {
+	if nd.bound > st.incObj-absGap && !math.IsInf(nd.bound, -1) {
 		st.releaseBasis(nd.basis)
 		st.pruneFrontier()
 		return nil
@@ -1271,7 +1221,7 @@ func (st *searchState) absorb(nd *node, r *nodeResult) {
 		st.rootBound = r.obj
 		st.rootSolved = true
 	}
-	if r.incumbent != nil && r.incObj < st.incObj-st.opt.AbsGap {
+	if r.incumbent != nil && r.incObj < st.incObj-absGap {
 		st.incObj = r.incObj
 		st.incumbent = r.incumbent
 		if st.opt.Log != nil {
@@ -1308,7 +1258,7 @@ func (st *searchState) runWorker(w *searcher) {
 			return
 		}
 		nd := st.popNode()
-		if nd.bound > st.incObj-st.opt.AbsGap && !math.IsInf(nd.bound, -1) {
+		if nd.bound > st.incObj-absGap && !math.IsInf(nd.bound, -1) {
 			st.releaseBasis(nd.basis)
 			st.pruneFrontier()
 			continue
@@ -1385,7 +1335,7 @@ func (st *searchState) finish() *Solution {
 	if st.incumbent != nil {
 		sol.X = st.incumbent
 		sol.Obj = st.incObj
-		if exhausted || st.incObj-bound <= st.opt.AbsGap {
+		if exhausted || st.incObj-bound <= absGap {
 			sol.Status = Optimal
 			sol.Bound = st.incObj
 		} else {
@@ -1396,7 +1346,7 @@ func (st *searchState) finish() *Solution {
 	}
 	// A search that stops unproven once its deadline has passed is a
 	// deadline stop, reported as Timeout whichever limit tripped first (a
-	// node budget or a Stop channel can win that race). Optimal, Infeasible
+	// node budget or a cancel can win that race). Optimal, Infeasible
 	// and Unbounded stand on their own.
 	if (sol.Status == Feasible || sol.Status == Limit) && pastDeadline(st.deadline) {
 		sol.Status = Timeout
@@ -1417,24 +1367,6 @@ func roundInts(x []float64, isInt []bool) []float64 {
 		if isInt[j] {
 			out[j] = math.Round(out[j])
 		}
-	}
-	return out
-}
-
-func roundCandidate(x []float64, isInt []bool) []float64 {
-	out := append([]float64(nil), x...)
-	changed := false
-	for j := range out {
-		if isInt[j] {
-			r := math.Round(out[j])
-			if math.Abs(r-out[j]) > intTol {
-				changed = true
-			}
-			out[j] = r
-		}
-	}
-	if !changed {
-		return nil
 	}
 	return out
 }

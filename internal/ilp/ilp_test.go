@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -180,7 +181,9 @@ func TestTimeLimit(t *testing.T) {
 	}
 	P := knapsack(values, weights, 120)
 	start := time.Now()
-	_, err := Solve(P, Options{TimeLimit: 50 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	_, err := Solve(P, Options{Context: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -87,14 +88,15 @@ func TestWorkersInfeasible(t *testing.T) {
 	}
 }
 
-// TestStopChannelAborts: closing Options.Stop must end the search promptly
-// with a Limit-like partial result instead of running to completion.
+// TestStopChannelAborts: cancelling Options.Context must end the search
+// promptly with a Limit-like partial result instead of running to
+// completion.
 func TestStopChannelAborts(t *testing.T) {
-	stop := make(chan struct{})
-	close(stop) // pre-closed: the search may only process the root
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // pre-cancelled: the search may only process the root
 	P := randomKnapsack(7, 22)
 	start := time.Now()
-	s, err := Solve(P, Options{Stop: stop})
+	s, err := Solve(P, Options{Context: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +104,7 @@ func TestStopChannelAborts(t *testing.T) {
 		t.Errorf("stopped search explored %d nodes and claimed optimal", s.Nodes)
 	}
 	if time.Since(start) > 5*time.Second {
-		t.Error("stop channel had no effect")
+		t.Error("cancel had no effect")
 	}
 }
 
@@ -111,7 +113,7 @@ func TestStopChannelAborts(t *testing.T) {
 // dropped nodes' parent bounds must still enter the reported Bound, and the
 // search must not claim Optimal or Infeasible.
 func TestDroppedNodesDegradeStatus(t *testing.T) {
-	opt := DefaultOptions()
+	opt := Options{MaxNodes: defaultMaxNodes}
 	st := &searchState{opt: &opt, incObj: math.Inf(1), droppedBound: math.Inf(1)}
 	st.rootSolved = true
 	st.rootBound = 1

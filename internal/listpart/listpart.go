@@ -18,7 +18,7 @@ import (
 
 // Solve greedily partitions the task graph and evaluates the latency using
 // the same path-based delay model as the ILP (Fig. 4).
-func Solve(g *dfg.Graph, board arch.Board, pathCap int) (*tempart.Partitioning, error) {
+func Solve(g *dfg.Graph, board arch.Board) (*tempart.Partitioning, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -27,9 +27,6 @@ func Solve(g *dfg.Graph, board arch.Board, pathCap int) (*tempart.Partitioning, 
 	}
 	if g.NumTasks() == 0 {
 		return &tempart.Partitioning{}, nil
-	}
-	if pathCap == 0 {
-		pathCap = 20000
 	}
 	order, err := g.TopoOrder()
 	if err != nil {
@@ -71,7 +68,7 @@ func Solve(g *dfg.Graph, board arch.Board, pathCap int) (*tempart.Partitioning, 
 	if err := tempart.CheckFeasible(g, board, assign, n); err != nil {
 		return nil, fmt.Errorf("listpart: greedy result infeasible: %w", err)
 	}
-	paths, err := g.Paths(pathCap)
+	paths, err := g.Paths(tempart.MaxPaths)
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ func TestGreedyChain(t *testing.T) {
 		g.MustAddEdge(names[i], names[i+1], 1)
 	}
 	b := arch.SmallTestBoard() // 100 CLBs
-	p, err := Solve(g, b, 0)
+	p, err := Solve(g, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestGreedyMixesTypesOnDCT(t *testing.T) {
 		t.Fatal(err)
 	}
 	board := arch.PaperXC4044Board()
-	p, err := Solve(g, board, 0)
+	p, err := Solve(g, board)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestGreedyMixesTypesOnDCT(t *testing.T) {
 func TestErrors(t *testing.T) {
 	g := dfg.New("big")
 	g.MustAddTask(dfg.Task{Name: "x", Resources: 10000})
-	if _, err := Solve(g, arch.SmallTestBoard(), 0); err == nil {
+	if _, err := Solve(g, arch.SmallTestBoard()); err == nil {
 		t.Error("oversized task accepted")
 	}
 	cyc := dfg.New("cyc")
@@ -81,13 +81,13 @@ func TestErrors(t *testing.T) {
 	cyc.MustAddTask(dfg.Task{Name: "b"})
 	cyc.MustAddEdge("a", "b", 1)
 	cyc.MustAddEdge("b", "a", 1)
-	if _, err := Solve(cyc, arch.SmallTestBoard(), 0); err == nil {
+	if _, err := Solve(cyc, arch.SmallTestBoard()); err == nil {
 		t.Error("cyclic graph accepted")
 	}
 }
 
 func TestEmpty(t *testing.T) {
-	p, err := Solve(dfg.New("empty"), arch.SmallTestBoard(), 0)
+	p, err := Solve(dfg.New("empty"), arch.SmallTestBoard())
 	if err != nil {
 		t.Fatal(err)
 	}

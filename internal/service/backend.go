@@ -19,7 +19,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/dfg"
 	"repro/internal/faultinject"
-	"repro/internal/ilp"
 	"repro/internal/listpart"
 	"repro/internal/obs"
 	"repro/internal/tempart"
@@ -37,14 +36,9 @@ type Request struct {
 	// Engine names the backend ("ilp", "list", ...).
 	Engine string
 
-	// Solver knobs, all optional. Workers and SpeculateN tune the search
-	// without changing its answer and are excluded from the cache key;
-	// the remaining knobs can change the reported result and are keyed.
-	Workers            int
-	SpeculateN         int
+	// Solver knobs, all optional; each can change the reported result, so
+	// each is keyed.
 	MaxPartitions      int
-	PathCap            int
-	MaxNodes           int
 	NoSymmetryBreaking bool
 	// Formulation is the validated ILP model selector ("", "rows",
 	// "patterns"). It changes the search shape (and which incumbent a
@@ -63,9 +57,9 @@ type Request struct {
 	// cache (in either direction).
 	DeadlineMS int
 
-	// Trace requests the per-request phase timeline in the Result. Like
-	// Workers/SpeculateN it is excluded from the cache key, but a traced
-	// request additionally bypasses the cache entirely (read and write):
+	// Trace requests the per-request phase timeline in the Result. It is
+	// excluded from the cache key, and a traced request also bypasses the
+	// cache entirely (read and write):
 	// a trace describes THIS solve, so it can neither be served from a
 	// memo entry nor contaminate one.
 	Trace bool
@@ -153,15 +147,9 @@ func (ilpBackend) Solve(ctx context.Context, req *Request) (*tempart.Partitionin
 		Graph:              req.Graph,
 		Board:              req.Board,
 		MaxPartitions:      req.MaxPartitions,
-		PathCap:            req.PathCap,
 		Formulation:        req.Formulation,
 		NoSymmetryBreaking: req.NoSymmetryBreaking,
-		SpeculateN:         req.SpeculateN,
 		Trace:              req.TraceSink,
-		ILP: ilp.Options{
-			Workers:  req.Workers,
-			MaxNodes: req.MaxNodes,
-		},
 	})
 }
 
@@ -175,7 +163,7 @@ func (listBackend) Solve(ctx context.Context, req *Request) (*tempart.Partitioni
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return listpart.Solve(req.Graph, req.Board, req.PathCap)
+	return listpart.Solve(req.Graph, req.Board)
 }
 
 func init() {

@@ -22,14 +22,10 @@ import (
 // structure hash of the normalized task graph (invariant under task
 // renaming and task/edge reordering, see dfg.StructureHash), the full board
 // parameters, the engine, and every solver knob that can change the
-// reported result. Workers and SpeculateN are deliberately excluded — the
-// parallel search and the speculative relax-N loop are result-equivalent to
-// the sequential path (pinned by the tempart consistency tests), so
-// requests differing only in parallelism share one cache entry. Trace and
-// TraceSink are likewise excluded: tracing observes a solve without
-// changing it (traced requests bypass the cache entirely, but their key —
-// were one computed — must equal the untraced key so they could never
-// shadow or split a memo entry).
+// reported result. Trace and TraceSink are excluded: tracing observes a
+// solve without changing it (traced requests bypass the cache entirely,
+// but their key — were one computed — must equal the untraced key so they
+// could never shadow or split a memo entry).
 func (r *Request) CacheKey() string {
 	h := sha256.New()
 	var buf [8]byte
@@ -45,8 +41,6 @@ func (r *Request) CacheKey() string {
 	hashBoard(put, puts, r.Board)
 	puts(r.Engine)
 	put(uint64(r.MaxPartitions))
-	put(uint64(r.PathCap))
-	put(uint64(r.MaxNodes))
 	// Formulation changes the search shape (rows vs branch-and-price),
 	// hence which optimum ties break to and the reported stats — keyed.
 	puts(r.Formulation)
@@ -149,11 +143,7 @@ func (e *entry) apply(req *Request) (*tempart.Partitioning, error) {
 	if err := tempart.CheckFeasible(g, req.Board, assign, e.n); err != nil {
 		return nil, fmt.Errorf("service: cached assignment infeasible on request graph: %w", err)
 	}
-	pathCap := req.PathCap
-	if pathCap == 0 {
-		pathCap = 20000
-	}
-	paths, err := g.Paths(pathCap)
+	paths, err := g.Paths(tempart.MaxPaths)
 	if err != nil {
 		return nil, err
 	}

@@ -21,11 +21,7 @@ type SolveRequest struct {
 	// Engine selects the backend (default "ilp").
 	Engine string `json:"engine,omitempty"`
 
-	Workers            int  `json:"workers,omitempty"`
-	SpeculateN         int  `json:"speculate_n,omitempty"`
 	MaxPartitions      int  `json:"max_partitions,omitempty"`
-	PathCap            int  `json:"path_cap,omitempty"`
-	MaxNodes           int  `json:"max_nodes,omitempty"`
 	NoSymmetryBreaking bool `json:"no_symmetry_breaking,omitempty"`
 	NoCache            bool `json:"no_cache,omitempty"`
 
@@ -77,8 +73,7 @@ func (sr *SolveRequest) Parse() (*Request, error) {
 	if _, err := LookupBackend(engine); err != nil {
 		return nil, err
 	}
-	if sr.Workers < 0 || sr.SpeculateN < 0 || sr.MaxPartitions < 0 ||
-		sr.PathCap < 0 || sr.MaxNodes < 0 || sr.DeadlineMS < 0 {
+	if sr.MaxPartitions < 0 || sr.DeadlineMS < 0 {
 		return nil, fmt.Errorf("service: negative solver knob")
 	}
 	switch sr.Formulation {
@@ -93,11 +88,7 @@ func (sr *SolveRequest) Parse() (*Request, error) {
 		// service payload matches cmd/sparcs -o json exactly.
 		BoardName:          board.Name,
 		Engine:             engine,
-		Workers:            sr.Workers,
-		SpeculateN:         sr.SpeculateN,
 		MaxPartitions:      sr.MaxPartitions,
-		PathCap:            sr.PathCap,
-		MaxNodes:           sr.MaxNodes,
 		Formulation:        sr.Formulation,
 		NoSymmetryBreaking: sr.NoSymmetryBreaking,
 		NoCache:            sr.NoCache,

@@ -397,7 +397,7 @@ func TestBadRequests(t *testing.T) {
 		{"dup-task", `{"graph":{"tasks":[{"name":"a"},{"name":"a"}]}}`, http.StatusBadRequest},
 		{"unknown-board", `{"graph":{"tasks":[{"name":"a"}]},"board":"nope"}`, http.StatusBadRequest},
 		{"unknown-engine", `{"graph":{"tasks":[{"name":"a"}]},"engine":"magic"}`, http.StatusBadRequest},
-		{"negative-knob", `{"graph":{"tasks":[{"name":"a"}]},"workers":-1}`, http.StatusBadRequest},
+		{"negative-knob", `{"graph":{"tasks":[{"name":"a"}]},"max_partitions":-1}`, http.StatusBadRequest},
 		{"bad-formulation", `{"graph":{"tasks":[{"name":"a"}]},"formulation":"columns"}`, http.StatusBadRequest},
 		{"task-too-large", `{"graph":{"tasks":[{"name":"a","resources":9999,"delay":1}]},"board":"small"}`,
 			http.StatusUnprocessableEntity},
@@ -518,23 +518,14 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
-// TestCacheKeyExcludesParallelismKnobs pins that requests differing only in
-// Workers/SpeculateN share an entry (the knobs are result-equivalent).
-func TestCacheKeyExcludesParallelismKnobs(t *testing.T) {
+// TestCacheKeyKnobs pins that trace leaves the cache key alone and that
+// each knob that can change the result changes it.
+func TestCacheKeyKnobs(t *testing.T) {
 	g := chainGraph()
 	base := SolveRequest{Graph: marshalGraph(t, g), Board: "small"}
 	r1, err := base.Parse()
 	if err != nil {
 		t.Fatal(err)
-	}
-	par := base
-	par.Workers, par.SpeculateN = 4, 3
-	r2, err := par.Parse()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.CacheKey() != r2.CacheKey() {
-		t.Error("workers/speculate_n changed the cache key")
 	}
 	tr := base
 	tr.Trace = true
@@ -548,8 +539,6 @@ func TestCacheKeyExcludesParallelismKnobs(t *testing.T) {
 	for name, mut := range map[string]func(*SolveRequest){
 		"board":       func(sr *SolveRequest) { sr.Board = "paper" },
 		"engine":      func(sr *SolveRequest) { sr.Engine = "list" },
-		"max-nodes":   func(sr *SolveRequest) { sr.MaxNodes = 7 },
-		"path-cap":    func(sr *SolveRequest) { sr.PathCap = 9 },
 		"no-symmetry": func(sr *SolveRequest) { sr.NoSymmetryBreaking = true },
 		"max-parts":   func(sr *SolveRequest) { sr.MaxPartitions = 5 },
 		"formulation": func(sr *SolveRequest) { sr.Formulation = "patterns" },
@@ -626,11 +615,13 @@ func TestSolveFormulationKnob(t *testing.T) {
 }
 
 // TestRetiredKnobsIgnored: clients written against the older API still send
-// pricing, cut_rounds_root, cut_rounds_node and max_cuts
-// (testdata/retired_knobs.json holds them as such a client sent them). The
-// decoder ignores unknown fields, so such a request must get the bare
-// request's answer from a fresh solve and, sent after the bare request, be
-// served from the same cache entry.
+// pricing, cut_rounds_root, cut_rounds_node, max_cuts, workers,
+// speculate_n, path_cap and max_nodes (testdata/retired_knobs.json holds
+// them as such a client sent them). The decoder ignores unknown fields, so
+// such a request must get the bare request's answer from a fresh solve
+// and, sent after the bare request, be served from the same cache entry.
+// The fixture's workers value would have started that many search
+// goroutines when the field was live; ignored, it starts none.
 func TestRetiredKnobsIgnored(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	g := marshalGraph(t, chainGraph())

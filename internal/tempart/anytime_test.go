@@ -86,27 +86,6 @@ func TestSolveContextDeadlineSpeculative(t *testing.T) {
 	}
 }
 
-// TestOptionsDeadlineWithoutContext pins that Input.ILP.Deadline alone (no
-// context deadline) also produces the anytime behavior — the ILP layer owns
-// the stop, SolveContext only interprets it.
-func TestOptionsDeadlineWithoutContext(t *testing.T) {
-	in := hardInput(24)
-	in.ILP.Deadline = time.Now().Add(200 * time.Millisecond)
-	start := time.Now()
-	p, err := SolveContext(context.Background(), in)
-	if elapsed := time.Since(start); elapsed > 15*time.Second {
-		t.Fatalf("Options.Deadline solve ran %v", elapsed)
-	}
-	switch {
-	case err == nil && p != nil && p.Optimal:
-	case err == nil && p != nil:
-		checkAnytime(t, in, p)
-	case errors.Is(err, ErrDeadline):
-	default:
-		t.Fatalf("got (%v, %v), want anytime result or ErrDeadline", p, err)
-	}
-}
-
 // TestAnytimeLowerBoundSound: the exported floor used for fallback gap
 // reporting must never exceed the true optimum.
 func TestAnytimeLowerBoundSound(t *testing.T) {

@@ -617,8 +617,6 @@ func solveForNPatterns(in Input, pre *presolve, paths [][]int, N int, tally *pro
 		CheckSelection: pp.selectionAcyclic,
 		ObjInteger:     integral,
 		MaxNodes:       in.ILP.MaxNodes,
-		Deadline:       in.ILP.Deadline,
-		Stop:           in.ILP.Stop,
 		Context:        in.ILP.Context,
 	}
 	buildTime := time.Since(buildStart)

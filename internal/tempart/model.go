@@ -55,8 +55,6 @@ type Input struct {
 
 	// MaxPartitions caps the relax-N loop (default: lower bound + 8).
 	MaxPartitions int
-	// PathCap bounds exact path enumeration for Eq. 7 (default 20000).
-	PathCap int
 	// Formulation selects the solver backend each relax-N probe runs:
 	// FormulationRows (the default, also the empty string) is the Eqs. 1-8
 	// y/w/d row model; FormulationPatterns is the branch-and-price
@@ -78,7 +76,7 @@ type Input struct {
 	// lowest feasible N wins — the same answer at every window size,
 	// without serializing the infeasibility proofs of the too-small Ns
 	// behind each other. Probes made moot by a lower feasible N are
-	// aborted through ilp.Options.Stop.
+	// cancelled through their ilp.Options.Context.
 	SpeculateN int
 	// DisableWarmStart suppresses the list-partitioner warm start (for
 	// ablation benchmarks).
@@ -265,14 +263,9 @@ func AnytimeLowerBound(g *dfg.Graph, board arch.Board) float64 {
 // LatencyBound and Gap), the partitioning is returned instead of the
 // error. A deadline that fires before any incumbent exists surfaces as an
 // ErrDeadline-wrapped error so callers can degrade to a cheaper backend.
-// The ctx deadline is also installed as ilp.Options.Deadline so the search
-// stops proactively rather than waiting for a poll of ctx.Err().
 func SolveContext(ctx context.Context, in Input) (*Partitioning, error) {
 	if ctx != nil {
 		in.ILP.Context = ctx
-		if dl, ok := ctx.Deadline(); ok && (in.ILP.Deadline.IsZero() || dl.Before(in.ILP.Deadline)) {
-			in.ILP.Deadline = dl
-		}
 	}
 	part, err := Solve(in)
 	if ctx != nil {
@@ -322,10 +315,6 @@ func Solve(in Input) (*Partitioning, error) {
 			}
 		}
 	}
-	pathCap := in.PathCap
-	if pathCap == 0 {
-		pathCap = 20000
-	}
 	var (
 		paths   [][]int
 		pre     *presolve
@@ -336,7 +325,7 @@ func Solve(in Input) (*Partitioning, error) {
 		pathErr error
 	)
 	obs.Do(in.ILP.Context, "phase", obs.PhasePresolve, func(context.Context) {
-		paths, pathErr = g.Paths(pathCap)
+		paths, pathErr = g.Paths(MaxPaths)
 		if pathErr != nil {
 			return
 		}
@@ -403,8 +392,8 @@ func (tally *proofTally) stampProofStats(part *Partitioning) {
 // candidate partition counts is solved concurrently and results are
 // consumed in ascending N order, so the returned partitioning is the one a
 // window of 1 finds. Probes for N values made moot by a lower feasible N
-// are cancelled; their goroutines drain into buffered channels and are
-// discarded.
+// are cancelled through a context derived from the caller's; their
+// goroutines drain into buffered channels and are discarded.
 func relaxN(in Input, pre *presolve, paths [][]int, n0, maxN, prunedN int, tally *proofTally) (*Partitioning, error) {
 	// Each probe gets its own sub-tally; the consumer folds a probe's
 	// counts into the shared tally only when it CONSUMES the probe, in
@@ -419,22 +408,21 @@ func relaxN(in Input, pre *presolve, paths [][]int, n0, maxN, prunedN int, tally
 		tally      *proofTally
 		panicked   any // a recovered solver panic, re-raised by the consumer
 	}
-	stop := make(chan struct{})
-	defer close(stop)
+	window := max(in.SpeculateN, 1)
 	spec := in
-	spec.ILP.Stop = stop
-	if caller := in.ILP.Stop; caller != nil {
-		// Preserve the caller's cancellation: probes abort when either the
-		// caller's channel or the internal lowest-N-won channel closes.
-		merged := make(chan struct{})
-		go func() {
-			select {
-			case <-caller:
-			case <-stop:
-			}
-			close(merged)
-		}()
-		spec.ILP.Stop = merged
+	if window > 1 {
+		// A wider window leaves probes above the winner running when relaxN
+		// returns; cancelling their context reclaims the workers. With a
+		// window of 1 every launched probe is consumed first, so the
+		// caller's context passes through unchanged (a nil one stays nil
+		// and keeps the batch path free of pprof labels).
+		parent := in.ILP.Context
+		if parent == nil {
+			parent = context.Background()
+		}
+		ctx, cancel := context.WithCancel(parent)
+		defer cancel()
+		spec.ILP.Context = ctx
 	}
 
 	launch := func(n int) chan probe {
@@ -474,7 +462,6 @@ func relaxN(in Input, pre *presolve, paths [][]int, n0, maxN, prunedN int, tally
 		return ch
 	}
 
-	window := max(in.SpeculateN, 1)
 	pending := make(map[int]chan probe, window)
 	next := n0
 	for ; next <= maxN && next < n0+window; next++ {
@@ -523,9 +510,9 @@ func relaxN(in Input, pre *presolve, paths [][]int, n0, maxN, prunedN int, tally
 					return p, nil
 				}
 			}
-			// An aborted higher-N probe can only fail with a stop-induced
+			// An aborted higher-N probe can only fail with a cancel-induced
 			// limit error, which is never reached here: errors are consumed
-			// in ascending N order before stop closes.
+			// in ascending N order before the cancel.
 			return nil, r.err
 		}
 		tally.absorb(r.tally)
@@ -810,6 +797,11 @@ func buildModel(in Input, pre *presolve, paths [][]int, N int, withPresolveCut b
 		dv:      dv,
 	}
 }
+
+// MaxPaths caps the exact path enumeration behind the Eq. 7 delay model;
+// the list partitioner and the service's cache re-verification use the
+// same cap.
+const MaxPaths = 20000
 
 // Formulation values for Input.Formulation (empty selects rows).
 const (
