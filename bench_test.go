@@ -12,6 +12,7 @@
 package repro_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -28,9 +29,7 @@ import (
 	"repro/internal/dfg"
 	"repro/internal/fission"
 	"repro/internal/hls"
-	"repro/internal/ilp"
 	"repro/internal/jpeg"
-	"repro/internal/listpart"
 	"repro/internal/memmap"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -212,7 +211,7 @@ func BenchmarkILP_DCTPartitioning(b *testing.B) {
 	var p *tempart.Partitioning
 	for i := 0; i < b.N; i++ {
 		var err error
-		p, err = tempart.Solve(tempart.Input{Graph: fx.graph, Board: fx.board})
+		p, err = tempart.Solve(context.Background(), tempart.Input{Graph: fx.graph, Board: fx.board})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -251,7 +250,7 @@ func BenchmarkILP_DCTPartitioningTraced(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rec = obs.NewRecorder(4096)
 		var err error
-		p, err = tempart.Solve(tempart.Input{Graph: fx.graph, Board: fx.board, Trace: rec})
+		p, err = tempart.Solve(context.Background(), tempart.Input{Graph: fx.graph, Board: fx.board, Trace: rec})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -276,7 +275,7 @@ func BenchmarkListVsILP(b *testing.B) {
 	var lp *tempart.Partitioning
 	for i := 0; i < b.N; i++ {
 		var err error
-		lp, err = listpart.Solve(fx.graph, fx.board)
+		lp, err = tempart.ListPartition(fx.graph, fx.board)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -467,7 +466,7 @@ func BenchmarkILP_FIRBank(b *testing.B) {
 	var p *tempart.Partitioning
 	for i := 0; i < b.N; i++ {
 		var err error
-		p, err = tempart.Solve(tempart.Input{Graph: g, Board: board})
+		p, err = tempart.Solve(context.Background(), tempart.Input{Graph: g, Board: board})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -521,14 +520,14 @@ func benchPackPortfolio(b *testing.B, file string) {
 	board.FPGA.ReconfigTime = float64(entry.ReconfigNS)
 	var p *tempart.Partitioning
 	for i := 0; i < b.N; i++ {
-		p, err = tempart.Solve(tempart.Input{
+		p, err = tempart.Solve(context.Background(), tempart.Input{
 			Graph:              &g,
 			Board:              board,
 			MaxPartitions:      entry.MaxParts,
 			Formulation:        entry.Formulation,
 			NoSymmetryBreaking: entry.NoSymmetry,
 			DisableWarmStart:   entry.NoWarm,
-			ILP:                ilp.Options{MaxNodes: entry.MaxNodes},
+			MaxNodes:           entry.MaxNodes,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -597,7 +596,7 @@ func BenchmarkDCT8x8Greedy(b *testing.B) {
 	board := arch.PaperXC4044Board()
 	var p *tempart.Partitioning
 	for i := 0; i < b.N; i++ {
-		p, err = listpart.Solve(g, board)
+		p, err = tempart.ListPartition(g, board)
 		if err != nil {
 			b.Fatal(err)
 		}

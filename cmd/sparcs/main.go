@@ -97,7 +97,7 @@ func run(o cliOptions) error {
 	cfg := core.DefaultConfig()
 	cfg.Board = board
 	cfg.Pow2Blocks = o.Pow2
-	cfg.ILP.Workers = o.Workers
+	cfg.Workers = o.Workers
 	cfg.SpeculateN = o.SpeculateN
 	switch o.Formulation {
 	case "", "rows":

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/dfg"
 	"repro/internal/service"
+	"repro/internal/tempart"
 )
 
 func TestLoadGraphDCT(t *testing.T) {
@@ -125,11 +126,7 @@ func TestRunJSONOutputMatchesServicePayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	be, err := service.LookupBackend("ilp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := be.Solve(context.Background(), req)
+	part, err := tempart.Solve(context.Background(), tempart.Input{Graph: req.Graph, Board: req.Board})
 	if err != nil {
 		t.Fatal(err)
 	}

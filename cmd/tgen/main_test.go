@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/dfg"
-	"repro/internal/listpart"
+	"repro/internal/tempart"
 )
 
 func TestGenerateKinds(t *testing.T) {
@@ -82,7 +82,7 @@ func TestGeneratedGraphsPartition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := listpart.Solve(g, board)
+		p, err := tempart.ListPartition(g, board)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}

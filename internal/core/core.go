@@ -1,7 +1,7 @@
 // Package core is the top-level design flow of the paper's Fig. 2 — the
 // role the SPARCS environment plays around the two contributions: starting
 // from a behavior-level task graph it runs task estimation (internal/hls),
-// temporal partitioning (internal/tempart, or the internal/listpart
+// temporal partitioning (internal/tempart: the ILP, or the list-based
 // baseline), loop fission analysis (internal/fission), per-partition
 // synthesis with the augmented RTR controller, memory block layout
 // (internal/memmap), RTL generation (internal/rtl), host sequencer code
@@ -19,8 +19,6 @@ import (
 	"repro/internal/dfg"
 	"repro/internal/fission"
 	"repro/internal/hls"
-	"repro/internal/ilp"
-	"repro/internal/listpart"
 	"repro/internal/memmap"
 	"repro/internal/rtl"
 	"repro/internal/sim"
@@ -47,7 +45,11 @@ func (k PartitionerKind) String() string {
 	return fmt.Sprintf("PartitionerKind(%d)", int(k))
 }
 
-// Config parameterizes the flow.
+// Config parameterizes the flow: the target board and estimator library,
+// the partitioner and its search settings (Workers, SpeculateN,
+// Formulation, MaxPartitions; zero values give the paper's tool), and the
+// fission and memory layout choices. Build is a batch run: its solve has
+// no deadline and cannot be cancelled.
 type Config struct {
 	Board       arch.Board
 	Library     *hls.Library
@@ -57,9 +59,9 @@ type Config struct {
 	Strategy fission.Strategy
 	// Pow2Blocks selects the power-of-two memory block layout of Sec. 3.
 	Pow2Blocks bool
-	// ILP tunes the branch-and-bound search (ILPPartitioner only); in
-	// particular ILP.Workers enables the parallel subtree search.
-	ILP ilp.Options
+	// Workers enables the parallel subtree search of each relax-N probe
+	// (ILPPartitioner only; <= 1 searches sequentially).
+	Workers int
 	// SpeculateN is tempart's relax-N window: up to this many candidate
 	// partition counts are probed concurrently (<= 1 probes one at a time).
 	SpeculateN int
@@ -105,14 +107,6 @@ var ErrNilGraph = errors.New("core: nil task graph")
 // Build runs the flow: partition, fission analysis, synthesis, layout, and
 // sequencer generation.
 func Build(g *dfg.Graph, cfg Config) (*Design, error) {
-	return BuildContext(context.Background(), g, cfg)
-}
-
-// BuildContext is Build with request-scoped cancellation threaded down to
-// the partitioner's branch-and-bound search (via tempart.SolveContext and
-// ilp.Options.Context). Cancelling ctx makes the flow return ctx.Err()
-// promptly, even mid-search.
-func BuildContext(ctx context.Context, g *dfg.Graph, cfg Config) (*Design, error) {
 	if g == nil {
 		return nil, ErrNilGraph
 	}
@@ -130,21 +124,18 @@ func BuildContext(ctx context.Context, g *dfg.Graph, cfg Config) (*Design, error
 	var err error
 	switch cfg.Partitioner {
 	case ILPPartitioner:
-		part, err = tempart.SolveContext(ctx, tempart.Input{
-			Graph: g, Board: cfg.Board, ILP: cfg.ILP,
+		part, err = tempart.Solve(context.Background(), tempart.Input{
+			Graph: g, Board: cfg.Board, Workers: cfg.Workers,
 			SpeculateN: cfg.SpeculateN, Formulation: cfg.Formulation,
 			MaxPartitions: cfg.MaxPartitions,
 		})
 	case ListPartitioner:
-		part, err = listpart.Solve(g, cfg.Board)
+		part, err = tempart.ListPartition(g, cfg.Board)
 	default:
 		return nil, fmt.Errorf("core: unknown partitioner %v", cfg.Partitioner)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: partitioning: %w", err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
 	}
 
 	d := &Design{Graph: g, Config: cfg, Partitioning: part}

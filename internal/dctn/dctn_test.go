@@ -10,7 +10,6 @@ import (
 	"repro/internal/fission"
 	"repro/internal/hls"
 	"repro/internal/jpeg"
-	"repro/internal/listpart"
 	"repro/internal/tempart"
 )
 
@@ -122,7 +121,7 @@ func TestDCT8PartitioningScale(t *testing.T) {
 	if n0 < 4 {
 		t.Errorf("lower bound %d suspiciously small for 128 wide tasks", n0)
 	}
-	p, err := listpart.Solve(g, board)
+	p, err := tempart.ListPartition(g, board)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,10 +17,10 @@
 //	lu-singular-factor internal/lp: a from-scratch basis factorization
 //	                   reports singular, exercising the cold-start error
 //	                   path up through the ILP search.
-//	worker-panic       internal/service: the solve backend panics on a
+//	worker-panic       internal/service: the ilp engine panics on a
 //	                   worker goroutine; the recover() ladder must convert
 //	                   it into a failed job with the stack captured.
-//	slow-solve         internal/service: the backend stalls for the armed
+//	slow-solve         internal/service: the ilp engine stalls for the armed
 //	                   delay before solving, forcing deadline expiry
 //	                   deterministically.
 //	cache-verify-fail  internal/service: a cache hit fails its feasibility
@@ -37,9 +37,9 @@ import "time"
 // Named fault points. Arm takes any string, but hooks in the tree only
 // consult these.
 const (
-	LURefactorFail   = "lu-refactor-fail"
-	LUSingularFactor = "lu-singular-factor"
-	WorkerPanic      = "worker-panic"
+	LURefactorFail      = "lu-refactor-fail"
+	LUSingularFactor    = "lu-singular-factor"
+	WorkerPanic         = "worker-panic"
 	SlowSolve           = "slow-solve"
 	CacheVerifyFail     = "cache-verify-fail"
 	SparseSolveFallback = "lp-sparse-fallback"

@@ -1,6 +1,7 @@
 package fission
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,7 +9,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/dfg"
-	"repro/internal/ilp"
 	"repro/internal/tempart"
 )
 
@@ -122,12 +122,12 @@ func TestFissionStableUnderParallelPartitioning(t *testing.T) {
 			_ = g.AddEdgeByID(i-1, i, 4)
 		}
 	}
-	seq, err := tempart.Solve(tempart.Input{Graph: g, Board: board})
+	seq, err := tempart.Solve(context.Background(), tempart.Input{Graph: g, Board: board})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := tempart.Solve(tempart.Input{
-		Graph: g, Board: board, SpeculateN: 2, ILP: ilp.Options{Workers: 2},
+	par, err := tempart.Solve(context.Background(), tempart.Input{
+		Graph: g, Board: board, SpeculateN: 2, Workers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -173,9 +173,6 @@ type Options struct {
 	// Timeout — the anytime contract. Any unproven stop after the
 	// deadline, even one tripped by MaxNodes or a cancel, reports Timeout.
 	Context context.Context
-	// Log, when non-nil, receives progress lines. With Workers > 1 it must
-	// be safe for concurrent use.
-	Log func(format string, args ...any)
 	// Trace, when non-nil, receives search telemetry: separation-round and
 	// cut counters, incumbent improvements, and a sampled node event every
 	// traceNodeSample-th explored node (depth, LP bound, incumbent,
@@ -874,9 +871,6 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 		if ok, obj := checkFeasibleBounds(p, p.LP.Bounds, opt.Incumbent); ok {
 			st.incumbent = append([]float64(nil), opt.Incumbent...)
 			st.incObj = obj
-			if opt.Log != nil {
-				opt.Log("ilp: warm-start incumbent obj=%g", obj)
-			}
 		}
 	}
 
@@ -1210,9 +1204,6 @@ func (st *searchState) absorb(nd *node, r *nodeResult) {
 		if nd.bound < st.droppedBound {
 			st.droppedBound = nd.bound
 		}
-		if st.opt.Log != nil {
-			st.opt.Log("ilp: dropping node at depth %d (simplex iteration limit)", nd.depth)
-		}
 		return
 	}
 
@@ -1224,9 +1215,6 @@ func (st *searchState) absorb(nd *node, r *nodeResult) {
 	if r.incumbent != nil && r.incObj < st.incObj-absGap {
 		st.incObj = r.incObj
 		st.incumbent = r.incumbent
-		if st.opt.Log != nil {
-			st.opt.Log("ilp: incumbent obj=%g after %d nodes", st.incObj, st.nodes)
-		}
 		st.opt.Trace.Incumbent(int64(st.nodes), st.incObj)
 	}
 	if tr := st.opt.Trace; tr != nil && st.nodes%traceNodeSample == 1 {

@@ -24,13 +24,14 @@ func RequestID(ctx context.Context) string {
 }
 
 // Do runs f under a pprof label pair so CPU/goroutine profiles segment by
-// it (e.g. key "phase", value "search"). A nil ctx — the batch/benchmark
-// path, which never threads a context — runs f directly with no label
-// machinery and no allocation, preserving the zero-cost-when-disabled
-// contract.
+// it (e.g. key "phase", value "search"). A nil ctx, or one that can never
+// be cancelled (Done() == nil, e.g. context.Background — the batch and
+// benchmark paths), runs f directly with no label machinery and no
+// allocation, preserving the zero-cost-when-disabled contract. Request
+// contexts are always cancellable, so served solves keep their labels.
 func Do(ctx context.Context, key, value string, f func(context.Context)) {
-	if ctx == nil {
-		f(nil)
+	if ctx == nil || ctx.Done() == nil {
+		f(ctx)
 		return
 	}
 	pprof.Do(ctx, pprof.Labels(key, value), f)

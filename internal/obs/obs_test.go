@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"runtime/pprof"
 	"sync"
 	"testing"
 	"time"
@@ -189,6 +190,30 @@ func TestDoNilContext(t *testing.T) {
 	Do(context.Background(), "phase", "search", func(ctx context.Context) {
 		if ctx == nil {
 			t.Fatal("labeled ctx must be non-nil")
+		}
+	})
+}
+
+// TestDoLabelsOnlyCancellableContexts pins the batch path's zero cost: a
+// context that can never be cancelled (the benches and core.Build pass
+// context.Background) runs f unlabelled and allocation-free, while a
+// cancellable request context carries the label into f.
+func TestDoLabelsOnlyCancellableContexts(t *testing.T) {
+	bg := context.Background()
+	Do(bg, "phase", "search", func(ctx context.Context) {
+		if _, ok := pprof.Label(ctx, "phase"); ok {
+			t.Error("background ctx was labelled")
+		}
+	})
+	noop := func(context.Context) {}
+	if allocs := testing.AllocsPerRun(100, func() { Do(bg, "phase", "search", noop) }); allocs != 0 {
+		t.Errorf("Do on a background ctx allocates %v allocs/op, want 0", allocs)
+	}
+	req, cancel := context.WithCancel(bg)
+	defer cancel()
+	Do(req, "phase", "search", func(ctx context.Context) {
+		if v, ok := pprof.Label(ctx, "phase"); !ok || v != "search" {
+			t.Errorf("request ctx label = %q, %v; want \"search\"", v, ok)
 		}
 	})
 }

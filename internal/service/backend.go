@@ -1,31 +1,28 @@
 // Package service is the request-lifecycle layer of the reproduction: a
 // long-running partitioning service on top of the batch-style solver stack
-// (internal/core, internal/tempart, internal/listpart). It adds what a
-// solver invoked from main() never needed — request parsing and validation,
-// a bounded worker-pool scheduler with async jobs and cancellation, a
-// memoizing solve cache keyed by canonical graph structure hashes with
-// in-flight deduplication (singleflight), a pluggable backend registry, and
-// observability (/healthz, /metrics). cmd/sparcsd wraps it in an HTTP
-// daemon; cmd/sparcs reuses its Result payload for `-o json`.
+// (internal/core, internal/tempart). It adds what a solver invoked from
+// main() never needed — request parsing and validation, a bounded
+// worker-pool scheduler with async jobs and cancellation, a memoizing solve
+// cache keyed by canonical graph structure hashes with in-flight
+// deduplication (singleflight), and observability (/healthz, /metrics).
+// cmd/sparcsd wraps it in an HTTP daemon; cmd/sparcs reuses its Result
+// payload for `-o json`.
 package service
 
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/arch"
 	"repro/internal/dfg"
 	"repro/internal/faultinject"
-	"repro/internal/listpart"
 	"repro/internal/obs"
 	"repro/internal/tempart"
 )
 
 // Request is a fully parsed and validated solve request: the unit of work
-// the scheduler queues, the cache keys, and a backend solves.
+// the scheduler queues, the cache keys, and runEngine solves.
 type Request struct {
 	// Graph is the validated task graph (decoded from the wire schema).
 	Graph *dfg.Graph
@@ -33,7 +30,7 @@ type Request struct {
 	Board arch.Board
 	// BoardName is the preset name the request used (reporting only).
 	BoardName string
-	// Engine names the backend ("ilp", "list", ...).
+	// Engine names the partitioner, one of engines.
 	Engine string
 
 	// Solver knobs, all optional; each can change the reported result, so
@@ -63,110 +60,46 @@ type Request struct {
 	// a trace describes THIS solve, so it can neither be served from a
 	// memo entry nor contaminate one.
 	Trace bool
-	// TraceSink, when non-nil, receives the backend's span/counter/node
+	// TraceSink, when non-nil, receives the solver's span/counter/node
 	// events. The server injects it (per request); it is never part of
 	// the cache key.
 	TraceSink *obs.Recorder
 }
 
-// Backend is a pluggable partitioning engine. Implementations must be safe
-// for concurrent use and honour ctx cancellation promptly (the scheduler
-// threads job cancellation through it down to the branch-and-bound search).
-type Backend interface {
-	Name() string
-	Solve(ctx context.Context, req *Request) (*tempart.Partitioning, error)
-}
+// engines are the partitioners a request can name, in /healthz order:
+// "ilp" is the paper's optimal temporal partitioning ILP, "list" the greedy
+// list-partitioning baseline it is compared against.
+var engines = []string{"ilp", "list"}
 
-var (
-	backendMu sync.RWMutex
-	backends  = map[string]Backend{}
-)
-
-// RegisterBackend adds an engine to the registry. It panics on a duplicate
-// or empty name (registration is an init-time programming act).
-func RegisterBackend(b Backend) {
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	if b.Name() == "" {
-		panic("service: backend with empty name")
-	}
-	if _, dup := backends[b.Name()]; dup {
-		panic(fmt.Sprintf("service: duplicate backend %q", b.Name()))
-	}
-	backends[b.Name()] = b
-}
-
-// LookupBackend resolves an engine by name ("" selects "ilp").
-func LookupBackend(name string) (Backend, error) {
-	if name == "" {
-		name = "ilp"
-	}
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	b, ok := backends[name]
-	if !ok {
-		return nil, fmt.Errorf("service: unknown engine %q (have: %v)", name, backendNamesLocked())
-	}
-	return b, nil
-}
-
-// BackendNames returns the sorted registered engine names.
-func BackendNames() []string {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	return backendNamesLocked()
-}
-
-func backendNamesLocked() []string {
-	names := make([]string, 0, len(backends))
-	for n := range backends {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// ilpBackend exposes the paper's optimal temporal partitioning ILP
-// (internal/tempart) as a service engine.
-type ilpBackend struct{}
-
-func (ilpBackend) Name() string { return "ilp" }
-
-func (ilpBackend) Solve(ctx context.Context, req *Request) (*tempart.Partitioning, error) {
-	if faultinject.Fire(faultinject.WorkerPanic) {
-		panic("faultinject: injected solver panic")
-	}
-	if faultinject.Fire(faultinject.SlowSolve) {
-		select {
-		case <-time.After(faultinject.Delay(faultinject.SlowSolve)):
-		case <-ctx.Done():
-			return nil, ctx.Err()
+// runEngine solves req with the partitioner it names. The ILP honours ctx
+// down to the branch-and-bound search; the list baseline is effectively
+// instantaneous, so cancellation is only checked up front.
+func runEngine(ctx context.Context, req *Request) (*tempart.Partitioning, error) {
+	switch req.Engine {
+	case "ilp":
+		if faultinject.Fire(faultinject.WorkerPanic) {
+			panic("faultinject: injected solver panic")
 		}
+		if faultinject.Fire(faultinject.SlowSolve) {
+			select {
+			case <-time.After(faultinject.Delay(faultinject.SlowSolve)):
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		return tempart.Solve(ctx, tempart.Input{
+			Graph:              req.Graph,
+			Board:              req.Board,
+			MaxPartitions:      req.MaxPartitions,
+			Formulation:        req.Formulation,
+			NoSymmetryBreaking: req.NoSymmetryBreaking,
+			Trace:              req.TraceSink,
+		})
+	case "list":
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return tempart.ListPartition(req.Graph, req.Board)
 	}
-	return tempart.SolveContext(ctx, tempart.Input{
-		Graph:              req.Graph,
-		Board:              req.Board,
-		MaxPartitions:      req.MaxPartitions,
-		Formulation:        req.Formulation,
-		NoSymmetryBreaking: req.NoSymmetryBreaking,
-		Trace:              req.TraceSink,
-	})
-}
-
-// listBackend exposes the greedy list-partitioning baseline. It is
-// effectively instantaneous, so cancellation is only checked up front.
-type listBackend struct{}
-
-func (listBackend) Name() string { return "list" }
-
-func (listBackend) Solve(ctx context.Context, req *Request) (*tempart.Partitioning, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return listpart.Solve(req.Graph, req.Board)
-}
-
-func init() {
-	RegisterBackend(ilpBackend{})
-	RegisterBackend(listBackend{})
+	return nil, fmt.Errorf("service: unknown engine %q (have: %v)", req.Engine, engines)
 }

@@ -4,7 +4,7 @@ import "sync"
 
 // SolveRecord is one completed solve request as the flight recorder keeps
 // it: identity, origin, terminal outcome, and the phase breakdown when the
-// request ran the backend itself (cache hits have no phases — they did no
+// request ran the solver itself (cache hits have no phases — they did no
 // solving).
 type SolveRecord struct {
 	// ID is the scheduler job ID (doubles as the request ID in logs).
@@ -26,8 +26,8 @@ type SolveRecord struct {
 	// Traced marks requests that asked for (and received) a full trace.
 	Traced bool `json:"traced,omitempty"`
 	// Partial marks anytime results (deadline stopped the proof); Fallback
-	// additionally marks results served by the greedy backend because the
-	// search had no incumbent at the deadline.
+	// additionally marks results served by the greedy list partitioner
+	// because the search had no incumbent at the deadline.
 	Partial  bool `json:"partial,omitempty"`
 	Fallback bool `json:"fallback,omitempty"`
 }

@@ -95,8 +95,6 @@ func (m *Metrics) RecordSolve(engine string, d time.Duration, err error) {
 	switch outcome {
 	case OutcomeError:
 		m.errors++
-	case OutcomeCancelled:
-		m.cancelled++
 	case OutcomeTimeout:
 		m.timeouts++
 	}
@@ -144,9 +142,10 @@ func (m *Metrics) RecordSearch(engine string, c SearchCounters) {
 	m.mu.Unlock()
 }
 
-// RecordCancelled notes a job cancelled through the jobs API (distinct
-// from the latency histograms' cancelled outcome, which counts solves
-// whose context died for any reason).
+// RecordCancelled notes a job that ended cancelled: by the jobs API, a
+// client disconnect or shutdown, whether it was queued or running. The
+// scheduler reports each such job exactly once; the latency histograms'
+// cancelled outcome is separate and counts solves, not jobs.
 func (m *Metrics) RecordCancelled() {
 	m.mu.Lock()
 	m.cancelled++
@@ -162,7 +161,7 @@ func (m *Metrics) RecordAnytime() {
 }
 
 // RecordFallback notes a timed-out solve with no incumbent that was served
-// by the greedy list backend instead (ladder rung 3).
+// by the greedy list partitioner instead (ladder rung 3).
 func (m *Metrics) RecordFallback() {
 	m.mu.Lock()
 	m.fallbacks++

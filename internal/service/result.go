@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/dfg"
@@ -18,7 +19,7 @@ type SolveRequest struct {
 	Graph json.RawMessage `json:"graph"`
 	// Board selects an architecture preset (default "paper").
 	Board string `json:"board,omitempty"`
-	// Engine selects the backend (default "ilp").
+	// Engine selects the partitioner: "ilp" (default) or "list".
 	Engine string `json:"engine,omitempty"`
 
 	MaxPartitions      int  `json:"max_partitions,omitempty"`
@@ -70,8 +71,8 @@ func (sr *SolveRequest) Parse() (*Request, error) {
 	if engine == "" {
 		engine = "ilp"
 	}
-	if _, err := LookupBackend(engine); err != nil {
-		return nil, err
+	if !slices.Contains(engines, engine) {
+		return nil, fmt.Errorf("service: unknown engine %q (have: %v)", engine, engines)
 	}
 	if sr.MaxPartitions < 0 || sr.DeadlineMS < 0 {
 		return nil, fmt.Errorf("service: negative solver knob")
@@ -119,7 +120,7 @@ type Result struct {
 	// proof was cut short by the deadline: the assignment is feasible but
 	// possibly suboptimal, with the search's proven lower bound and gap
 	// attached. Fallback additionally marks a result produced by the greedy
-	// list backend because the ILP had no incumbent at the deadline.
+	// list partitioner because the ILP had no incumbent at the deadline.
 	// BoundTrusted mirrors the solver's own attestation of the bound.
 	Partial        bool    `json:"partial,omitempty"`
 	Fallback       bool    `json:"fallback,omitempty"`

@@ -62,7 +62,7 @@ type JobStatus struct {
 	EndedMS   int64 `json:"ended_ms,omitempty"`
 	// ElapsedMS is time since creation for live jobs, total lifetime for
 	// finished ones.
-	ElapsedMS int64   `json:"elapsed_ms"`
+	ElapsedMS int64 `json:"elapsed_ms"`
 	// DeadlineUnixMS is the absolute request deadline (unix milliseconds;
 	// 0 = none), so a poller can tell "still solving" from "about to be
 	// shed" without knowing the queue's state.
@@ -138,10 +138,12 @@ type Scheduler struct {
 	running  int
 	retain   int
 
-	// onShed and onPanic are observability hooks the server wires up
-	// (metrics + logs); nil is fine.
-	onShed  func(jobID string)
-	onPanic func(jobID string, v any, stack []byte)
+	// onShed, onPanic and onCancel are observability hooks the server
+	// wires up (metrics + logs); nil is fine. onCancel runs once for every
+	// job that ends cancelled, whether it was cancelled queued or running.
+	onShed   func(jobID string)
+	onPanic  func(jobID string, v any, stack []byte)
+	onCancel func(jobID string)
 }
 
 // NewScheduler starts workers goroutines over a queue of queueCap jobs.
@@ -179,8 +181,7 @@ func (s *Scheduler) runJob(workerID int, job *Job) {
 	if job.state != JobQueued {
 		// Cancelled while queued: nothing to run, terminal state already set.
 		job.mu.Unlock()
-		close(job.done)
-		s.retire(job)
+		s.finish(job)
 		return
 	}
 	if !job.deadline.IsZero() && time.Now().After(job.deadline) {
@@ -196,8 +197,7 @@ func (s *Scheduler) runJob(workerID int, job *Job) {
 			s.onShed(job.ID)
 		}
 		job.cancel()
-		close(job.done)
-		s.retire(job)
+		s.finish(job)
 		return
 	}
 	job.state = JobRunning
@@ -257,6 +257,21 @@ func (s *Scheduler) runJob(workerID int, job *Job) {
 	}
 	job.mu.Unlock()
 	job.cancel() // release the context's resources
+	s.finish(job)
+}
+
+// finish publishes a job's terminal state: it reports a cancelled job to
+// onCancel — the one place a cancellation is counted, so a job cancelled
+// while running is not counted again by its solve's cancelled outcome, and
+// a cancel of an already finished job counts nothing — then wakes the
+// job's waiters and retires it.
+func (s *Scheduler) finish(job *Job) {
+	job.mu.Lock()
+	cancelled := job.state == JobCancelled
+	job.mu.Unlock()
+	if cancelled && s.onCancel != nil {
+		s.onCancel(job.ID)
+	}
 	close(job.done)
 	s.retire(job)
 }

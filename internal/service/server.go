@@ -82,7 +82,7 @@ func New(cfg Config) *Server {
 		s.log.LogAttrs(context.Background(), slog.LevelWarn, "job shed",
 			slog.String("job_id", jobID))
 	}
-	// Backstop for panics outside runBackend's own recovery (the usual
+	// Backstop for panics outside runSolve's own recovery (the usual
 	// solver panic is recovered there, closer to the fault).
 	s.sched.onPanic = func(jobID string, v any, stack []byte) {
 		s.metrics.RecordWorkerPanic()
@@ -91,6 +91,7 @@ func New(cfg Config) *Server {
 			slog.String("panic", fmt.Sprint(v)),
 			slog.String("stack", string(stack)))
 	}
+	s.sched.onCancel = func(string) { s.metrics.RecordCancelled() }
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/solve", s.handleSolve)
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
@@ -124,14 +125,10 @@ const coarseTraceEvents = 512
 
 // solve is the cache-aware execution path every request funnels through
 // (the scheduler's workers call it): memo-cache lookup, singleflight join,
-// or a fresh backend solve, followed by canonical-transfer verification for
+// or a fresh engine solve, followed by canonical-transfer verification for
 // results that came from a different (isomorphic) graph.
 func (s *Server) solve(ctx context.Context, req *Request) (*Result, error) {
 	start := time.Now()
-	be, err := LookupBackend(req.Engine)
-	if err != nil {
-		return nil, err
-	}
 	// A deadline_ms request bounds the whole solve with a context deadline;
 	// tempart threads it down to the branch-and-bound search, which returns
 	// its best incumbent instead of an error when time runs out.
@@ -141,7 +138,7 @@ func (s *Server) solve(ctx context.Context, req *Request) (*Result, error) {
 		defer cancel()
 	}
 
-	// runBackend executes a fresh solve with a recorder attached — the
+	// runSolve executes a fresh solve with a recorder attached — the
 	// request's own full-size recorder for trace=true, otherwise a small
 	// always-on one that feeds the per-phase metrics and the flight
 	// recorder. The request is shallow-copied so the shared *Request is
@@ -149,13 +146,13 @@ func (s *Server) solve(ctx context.Context, req *Request) (*Result, error) {
 	// here — below the cache's detached flight goroutine as well as the
 	// worker's inline path — so one poisoned request fails alone instead of
 	// taking the daemon down.
-	runBackend := func(sctx context.Context, rec *obs.Recorder) (p *tempart.Partitioning, tr *obs.Trace, err error) {
+	runSolve := func(sctx context.Context, rec *obs.Recorder) (p *tempart.Partitioning, tr *obs.Trace, err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				s.metrics.RecordWorkerPanic()
 				s.log.LogAttrs(ctx, slog.LevelError, "solver panic",
 					slog.String("request_id", obs.RequestID(ctx)),
-					slog.String("engine", be.Name()),
+					slog.String("engine", req.Engine),
 					slog.String("panic", fmt.Sprint(r)),
 					slog.String("stack", string(debug.Stack())))
 				p, tr, err = nil, nil, fmt.Errorf("service: solver panic: %v", r)
@@ -166,16 +163,16 @@ func (s *Server) solve(ctx context.Context, req *Request) (*Result, error) {
 		}
 		r2 := *req
 		r2.TraceSink = rec
-		p, err = be.Solve(sctx, &r2)
+		p, err = runEngine(sctx, &r2)
 		tr = rec.Trace()
-		s.metrics.RecordPhases(be.Name(), tr)
+		s.metrics.RecordPhases(req.Engine, tr)
 		return p, tr, err
 	}
 
 	finish := func(p *tempart.Partitioning, tr *obs.Trace, origin Origin, err error) (*Result, error) {
 		d := time.Since(start)
-		s.metrics.RecordSolve(be.Name(), d, err)
-		if err != nil && req.DeadlineMS > 0 && be.Name() != "list" &&
+		s.metrics.RecordSolve(req.Engine, d, err)
+		if err != nil && req.DeadlineMS > 0 && req.Engine != "list" &&
 			(errors.Is(err, context.DeadlineExceeded) || errors.Is(err, tempart.ErrDeadline)) {
 			// Degradation ladder rung 3: the deadline expired before the
 			// search found any incumbent. Serve the greedy list
@@ -183,13 +180,13 @@ func (s *Server) solve(ctx context.Context, req *Request) (*Result, error) {
 			// instead of an error. (Rung 2 — a timed-out search WITH an
 			// incumbent — never reaches here: it comes back err == nil with
 			// p.Partial set.)
-			if fp := s.greedyFallback(ctx, req); fp != nil {
+			if fp := s.greedyFallback(req); fp != nil {
 				p, tr, err = fp, nil, nil
 			}
 		}
 		fr := SolveRecord{
 			ID:          obs.RequestID(ctx),
-			Engine:      be.Name(),
+			Engine:      req.Engine,
 			Graph:       req.Graph.Name,
 			Board:       req.BoardName,
 			Origin:      string(origin),
@@ -226,10 +223,10 @@ func (s *Server) solve(ctx context.Context, req *Request) (*Result, error) {
 				append(logAttrs, slog.String("error", fr.Error))...)
 			return nil, err
 		}
-		res := NewResult(req.Graph, req.BoardName, be.Name(), p)
+		res := NewResult(req.Graph, req.BoardName, req.Engine, p)
 		res.Cache = string(origin)
 		if origin == OriginMiss {
-			s.metrics.RecordSearch(be.Name(), res.SearchCounters)
+			s.metrics.RecordSearch(req.Engine, res.SearchCounters)
 		}
 		if res.Partial {
 			fr.Partial, fr.Fallback = res.Partial, res.Fallback
@@ -260,7 +257,7 @@ func (s *Server) solve(ctx context.Context, req *Request) (*Result, error) {
 		if req.Trace {
 			rec = obs.NewRecorder(s.cfg.TraceEvents)
 		}
-		p, tr, err := runBackend(ctx, rec)
+		p, tr, err := runSolve(ctx, rec)
 		return finish(p, tr, OriginMiss, err)
 	}
 
@@ -278,7 +275,7 @@ func (s *Server) solve(ctx context.Context, req *Request) (*Result, error) {
 			}
 			s.cache.noteRemapFallback()
 		}
-		p, tr, err := runBackend(ctx, nil)
+		p, tr, err := runSolve(ctx, nil)
 		if err == nil && !p.Partial {
 			s.cache.Put(key, newEntry(req.Graph, p))
 		}
@@ -295,7 +292,7 @@ func (s *Server) solve(ctx context.Context, req *Request) (*Result, error) {
 		freshStats tempart.SolveStats
 	)
 	ent, origin, err := s.cache.GetOrSolve(ctx, key, func(sctx context.Context) (*entry, error) {
-		p, tr, err := runBackend(sctx, nil)
+		p, tr, err := runSolve(sctx, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -317,7 +314,7 @@ func (s *Server) solve(ctx context.Context, req *Request) (*Result, error) {
 		// graph directly rather than serving a wrong answer.
 		s.cache.noteRemapFallback()
 		var tr *obs.Trace
-		p, tr, err = runBackend(ctx, nil)
+		p, tr, err = runSolve(ctx, nil)
 		return finish(p, tr, OriginMiss, err)
 	}
 	if origin != OriginMiss {
@@ -330,21 +327,13 @@ func (s *Server) solve(ctx context.Context, req *Request) (*Result, error) {
 
 // greedyFallback is the last rung of the degradation ladder before an
 // error: the deadline expired with no ILP incumbent at all, so solve the
-// graph with the registered greedy list backend and label the result
+// graph with the greedy list partitioner and label the result
 // Partial+Fallback. The presolve floor (tempart.AnytimeLowerBound) keeps
 // the reported gap finite and honest. Returns nil when the fallback itself
 // fails — the caller then surfaces the original deadline error.
-func (s *Server) greedyFallback(ctx context.Context, req *Request) *tempart.Partitioning {
-	lb, err := LookupBackend("list")
+func (s *Server) greedyFallback(req *Request) *tempart.Partitioning {
+	p, err := tempart.ListPartition(req.Graph, req.Board)
 	if err != nil {
-		return nil
-	}
-	// The request's deadline has already expired; the greedy pass is
-	// near-instantaneous, so run it on a short detached context.
-	fctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 5*time.Second)
-	defer cancel()
-	p, err := lb.Solve(fctx, req)
-	if err != nil || p == nil {
 		return nil
 	}
 	p.Optimal = false
@@ -515,7 +504,6 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job.Cancel()
-	s.metrics.RecordCancelled()
 	writeJSON(w, http.StatusOK, job.Status())
 }
 
@@ -534,7 +522,7 @@ type healthResponse struct {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, healthResponse{
 		Status:     "ok",
-		Engines:    BackendNames(),
+		Engines:    engines,
 		Workers:    s.cfg.Workers,
 		QueueDepth: s.sched.QueueDepth(),
 		Running:    s.sched.Running(),

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -401,6 +402,8 @@ func TestBadRequests(t *testing.T) {
 		{"bad-formulation", `{"graph":{"tasks":[{"name":"a"}]},"formulation":"columns"}`, http.StatusBadRequest},
 		{"task-too-large", `{"graph":{"tasks":[{"name":"a","resources":9999,"delay":1}]},"board":"small"}`,
 			http.StatusUnprocessableEntity},
+		{"task-too-large-list", `{"graph":{"tasks":[{"name":"a","resources":9999,"delay":1}]},"board":"small","engine":"list"}`,
+			http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -417,6 +420,61 @@ func TestBadRequests(t *testing.T) {
 
 	if code := getJSON(t, ts.URL+"/v1/jobs/doesnotexist", nil); code != http.StatusNotFound {
 		t.Errorf("unknown job: HTTP %d, want 404", code)
+	}
+}
+
+// TestJobsCancelledCountedOnce pins jobs_cancelled_total: a running job
+// cancelled mid-solve counts once (not again through its solve's cancelled
+// outcome), a job cancelled while queued counts once, and cancelling a
+// finished job counts nothing however often it is repeated.
+func TestJobsCancelledCountedOnce(t *testing.T) {
+	svc, ts := newTestServer(t, Config{Workers: 1})
+	submit := func(sr SolveRequest) string {
+		t.Helper()
+		code, body := postJSON(t, ts.URL+"/v1/jobs", sr)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit: HTTP %d: %s", code, body)
+		}
+		var sub struct {
+			ID string `json:"id"`
+		}
+		if err := json.Unmarshal(body, &sub); err != nil {
+			t.Fatal(err)
+		}
+		return sub.ID
+	}
+	cancel := func(id string) {
+		t.Helper()
+		if code, body := postJSON(t, ts.URL+"/v1/jobs/"+id+"/cancel", struct{}{}); code != http.StatusOK {
+			t.Fatalf("cancel %s: HTTP %d: %s", id, code, body)
+		}
+	}
+	easy := SolveRequest{Graph: marshalGraph(t, diamondGraph()), Board: "small"}
+
+	finished := submit(easy)
+	waitState(t, ts.URL, finished, JobDone, 30*time.Second)
+	cancel(finished)
+	cancel(finished)
+	if got := svc.metrics.Snapshot().Cancelled; got != 0 {
+		t.Fatalf("two cancels of a finished job counted %d, want 0", got)
+	}
+
+	// The one worker runs the hard job, so the next job stays queued.
+	running := submit(SolveRequest{Graph: hardGraphJSON(t), Board: "small",
+		NoSymmetryBreaking: true, NoCache: true})
+	waitState(t, ts.URL, running, JobRunning, 10*time.Second)
+	queued := submit(easy)
+	cancel(queued)
+	waitState(t, ts.URL, queued, JobCancelled, 10*time.Second)
+	cancel(running)
+	waitState(t, ts.URL, running, JobCancelled, 10*time.Second)
+	// A synchronous solve queues behind both cancelled jobs, so once it
+	// returns the worker has retired them.
+	if code, body := postJSON(t, ts.URL+"/v1/solve", easy); code != http.StatusOK {
+		t.Fatalf("solve: HTTP %d: %s", code, body)
+	}
+	if got := svc.metrics.Snapshot().Cancelled; got != 2 {
+		t.Fatalf("one running and one queued job cancelled: counted %d, want 2", got)
 	}
 }
 
@@ -466,7 +524,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/healthz", &health); code != http.StatusOK {
 		t.Fatalf("healthz: HTTP %d", code)
 	}
-	if health.Status != "ok" || len(health.Engines) < 2 {
+	if health.Status != "ok" || !slices.Equal(health.Engines, []string{"ilp", "list"}) {
 		t.Fatalf("healthz payload: %+v", health)
 	}
 	if health.Cache.Misses != 1 || health.Cache.Hits != 1 {

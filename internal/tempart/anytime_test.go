@@ -42,7 +42,7 @@ func TestSolveContextDeadlineAnytime(t *testing.T) {
 		in := hardInput(24)
 		ctx, cancel := context.WithTimeout(context.Background(), budget)
 		start := time.Now()
-		p, err := SolveContext(ctx, in)
+		p, err := Solve(ctx, in)
 		elapsed := time.Since(start)
 		cancel()
 		if elapsed > budget+10*time.Second {
@@ -72,7 +72,7 @@ func TestSolveContextDeadlineSpeculative(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	p, err := SolveContext(ctx, in)
+	p, err := Solve(ctx, in)
 	if elapsed := time.Since(start); elapsed > 15*time.Second {
 		t.Fatalf("speculative deadline solve ran %v", elapsed)
 	}
@@ -94,7 +94,7 @@ func TestAnytimeLowerBoundSound(t *testing.T) {
 	if lb <= 0 {
 		t.Fatalf("AnytimeLowerBound = %g, want positive", lb)
 	}
-	p, err := Solve(in)
+	p, err := Solve(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -589,7 +589,7 @@ func patternsApplicable(g *dfg.Graph, board arch.Board) bool {
 // winning selection back to a task assignment. The return contract matches
 // solveForN exactly — (nil, nil) relaxes N, errors abort the relax loop,
 // Timeout-with-incumbent yields an anytime Partial result.
-func solveForNPatterns(in Input, pre *presolve, paths [][]int, N int, tally *proofTally) (*Partitioning, error) {
+func solveForNPatterns(ctx context.Context, in Input, pre *presolve, paths [][]int, N int, tally *proofTally) (*Partitioning, error) {
 	g := in.Graph
 	nT := g.NumTasks()
 	buildStart := time.Now()
@@ -616,8 +616,8 @@ func solveForNPatterns(in Input, pre *presolve, paths [][]int, N int, tally *pro
 		Pricer:         pp.price,
 		CheckSelection: pp.selectionAcyclic,
 		ObjInteger:     integral,
-		MaxNodes:       in.ILP.MaxNodes,
-		Context:        in.ILP.Context,
+		MaxNodes:       in.MaxNodes,
+		Context:        ctx,
 	}
 	buildTime := time.Since(buildStart)
 	buildSpan.End()
@@ -626,7 +626,7 @@ func solveForNPatterns(in Input, pre *presolve, paths [][]int, N int, tally *pro
 	searchSpan := in.Trace.BeginArg(obs.PhaseSearch, int64(N))
 	var sol *ilp.BPSolution
 	var err error
-	obs.Do(in.ILP.Context, "phase", obs.PhaseSearch, func(context.Context) {
+	obs.Do(ctx, "phase", obs.PhaseSearch, func(context.Context) {
 		sol, err = ilp.SolveBP(opts)
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package tempart
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -225,12 +226,12 @@ func TestPatternFormulationEquivalence(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng)
-		rows, err := Solve(Input{Graph: g, Board: b, Formulation: FormulationRows})
+		rows, err := Solve(context.Background(), Input{Graph: g, Board: b, Formulation: FormulationRows})
 		if err != nil {
 			t.Errorf("seed %d rows: %v", seed, err)
 			return false
 		}
-		pats, err := Solve(Input{Graph: g, Board: b, Formulation: FormulationPatterns})
+		pats, err := Solve(context.Background(), Input{Graph: g, Board: b, Formulation: FormulationPatterns})
 		if err != nil {
 			t.Errorf("seed %d patterns: %v", seed, err)
 			return false
@@ -264,8 +265,8 @@ func TestPatternFormulationEquivalence(t *testing.T) {
 func TestPatternMixedCardinality2638(t *testing.T) {
 	in := hardInput(24)
 	in.Formulation = FormulationPatterns
-	in.ILP.MaxNodes = 200
-	part, err := Solve(in)
+	in.MaxNodes = 200
+	part, err := Solve(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +305,7 @@ func TestPatternFormulationFallsBackToRows(t *testing.T) {
 	if patternsApplicable(g, b) {
 		t.Fatal("patternsApplicable should reject 200 words > 100")
 	}
-	part, err := Solve(Input{Graph: g, Board: b, Formulation: FormulationPatterns})
+	part, err := Solve(context.Background(), Input{Graph: g, Board: b, Formulation: FormulationPatterns})
 	if err == nil {
 		// The row model enforces Eq. 3; with 200 words crossing any
 		// boundary no 2-partition split is feasible, and 1 partition
@@ -332,9 +333,9 @@ func TestPatternChainBlocks102(t *testing.T) {
 		// The area floor is only ⌈3570/100⌉ = 36; the packing need 51 prunes
 		// the 36..50 probes, but the relax cap must reach 51.
 		MaxPartitions: 60,
-		ILP:           ilp.Options{MaxNodes: 500},
+		MaxNodes:      500,
 	}
-	part, err := Solve(in)
+	part, err := Solve(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}

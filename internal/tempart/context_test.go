@@ -47,7 +47,7 @@ func TestSolveContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := SolveContext(ctx, hardInput(24))
+	_, err := Solve(ctx, hardInput(24))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled solve returned %v, want context.Canceled", err)
 	}
@@ -61,7 +61,7 @@ func TestSolveContextCancelStopsSearch(t *testing.T) {
 	done := make(chan error, 1)
 	start := time.Now()
 	go func() {
-		_, err := SolveContext(ctx, hardInput(24))
+		_, err := Solve(ctx, hardInput(24))
 		done <- err
 	}()
 	time.Sleep(150 * time.Millisecond)
@@ -76,21 +76,24 @@ func TestSolveContextCancelStopsSearch(t *testing.T) {
 	}
 }
 
-// TestSolveContextCompletesUncancelled pins that a live context does not
-// perturb results: same optimum as the plain Solve path.
+// TestSolveContextCompletesUncancelled pins that a live cancellable
+// context (a request's, which also labels the profile) does not perturb
+// results: same optimum and search as the uncancellable batch context.
 func TestSolveContextCompletesUncancelled(t *testing.T) {
 	in := randomDAG(3, 10)
 	b := arch.SmallTestBoard()
-	want, err := Solve(Input{Graph: in, Board: b})
+	want, err := Solve(context.Background(), Input{Graph: in, Board: b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SolveContext(context.Background(), Input{Graph: in, Board: b})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := Solve(ctx, Input{Graph: in, Board: b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.N != want.N || got.Latency != want.Latency {
-		t.Fatalf("ctx solve diverged: N=%d lat=%g vs N=%d lat=%g",
-			got.N, got.Latency, want.N, want.Latency)
+	if got.N != want.N || got.Latency != want.Latency || got.Stats.Nodes != want.Stats.Nodes {
+		t.Fatalf("ctx solve diverged: N=%d lat=%g nodes=%d vs N=%d lat=%g nodes=%d",
+			got.N, got.Latency, got.Stats.Nodes, want.N, want.Latency, want.Stats.Nodes)
 	}
 }

@@ -1,6 +1,7 @@
 package tempart
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -177,14 +178,14 @@ func TestCutsPreserveOptimum(t *testing.T) {
 	fixtures = append(fixtures, fixture{"multires", mrg, multiResBoard()})
 
 	for _, fx := range fixtures {
-		plain, err := Solve(Input{Graph: fx.g, Board: fx.board, NoCuts: true})
+		plain, err := Solve(context.Background(), Input{Graph: fx.g, Board: fx.board, NoCuts: true})
 		if err != nil {
 			t.Fatalf("%s (nocuts): %v", fx.name, err)
 		}
 		for _, workers := range []int{0, 4} {
 			in := Input{Graph: fx.g, Board: fx.board}
-			in.ILP.Workers = workers
-			cut, err := Solve(in)
+			in.Workers = workers
+			cut, err := Solve(context.Background(), in)
 			if err != nil {
 				t.Fatalf("%s (cuts, workers=%d): %v", fx.name, workers, err)
 			}
@@ -229,7 +230,7 @@ func firBankGraph(channels int) *dfg.Graph {
 func TestBoundaryCutsCloseFIRBankRoot(t *testing.T) {
 	g := firBankGraph(8)
 	b := board(1600, 64*1024, 1e8)
-	p, err := Solve(Input{Graph: g, Board: b})
+	p, err := Solve(context.Background(), Input{Graph: g, Board: b})
 	if err != nil {
 		t.Fatal(err)
 	}

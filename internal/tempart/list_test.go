@@ -1,16 +1,16 @@
-package listpart
+package tempart
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/dfg"
 	"repro/internal/hls"
 	"repro/internal/jpeg"
-	"repro/internal/tempart"
 )
 
-func TestGreedyChain(t *testing.T) {
+func TestListPartitionChain(t *testing.T) {
 	g := dfg.New("chain")
 	names := []string{"a", "b", "c", "d"}
 	for _, n := range names {
@@ -20,7 +20,7 @@ func TestGreedyChain(t *testing.T) {
 		g.MustAddEdge(names[i], names[i+1], 1)
 	}
 	b := arch.SmallTestBoard() // 100 CLBs
-	p, err := Solve(g, b)
+	p, err := ListPartition(g, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestGreedyChain(t *testing.T) {
 			t.Errorf("assign[%d] = %d, want %d", i, p.Assign[i], w)
 		}
 	}
-	if err := tempart.CheckFeasible(g, b, p.Assign, p.N); err != nil {
+	if err := CheckFeasible(g, b, p.Assign, p.N); err != nil {
 		t.Error(err)
 	}
 	if p.Latency != 2*b.FPGA.ReconfigTime+300+100 {
@@ -42,16 +42,16 @@ func TestGreedyChain(t *testing.T) {
 	}
 }
 
-// TestGreedyMixesTypesOnDCT reproduces the paper's observation: the list
-// partitioner places T2 tasks into partition 1 because it has unused CLBs
-// (1600 - 16*70 = 480 fits two 180-CLB T2 tasks).
-func TestGreedyMixesTypesOnDCT(t *testing.T) {
+// TestListPartitionMixesTypesOnDCT reproduces the paper's observation: the
+// list partitioner places T2 tasks into partition 1 because it has unused
+// CLBs (1600 - 16*70 = 480 fits two 180-CLB T2 tasks).
+func TestListPartitionMixesTypesOnDCT(t *testing.T) {
 	g, err := jpeg.BuildDCTGraph(hls.XC4000Library(), hls.Constraints{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	board := arch.PaperXC4044Board()
-	p, err := Solve(g, board)
+	p, err := ListPartition(g, board)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,24 +70,27 @@ func TestGreedyMixesTypesOnDCT(t *testing.T) {
 	}
 }
 
-func TestErrors(t *testing.T) {
+// TestListPartitionErrors: an oversized task fails with the same
+// ErrTaskTooLarge as Solve (the service maps it to 422), and a cyclic
+// graph is rejected.
+func TestListPartitionErrors(t *testing.T) {
 	g := dfg.New("big")
 	g.MustAddTask(dfg.Task{Name: "x", Resources: 10000})
-	if _, err := Solve(g, arch.SmallTestBoard()); err == nil {
-		t.Error("oversized task accepted")
+	if _, err := ListPartition(g, arch.SmallTestBoard()); !errors.Is(err, ErrTaskTooLarge) {
+		t.Errorf("oversized task: err = %v, want ErrTaskTooLarge", err)
 	}
 	cyc := dfg.New("cyc")
 	cyc.MustAddTask(dfg.Task{Name: "a"})
 	cyc.MustAddTask(dfg.Task{Name: "b"})
 	cyc.MustAddEdge("a", "b", 1)
 	cyc.MustAddEdge("b", "a", 1)
-	if _, err := Solve(cyc, arch.SmallTestBoard()); err == nil {
+	if _, err := ListPartition(cyc, arch.SmallTestBoard()); err == nil {
 		t.Error("cyclic graph accepted")
 	}
 }
 
-func TestEmpty(t *testing.T) {
-	p, err := Solve(dfg.New("empty"), arch.SmallTestBoard())
+func TestListPartitionEmpty(t *testing.T) {
+	p, err := ListPartition(dfg.New("empty"), arch.SmallTestBoard())
 	if err != nil {
 		t.Fatal(err)
 	}

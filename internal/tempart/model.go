@@ -25,8 +25,10 @@
 // concurrently (one at a time by default, as in the paper) and returns the
 // lowest feasible N — the same answer at every window size, without
 // serializing infeasibility proofs behind each other when the window is
-// wider; ilp.Options.Workers additionally parallelizes each probe's search
-// tree.
+// wider; Input.Workers additionally parallelizes each probe's search tree.
+//
+// ListPartition is the list-based greedy baseline the paper compares
+// against (Sec. 4); it shares its packing loop with the ILP's warm start.
 package tempart
 
 import (
@@ -46,9 +48,11 @@ import (
 	"repro/internal/obs"
 )
 
-// Input bundles the three inputs of the partitioning tool: behavior
+// Input bundles the inputs of the partitioning tool: the behavior
 // specification (the task graph, with synthesis costs already annotated by
-// the HLS estimator) and the target architecture parameters.
+// the HLS estimator), the target architecture parameters, and the few
+// search settings a caller sets. The zero value of every setting is the
+// paper's tool; cancellation and deadlines come from Solve's context.
 type Input struct {
 	Graph *dfg.Graph
 	Board arch.Board
@@ -76,7 +80,7 @@ type Input struct {
 	// lowest feasible N wins — the same answer at every window size,
 	// without serializing the infeasibility proofs of the too-small Ns
 	// behind each other. Probes made moot by a lower feasible N are
-	// cancelled through their ilp.Options.Context.
+	// cancelled through a context derived from Solve's.
 	SpeculateN int
 	// DisableWarmStart suppresses the list-partitioner warm start (for
 	// ablation benchmarks).
@@ -98,8 +102,17 @@ type Input struct {
 	// Under SpeculateN the probe spans of concurrent candidates overlap;
 	// span durations then sum to more than wall clock by design.
 	Trace *obs.Recorder
-	// ILP tunes the branch-and-bound search.
-	ILP ilp.Options
+	// Workers sets each probe's concurrent search workers (<= 1 searches
+	// sequentially); the optimum found is the same at every count.
+	Workers int
+	// MaxNodes bounds each probe's branch-and-bound (or branch-and-price)
+	// nodes (0 = the ilp default).
+	MaxNodes int
+
+	// testProbe, when non-nil, runs at the start of every relax-N probe
+	// that reaches a search (tests only: it lets a test panic inside a
+	// probe goroutine).
+	testProbe func()
 }
 
 // SolveStats records model and search sizes for reporting.
@@ -198,8 +211,8 @@ var (
 	ErrNoSolution   = errors.New("tempart: no feasible partitioning within the partition cap")
 	// ErrDeadline reports that a wall-clock deadline expired before any
 	// feasible partitioning was found — the caller should degrade to a
-	// cheaper backend (the service layer falls back to the greedy list
-	// partitioner) rather than retry.
+	// cheaper partitioner (the service layer falls back to ListPartition)
+	// rather than retry.
 	ErrDeadline = errors.New("tempart: deadline expired before any feasible partitioning was found")
 )
 
@@ -250,71 +263,47 @@ func AnytimeLowerBound(g *dfg.Graph, board arch.Board) float64 {
 	return float64(MinPartitions(g, board))*board.FPGA.ReconfigTime + pre.sumDelayFloor()
 }
 
-// SolveContext is Solve with request-scoped cancellation: ctx is installed
-// as the branch-and-bound's ilp.Options.Context (replacing any Context
-// already present in in.ILP), so cancelling it aborts every search worker
-// and every speculative relax-N probe at its next limit check. A cancelled
-// solve returns ctx.Err() even when the aborted search had already found a
-// feasible (but unproven) incumbent.
+// Solve runs the full temporal partitioning tool: preprocessing, model
+// generation for the lower-bound N, and the relax-N loop until feasibility.
 //
-// Deadline expiry is different — that is the anytime contract: when the
-// context died of context.DeadlineExceeded and the solve still produced a
-// partitioning (the best incumbent, marked Partial with a proven
-// LatencyBound and Gap), the partitioning is returned instead of the
-// error. A deadline that fires before any incumbent exists surfaces as an
-// ErrDeadline-wrapped error so callers can degrade to a cheaper backend.
-func SolveContext(ctx context.Context, in Input) (*Partitioning, error) {
-	if ctx != nil {
-		in.ILP.Context = ctx
-	}
-	part, err := Solve(in)
-	if ctx != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			if errors.Is(cerr, context.DeadlineExceeded) {
-				if part != nil {
-					return part, nil
-				}
-				if err != nil && errors.Is(err, ErrDeadline) {
-					return nil, err
-				}
-				return nil, cerr
+// ctx bounds the search: cancelling it aborts every search worker and
+// every speculative relax-N probe at its next limit check, and a cancelled
+// solve returns ctx.Err() even when the aborted search had already found a
+// feasible (but unproven) incumbent. Deadline expiry is different — that is
+// the anytime contract: when ctx died of context.DeadlineExceeded and the
+// solve still produced a partitioning (the best incumbent, marked Partial
+// with a proven LatencyBound and Gap), the partitioning is returned instead
+// of the error. A deadline that fires before any incumbent exists surfaces
+// as an ErrDeadline-wrapped error so callers can degrade to ListPartition.
+func Solve(ctx context.Context, in Input) (*Partitioning, error) {
+	part, err := solve(ctx, in)
+	if cerr := ctx.Err(); cerr != nil {
+		if errors.Is(cerr, context.DeadlineExceeded) {
+			if part != nil {
+				return part, nil
 			}
-			return nil, cerr
+			if errors.Is(err, ErrDeadline) {
+				return nil, err
+			}
 		}
+		return nil, cerr
 	}
 	return part, err
 }
 
-// Solve runs the full temporal partitioning tool: preprocessing, model
-// generation for the lower-bound N, and the relax-N loop until feasibility.
-func Solve(in Input) (*Partitioning, error) {
+func solve(ctx context.Context, in Input) (*Partitioning, error) {
 	g := in.Graph
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	if err := in.Board.Validate(); err != nil {
+	if err := validateInput(g, in.Board); err != nil {
 		return nil, err
 	}
 	if g.NumTasks() == 0 {
 		return &Partitioning{}, nil
 	}
-	// The presolve span covers everything before the first N probe: task
-	// validation, path enumeration, the DAG/packing bound computation, and
-	// the greedy dominance clamp. pprof segments the same region under
-	// phase=presolve when a request context is present.
+	// The presolve span covers everything before the first N probe: path
+	// enumeration, the DAG/packing bound computation, and the greedy
+	// dominance clamp. pprof segments the same region under phase=presolve
+	// when a request context is present.
 	preSpan := in.Trace.Begin(obs.PhasePresolve)
-	for i := 0; i < g.NumTasks(); i++ {
-		if g.Task(i).Resources > in.Board.FPGA.CLBs {
-			return nil, fmt.Errorf("%w: task %q needs %d CLBs, FPGA has %d",
-				ErrTaskTooLarge, g.Task(i).Name, g.Task(i).Resources, in.Board.FPGA.CLBs)
-		}
-		for kind, cap := range in.Board.FPGA.ExtraCapacity {
-			if d := g.Task(i).Extra[kind]; d > cap {
-				return nil, fmt.Errorf("%w: task %q needs %d %s, FPGA has %d",
-					ErrTaskTooLarge, g.Task(i).Name, d, kind, cap)
-			}
-		}
-	}
 	var (
 		paths   [][]int
 		pre     *presolve
@@ -324,7 +313,7 @@ func Solve(in Input) (*Partitioning, error) {
 		tally   *proofTally
 		pathErr error
 	)
-	obs.Do(in.ILP.Context, "phase", obs.PhasePresolve, func(context.Context) {
+	obs.Do(ctx, "phase", obs.PhasePresolve, func(context.Context) {
 		paths, pathErr = g.Paths(MaxPaths)
 		if pathErr != nil {
 			return
@@ -349,7 +338,33 @@ func Solve(in Input) (*Partitioning, error) {
 		return nil, fmt.Errorf("tempart: %w (use the list partitioner for graphs this path-dense)", pathErr)
 	}
 	preSpan.End()
-	return relaxN(in, pre, paths, n0, maxN, prunedN, tally)
+	return relaxN(ctx, in, pre, paths, n0, maxN, prunedN, tally)
+}
+
+// validateInput checks the inputs both partitioners share: a well-formed
+// acyclic graph, a valid board, and no task that a single configuration
+// cannot hold on some capped resource (no partition count makes such a
+// graph feasible, so it fails with ErrTaskTooLarge).
+func validateInput(g *dfg.Graph, board arch.Board) error {
+	if err := g.Validate(); err != nil {
+		return err
+	}
+	if err := board.Validate(); err != nil {
+		return err
+	}
+	for i := 0; i < g.NumTasks(); i++ {
+		if g.Task(i).Resources > board.FPGA.CLBs {
+			return fmt.Errorf("%w: task %q needs %d CLBs, FPGA has %d",
+				ErrTaskTooLarge, g.Task(i).Name, g.Task(i).Resources, board.FPGA.CLBs)
+		}
+		for kind, cap := range board.FPGA.ExtraCapacity {
+			if d := g.Task(i).Extra[kind]; d > cap {
+				return fmt.Errorf("%w: task %q needs %d %s, FPGA has %d",
+					ErrTaskTooLarge, g.Task(i).Name, d, kind, cap)
+			}
+		}
+	}
+	return nil
 }
 
 // proofTally accumulates the infeasibility-proof telemetry of one Solve
@@ -392,9 +407,9 @@ func (tally *proofTally) stampProofStats(part *Partitioning) {
 // candidate partition counts is solved concurrently and results are
 // consumed in ascending N order, so the returned partitioning is the one a
 // window of 1 finds. Probes for N values made moot by a lower feasible N
-// are cancelled through a context derived from the caller's; their
-// goroutines drain into buffered channels and are discarded.
-func relaxN(in Input, pre *presolve, paths [][]int, n0, maxN, prunedN int, tally *proofTally) (*Partitioning, error) {
+// are cancelled through a context derived from ctx; their goroutines drain
+// into buffered channels and are discarded.
+func relaxN(ctx context.Context, in Input, pre *presolve, paths [][]int, n0, maxN, prunedN int, tally *proofTally) (*Partitioning, error) {
 	// Each probe gets its own sub-tally; the consumer folds a probe's
 	// counts into the shared tally only when it CONSUMES the probe, in
 	// ascending N order. Cancelled higher-N probes are never consumed, so
@@ -409,20 +424,15 @@ func relaxN(in Input, pre *presolve, paths [][]int, n0, maxN, prunedN int, tally
 		panicked   any // a recovered solver panic, re-raised by the consumer
 	}
 	window := max(in.SpeculateN, 1)
-	spec := in
 	if window > 1 {
 		// A wider window leaves probes above the winner running when relaxN
 		// returns; cancelling their context reclaims the workers. With a
 		// window of 1 every launched probe is consumed first, so the
-		// caller's context passes through unchanged (a nil one stays nil
-		// and keeps the batch path free of pprof labels).
-		parent := in.ILP.Context
-		if parent == nil {
-			parent = context.Background()
-		}
-		ctx, cancel := context.WithCancel(parent)
+		// caller's context passes through unchanged (an uncancellable one
+		// keeps the batch path free of pprof labels).
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithCancel(ctx)
 		defer cancel()
-		spec.ILP.Context = ctx
 	}
 
 	launch := func(n int) chan probe {
@@ -433,7 +443,7 @@ func relaxN(in Input, pre *presolve, paths [][]int, n0, maxN, prunedN int, tally
 			// result is sent so the consumer's trace always holds the
 			// spans of the probes it consumed. A panic is recovered and
 			// re-raised by the consumer, on the caller's goroutine.
-			probeSpan := spec.Trace.BeginArg(obs.PhaseProbe, int64(n))
+			probeSpan := in.Trace.BeginArg(obs.PhaseProbe, int64(n))
 			r := probe{tally: pt}
 			defer func() {
 				if v := recover(); v != nil {
@@ -456,7 +466,10 @@ func relaxN(in Input, pre *presolve, paths [][]int, n0, maxN, prunedN int, tally
 			case !pre.packingFeasibleAll(n):
 				r.packPruned = true
 			default:
-				r.part, r.err = solveForN(spec, pre, paths, n, pt)
+				if in.testProbe != nil {
+					in.testProbe()
+				}
+				r.part, r.err = solveForN(ctx, in, pre, paths, n, pt)
 			}
 		}()
 		return ch
@@ -799,8 +812,7 @@ func buildModel(in Input, pre *presolve, paths [][]int, N int, withPresolveCut b
 }
 
 // MaxPaths caps the exact path enumeration behind the Eq. 7 delay model;
-// the list partitioner and the service's cache re-verification use the
-// same cap.
+// ListPartition and the service's cache re-verification use the same cap.
 const MaxPaths = 20000
 
 // Formulation values for Input.Formulation (empty selects rows).
@@ -811,20 +823,19 @@ const (
 
 // solveForN builds and solves the model for a fixed partition bound.
 // It returns (nil, nil) when the model is infeasible at this N.
-func solveForN(in Input, pre *presolve, paths [][]int, N int, tally *proofTally) (*Partitioning, error) {
+func solveForN(ctx context.Context, in Input, pre *presolve, paths [][]int, N int, tally *proofTally) (*Partitioning, error) {
 	if in.Formulation == FormulationPatterns && patternsApplicable(in.Graph, in.Board) {
-		return solveForNPatterns(in, pre, paths, N, tally)
+		return solveForNPatterns(ctx, in, pre, paths, N, tally)
 	}
 	g := in.Graph
 	nT := g.NumTasks()
 	buildStart := time.Now()
 	buildSpan := in.Trace.BeginArg(obs.PhaseModelBuild, int64(N))
 	var m *tpModel
-	obs.Do(in.ILP.Context, "phase", obs.PhaseModelBuild, func(context.Context) {
+	obs.Do(ctx, "phase", obs.PhaseModelBuild, func(context.Context) {
 		m = buildModel(in, pre, paths, N, true)
 	})
-	opts := in.ILP
-	opts.Trace = in.Trace
+	opts := ilp.Options{MaxNodes: in.MaxNodes, Workers: in.Workers, Context: ctx, Trace: in.Trace}
 	if !in.DisableWarmStart {
 		if inc := warmStart(pre, paths, N, m.nVars, m.needMem, m.yv, m.wv, m.dv); inc != nil {
 			opts.Incumbent = inc
@@ -851,7 +862,7 @@ func solveForN(in Input, pre *presolve, paths [][]int, N int, tally *proofTally)
 	searchSpan := in.Trace.BeginArg(obs.PhaseSearch, int64(N))
 	var sol *ilp.Solution
 	var err error
-	obs.Do(opts.Context, "phase", obs.PhaseSearch, func(context.Context) {
+	obs.Do(ctx, "phase", obs.PhaseSearch, func(context.Context) {
 		sol, err = ilp.Solve(m.ilp, opts)
 	})
 	if err != nil {
@@ -1161,12 +1172,46 @@ func warmStart(pre *presolve, paths [][]int, N, nVars int,
 	return x
 }
 
-// greedyAssign is the warm-start heuristic: topological-order bin packing
-// into successive partitions under the resource constraint. In homogeneous
-// mode a partition is also closed when the task type changes, which keeps
-// fast and slow task types apart. (internal/listpart exposes the plain
-// variant publicly; it is duplicated in miniature here to avoid an import
-// cycle.)
+// ListPartition is the list-based baseline partitioner the paper compares
+// against (Sec. 4): tasks are visited in topological order and packed into
+// the current partition while the FPGA resources allow, opening a new
+// partition otherwise. The latency is evaluated with the ILP's path-based
+// delay model (Fig. 4).
+//
+// On the DCT case study this packs T2 tasks into partition 1's unused CLBs,
+// which lengthens partition 1's critical path and gives a worse latency
+// than the ILP — exactly the effect the paper describes.
+func ListPartition(g *dfg.Graph, board arch.Board) (*Partitioning, error) {
+	if err := validateInput(g, board); err != nil {
+		return nil, err
+	}
+	if g.NumTasks() == 0 {
+		return &Partitioning{}, nil
+	}
+	assign, n := greedyAssign(g, board, false)
+	if err := CheckFeasible(g, board, assign, n); err != nil {
+		return nil, fmt.Errorf("tempart: greedy result infeasible: %w", err)
+	}
+	paths, err := g.Paths(MaxPaths)
+	if err != nil {
+		return nil, err
+	}
+	delays := EvaluateDelays(g, assign, n, paths)
+	return &Partitioning{
+		N:       n,
+		Assign:  assign,
+		Delays:  delays,
+		Latency: Latency(board, delays),
+		Stats:   SolveStats{N: n, Paths: len(paths)},
+	}, nil
+}
+
+// greedyAssign is the list-based packing behind ListPartition (plain mode)
+// and the ILP's warm start: topological-order bin packing into successive
+// partitions under the resource constraint. In homogeneous mode a
+// partition is also closed when the task type changes, which keeps fast
+// and slow task types apart. An oversized task (see validateInput) gets a
+// partition of its own, so the result fails CheckFeasible.
 func greedyAssign(g *dfg.Graph, board arch.Board, homogeneous bool) ([]int, int) {
 	order, err := g.TopoOrder()
 	if err != nil {
@@ -1189,14 +1234,6 @@ func greedyAssign(g *dfg.Graph, board arch.Board, homogeneous bool) ([]int, int)
 		return true
 	}
 	for _, t := range order {
-		if g.Task(t).Resources > board.FPGA.CLBs {
-			return nil, 0
-		}
-		for kind, cap := range board.FPGA.ExtraCapacity {
-			if g.Task(t).Extra[kind] > cap {
-				return nil, 0
-			}
-		}
 		typ := g.Task(t).Type
 		if !fits(t) || (homogeneous && !first && typ != curType) {
 			cur++

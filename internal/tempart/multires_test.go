@@ -1,6 +1,7 @@
 package tempart
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestSolveRespectsExtraCapacity(t *testing.T) {
 		})
 	}
 	b := multiResBoard()
-	p, err := Solve(Input{Graph: g, Board: b})
+	p, err := Solve(context.Background(), Input{Graph: g, Board: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestSolveRespectsExtraCapacity(t *testing.T) {
 func TestExtraTooLarge(t *testing.T) {
 	g := dfg.New("g")
 	g.MustAddTask(dfg.Task{Name: "a", Resources: 10, Delay: 1, Extra: map[string]int{"BRAM": 9}})
-	_, err := Solve(Input{Graph: g, Board: multiResBoard()})
+	_, err := Solve(context.Background(), Input{Graph: g, Board: multiResBoard()})
 	if !errors.Is(err, ErrTaskTooLarge) {
 		t.Errorf("err = %v, want ErrTaskTooLarge", err)
 	}
@@ -76,7 +77,7 @@ func TestUncappedExtraIgnored(t *testing.T) {
 	g := dfg.New("g")
 	g.MustAddTask(dfg.Task{Name: "a", Resources: 10, Delay: 1, Extra: map[string]int{"DSP48": 999}})
 	b := multiResBoard() // no DSP48 capacity -> unconstrained
-	p, err := Solve(Input{Graph: g, Board: b})
+	p, err := Solve(context.Background(), Input{Graph: g, Board: b})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,13 @@
 package tempart
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/dfg"
-	"repro/internal/ilp"
 )
 
 // randomDAG builds a random layered task graph that needs several
@@ -41,11 +41,11 @@ func TestSpeculativeNMatchesSequential(t *testing.T) {
 	b := board(100, 1024, 500)
 	for seed := int64(0); seed < 8; seed++ {
 		g := randomDAG(seed, 7)
-		seq, err := Solve(Input{Graph: g, Board: b})
+		seq, err := Solve(context.Background(), Input{Graph: g, Board: b})
 		if err != nil {
 			t.Fatalf("seed %d sequential: %v", seed, err)
 		}
-		spec, err := Solve(Input{Graph: g, Board: b, SpeculateN: 3})
+		spec, err := Solve(context.Background(), Input{Graph: g, Board: b, SpeculateN: 3})
 		if err != nil {
 			t.Fatalf("seed %d speculative: %v", seed, err)
 		}
@@ -70,11 +70,11 @@ func TestWorkersMatchSequentialPartitioning(t *testing.T) {
 	b := board(100, 1024, 500)
 	for seed := int64(0); seed < 6; seed++ {
 		g := randomDAG(100+seed, 7)
-		seq, err := Solve(Input{Graph: g, Board: b})
+		seq, err := Solve(context.Background(), Input{Graph: g, Board: b})
 		if err != nil {
 			t.Fatalf("seed %d sequential: %v", seed, err)
 		}
-		par, err := Solve(Input{Graph: g, Board: b, ILP: ilp.Options{Workers: 3}})
+		par, err := Solve(context.Background(), Input{Graph: g, Board: b, Workers: 3})
 		if err != nil {
 			t.Fatalf("seed %d parallel: %v", seed, err)
 		}
@@ -92,7 +92,7 @@ func TestWorkersMatchSequentialPartitioning(t *testing.T) {
 // multi-node search the warm-solve count must dominate the cold rebuilds.
 func TestWarmStartEngages(t *testing.T) {
 	g := randomDAG(3, 8)
-	p, err := Solve(Input{Graph: g, Board: board(100, 1024, 500), DisableWarmStart: true})
+	p, err := Solve(context.Background(), Input{Graph: g, Board: board(100, 1024, 500), DisableWarmStart: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +105,10 @@ func TestWarmStartEngages(t *testing.T) {
 	}
 }
 
-// TestProbePanicReachesCaller: a panic inside a relax-N probe (here a
-// panicking ILP log hook) surfaces on Solve's own goroutine at every
-// window size, where a caller's recover — the service's solver-panic
-// guard — can catch it, instead of killing the process from the probe
-// goroutine.
+// TestProbePanicReachesCaller: a panic inside a relax-N probe goroutine
+// surfaces on Solve's own goroutine at every window size, where a caller's
+// recover — the service's solver-panic guard — can catch it, instead of
+// killing the process from the probe goroutine.
 func TestProbePanicReachesCaller(t *testing.T) {
 	b := board(100, 1024, 500)
 	for _, window := range []int{1, 3} {
@@ -119,8 +118,8 @@ func TestProbePanicReachesCaller(t *testing.T) {
 					t.Errorf("window %d: recovered %v, want the probe's panic", window, r)
 				}
 			}()
-			Solve(Input{Graph: randomDAG(0, 7), Board: b, SpeculateN: window,
-				ILP: ilp.Options{Log: func(string, ...any) { panic("boom") }}})
+			Solve(context.Background(), Input{Graph: randomDAG(0, 7), Board: b, SpeculateN: window,
+				testProbe: func() { panic("boom") }})
 		}()
 	}
 }

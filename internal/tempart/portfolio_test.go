@@ -2,6 +2,7 @@ package tempart
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -11,7 +12,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/dfg"
-	"repro/internal/ilp"
 )
 
 // The hard-instance portfolio (ROADMAP open item): a committed corpus of
@@ -100,14 +100,14 @@ func TestPortfolioRegenDeterminism(t *testing.T) {
 
 // runEntry solves one portfolio instance under its manifest knobs.
 func runEntry(e *portfolioEntry) (*Partitioning, error) {
-	return Solve(Input{
+	return Solve(context.Background(), Input{
 		Graph:              e.graph,
 		Board:              e.board,
 		MaxPartitions:      e.MaxParts,
 		Formulation:        e.Formulation,
 		NoSymmetryBreaking: e.NoSymmetry,
 		DisableWarmStart:   e.NoWarm,
-		ILP:                ilp.Options{MaxNodes: e.MaxNodes},
+		MaxNodes:           e.MaxNodes,
 	})
 }
 

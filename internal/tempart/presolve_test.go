@@ -1,6 +1,7 @@
 package tempart
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -176,11 +177,11 @@ func TestSymmetryBreakingPreservesOptimum(t *testing.T) {
 	fixtures = append(fixtures, fixture{"multires", mrg, multiResBoard()})
 
 	for _, fx := range fixtures {
-		sym, err := Solve(Input{Graph: fx.g, Board: fx.board})
+		sym, err := Solve(context.Background(), Input{Graph: fx.g, Board: fx.board})
 		if err != nil {
 			t.Fatalf("%s (sym): %v", fx.name, err)
 		}
-		nosym, err := Solve(Input{Graph: fx.g, Board: fx.board, NoSymmetryBreaking: true})
+		nosym, err := Solve(context.Background(), Input{Graph: fx.g, Board: fx.board, NoSymmetryBreaking: true})
 		if err != nil {
 			t.Fatalf("%s (nosym): %v", fx.name, err)
 		}
@@ -211,7 +212,7 @@ func TestGreedyClampNeverSkipsTheOptimum(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		wantN, wantLat := bruteForce(g, b, paths, 6)
-		got, err := Solve(Input{Graph: g, Board: b, MaxPartitions: 6})
+		got, err := Solve(context.Background(), Input{Graph: g, Board: b, MaxPartitions: 6})
 		if wantN == 0 {
 			if err == nil {
 				t.Errorf("seed %d: solver found N=%d where brute force proves infeasibility", seed, got.N)

@@ -1,6 +1,7 @@
 package tempart
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -35,7 +36,7 @@ func TestMinPartitions(t *testing.T) {
 func TestSingleTask(t *testing.T) {
 	g := dfg.New("g")
 	g.MustAddTask(dfg.Task{Name: "a", Resources: 10, Delay: 100})
-	p, err := Solve(Input{Graph: g, Board: board(100, 1024, 1000)})
+	p, err := Solve(context.Background(), Input{Graph: g, Board: board(100, 1024, 1000)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestSingleTask(t *testing.T) {
 func TestTaskTooLarge(t *testing.T) {
 	g := dfg.New("g")
 	g.MustAddTask(dfg.Task{Name: "a", Resources: 200, Delay: 10})
-	_, err := Solve(Input{Graph: g, Board: board(100, 1024, 0)})
+	_, err := Solve(context.Background(), Input{Graph: g, Board: board(100, 1024, 0)})
 	if !errors.Is(err, ErrTaskTooLarge) {
 		t.Errorf("err = %v, want ErrTaskTooLarge", err)
 	}
@@ -64,7 +65,7 @@ func TestTwoPartitionsForcedByResources(t *testing.T) {
 	g.MustAddTask(dfg.Task{Name: "a", Resources: 80, Delay: 100})
 	g.MustAddTask(dfg.Task{Name: "b", Resources: 80, Delay: 200})
 	g.MustAddEdge("a", "b", 4)
-	p, err := Solve(Input{Graph: g, Board: board(100, 1024, 500)})
+	p, err := Solve(context.Background(), Input{Graph: g, Board: board(100, 1024, 500)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestMemoryConstraintForcesPlacement(t *testing.T) {
 	g.MustAddTask(dfg.Task{Name: "c", Resources: 60, Delay: 10})
 	g.MustAddEdge("a", "b", 10)
 	g.MustAddEdge("a", "c", 1)
-	p, err := Solve(Input{Graph: g, Board: board(100, 5, 100)})
+	p, err := Solve(context.Background(), Input{Graph: g, Board: board(100, 5, 100)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestChainOptimalLatency(t *testing.T) {
 		g.MustAddEdge(names[i], names[i+1], 1)
 	}
 	b := board(100, 1024, 1000)
-	p, err := Solve(Input{Graph: g, Board: b})
+	p, err := Solve(context.Background(), Input{Graph: g, Board: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestILPNotWorseThanGreedy(t *testing.T) {
 	g := parallelPairsGraph()
 	b := board(100, 1024, 500)
 	for _, noSym := range []bool{true, false} {
-		p, err := Solve(Input{Graph: g, Board: b, NoSymmetryBreaking: noSym})
+		p, err := Solve(context.Background(), Input{Graph: g, Board: b, NoSymmetryBreaking: noSym})
 		if err != nil {
 			t.Fatalf("noSym=%v: %v", noSym, err)
 		}
@@ -208,7 +209,7 @@ func TestBruteForceOptimality(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng)
 		b := board(100, 50, 1000)
-		p, err := Solve(Input{Graph: g, Board: b, MaxPartitions: 4})
+		p, err := Solve(context.Background(), Input{Graph: g, Board: b, MaxPartitions: 4})
 		paths, perr := g.Paths(0)
 		if perr != nil {
 			return false
@@ -311,7 +312,7 @@ func TestCheckFeasibleRejectsBadAssignments(t *testing.T) {
 }
 
 func TestEmptyGraph(t *testing.T) {
-	p, err := Solve(Input{Graph: dfg.New("empty"), Board: board(100, 100, 0)})
+	p, err := Solve(context.Background(), Input{Graph: dfg.New("empty"), Board: board(100, 100, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 package tempart
 
 import (
+	"context"
 	"testing"
 	"time"
 
-	"repro/internal/ilp"
 	"repro/internal/obs"
 )
 
@@ -36,19 +36,19 @@ func TestTraceTimelineCoversSolve(t *testing.T) {
 		Graph: e.graph, Board: e.board,
 		NoSymmetryBreaking: e.NoSymmetry,
 		DisableWarmStart:   e.NoWarm,
-		ILP:                ilp.Options{MaxNodes: e.MaxNodes},
+		MaxNodes:           e.MaxNodes,
 	}
 
 	// One untraced warm-up solve so page faults and lazy init don't land
 	// inside the measured window but outside any span.
-	if _, err := Solve(in); err != nil {
+	if _, err := Solve(context.Background(), in); err != nil {
 		t.Fatal(err)
 	}
 
 	rec := obs.NewRecorder(1 << 12)
 	in.Trace = rec
 	start := time.Now()
-	part, err := Solve(in)
+	part, err := Solve(context.Background(), in)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -99,14 +99,14 @@ func TestTraceSpeculativeParallel(t *testing.T) {
 	in := Input{
 		Graph: e.graph, Board: e.board,
 		SpeculateN: 2, Trace: rec,
-		ILP: ilp.Options{Workers: 4, MaxNodes: e.MaxNodes},
+		Workers: 4, MaxNodes: e.MaxNodes,
 	}
-	untraced, err := Solve(Input{Graph: e.graph, Board: e.board,
-		ILP: ilp.Options{MaxNodes: e.MaxNodes}})
+	untraced, err := Solve(context.Background(), Input{Graph: e.graph, Board: e.board,
+		MaxNodes: e.MaxNodes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := Solve(in)
+	part, err := Solve(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
