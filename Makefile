@@ -34,10 +34,12 @@ bench:
 	@echo wrote BENCH_$(DATE).json
 
 # bench-smoke is the quick CI variant: the headline DCT solve, which closes
-# at the root, and the chain9 portfolio solve, which pivots through about a
-# hundred nodes and reports the warm-start counters.
+# at the root, the chain9 portfolio solve under the row model, which pivots
+# through about a hundred nodes and reports the warm-start counters, and
+# chain9 under the default formulation, where the pattern master races the
+# row search (ns/op and allocs/op only).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkILP_(DCTPartitioning|Chain9)$$' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkILP_(DCTPartitioning|Chain9|Chain9Default)$$' -benchtime 1x -benchmem .
 
 # bench-lp runs the simplex-kernel micro-benches: a dense and a hyper-sparse
 # FTRAN against the live LU factor (both must be 0 allocs/op; the sparse one

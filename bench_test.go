@@ -491,37 +491,12 @@ func BenchmarkILP_FIRBank(b *testing.B) {
 // use (tempart.LoadPortfolioManifest), so the benchmark runs under exactly
 // the manifest knobs the tests pin and the two can never drift apart.
 func benchPackPortfolio(b *testing.B, file string) {
-	dir := filepath.Join("internal", "tempart", "testdata", "portfolio")
-	manifest, err := tempart.LoadPortfolioManifest(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var entry *tempart.PortfolioInstance
-	for i := range manifest.Instances {
-		if manifest.Instances[i].File == file {
-			entry = &manifest.Instances[i]
-			break
-		}
-	}
-	if entry == nil {
-		b.Fatalf("portfolio manifest has no entry %q", file)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, file))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var g dfg.Graph
-	if err := json.Unmarshal(data, &g); err != nil {
-		b.Fatal(err)
-	}
-	board := arch.SmallTestBoard()
-	board.FPGA.CLBs = entry.CLBs
-	board.Memory.Words = entry.MemWords
-	board.FPGA.ReconfigTime = float64(entry.ReconfigNS)
+	entry, g, board := portfolioInstance(b, file)
 	var p *tempart.Partitioning
+	var err error
 	for i := 0; i < b.N; i++ {
 		p, err = tempart.Solve(context.Background(), tempart.Input{
-			Graph:              &g,
+			Graph:              g,
 			Board:              board,
 			MaxPartitions:      entry.MaxParts,
 			Formulation:        entry.Formulation,
@@ -558,6 +533,39 @@ func benchPackPortfolio(b *testing.B, file string) {
 	b.ReportMetric(p.Stats.SolveTime.Seconds()*1e3, "solve-ms")
 }
 
+// portfolioInstance loads one portfolio fixture and its manifest row, with
+// the board the row describes.
+func portfolioInstance(b *testing.B, file string) (*tempart.PortfolioInstance, *dfg.Graph, arch.Board) {
+	dir := filepath.Join("internal", "tempart", "testdata", "portfolio")
+	manifest, err := tempart.LoadPortfolioManifest(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var entry *tempart.PortfolioInstance
+	for i := range manifest.Instances {
+		if manifest.Instances[i].File == file {
+			entry = &manifest.Instances[i]
+			break
+		}
+	}
+	if entry == nil {
+		b.Fatalf("portfolio manifest has no entry %q", file)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, file))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var g dfg.Graph
+	if err := json.Unmarshal(data, &g); err != nil {
+		b.Fatal(err)
+	}
+	board := arch.SmallTestBoard()
+	board.FPGA.CLBs = entry.CLBs
+	board.Memory.Words = entry.MemWords
+	board.FPGA.ReconfigTime = float64(entry.ReconfigNS)
+	return entry, &g, board
+}
+
 // BenchmarkILP_Pack12/15/18 are the near-capacity packing proofs of the
 // hard-instance portfolio — the regime the infeasibility-proof engine (CG
 // cardinality cuts, conflict learning, bin-packing dual bound) exists for.
@@ -585,6 +593,31 @@ func BenchmarkILP_Pack2638(b *testing.B) { benchPackPortfolio(b, "pack2638.json"
 // warm-solves, cold-solves and dual-pivots measure the warm start. It is
 // also CI's perf smoke (make bench-smoke).
 func BenchmarkILP_Chain9(b *testing.B) { benchPackPortfolio(b, "chain9.json") }
+
+// BenchmarkILP_Chain9Default solves the same instance under the default
+// formulation, which races the pattern master against the row search from
+// the rows root (see tempart.Input.Formulation). Which attempt supplies
+// the proof depends on scheduling, and so do the search counters, so it
+// reports only ns/op and allocs/op; against BenchmarkILP_Chain9 it is the
+// race's end-to-end gain on the chain family.
+func BenchmarkILP_Chain9Default(b *testing.B) {
+	entry, g, board := portfolioInstance(b, "chain9.json")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p, err := tempart.Solve(context.Background(), tempart.Input{
+			Graph:              g,
+			Board:              board,
+			NoSymmetryBreaking: entry.NoSymmetry,
+			DisableWarmStart:   entry.NoWarm,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if p.N != entry.WantN || !p.Optimal {
+			b.Fatalf("N=%d optimal=%v, want %d/true", p.N, p.Optimal, entry.WantN)
+		}
+	}
+}
 
 // BenchmarkDCT8x8Greedy partitions the 128-task 8x8 DCT generalization
 // with the greedy baseline (the scale regime beyond the paper's ILP).

@@ -43,7 +43,7 @@ func main() {
 		traceArg   = flag.Int("trace", 0, "print the first N simulation trace events")
 		workersArg = flag.Int("workers", 1, "parallel B&B search workers (ilp partitioner)")
 		specArg    = flag.Int("speculate", 1, "concurrent partition-count probes in the relax-N loop")
-		formArg    = flag.String("formulation", "rows", "ILP model: rows (assignment variables) or patterns (branch-and-price)")
+		formArg    = flag.String("formulation", "", "ILP model: rows (assignment variables), patterns (branch-and-price), or empty to race the two per partition count")
 		maxPartArg = flag.Int("max-partitions", 0, "cap on the partition count search (0 = the solver's default window)")
 		outArg     = flag.String("o", "text", "output format: text, or json (the machine-readable service payload; skips simulation)")
 	)
@@ -71,9 +71,10 @@ type cliOptions struct {
 	// Output selects "text" (the human report + simulation) or "json"
 	// (the exact internal/service Result payload, solve only).
 	Output string
-	// Formulation selects the ilp partitioner's model: "" or "rows" for
-	// the assignment-variable row model, "patterns" for branch-and-price
-	// over partition-pattern columns.
+	// Formulation selects the ilp partitioner's model: "rows" pins the
+	// assignment-variable row model, "patterns" branch-and-price over
+	// partition-pattern columns, and "" (the service's default too) races
+	// the two per relax-N probe.
 	Formulation string
 	// MaxPartitions caps the relax-N search (0 = the solver's default
 	// window above the combinatorial lower bound).
@@ -100,12 +101,10 @@ func run(o cliOptions) error {
 	cfg.Workers = o.Workers
 	cfg.SpeculateN = o.SpeculateN
 	switch o.Formulation {
-	case "", "rows":
-		cfg.Formulation = tempart.FormulationRows
-	case "patterns":
-		cfg.Formulation = tempart.FormulationPatterns
+	case "", tempart.FormulationRows, tempart.FormulationPatterns:
+		cfg.Formulation = o.Formulation
 	default:
-		return fmt.Errorf("unknown formulation %q (want rows or patterns)", o.Formulation)
+		return fmt.Errorf("unknown formulation %q (want rows, patterns, or empty)", o.Formulation)
 	}
 	if o.MaxPartitions < 0 {
 		return fmt.Errorf("negative -max-partitions %d", o.MaxPartitions)

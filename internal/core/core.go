@@ -65,9 +65,9 @@ type Config struct {
 	// SpeculateN is tempart's relax-N window: up to this many candidate
 	// partition counts are probed concurrently (<= 1 probes one at a time).
 	SpeculateN int
-	// Formulation selects the ILP model ("" or tempart.FormulationRows for
-	// the row model, tempart.FormulationPatterns for branch-and-price over
-	// partition-pattern columns).
+	// Formulation selects the ILP model: tempart.FormulationRows pins the
+	// row model, tempart.FormulationPatterns branch-and-price over
+	// partition-pattern columns, and "" races the two per relax-N probe.
 	Formulation string
 	// MaxPartitions caps the relax-N loop (0 keeps tempart's default
 	// lower-bound+8 window; instances whose area floor sits far below the

@@ -179,6 +179,14 @@ type Options struct {
 	// frontier size). A nil Trace costs one nil check per node — the
 	// allocation-free hot path is unchanged.
 	Trace *obs.Recorder
+	// RootOpen, when non-nil, is called once, on the goroutine running
+	// Solve, when the root's first LP relaxation leaves the root open:
+	// neither infeasible, nor bound-fathomed against the incumbent, nor
+	// integral (an LP stopped at its iteration limit counts as open). The
+	// search is about to cut and branch, or to give up on the root.
+	// tempart starts its pattern-master rival here; it is a solver hook,
+	// not a search setting.
+	RootOpen func()
 
 	// testCapturePool, when non-nil, receives the final global cut pool
 	// contents after the search (validity property tests only; unexported
@@ -643,6 +651,10 @@ func (w *searcher) processNode(nd *node, incObj float64) (*nodeResult, error) {
 	res, err := solveLP(nd.basis.get())
 	if err != nil {
 		return nil, err
+	}
+	if nd.depth == 0 && w.opt.RootOpen != nil && (res.Status == lp.IterLimit ||
+		res.Status == lp.Optimal && res.Obj <= incObj-absGap && !integralPoint(res.X, w.p.Integers)) {
+		w.opt.RootOpen()
 	}
 	if res.Status != lp.Optimal {
 		if res.Status == lp.Infeasible {

@@ -242,3 +242,42 @@ func BenchmarkKnapsack15(b *testing.B) {
 		}
 	}
 }
+
+// TestRootOpenHook pins when Options.RootOpen fires: exactly once for a
+// root whose first LP is fractional, and never for a root the first LP
+// closes (integral, fathomed by the incumbent, or infeasible).
+func TestRootOpenHook(t *testing.T) {
+	integral := &Problem{LP: lp.NewProblem(0)}
+	for i := 0; i < 2; i++ {
+		integral.LP.SetObj(Binary(integral), -1) // unconstrained: the LP optimum is integral
+	}
+	// min x0 s.t. x0 + x1 >= 0.5: the root bound 0 meets the incumbent's.
+	flat := &Problem{LP: lp.NewProblem(0)}
+	x0, x1 := Binary(flat), Binary(flat)
+	flat.LP.SetObj(x0, 1)
+	flat.LP.AddRow(lp.GE, map[int]float64{x0: 1, x1: 1}, 0.5)
+	infeasible := &Problem{LP: lp.NewProblem(1)}
+	infeasible.LP.SetBounds(0, 0, 1)
+	infeasible.Integers = []int{0}
+	infeasible.LP.AddRow(lp.GE, map[int]float64{0: 1}, 2)
+	for _, tc := range []struct {
+		name string
+		p    *Problem
+		inc  []float64
+		want int
+	}{
+		{"fractional", knapsack([]float64{10, 13, 7, 11}, []float64{5, 6, 3, 5}, 10), nil, 1},
+		{"integral", integral, nil, 0},
+		{"fathomed", flat, []float64{0, 1}, 0},
+		{"infeasible", infeasible, nil, 0},
+	} {
+		fired := 0
+		s, err := Solve(tc.p, Options{Incumbent: tc.inc, RootOpen: func() { fired++ }})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if fired != tc.want {
+			t.Errorf("%s: RootOpen fired %d times (status %v, %d nodes), want %d", tc.name, fired, s.Status, s.Nodes, tc.want)
+		}
+	}
+}

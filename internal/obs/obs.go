@@ -48,6 +48,11 @@ const (
 	CounterCuts       = "cuts_added"
 	CounterSepRounds  = "separation_rounds"
 	CounterConflicts  = "conflict_cuts"
+	// CounterRaceRivals counts relax-N probes that started a pattern-master
+	// rival beside the row search, and CounterRaceRivalWins the probes
+	// whose verdict the rival supplied.
+	CounterRaceRivals    = "race_rivals"
+	CounterRaceRivalWins = "race_rival_wins"
 )
 
 // Kind discriminates trace events.

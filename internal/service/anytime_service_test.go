@@ -46,7 +46,7 @@ func TestE2EDeadlinePartial(t *testing.T) {
 	board := mustBoard(t, "small")
 
 	req := SolveRequest{
-		Graph: graphJSON, Board: "small",
+		Graph: graphJSON, Board: "small", Formulation: tempart.FormulationRows,
 		NoSymmetryBreaking: true, DeadlineMS: 200,
 	}
 	start := time.Now()
@@ -159,7 +159,8 @@ func TestDeadlineCompleteResultCached(t *testing.T) {
 func TestDefaultDeadlineConfig(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, DefaultDeadlineMS: 200})
 	code, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{
-		Graph: hardGraphJSON(t), Board: "small", NoSymmetryBreaking: true,
+		Graph: hardGraphJSON(t), Board: "small", Formulation: tempart.FormulationRows,
+		NoSymmetryBreaking: true,
 	})
 	if code != http.StatusOK {
 		t.Fatalf("code %d\n%s", code, body)

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/tempart"
 )
 
 // TestChaosWorkerPanicIsolation is the acceptance scenario: one armed
@@ -168,7 +169,7 @@ func TestChaosLUFaultsStillCorrect(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
 	_, ts := newTestServer(t, Config{Workers: 2})
-	req := SolveRequest{Graph: hardGraphJSON(t), Board: "small",
+	req := SolveRequest{Graph: hardGraphJSON(t), Board: "small", Formulation: tempart.FormulationRows,
 		NoSymmetryBreaking: true, DeadlineMS: 400}
 
 	// Clean anytime baseline first (deadline keeps the hard instance

@@ -36,6 +36,9 @@ type SearchCounters struct {
 	// invocations (zero under the row formulation).
 	ColumnsGenerated int `json:"columns_generated,omitempty"`
 	PricingRounds    int `json:"pricing_rounds,omitempty"`
+	// Formulation race: relax-N probes that started a pattern-master
+	// rival beside the row search (default-formulation solves only).
+	RaceRivals int `json:"race_rivals,omitempty"`
 }
 
 // searchCountersOf maps a solve's statistics to its wire counters.
@@ -57,6 +60,7 @@ func searchCountersOf(st tempart.SolveStats) SearchCounters {
 		LPDenseFallbacks:    st.Solver.DenseFallbacks,
 		ColumnsGenerated:    st.ColumnsGenerated,
 		PricingRounds:       st.PricingRounds,
+		RaceRivals:          st.RaceRivals,
 	}
 }
 
@@ -111,4 +115,8 @@ var searchFamilies = []searchFamily{
 		func(c *SearchCounters) int { return c.ColumnsGenerated }},
 	{"pricing_rounds", "Branch-and-price pricing-problem invocations.",
 		func(c *SearchCounters) int { return c.PricingRounds }},
+	// Rivals per fresh solve is the share of default requests whose rows
+	// root left a probe open; root-closing workloads stay at zero.
+	{"race_rivals", "Relax-N probes that started a pattern-master rival.",
+		func(c *SearchCounters) int { return c.RaceRivals }},
 }

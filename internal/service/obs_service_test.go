@@ -26,11 +26,15 @@ import (
 func TestTraceSolveEndpoint(t *testing.T) {
 	svc, ts := newTestServer(t, Config{Workers: 2})
 	// diamondGraph actually branches (chain/pairs/wide are closed at the
-	// root by the warm start), so the trace carries search counters.
+	// root by the warm start), so the trace carries search counters. The
+	// row model is pinned: under the default its open root starts a
+	// pattern-master rival whose probe span overlaps the rows probe, and
+	// the wall-clock partition check below holds for one model's probes.
 	g := marshalGraph(t, diamondGraph())
+	rows := tempart.FormulationRows
 
 	// Warm the cache with an untraced solve.
-	code, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Graph: g, Board: "small"})
+	code, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Graph: g, Board: "small", Formulation: rows})
 	if code != http.StatusOK {
 		t.Fatalf("warm solve: HTTP %d: %s", code, body)
 	}
@@ -43,7 +47,7 @@ func TestTraceSolveEndpoint(t *testing.T) {
 	// Traced solve: must be a fresh miss even though the cache holds the
 	// answer, and must not disturb the cache.
 	before := svc.CacheStats()
-	code, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{Graph: g, Board: "small", Trace: true})
+	code, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{Graph: g, Board: "small", Formulation: rows, Trace: true})
 	if code != http.StatusOK {
 		t.Fatalf("traced solve: HTTP %d: %s", code, body)
 	}
@@ -90,7 +94,7 @@ func TestTraceSolveEndpoint(t *testing.T) {
 
 	// The cache entry is still live: an untraced re-solve is a hit and
 	// carries no trace.
-	code, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{Graph: g, Board: "small"})
+	code, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{Graph: g, Board: "small", Formulation: rows})
 	if code != http.StatusOK {
 		t.Fatalf("hit solve: HTTP %d: %s", code, body)
 	}
@@ -378,6 +382,7 @@ func TestPrometheusExpositionParses(t *testing.T) {
 		`sparcsd_lp_dense_fallbacks_total{engine="ilp"}`,
 		`sparcsd_columns_generated_total{engine="ilp"}`,
 		`sparcsd_pricing_rounds_total{engine="ilp"}`,
+		`sparcsd_race_rivals_total{engine="ilp"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)

@@ -41,12 +41,15 @@ type SolveRequest struct {
 	// cache key.
 	Trace bool `json:"trace,omitempty"`
 
-	// Formulation selects the ILP backend's model: "" or "rows" (the
-	// assignment-variable row model) or "patterns" (branch-and-price over
-	// partition-pattern columns — falls back to rows when the instance
-	// carries inter-partition data the pattern master cannot price). The
-	// optimum is the same either way, but the search shape and stats
-	// differ, so it is part of the solve-cache key.
+	// Formulation selects the ILP backend's model. "rows" pins the
+	// assignment-variable row model and "patterns" branch-and-price over
+	// partition-pattern columns (which falls back to rows when the
+	// instance carries inter-partition data the pattern master cannot
+	// price). The default "" races them: every relax-N probe runs rows,
+	// and starts the pattern master as a rival when the rows root LP
+	// leaves the probe open; the first proof wins. The optimum is the
+	// same every way, but the search shape and stats differ, so it is
+	// part of the solve-cache key.
 	Formulation string `json:"formulation,omitempty"`
 }
 
@@ -135,8 +138,10 @@ type Result struct {
 	// SearchCounters is the solve's search effort (zero for cache hits
 	// and shared results).
 	SearchCounters
-	// Formulation names the ILP model the solve actually ran ("rows" or
-	// "patterns" — the latter may fall back to rows when inapplicable).
+	// Formulation names the ILP model that supplied the answer ("rows" or
+	// "patterns"): the race's winner under the default, the pinned model
+	// otherwise (patterns may fall back to rows when inapplicable). The
+	// search counters are the winning attempt's.
 	Formulation string  `json:"formulation,omitempty"`
 	SolveMS     float64 `json:"solve_ms"`
 

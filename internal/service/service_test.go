@@ -18,6 +18,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/dfg"
+	"repro/internal/tempart"
 )
 
 // --- graph fixtures -------------------------------------------------------
@@ -78,7 +79,9 @@ func wideGraph() *dfg.Graph {
 // at N=9 are exponential enumerations. (The earlier 34/35/36 variant died
 // to PR 5's CG cardinality engine — uniform near-capacity sizes make the
 // cardinality bound exact; the equal-sized variant before it died to the
-// PR 3 layer-cake bound.)
+// PR 3 layer-cake bound.) That is the row model's search: the pattern
+// master proves the instance in milliseconds, so a request that needs the
+// long search pins formulation "rows".
 func hardGraphJSON(t *testing.T) json.RawMessage {
 	g := dfg.New("hard")
 	for i := 0; i < 24; i++ {
@@ -289,7 +292,8 @@ func TestE2EBatchCacheAndCancel(t *testing.T) {
 		ID string `json:"id"`
 	}
 	code, body = postJSON(t, ts.URL+"/v1/jobs", SolveRequest{
-		Graph: hardGraphJSON(t), Board: "small", NoSymmetryBreaking: true, NoCache: true,
+		Graph: hardGraphJSON(t), Board: "small", Formulation: tempart.FormulationRows,
+		NoSymmetryBreaking: true, NoCache: true,
 	})
 	if code != http.StatusAccepted {
 		t.Fatalf("job submit: HTTP %d: %s", code, body)
@@ -461,7 +465,7 @@ func TestJobsCancelledCountedOnce(t *testing.T) {
 
 	// The one worker runs the hard job, so the next job stays queued.
 	running := submit(SolveRequest{Graph: hardGraphJSON(t), Board: "small",
-		NoSymmetryBreaking: true, NoCache: true})
+		Formulation: tempart.FormulationRows, NoSymmetryBreaking: true, NoCache: true})
 	waitState(t, ts.URL, running, JobRunning, 10*time.Second)
 	queued := submit(easy)
 	cancel(queued)
@@ -483,7 +487,8 @@ func TestQueueFullReturns503(t *testing.T) {
 	hard := hardGraphJSON(t)
 	submit := func() (int, string) {
 		code, body := postJSON(t, ts.URL+"/v1/jobs", SolveRequest{
-			Graph: hard, Board: "small", NoSymmetryBreaking: true, NoCache: true,
+			Graph: hard, Board: "small", Formulation: tempart.FormulationRows,
+			NoSymmetryBreaking: true, NoCache: true,
 		})
 		var sub struct {
 			ID string `json:"id"`
@@ -544,7 +549,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"cuts_added", "separation_rounds", "conflict_cuts", "cg_cuts",
 		"dual_bound_fathoms", "lp_refactorizations", "lp_bound_flips",
 		"lp_sparse_ftrans", "lp_sparse_btrans", "lp_dense_fallbacks",
-		"columns_generated", "pricing_rounds",
+		"columns_generated", "pricing_rounds", "race_rivals",
 	} {
 		var perEngine map[string]uint64
 		if err := json.Unmarshal(raw.Metrics[key], &perEngine); err != nil {

@@ -67,6 +67,10 @@ type patternPricer struct {
 	// bound patternPackBound exposes to the property tests).
 	unitCost bool
 	budget   int // DFS step budget per pricing call; exhausted => inexact
+	// done is the solve's cancellation channel (nil: never cancelled). The
+	// DFS polls it every pricerPollSteps steps and reports a cancelled
+	// round inexact, so a cancelled solve never prices out a whole budget.
+	done <-chan struct{}
 
 	// scratch, reused across pricing calls (SolveBP prices sequentially)
 	member   []uint64
@@ -79,6 +83,10 @@ type patternPricer struct {
 // pricerBudget bounds one pricing call's DFS steps. Beyond it the round is
 // reported inexact, which SolveBP handles soundly (no bound claims).
 const pricerBudget = 1_000_000
+
+// pricerPollSteps is the DFS stride between cancellation polls (a power of
+// two: the poll is a mask test on the step count).
+const pricerPollSteps = 1024
 
 // maxPricedCols caps the columns returned per pricing round (best reduced
 // cost first); more would bloat the master faster than it helps.
@@ -221,8 +229,9 @@ func (pp *patternPricer) patternFeasible(items []int) bool {
 // can never join (the intermediate was already decided out) — and the
 // search is pruned by the suffix of positive duals (the reduced cost of any
 // extension is bounded below by cost − λ(S) − μ − Σ_{j≥i, λ>0} λ_j, since
-// the chain cost only grows along a branch). Exhausting the step budget
-// reports the round inexact; SolveBP then makes no bound claims from it.
+// the chain cost only grows along a branch). Exhausting the step budget,
+// or a cancelled solve, reports the round inexact; SolveBP then makes no
+// bound claims from it.
 func (pp *patternPricer) price(lambda []float64, mu float64, same, differ [][2]int, forbidden map[string]bool) ([]ilp.BPColumn, bool) {
 	pre := pp.pre
 	nT := len(pre.delays)
@@ -295,7 +304,7 @@ func (pp *patternPricer) price(lambda []float64, mu float64, same, differ [][2]i
 			return
 		}
 		steps++
-		if steps > pp.budget {
+		if steps > pp.budget || steps&(pricerPollSteps-1) == 0 && pp.cancelled() {
 			inexact = true
 			return
 		}
@@ -430,6 +439,16 @@ func (pp *patternPricer) price(lambda []float64, mu float64, same, differ [][2]i
 		cols[k] = ilp.BPColumn{Items: c.items, Cost: c.cost}
 	}
 	return cols, inexact
+}
+
+// cancelled reports whether the solve's context is done.
+func (pp *patternPricer) cancelled() bool {
+	select {
+	case <-pp.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // seedColumns builds the restricted master's initial columns: every
@@ -595,6 +614,7 @@ func solveForNPatterns(ctx context.Context, in Input, pre *presolve, paths [][]i
 	buildStart := time.Now()
 	buildSpan := in.Trace.BeginArg(obs.PhaseModelBuild, int64(N))
 	pp := newPatternPricer(pre, false)
+	pp.done = ctx.Done()
 	sumDelay := 0.0
 	integral := true
 	for t := 0; t < nT; t++ {

@@ -26,7 +26,9 @@ import (
 // conflict clause, or packing bound shortcuts. (The earlier 34/35/36
 // variant died to the CG cardinality engine: uniform near-capacity sizes
 // make the cardinality bound exact.) Symmetry breaking and the warm start
-// are disabled on top to keep the tree maximal.
+// are disabled on top to keep the tree maximal, and the row model is
+// pinned: the pattern master proves the instance in milliseconds, so the
+// default race would close it before any cancel or deadline lands.
 func hardInput(nTasks int) Input {
 	g := dfg.New("hard")
 	for i := 0; i < nTasks; i++ {
@@ -40,7 +42,8 @@ func hardInput(nTasks int) Input {
 		})
 	}
 	b := arch.SmallTestBoard() // 100 CLBs
-	return Input{Graph: g, Board: b, NoSymmetryBreaking: true, DisableWarmStart: true}
+	return Input{Graph: g, Board: b, NoSymmetryBreaking: true, DisableWarmStart: true,
+		Formulation: FormulationRows}
 }
 
 func TestSolveContextPreCancelled(t *testing.T) {
@@ -79,16 +82,18 @@ func TestSolveContextCancelStopsSearch(t *testing.T) {
 // TestSolveContextCompletesUncancelled pins that a live cancellable
 // context (a request's, which also labels the profile) does not perturb
 // results: same optimum and search as the uncancellable batch context.
+//
+// The row model is pinned: node counts are one model's search, and under
+// the default this instance races, so they would depend on the winner.
 func TestSolveContextCompletesUncancelled(t *testing.T) {
-	in := randomDAG(3, 10)
-	b := arch.SmallTestBoard()
-	want, err := Solve(context.Background(), Input{Graph: in, Board: b})
+	in := Input{Graph: randomDAG(3, 10), Board: arch.SmallTestBoard(), Formulation: FormulationRows}
+	want, err := Solve(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	got, err := Solve(ctx, Input{Graph: in, Board: b})
+	got, err := Solve(ctx, in)
 	if err != nil {
 		t.Fatal(err)
 	}

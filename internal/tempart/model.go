@@ -59,15 +59,19 @@ type Input struct {
 
 	// MaxPartitions caps the relax-N loop (default: lower bound + 8).
 	MaxPartitions int
-	// Formulation selects the solver backend each relax-N probe runs:
-	// FormulationRows (the default, also the empty string) is the Eqs. 1-8
-	// y/w/d row model; FormulationPatterns is the branch-and-price
-	// partition-pattern master (bprice.go). Both prove the same optima —
-	// the formulation-equivalence tests pin that — but the pattern master's
-	// set-partitioning bound closes mixed-cardinality packings the row
-	// model crawls through. Instances whose worst-case boundary traffic
-	// exceeds the on-board memory fall back to rows (the pattern master
-	// has no Eq. 3 rows; see patternsApplicable).
+	// Formulation selects the solver backend each relax-N probe runs.
+	// FormulationRows pins the Eqs. 1-8 y/w/d row model and
+	// FormulationPatterns the branch-and-price partition-pattern master
+	// (bprice.go). Both prove the same optima — the formulation-equivalence
+	// tests pin that — but neither dominates: rows closes the DCT, FIR and
+	// packing probes at its root, while the pattern master's
+	// set-partitioning bound closes chain and mixed-cardinality instances
+	// the row model crawls through. The default (the empty string) races
+	// them: each probe runs rows, and starts the pattern master as a rival
+	// when the rows root LP leaves the probe open; the first proof wins
+	// (raceForN). Instances whose worst-case boundary traffic exceeds the
+	// on-board memory run rows alone (the pattern master has no Eq. 3
+	// rows; see patternsApplicable).
 	Formulation string
 	// NoSymmetryBreaking disables the ordering constraints between
 	// provably interchangeable tasks. They are on by default: they never
@@ -113,6 +117,10 @@ type Input struct {
 	// that reaches a search (tests only: it lets a test panic inside a
 	// probe goroutine).
 	testProbe func()
+	// testRival, when non-nil, runs on a race's rival goroutine before the
+	// pattern master starts (tests only: it lets a test cancel a solve
+	// once its rival is live).
+	testRival func()
 }
 
 // SolveStats records model and search sizes for reporting.
@@ -162,9 +170,14 @@ type SolveStats struct {
 	// Solver aggregates the warm/cold solve and pivot counts of the
 	// underlying simplex engine across the whole B&B search.
 	Solver lp.SolverStats
-	// Formulation names the model the winning probe actually solved
-	// ("rows" or "patterns"); empty for non-ILP results. It can differ
-	// from Input.Formulation when the pattern backend declined the
+	// RaceRivals counts the relax-N probes of a default-formulation solve
+	// that started a pattern-master rival beside the row search (see
+	// raceForN); zero when a formulation is pinned.
+	RaceRivals int
+	// Formulation names the model that supplied the winning probe's
+	// verdict ("rows" or "patterns"); empty for non-ILP results. Under the
+	// default it names the race's winner, and under a pin it can still
+	// differ from Input.Formulation when the pattern backend declined the
 	// instance (inter-partition data) and fell back to rows.
 	Formulation string
 }
@@ -378,6 +391,7 @@ type proofTally struct {
 	dualFathoms  atomic.Int64
 	conflictCuts atomic.Int64
 	cgCuts       atomic.Int64
+	rivals       atomic.Int64 // probes that started a pattern-master rival
 }
 
 // absorb folds a consumed probe's sub-tally into the aggregate (the
@@ -390,6 +404,7 @@ func (tally *proofTally) absorb(sub *proofTally) {
 	tally.dualFathoms.Add(sub.dualFathoms.Load())
 	tally.conflictCuts.Add(sub.conflictCuts.Load())
 	tally.cgCuts.Add(sub.cgCuts.Load())
+	tally.rivals.Add(sub.rivals.Load())
 }
 
 // stampProofStats folds the tally into a winning partitioning's stats. It
@@ -401,6 +416,7 @@ func (tally *proofTally) stampProofStats(part *Partitioning) {
 	part.Stats.ConflictCuts = int(tally.conflictCuts.Load())
 	part.Stats.CGCuts += int(tally.cgCuts.Load())
 	part.Stats.DualBoundFathoms = int(tally.dualFathoms.Load())
+	part.Stats.RaceRivals = int(tally.rivals.Load())
 }
 
 // relaxN is the relax-N loop: a sliding window of max(SpeculateN, 1)
@@ -815,18 +831,32 @@ func buildModel(in Input, pre *presolve, paths [][]int, N int, withPresolveCut b
 // ListPartition and the service's cache re-verification use the same cap.
 const MaxPaths = 20000
 
-// Formulation values for Input.Formulation (empty selects rows).
+// Formulation values for Input.Formulation (empty races the two).
 const (
 	FormulationRows     = "rows"
 	FormulationPatterns = "patterns"
 )
 
-// solveForN builds and solves the model for a fixed partition bound.
+// solveForN solves one relax-N probe under the requested formulation: a
+// pinned model runs alone, and the default races the two (raceForN).
 // It returns (nil, nil) when the model is infeasible at this N.
 func solveForN(ctx context.Context, in Input, pre *presolve, paths [][]int, N int, tally *proofTally) (*Partitioning, error) {
-	if in.Formulation == FormulationPatterns && patternsApplicable(in.Graph, in.Board) {
-		return solveForNPatterns(ctx, in, pre, paths, N, tally)
+	if in.Formulation != FormulationRows && patternsApplicable(in.Graph, in.Board) {
+		switch in.Formulation {
+		case FormulationPatterns:
+			return solveForNPatterns(ctx, in, pre, paths, N, tally)
+		case "":
+			return raceForN(ctx, in, pre, paths, N, tally)
+		}
 	}
+	return solveForNRows(ctx, in, pre, paths, N, tally, ilp.Options{Context: ctx})
+}
+
+// solveForNRows builds and solves the Eqs. 1-8 row model for a fixed
+// partition bound, with solveForN's return contract. base carries the
+// search's stop context and hooks (a race stops its row search through
+// its own child of ctx); ctx labels the profile.
+func solveForNRows(ctx context.Context, in Input, pre *presolve, paths [][]int, N int, tally *proofTally, base ilp.Options) (*Partitioning, error) {
 	g := in.Graph
 	nT := g.NumTasks()
 	buildStart := time.Now()
@@ -835,7 +865,8 @@ func solveForN(ctx context.Context, in Input, pre *presolve, paths [][]int, N in
 	obs.Do(ctx, "phase", obs.PhaseModelBuild, func(context.Context) {
 		m = buildModel(in, pre, paths, N, true)
 	})
-	opts := ilp.Options{MaxNodes: in.MaxNodes, Workers: in.Workers, Context: ctx, Trace: in.Trace}
+	opts := base
+	opts.MaxNodes, opts.Workers, opts.Trace = in.MaxNodes, in.Workers, in.Trace
 	if !in.DisableWarmStart {
 		if inc := warmStart(pre, paths, N, m.nVars, m.needMem, m.yv, m.wv, m.dv); inc != nil {
 			opts.Incumbent = inc

@@ -149,11 +149,13 @@ type PortfolioInstance struct {
 	// MaxParts caps the relax-N loop (tempart.Input.MaxPartitions); 0 keeps
 	// the default lower-bound+8 window. Instances whose area floor sits far
 	// below the packing need (chainblocks) must widen it.
-	MaxParts   int    `json:"max_partitions,omitempty"`
-	NoSymmetry bool   `json:"no_symmetry"`
-	NoWarm     bool   `json:"no_warm_start"`
+	MaxParts   int  `json:"max_partitions,omitempty"`
+	NoSymmetry bool `json:"no_symmetry"`
+	NoWarm     bool `json:"no_warm_start"`
 	// Formulation selects the solver backend (tempart.Input.Formulation):
-	// "" or "rows" is the row model, "patterns" is branch-and-price.
+	// "rows" pins the row model, "patterns" branch-and-price, and "" races
+	// the two. Every committed row pins one, so node counts and the
+	// benchmarks built on them measure one model's search.
 	Formulation string `json:"formulation,omitempty"`
 	// Expect pins the outcome: "solve" (proven optimum at WantN), "limit"
 	// (the search budget binds with no feasible partitioning — a

@@ -112,11 +112,12 @@ func runEntry(e *portfolioEntry) (*Partitioning, error) {
 }
 
 // entryName is the subtest name of a manifest row: the fixture file stem,
-// suffixed with the formulation when one is forced, so one fixture can
-// appear under several backends without colliding.
+// suffixed with the formulation when it is not the row model every other
+// row pins, so one fixture can appear under several backends without
+// colliding.
 func entryName(e *portfolioEntry) string {
 	name := strings.TrimSuffix(e.File, ".json")
-	if e.Formulation != "" {
+	if e.Formulation != "" && e.Formulation != FormulationRows {
 		name += "-" + e.Formulation
 	}
 	return name
