@@ -11,10 +11,13 @@ build:
 	$(GO) build ./...
 
 # vet also checks the faultinject-tagged build, whose files (the armed
-# fault points and the chaos suites) an untagged vet never sees.
+# fault points and the chaos suites) an untagged vet never sees, and fails
+# when gofmt would rewrite any file.
 vet:
 	$(GO) vet ./...
 	$(GO) vet -tags faultinject ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -24,13 +27,20 @@ test:
 # trajectory accumulates in-tree. BENCHTIME is pinned to a fixed Nx count
 # (never a duration): the deterministic search metrics (B&B-nodes,
 # nodes-pruned-combinatorial, lp-solves-skipped, pivots/op) need identical
-# iteration counts run over run to be comparable at all, and the 3x floor
-# averages the wall-clock numbers over three solves so a single scheduling
-# hiccup cannot swing ns/op past the bench-gate's 20% tolerance the way the
-# old single-iteration runs could.
+# iteration counts run over run to be comparable at all. BENCHCOUNT
+# repeats every benchmark so benchgate can reduce each metric to a median
+# and a min–max spread: one 3x sample cannot tell a scheduling hiccup from
+# a regression. The repetitions are whole passes of the suite, each its
+# own process, rather than one -count run: consecutive repetitions in one
+# process share its state and miss most of the variance between runs
+# (BenchmarkCoSimBatch2048 spread 7% over five in one process, while six
+# processes ranged 3.8–8.8 ms).
 BENCHTIME ?= 3x
+BENCHCOUNT ?= 5
+BENCHRUN = for i in $$(seq $(BENCHCOUNT)); do \
+	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -count 1 -benchmem -json . || exit 1; done
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -count 1 -benchmem -json . > BENCH_$(DATE).json
+	$(BENCHRUN) > BENCH_$(DATE).json
 	@echo wrote BENCH_$(DATE).json
 
 # bench-smoke is the quick CI variant: the headline DCT solve, which closes
@@ -51,22 +61,25 @@ bench-smoke:
 bench-lp:
 	$(GO) test -run '^$$' -bench 'BenchmarkLP_(FTRAN|SparseFTRAN|Refactor|Warm)' -count 1 -benchmem ./internal/lp/
 
-# bench-gate runs the suite fresh and fails when a gated metric (allocs/op,
-# B&B-nodes, pivots/op, refactorizations/op, bound-flips/op, nodes/sec)
-# regresses >20% against the newest committed BENCH_*.json baseline.
+# bench-gate runs the suite fresh and fails when the median of a gated
+# metric (allocs/op, B&B-nodes, pivots/op, refactorizations/op,
+# bound-flips/op, nodes/sec, and ns/op where both spreads are tighter than
+# the threshold) regresses >20% against the newest committed BENCH_*.json
+# baseline.
 bench-gate:
-	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -count 1 -benchmem -json . > /tmp/bench-current.json
+	$(BENCHRUN) > /tmp/bench-current.json
 	$(GO) run ./cmd/benchgate -old $$(ls BENCH_*.json | sort | tail -1) -new /tmp/bench-current.json
 
-# race runs the concurrency-heavy packages under the race detector:
-# service (scheduler/cache, including the traced solve path and the flight
-# recorder), obs (the shared trace recorder written by concurrent search
-# workers), ilp (parallel search + shared cut pool), and tempart
-# (separators and trace spans invoked from concurrent workers).
-# tempart runs -short under race: the sequential brute-force property
-# tests and portfolio yardsticks add minutes of race overhead but no
-# concurrency coverage; the worker-equivalence and cancellation tests that
-# exercise the separators and the cut pool concurrently still run.
+# race runs the packages with concurrent code under the race detector:
+# service (the scheduler and its worker pool, the cache and singleflight,
+# the traced solve path and the flight recorder), obs (the trace recorder
+# shared by a solve's goroutines), ilp (the search a race's two goroutines
+# each run, and its context stops), and tempart (the formulation race: the
+# pattern-master rival beside the row search, its cancel and join, and the
+# spans both record). tempart runs -short under race: the sequential
+# brute-force property tests and portfolio yardsticks add minutes of race
+# overhead but no concurrency coverage; the race and cancellation tests
+# still run.
 race:
 	$(GO) test -race -count=1 ./internal/service/... ./internal/obs/... ./internal/ilp/...
 	$(GO) test -race -count=1 -short ./internal/tempart/...
@@ -74,8 +87,9 @@ race:
 # chaos builds with the faultinject registry compiled in and runs the whole
 # internal tree — the tagged chaos suites (service + lp) arm the fault
 # points, and every untagged test re-runs against the chaos build to prove
-# the hooks change nothing until armed. Race detector on: the registry and
-# the recovery paths are exactly where concurrency bugs would hide.
+# the hooks change nothing until armed. Race detector on: the registry is
+# shared by the service's workers and a race's rival, and the recovery
+# paths are exactly where concurrency bugs would hide.
 # tempart runs -short for the same reason as the race lane.
 chaos:
 	$(GO) test -tags faultinject -race -count=1 $$($(GO) list ./internal/... | grep -v /tempart)

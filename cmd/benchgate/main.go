@@ -3,7 +3,10 @@
 // gated metric regresses by more than the threshold.
 //
 // Both inputs are `go test -json` streams as written by `make bench`
-// (BENCH_<date>.json). Gated metrics, per benchmark present in both files:
+// (BENCH_<date>.json), usually holding several repetitions of each
+// benchmark (-count). Each metric is reduced to the median of its
+// repetitions and their min–max spread, and the gate compares medians.
+// Gated metrics, per benchmark present in both files:
 //
 //   - allocs/op:            higher is a regression (deterministic)
 //   - B&B-nodes:            higher is a regression (deterministic search size)
@@ -15,12 +18,14 @@
 //   - nodes/sec:    lower is a regression (search throughput; wall-clock
 //     derived, so it carries machine noise — the deterministic counters
 //     above are the machine-independent teeth of the gate)
+//   - ns/op:        higher is a regression, gated only where both runs
+//     repeat the benchmark and their spread ((max−min)/median) is tighter
+//     than the threshold: a wider spread means the repetitions cannot
+//     resolve a change that size
 //
 // Metrics are only gated when both runs report a nonzero value (a solve
 // the presolve fully fathoms legitimately reports zero nodes), so a
-// benchmark that stops searching altogether never trips the gate. ns/op is
-// printed for context but not gated: a single -benchtime 1x sample on a
-// shared CI runner is too noisy for a hard wall-clock gate.
+// benchmark that stops searching altogether never trips the gate.
 //
 // Usage:
 //
@@ -32,6 +37,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -45,21 +51,55 @@ type testEvent struct {
 	Output string `json:"Output"`
 }
 
+// stat is one metric over a benchmark's n repetitions.
+type stat struct {
+	median, min, max float64
+	n                int
+}
+
+// spread is the min–max range relative to the median.
+func (s stat) spread() float64 {
+	if s.median == 0 {
+		return 0
+	}
+	return (s.max - s.min) / s.median
+}
+
+// resolves reports whether the repetitions resolve a change of threshold:
+// a single sample has no spread to judge by.
+func (s stat) resolves(threshold float64) bool {
+	return s.n > 1 && s.spread() < threshold
+}
+
+// newStat reduces a metric's samples (at least one) to a stat.
+func newStat(vs []float64) stat {
+	sorted := append([]float64(nil), vs...)
+	sort.Float64s(sorted)
+	n := len(sorted)
+	med := sorted[n/2]
+	if n%2 == 0 {
+		med = (sorted[n/2-1] + sorted[n/2]) / 2
+	}
+	return stat{median: med, min: sorted[0], max: sorted[n-1], n: n}
+}
+
 // benchResult holds one benchmark's parsed metrics, keyed by unit
 // ("ns/op", "allocs/op", "nodes/sec", ...).
-type benchResult map[string]float64
+type benchResult map[string]stat
 
-// parseBenchFile groups the -json output lines per benchmark and parses the
-// "value unit" pairs of each result line. Benchmark output may be split
-// across several events (the runner flushes mid-line), so outputs are
-// concatenated per test before parsing.
+// parseBenchFile replays the output events of a -json stream in order and
+// parses the benchmark result lines they form. Only the first repetition
+// of a benchmark carries its Test name; under -count the runner reports
+// the others as package output, and a line may be split across events
+// (the runner flushes mid-line), so lines are rebuilt from the whole
+// stream rather than per test.
 func parseBenchFile(path string) (map[string]benchResult, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	outputs := map[string]*strings.Builder{}
+	var out strings.Builder
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -67,76 +107,97 @@ func parseBenchFile(path string) (map[string]benchResult, error) {
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			continue // tolerate non-JSON noise
 		}
-		if ev.Action != "output" || ev.Test == "" || !strings.HasPrefix(ev.Test, "Benchmark") {
-			continue
+		if ev.Action == "output" {
+			out.WriteString(ev.Output)
 		}
-		b, ok := outputs[ev.Test]
-		if !ok {
-			b = &strings.Builder{}
-			outputs[ev.Test] = b
-		}
-		b.WriteString(ev.Output)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	results := map[string]benchResult{}
-	for name, b := range outputs {
-		if r := parseBenchOutput(b.String()); len(r) > 0 {
-			results[name] = r
-		}
-	}
-	return results, nil
+	return parseBenchOutput(out.String()), nil
 }
 
-// parseBenchOutput extracts "value unit" pairs from a benchmark result
-// line like
+// parseBenchOutput extracts the "value unit" pairs of every benchmark
+// result line, one line per repetition, like
 //
-//	BenchmarkX  \t 1 \t 123456 ns/op \t 37.00 B&B-nodes \t 97088 B/op \t 1154 allocs/op
-func parseBenchOutput(s string) benchResult {
-	fields := strings.Fields(s)
-	r := benchResult{}
-	for i := 0; i+1 < len(fields); i++ {
-		v, err := strconv.ParseFloat(fields[i], 64)
-		if err != nil {
+//	BenchmarkX-2  \t 1 \t 123456 ns/op \t 37.00 B&B-nodes \t 97088 B/op \t 1154 allocs/op
+//
+// and reduces each benchmark's values of a unit to a stat. Benchmarks are
+// keyed by name without the GOMAXPROCS suffix, as -json's Test field
+// names them.
+func parseBenchOutput(s string) map[string]benchResult {
+	samples := map[string]map[string][]float64{}
+	for _, line := range strings.Split(s, "\n") {
+		fields := strings.Fields(line)
+		// The name is the line's last Benchmark token: a name flushed
+		// before its numbers can be repeated in front of them.
+		start := -1
+		for i, f := range fields {
+			if strings.HasPrefix(f, "Benchmark") {
+				start = i
+			}
+		}
+		if start < 0 {
 			continue
 		}
-		unit := fields[i+1]
-		if strings.HasPrefix(unit, "Benchmark") || unit == "PASS" || unit == "ok" {
-			continue
+		name := fields[start]
+		if i := strings.LastIndexByte(name, '-'); i > 0 {
+			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+				name = name[:i]
+			}
 		}
-		// The iteration count has no unit token after it that looks like a
-		// unit; only keep pairs whose unit contains a non-numeric rune.
-		if _, err := strconv.ParseFloat(unit, 64); err == nil {
-			continue
+		for i := start + 1; i+1 < len(fields); i++ {
+			v, err := strconv.ParseFloat(fields[i], 64)
+			if err != nil {
+				continue
+			}
+			// The iteration count is followed by a number, not a unit; only
+			// keep pairs whose unit is not itself numeric.
+			unit := fields[i+1]
+			if _, err := strconv.ParseFloat(unit, 64); err == nil {
+				continue
+			}
+			if samples[name] == nil {
+				samples[name] = map[string][]float64{}
+			}
+			samples[name][unit] = append(samples[name][unit], v)
+			i++
 		}
-		if _, dup := r[unit]; !dup {
-			r[unit] = v
-		}
-		i++
 	}
-	return r
+	results := map[string]benchResult{}
+	for name, units := range samples {
+		r := benchResult{}
+		for unit, vs := range units {
+			r[unit] = newStat(vs)
+		}
+		results[name] = r
+	}
+	return results
 }
 
 // gate describes one gated metric.
 type gate struct {
 	unit        string
 	higherIsBad bool
+	// noisy metrics are gated only where both runs resolve a change of
+	// the threshold (stat.resolves).
+	noisy bool
 }
 
 var gates = []gate{
-	{"allocs/op", true},
-	{"B&B-nodes", true},
-	{"pivots/op", true},
+	{"allocs/op", true, false},
+	{"B&B-nodes", true, false},
+	{"pivots/op", true, false},
 	// Basis reinversions: the Forrest–Tomlin update path exists to keep
 	// these rare, so a count increase means the update/refactor policy (or
 	// update stability) regressed. Deterministic.
-	{"refactorizations/op", true},
+	{"refactorizations/op", true, false},
 	// Dual long-step bound flips: infeasibility absorbed without a pivot.
 	// Fewer flips on the same search means the ratio test stopped taking
 	// long steps — gated like a throughput metric (lower is a regression).
-	{"bound-flips/op", false},
-	{"nodes/sec", false},
+	{"bound-flips/op", false, false},
+	{"nodes/sec", false, false},
+	{"ns/op", true, true},
 }
 
 // thresholdOverrides tightens the gate for specific (benchmark, unit)
@@ -186,7 +247,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(2)
 	}
+	failed, err := compare(os.Stdout, oldRes, newRes, *threshold)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchgate:", err)
+		os.Exit(2)
+	}
+	if failed {
+		fmt.Fprintf(os.Stderr, "benchgate: regression beyond %.0f%% threshold\n", 100**threshold)
+		os.Exit(1)
+	}
+	fmt.Println("benchgate: no regressions")
+}
 
+// compare gates every metric of the benchmarks present in both runs,
+// writing one report line per comparison to w, and reports whether any
+// gate tripped.
+func compare(w io.Writer, oldRes, newRes map[string]benchResult, threshold float64) (failed bool, err error) {
 	names := make([]string, 0, len(newRes))
 	for name := range newRes {
 		if _, ok := oldRes[name]; ok {
@@ -195,25 +271,24 @@ func main() {
 	}
 	sort.Strings(names)
 	if len(names) == 0 {
-		fmt.Fprintln(os.Stderr, "benchgate: no common benchmarks between baseline and fresh run")
-		os.Exit(2)
+		return false, fmt.Errorf("no common benchmarks between baseline and fresh run")
 	}
-
-	failed := false
 	for _, name := range names {
 		o, n := oldRes[name], newRes[name]
 		for _, g := range gates {
-			ov, okO := o[g.unit]
-			nv, okN := n[g.unit]
+			om, okO := o[g.unit]
+			nm, okN := n[g.unit]
 			if !okO || !okN {
 				continue
 			}
+			ov, nv := om.median, nm.median
+			line := fmt.Sprintf("%-36s %-19s old=%-10.4g (spread %5.1f%%)  new=%-10.4g (spread %5.1f%%)",
+				name, g.unit, ov, 100*om.spread(), nv, 100*nm.spread())
 			if g.higherIsBad && ov == 0 && nv > 0 {
 				// A deterministic counter springing from zero is an
 				// unbounded relative regression: a search that the presolve
 				// used to fathom completely has started exploring again.
-				fmt.Printf("%-36s %-12s old=%-14.4g new=%-14.4g   +inf%%  REGRESSION\n",
-					name, g.unit, ov, nv)
+				fmt.Fprintf(w, "%s   +inf%%  REGRESSION\n", line)
 				failed = true
 				continue
 			}
@@ -223,25 +298,17 @@ func main() {
 				// counters, and nodes/sec is meaningless without nodes.
 				continue
 			}
-			reg, bad := gateMetric(name, g, ov, nv, *threshold)
+			reg, bad := gateMetric(name, g, ov, nv, threshold)
 			status := "ok"
-			if bad {
+			switch {
+			case g.noisy && !(om.resolves(threshold) && nm.resolves(threshold)):
+				status = "(not gated: spread too wide or one sample)"
+			case bad:
 				status = "REGRESSION"
 				failed = true
 			}
-			fmt.Printf("%-36s %-12s old=%-14.4g new=%-14.4g %+6.1f%%  %s\n",
-				name, g.unit, ov, nv, 100*reg, status)
-		}
-		if ns, ok := n["ns/op"]; ok {
-			if os_, ok2 := o["ns/op"]; ok2 {
-				fmt.Printf("%-36s %-12s old=%-14.4g new=%-14.4g %+6.1f%%  (info)\n",
-					name, "ns/op", os_, ns, 100*(ns/os_-1))
-			}
+			fmt.Fprintf(w, "%s %+6.1f%%  %s\n", line, 100*reg, status)
 		}
 	}
-	if failed {
-		fmt.Fprintf(os.Stderr, "benchgate: regression beyond %.0f%% threshold\n", 100**threshold)
-		os.Exit(1)
-	}
-	fmt.Println("benchgate: no regressions")
+	return failed, nil
 }

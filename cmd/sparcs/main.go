@@ -41,8 +41,6 @@ func main() {
 		verilogArg = flag.Bool("verilog", false, "print partition RTL after the flow")
 		seqArg     = flag.Bool("sequencer", false, "print the host sequencer code")
 		traceArg   = flag.Int("trace", 0, "print the first N simulation trace events")
-		workersArg = flag.Int("workers", 1, "parallel B&B search workers (ilp partitioner)")
-		specArg    = flag.Int("speculate", 1, "concurrent partition-count probes in the relax-N loop")
 		formArg    = flag.String("formulation", "", "ILP model: rows (assignment variables), patterns (branch-and-price), or empty to race the two per partition count")
 		maxPartArg = flag.Int("max-partitions", 0, "cap on the partition count search (0 = the solver's default window)")
 		outArg     = flag.String("o", "text", "output format: text, or json (the machine-readable service payload; skips simulation)")
@@ -53,8 +51,7 @@ func main() {
 		Graph: *graphArg, Board: *boardArg, Partitioner: *partArg,
 		Strategy: *stratArg, I: *iArg, Pow2: *pow2Arg, DOT: *dotArg,
 		Verilog: *verilogArg, Sequencer: *seqArg, Trace: *traceArg,
-		Workers: *workersArg, SpeculateN: *specArg, Output: *outArg,
-		Formulation: *formArg, MaxPartitions: *maxPartArg,
+		Output: *outArg, Formulation: *formArg, MaxPartitions: *maxPartArg,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "sparcs:", err)
 		os.Exit(1)
@@ -67,7 +64,7 @@ type cliOptions struct {
 	Graph, Board, Partitioner, Strategy string
 	I                                   int
 	Pow2, DOT, Verilog, Sequencer       bool
-	Trace, Workers, SpeculateN          int
+	Trace                               int
 	// Output selects "text" (the human report + simulation) or "json"
 	// (the exact internal/service Result payload, solve only).
 	Output string
@@ -98,8 +95,6 @@ func run(o cliOptions) error {
 	cfg := core.DefaultConfig()
 	cfg.Board = board
 	cfg.Pow2Blocks = o.Pow2
-	cfg.Workers = o.Workers
-	cfg.SpeculateN = o.SpeculateN
 	switch o.Formulation {
 	case "", tempart.FormulationRows, tempart.FormulationPatterns:
 		cfg.Formulation = o.Formulation

@@ -59,13 +59,13 @@ func TestRunSmallGraph(t *testing.T) {
 	// Exercise both partitioners and both strategies end to end.
 	for _, part := range []string{"ilp", "list"} {
 		for _, strat := range []string{"fdh", "idh"} {
-			if err := run(cliOptions{Graph: path, Board: "small", Partitioner: part, Strategy: strat, I: 100, Sequencer: true, Trace: 3, Workers: 2, SpeculateN: 2}); err != nil {
+			if err := run(cliOptions{Graph: path, Board: "small", Partitioner: part, Strategy: strat, I: 100, Sequencer: true, Trace: 3}); err != nil {
 				t.Fatalf("%s/%s: %v", part, strat, err)
 			}
 		}
 	}
 	// DOT mode.
-	if err := run(cliOptions{Graph: path, Board: "small", Partitioner: "ilp", Strategy: "idh", DOT: true, Workers: 1, SpeculateN: 1}); err != nil {
+	if err := run(cliOptions{Graph: path, Board: "small", Partitioner: "ilp", Strategy: "idh", DOT: true}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -46,10 +46,10 @@ func (k PartitionerKind) String() string {
 }
 
 // Config parameterizes the flow: the target board and estimator library,
-// the partitioner and its search settings (Workers, SpeculateN,
-// Formulation, MaxPartitions; zero values give the paper's tool), and the
-// fission and memory layout choices. Build is a batch run: its solve has
-// no deadline and cannot be cancelled.
+// the partitioner and its search settings (Formulation, MaxPartitions;
+// zero values give the paper's tool), and the fission and memory layout
+// choices. Build is a batch run: its solve has no deadline and cannot be
+// cancelled.
 type Config struct {
 	Board       arch.Board
 	Library     *hls.Library
@@ -59,12 +59,6 @@ type Config struct {
 	Strategy fission.Strategy
 	// Pow2Blocks selects the power-of-two memory block layout of Sec. 3.
 	Pow2Blocks bool
-	// Workers enables the parallel subtree search of each relax-N probe
-	// (ILPPartitioner only; <= 1 searches sequentially).
-	Workers int
-	// SpeculateN is tempart's relax-N window: up to this many candidate
-	// partition counts are probed concurrently (<= 1 probes one at a time).
-	SpeculateN int
 	// Formulation selects the ILP model: tempart.FormulationRows pins the
 	// row model, tempart.FormulationPatterns branch-and-price over
 	// partition-pattern columns, and "" races the two per relax-N probe.
@@ -125,8 +119,7 @@ func Build(g *dfg.Graph, cfg Config) (*Design, error) {
 	switch cfg.Partitioner {
 	case ILPPartitioner:
 		part, err = tempart.Solve(context.Background(), tempart.Input{
-			Graph: g, Board: cfg.Board, Workers: cfg.Workers,
-			SpeculateN: cfg.SpeculateN, Formulation: cfg.Formulation,
+			Graph: g, Board: cfg.Board, Formulation: cfg.Formulation,
 			MaxPartitions: cfg.MaxPartitions,
 		})
 	case ListPartitioner:

@@ -14,9 +14,6 @@
 //	lu-refactor-fail   internal/lp: a basis reinversion reports singular —
 //	                   maybeRefactor keeps the old factor; a rejected
 //	                   Forrest–Tomlin update falls back to a cold solve.
-//	lu-singular-factor internal/lp: a from-scratch basis factorization
-//	                   reports singular, exercising the cold-start error
-//	                   path up through the ILP search.
 //	worker-panic       internal/service: the ilp engine panics on a
 //	                   worker goroutine; the recover() ladder must convert
 //	                   it into a failed job with the stack captured.
@@ -38,7 +35,6 @@ import "time"
 // consult these.
 const (
 	LURefactorFail      = "lu-refactor-fail"
-	LUSingularFactor    = "lu-singular-factor"
 	WorkerPanic         = "worker-panic"
 	SlowSolve           = "slow-solve"
 	CacheVerifyFail     = "cache-verify-fail"

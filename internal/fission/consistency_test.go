@@ -101,12 +101,13 @@ func TestIswCeiling(t *testing.T) {
 	}
 }
 
-// TestFissionStableUnderParallelPartitioning threads the warm-started,
-// parallel ILP solver through the fission layer: the memory accounting and
-// batch size k computed from a partitioning found by the multi-worker,
-// speculative-N search must be identical to the sequential flow's (the
-// solvers are required to agree on the optimal latency; equal latency on
-// these models pins N, and the analysis must then agree word for word).
+// TestFissionStableUnderParallelPartitioning threads the default ILP solve
+// — which races the pattern master against the row search on a goroutine
+// of its own whenever a probe's rows root leaves it open — through the
+// fission layer: the memory accounting and batch size k computed from its
+// partitioning must be identical to the pinned row model's (the solvers
+// are required to agree on the optimal latency; equal latency on these
+// models pins N, and the analysis must then agree word for word).
 func TestFissionStableUnderParallelPartitioning(t *testing.T) {
 	board := arch.PaperXC4044Board()
 	g := dfg.New("fis")
@@ -122,18 +123,18 @@ func TestFissionStableUnderParallelPartitioning(t *testing.T) {
 			_ = g.AddEdgeByID(i-1, i, 4)
 		}
 	}
-	seq, err := tempart.Solve(context.Background(), tempart.Input{Graph: g, Board: board})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := tempart.Solve(context.Background(), tempart.Input{
-		Graph: g, Board: board, SpeculateN: 2, Workers: 2,
+	seq, err := tempart.Solve(context.Background(), tempart.Input{
+		Graph: g, Board: board, Formulation: tempart.FormulationRows,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	par, err := tempart.Solve(context.Background(), tempart.Input{Graph: g, Board: board})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if par.N != seq.N || math.Abs(par.Latency-seq.Latency) > 1e-6 {
-		t.Fatalf("parallel N=%d latency=%g, sequential N=%d latency=%g",
+		t.Fatalf("default N=%d latency=%g, rows N=%d latency=%g",
 			par.N, par.Latency, seq.N, seq.Latency)
 	}
 	aSeq, err := Analyze(g, seq.Assign, seq.N, board.Memory.Words)
@@ -145,7 +146,7 @@ func TestFissionStableUnderParallelPartitioning(t *testing.T) {
 		t.Fatal(err)
 	}
 	if aPar.K != aSeq.K || aPar.MaxMTemp != aSeq.MaxMTemp {
-		t.Errorf("parallel fission k=%d m_temp=%d, sequential k=%d m_temp=%d",
+		t.Errorf("default fission k=%d m_temp=%d, rows k=%d m_temp=%d",
 			aPar.K, aPar.MaxMTemp, aSeq.K, aSeq.MaxMTemp)
 	}
 	for _, strat := range []Strategy{FDH, IDH} {
@@ -159,7 +160,7 @@ func TestFissionStableUnderParallelPartitioning(t *testing.T) {
 		}
 		if pPar.Reconfigurations != pSeq.Reconfigurations ||
 			math.Abs(pPar.TotalOverheadNS()-pSeq.TotalOverheadNS()) > 1 {
-			t.Errorf("%v: parallel plan diverged (%d reconfigs, %g ns overhead vs %d, %g)",
+			t.Errorf("%v: default plan diverged (%d reconfigs, %g ns overhead vs %d, %g)",
 				strat, pPar.Reconfigurations, pPar.TotalOverheadNS(),
 				pSeq.Reconfigurations, pSeq.TotalOverheadNS())
 		}

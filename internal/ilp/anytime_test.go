@@ -51,35 +51,30 @@ func checkIncumbent(t *testing.T, values, weights []float64, cap float64, s *Sol
 	}
 }
 
-// TestDeadlineAnytime is the anytime contract under wall-clock deadlines,
-// sequential and parallel: the search stops near the deadline, reports
-// Timeout (or finishes Optimal), and any incumbent it returns is feasible
-// with a consistent bound. Deadlines land at effectively random node
-// ordinals, so this doubles as the 1-vs-N-worker robustness check.
+// TestDeadlineAnytime is the anytime contract under wall-clock deadlines:
+// the search stops near the deadline, reports Timeout (or finishes
+// Optimal), and any incumbent it returns is feasible with a consistent
+// bound. Deadlines land at effectively random node ordinals.
 func TestDeadlineAnytime(t *testing.T) {
 	values, weights, cap := randKnapsack(42, 45)
-	for _, workers := range []int{1, 4} {
-		for _, budget := range []time.Duration{
-			200 * time.Microsecond, 2 * time.Millisecond, 20 * time.Millisecond,
-		} {
-			P := knapsack(values, weights, cap)
-			start := time.Now()
-			ctx, cancel := context.WithDeadline(context.Background(), start.Add(budget))
-			s, err := Solve(P, Options{Workers: workers, Context: ctx})
-			cancel()
-			if err != nil {
-				t.Fatalf("workers=%d budget=%v: %v", workers, budget, err)
-			}
-			if elapsed := time.Since(start); elapsed > budget+5*time.Second {
-				t.Errorf("workers=%d budget=%v: solve ran %v past its deadline",
-					workers, budget, elapsed)
-			}
-			if s.Status != Optimal && s.Status != Timeout {
-				t.Fatalf("workers=%d budget=%v: status = %v, want optimal or timeout",
-					workers, budget, s.Status)
-			}
-			checkIncumbent(t, values, weights, cap, s)
+	for _, budget := range []time.Duration{
+		200 * time.Microsecond, 2 * time.Millisecond, 20 * time.Millisecond,
+	} {
+		P := knapsack(values, weights, cap)
+		start := time.Now()
+		ctx, cancel := context.WithDeadline(context.Background(), start.Add(budget))
+		s, err := Solve(P, Options{Context: ctx})
+		cancel()
+		if err != nil {
+			t.Fatalf("budget=%v: %v", budget, err)
 		}
+		if elapsed := time.Since(start); elapsed > budget+5*time.Second {
+			t.Errorf("budget=%v: solve ran %v past its deadline", budget, elapsed)
+		}
+		if s.Status != Optimal && s.Status != Timeout {
+			t.Fatalf("budget=%v: status = %v, want optimal or timeout", budget, s.Status)
+		}
+		checkIncumbent(t, values, weights, cap, s)
 	}
 }
 

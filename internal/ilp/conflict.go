@@ -17,9 +17,9 @@ import (
 // matching every fix would land in the proven-empty box, so at least one
 // fix must be violated. The cut is globally valid (it is derived from the
 // root bounds plus the fixes alone, never from the incumbent) and enters
-// the shared cut pool, where deduplication, activity aging and compaction
-// already exist — so a worker that proves one packing arrangement
-// impossible spares every other worker the symmetric re-proof.
+// the cut pool, where deduplication, activity aging and compaction already
+// exist — so a subtree that proves one packing arrangement impossible
+// spares every other subtree the symmetric re-proof.
 //
 // Only infeasibility fathoming learns: a node pruned because its bound
 // cannot beat the incumbent may still contain feasible (just not better)
@@ -148,7 +148,7 @@ func (cp *conflictProbe) minimize(f1, f0 []int) ([]int, []int) {
 }
 
 // learnConflict derives a no-good cut from an infeasibility-fathomed node
-// and admits it to the shared pool. fromNodeBound marks fathoms proved by
+// and admits it to the cut pool. fromNodeBound marks fathoms proved by
 // Options.NodeBound, which enables conflict minimization (conflictProbe):
 // the bound callback is cheap and LP-free, so the fix set is shrunk by
 // re-querying it on subsets. LP-proved fathoms keep the full fix set; the

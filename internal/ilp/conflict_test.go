@@ -170,35 +170,3 @@ func TestConflictCutsNeverExcludeFeasibleSolutions(t *testing.T) {
 		t.Fatal("no trial learned a conflict cut; the property test exercised nothing")
 	}
 }
-
-// TestConflictLearningWorkerEquivalence pins the 1-vs-N-worker contract
-// with conflict learning (and the NodeBound that feeds it) active: the
-// shared pool may hand workers each other's no-goods in any order, but the
-// status and optimum must match the sequential search. Runs under -race in
-// CI, which is the concurrency coverage for the learning path.
-func TestConflictLearningWorkerEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 10; trial++ {
-		ap := newConflictProblem(rng, 5+rng.Intn(3), 2+rng.Intn(2), 90)
-		base := Options{
-			Separate:  func(pt *SeparationPoint) []Cut { return nil },
-			NodeBound: ap.nodeBound,
-		}
-		seq, err := Solve(ap.prob, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parOpt := base
-		parOpt.Workers = 4
-		par, err := Solve(ap.prob, parOpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.Status != par.Status {
-			t.Fatalf("trial %d: status %v vs %v", trial, seq.Status, par.Status)
-		}
-		if seq.Status == Optimal && math.Abs(seq.Obj-par.Obj) > 1e-6 {
-			t.Fatalf("trial %d: sequential obj %g, parallel obj %g", trial, seq.Obj, par.Obj)
-		}
-	}
-}

@@ -4,14 +4,13 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/lp"
 )
 
 // This file is the cutting-plane side of the branch-and-bound solver: the
-// Cut type returned by Options.Separate, and the shared cut pool that
-// deduplicates, ages and distributes cuts across search workers.
+// Cut type returned by Options.Separate, and the cut pool that
+// deduplicates, ages and distributes cuts across the search tree.
 //
 // Validity contract: a Global cut must be satisfied by EVERY integral
 // feasible solution of the problem; a non-global (node-local) cut must be
@@ -27,7 +26,7 @@ import (
 type Cut struct {
 	lp.CutRow
 	// Global marks the cut valid for the whole problem. Global cuts enter
-	// the shared pool and reach every search worker; non-global cuts apply
+	// the pool and reach every later node; non-global cuts apply
 	// to the emitting node and are inherited by its descendants only.
 	Global bool
 	// Name tags the originating separator (logging only).
@@ -49,12 +48,11 @@ type poolCut struct {
 	activity float64 // tight-at-optimum count since admission
 }
 
-// cutPool is the shared store of global cuts. Workers apply its cuts as a
-// monotone prefix (fetch), so all solvers agree on row order; when the pool
-// exceeds its bound it compacts to the most active half and bumps its
-// generation, telling workers to drop and re-apply.
+// cutPool is the store of global cuts. The search's solver applies its
+// cuts as a monotone prefix (fetch); when the pool exceeds its bound it
+// compacts to the most active half and bumps its generation, telling the
+// solver to drop its added rows and re-apply.
 type cutPool struct {
-	mu    sync.Mutex
 	max   int
 	gen   int
 	cuts  []poolCut
@@ -75,13 +73,11 @@ func newCutPool(max int) *cutPool {
 // instead of being evicted as the least-active entry.
 func (cp *cutPool) add(row lp.CutRow) bool {
 	h := normalizedRowHash(row)
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
 	if _, dup := cp.index[h]; dup {
 		return false
 	}
 	if len(cp.cuts) >= cp.max {
-		cp.compactLocked()
+		cp.compact()
 	}
 	cp.index[h] = len(cp.cuts)
 	cp.cuts = append(cp.cuts, poolCut{row: row, hash: h})
@@ -92,8 +88,6 @@ func (cp *cutPool) add(row lp.CutRow) bool {
 // generation and total count. A generation change means the caller's
 // applied prefix is stale: it must drop its added rows and re-fetch from 0.
 func (cp *cutPool) fetch(from, gen int) (rows []lp.CutRow, hashes []uint64, newGen, total int) {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
 	if gen != cp.gen {
 		return nil, nil, cp.gen, len(cp.cuts)
 	}
@@ -109,29 +103,20 @@ func (cp *cutPool) fetch(from, gen int) (rows []lp.CutRow, hashes []uint64, newG
 
 // touch credits the cuts (by hash) that were binding at a node optimum.
 func (cp *cutPool) touch(tight []uint64) {
-	if len(tight) == 0 {
-		return
-	}
-	cp.mu.Lock()
 	for _, h := range tight {
 		if i, ok := cp.index[h]; ok {
 			cp.cuts[i].activity++
 		}
 	}
-	cp.mu.Unlock()
 }
 
 // size reports the current pool population (tests).
 func (cp *cutPool) size() int {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
 	return len(cp.cuts)
 }
 
 // snapshot copies the active cut rows (validity tests).
 func (cp *cutPool) snapshot() []lp.CutRow {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
 	rows := make([]lp.CutRow, len(cp.cuts))
 	for i := range cp.cuts {
 		rows[i] = cp.cuts[i].row
@@ -139,10 +124,10 @@ func (cp *cutPool) snapshot() []lp.CutRow {
 	return rows
 }
 
-// compactLocked evicts the least active half of the pool and bumps the
+// compact evicts the least active half of the pool and bumps the
 // generation. Hashes of evicted cuts leave the index, so a separator that
 // finds the same violation again may re-admit the cut.
-func (cp *cutPool) compactLocked() {
+func (cp *cutPool) compact() {
 	keep := cp.max / 2
 	if keep < 1 {
 		keep = 1

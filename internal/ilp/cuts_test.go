@@ -223,49 +223,6 @@ func TestSeparationPoolOverflowDuringSearch(t *testing.T) {
 	}
 }
 
-// TestSeparationWorkerEquivalence pins the 1-vs-N-worker contract with the
-// cut pool active: whatever order workers separate and share cuts in, the
-// optimum matches the sequential branch-and-cut search. Runs under -race
-// in CI, which is the concurrency coverage for the pool.
-func TestSeparationWorkerEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 12; trial++ {
-		n := 8 + rng.Intn(6)
-		nr := 1 + rng.Intn(3)
-		obj := make([]float64, n)
-		for j := range obj {
-			obj[j] = float64(1 + rng.Intn(20))
-		}
-		rows := make([][]int, nr)
-		caps := make([]int, nr)
-		for ri := range rows {
-			w := make([]int, n)
-			for j := range w {
-				if rng.Float64() < 0.8 {
-					w[j] = 20 + rng.Intn(25)
-				}
-			}
-			rows[ri] = w
-			caps[ri] = 60 + rng.Intn(60)
-		}
-		sep := coverSeparator(rows, caps, true)
-		seq, err := Solve(knapsackProblem(obj, rows, caps), Options{Separate: sep})
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := Solve(knapsackProblem(obj, rows, caps), Options{Separate: sep, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.Status != par.Status {
-			t.Fatalf("trial %d: status %v vs %v", trial, seq.Status, par.Status)
-		}
-		if seq.Status == Optimal && math.Abs(seq.Obj-par.Obj) > 1e-6 {
-			t.Fatalf("trial %d: sequential obj %g, parallel obj %g", trial, seq.Obj, par.Obj)
-		}
-	}
-}
-
 // TestLocalCutsSurvivePoolCompaction pins the bindCuts recovery path: with
 // a tiny pool forcing mid-search generation bumps AND a separator emitting
 // node-local cuts, every drop triggered by a compaction must re-establish
@@ -291,17 +248,14 @@ func TestLocalCutsSurvivePoolCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 4} {
-		cut, err := Solve(knapsackProblem(obj, rows, caps),
-			Options{Separate: mixed, MaxCuts: 2, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cut.Status != Optimal || math.Abs(cut.Obj-plain.Obj) > 1e-6 {
-			t.Fatalf("workers=%d: %v obj=%g, want optimal obj=%g", workers, cut.Status, cut.Obj, plain.Obj)
-		}
-		if cut.CutsAdded == 0 {
-			t.Fatalf("workers=%d: no cuts admitted", workers)
-		}
+	cut, err := Solve(knapsackProblem(obj, rows, caps), Options{Separate: mixed, MaxCuts: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cut.Status != Optimal || math.Abs(cut.Obj-plain.Obj) > 1e-6 {
+		t.Fatalf("%v obj=%g, want optimal obj=%g", cut.Status, cut.Obj, plain.Obj)
+	}
+	if cut.CutsAdded == 0 {
+		t.Fatal("no cuts admitted")
 	}
 }

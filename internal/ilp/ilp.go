@@ -4,23 +4,21 @@
 // It supports mixed problems in which a subset of the variables is marked
 // integral (in practice, the 0-1 placement variables of the temporal
 // partitioning model). Branching fixes variable bounds — a B&B node is a
-// bound delta, not a problem copy: every search worker owns a single
-// lp.Solver, applies a node's bound fixes to it, and warm starts from the
-// basis of the previously solved node (the dual simplex typically
-// re-optimizes in a handful of pivots). Nodes carry their parent's basis
-// snapshot so a worker picking up a foreign subtree can seed its solver
-// via ResolveFrom.
+// bound delta, not a problem copy: the search owns a single lp.Solver,
+// applies a node's bound fixes to it, and warm starts from the basis of
+// the previously solved node (the dual simplex typically re-optimizes in a
+// handful of pivots).
 //
 // The search is branch-and-cut: when Options.Separate is set, each node's
 // fractional LP point is handed to the callback in rounds, violated valid
 // inequalities it returns are appended to the live solver (lp.Solver.
 // AddRows keeps the basis, so each round re-enters through the dual
 // simplex), and branching happens only when separation dries up or the
-// round budget is exhausted. Global cuts flow through a shared, size-
-// bounded pool — deduplicated by normalized row hash, aged by
-// tight-at-optimum activity, compacted when full — so a cut found in one
-// subtree strengthens every worker; node-local cuts ride on the node and
-// its descendants. See cuts.go for the validity contract.
+// round budget is exhausted. Global cuts flow through a size-bounded pool
+// — deduplicated by normalized row hash, aged by tight-at-optimum
+// activity, compacted when full — so a cut found in one subtree
+// strengthens every other; node-local cuts ride on the node and its
+// descendants. See cuts.go for the validity contract.
 //
 // The search also learns from failure: a subtree fathomed INFEASIBLE (an
 // empty bound box, an Options.NodeBound infeasibility proof, or an
@@ -39,12 +37,9 @@
 // groups; leftover fractional integer variables are chosen by pseudo-cost
 // scores learned during the search.
 //
-// With Options.Workers > 1 independent subtrees are farmed out to worker
-// goroutines that share one incumbent; the objective value found is
-// identical to the sequential search (the set of explored nodes may
-// differ). The solver keeps the best incumbent and its bound, honours its
-// node budget and its context, and can report a proven-optimal or
-// best-effort solution.
+// The search is sequential: one Solve runs on the caller's goroutine. It
+// keeps the best incumbent and its bound, honours its node budget and its
+// context, and can report a proven-optimal or best-effort solution.
 package ilp
 
 import (
@@ -52,9 +47,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/lp"
@@ -135,8 +127,7 @@ type Options struct {
 	// feasible objective value in the box (it is compared against the
 	// incumbent to fathom the node before the simplex runs). A callback
 	// that overclaims makes the search wrongly prune subtrees, so it must
-	// err on the side of weaker bounds. It must be safe for concurrent use
-	// when Workers > 1.
+	// err on the side of weaker bounds.
 	NodeBound func(bounds func(j int) (lo, hi float64)) (bnd float64, feasible bool)
 	// NodeBoundProbe, when non-nil, is used instead of NodeBound for
 	// conflict-minimization probes (conflict.go re-queries the bound on fix
@@ -153,22 +144,16 @@ type Options struct {
 	// added to the node's live LP, which is re-solved warm, and the next
 	// round begins. The node branches only when a round yields no new cut,
 	// the point turns integral, or the round budget (maxCutRounds) is
-	// exhausted. The callback must be safe for concurrent use when
-	// Workers > 1.
+	// exhausted.
 	Separate func(pt *SeparationPoint) []Cut
 	// MaxCuts bounds the global cut pool (0 = default 512). Past the bound
 	// the pool evicts its least active half.
 	MaxCuts int
-	// Workers sets the number of concurrent search workers (<= 1 means the
-	// sequential search). Each worker owns its own lp.Solver over the shared
-	// model and the workers share one incumbent, so the optimal objective
-	// found is identical to the sequential search.
-	Workers int
 	// Context, when non-nil, is besides MaxNodes the only way a search
-	// stops short. A cancel ends the search at the next limit check of
-	// every worker, reported exactly as if the node budget had run out
-	// (an HTTP job cancel, or tempart reclaiming the workers of
-	// speculative probes made moot). At its deadline the search stops
+	// stops short. A cancel ends the search at its next limit check,
+	// reported exactly as if the node budget had run out (an HTTP job
+	// cancel, or tempart stopping the loser of a formulation race). At its
+	// deadline the search stops
 	// cleanly and reports the best incumbent (or its absence) with Status
 	// Timeout — the anytime contract. Any unproven stop after the
 	// deadline, even one tripped by MaxNodes or a cancel, reports Timeout.
@@ -238,15 +223,15 @@ type Solution struct {
 	// SeparationRounds counts node LP re-solves triggered by cut rounds.
 	SeparationRounds int
 	// ConflictCuts counts no-good cuts learned from infeasibility-fathomed
-	// subtrees and admitted to the shared pool (see conflict.go).
+	// subtrees and admitted to the cut pool (see conflict.go).
 	ConflictCuts int
 	// CutsByName breaks CutsAdded down by the separator-assigned Cut.Name
 	// (nil when no cuts were admitted). This is what lets callers report
 	// per-family telemetry (e.g. how many Chvátal–Gomory cuts fired)
 	// without a side channel.
 	CutsByName map[string]int
-	// Solver aggregates the underlying lp.Solver activity across all search
-	// workers (warm vs cold solves, dual-repair pivots).
+	// Solver is the search's lp.Solver activity (warm vs cold solves,
+	// dual-repair pivots).
 	Solver lp.SolverStats
 }
 
@@ -301,32 +286,13 @@ func searchDeadline(ctx context.Context) time.Time {
 	return deadline
 }
 
-// sharedBasis is a refcounted basis snapshot shared by all children of one
-// branched node. The snapshot's slices come from (and return to) the search
-// state's basis pool: when the last child releases its reference the
-// snapshot is recycled, so the parallel search stops allocating two
-// O(n+2m) slices per branched node once the pool warms up.
-type sharedBasis struct {
-	bs   *lp.Basis
-	refs atomic.Int32
-}
-
-// get returns the underlying snapshot (nil-safe).
-func (sb *sharedBasis) get() *lp.Basis {
-	if sb == nil {
-		return nil
-	}
-	return sb.bs
-}
-
 // node is one open branch-and-bound subproblem.
 type node struct {
 	fixes []fix   // bound changes relative to the root
 	bound float64 // parent LP bound (heap priority, valid subtree bound)
 	depth int
-	seq   int64        // push order; ties on bound pop LIFO (dive like DFS)
-	basis *sharedBasis // parent basis (warm-start seed for foreign workers)
-	cuts  []lp.CutRow  // node-local cuts inherited from ancestors (never mutated)
+	seq   int64       // push order; ties on bound pop LIFO (dive like DFS)
+	cuts  []lp.CutRow // node-local cuts inherited from ancestors (never mutated)
 
 	// Pseudo-cost bookkeeping: the single-variable branch that created this
 	// node (branchVar < 0 for the root and SOS1 children).
@@ -340,7 +306,7 @@ type fix struct {
 	lo, hi float64
 }
 
-// searcher is the per-worker search state: one reusable solver plus the
+// searcher is the solver side of the search: one reusable solver plus the
 // bookkeeping to apply and undo node bound fixes against the root bounds.
 type searcher struct {
 	p       *Problem
@@ -352,9 +318,9 @@ type searcher struct {
 	applied []int // variables whose bounds currently differ from the root
 	isInt   []bool
 
-	// Cut bookkeeping: the solver's added-row block is the shared pool's
-	// prefix [0, poolApplied) (at generation poolGen), optionally followed
-	// by the current node's local cuts (localCuts rows). poolRows/poolHashes
+	// Cut bookkeeping: the solver's added-row block is the pool's prefix
+	// [0, poolApplied) (at generation poolGen), optionally followed by the
+	// current node's local cuts (localCuts rows). poolRows/poolHashes
 	// mirror the applied pool prefix for activity scoring.
 	poolApplied int
 	poolGen     int
@@ -430,7 +396,7 @@ func (w *searcher) dropCuts() {
 	w.localSet = nil
 }
 
-// bindCuts makes the solver's added rows hold the shared pool's cuts plus
+// bindCuts makes the solver's added rows hold the pool's cuts plus
 // exactly the given node-local set. It is the single rebind entry point:
 // a pool generation change inside syncPool drops everything (including
 // previously applied locals), and the re-check afterwards re-adds the
@@ -491,12 +457,11 @@ func (w *searcher) recordCutActivity(x []float64) {
 }
 
 // applyCuts runs one separation round at a node: call Options.Separate on
-// the LP point, admit the violated valid cuts (global ones to the shared
-// pool, local ones to the solver and the node), and sync the solver with
-// the pool. It returns (admitted, progressed): admitted counts distinct
-// cuts this round generated, progressed reports whether the node's LP
-// gained any row (possibly from another worker's cuts) and a re-solve is
-// worthwhile.
+// the LP point, admit the violated valid cuts (global ones to the pool,
+// local ones to the solver and the node), and sync the solver with the
+// pool. It returns (admitted, progressed): admitted counts distinct cuts
+// this round generated, progressed reports whether the node's LP gained
+// any row and a re-solve is worthwhile.
 func (w *searcher) applyCuts(nd *node, res *lp.Solution, round int, r *nodeResult) (int, bool, error) {
 	before := w.solver.AddedRows()
 	cuts := w.opt.Separate(&SeparationPoint{
@@ -542,9 +507,9 @@ func (w *searcher) applyCuts(nd *node, res *lp.Solution, round int, r *nodeResul
 		w.localSet = merged
 	}
 	// Progress means the node LP's row set changed and a re-solve is
-	// worthwhile: we admitted something ourselves (even if a pool
-	// compaction shrank the applied row count below `before`), or other
-	// workers' cuts arrived in the sync.
+	// worthwhile: we admitted something (even if a pool compaction shrank
+	// the applied row count below `before`), or the rebind after a
+	// compaction changed the applied rows.
 	return admitted, admitted > 0 || w.solver.AddedRows() != before, nil
 }
 
@@ -581,8 +546,7 @@ type nodeResult struct {
 
 // processNode screens one node (combinatorial bound first), then solves its
 // LP and applies the branching rules. incObj is the incumbent objective
-// known to the caller (used for pruning and for filtering incumbent
-// candidates; the caller revalidates under its own lock before accepting).
+// (used for pruning and for filtering incumbent candidates).
 func (w *searcher) processNode(nd *node, incObj float64) (*nodeResult, error) {
 	r := &nodeResult{incObj: math.Inf(1)}
 
@@ -610,23 +574,17 @@ func (w *searcher) processNode(nd *node, incObj float64) (*nodeResult, error) {
 	}
 
 	// Rebind the solver's added-row block to this node's cut view: the
-	// shared pool's cuts plus the node's inherited local cuts. Nodes whose
-	// local set is already applied (no local cuts anywhere, or a dive
-	// within one subtree) reuse the standing rows and only append what
-	// other workers separated since.
+	// pool's cuts plus the node's inherited local cuts. Nodes whose local
+	// set is already applied (no local cuts anywhere, or a dive within one
+	// subtree) reuse the standing rows and only append what other nodes
+	// separated since.
 	if err := w.bindCuts(nd.cuts); err != nil {
 		return nil, err
 	}
 
-	solveLP := func(seed *lp.Basis) (*lp.Solution, error) {
+	solveLP := func() (*lp.Solution, error) {
 		for attempt := 0; ; attempt++ {
-			var res *lp.Solution
-			var err error
-			if !w.solver.Warm() && seed != nil {
-				res, err = w.solver.ResolveFrom(seed)
-			} else {
-				res, err = w.solver.Solve()
-			}
+			res, err := w.solver.Solve()
 			if err != nil {
 				return nil, fmt.Errorf("ilp: node LP: %w", err)
 			}
@@ -648,7 +606,7 @@ func (w *searcher) processNode(nd *node, incObj float64) (*nodeResult, error) {
 		}
 	}
 
-	res, err := solveLP(nd.basis.get())
+	res, err := solveLP()
 	if err != nil {
 		return nil, err
 	}
@@ -687,7 +645,7 @@ func (w *searcher) processNode(nd *node, incObj float64) (*nodeResult, error) {
 				break
 			}
 			r.sepRounds++
-			res, err = solveLP(nil)
+			res, err = solveLP()
 			if err != nil {
 				return nil, err
 			}
@@ -739,7 +697,6 @@ func (w *searcher) processNode(nd *node, incObj float64) (*nodeResult, error) {
 	branchFrac := 0.0
 	if bestGroup < 0 {
 		bestScore := -1.0
-		w.st.pcMu.Lock()
 		for _, j := range w.p.Integers {
 			f := res.X[j] - math.Floor(res.X[j])
 			if f <= intTol || f >= 1-intTol {
@@ -752,7 +709,6 @@ func (w *searcher) processNode(nd *node, incObj float64) (*nodeResult, error) {
 				branchFrac = f
 			}
 		}
-		w.st.pcMu.Unlock()
 	}
 
 	if bestGroup < 0 && branchVar == -1 {
@@ -762,23 +718,6 @@ func (w *searcher) processNode(nd *node, incObj float64) (*nodeResult, error) {
 			r.incObj = res.Obj
 		}
 		return r, nil
-	}
-
-	// A parent-basis snapshot is only ever consumed by a worker whose own
-	// solver has gone cold, which needs Workers > 1 to happen with foreign
-	// subtrees; the sequential best-first search pops equal-bound children
-	// right after their parent (LIFO ties) and warm starts from its own
-	// previous basis, so skip the two O(n+2m) copies per branched node.
-	// The snapshot's slices come from the shared pool and are refcounted
-	// back into it when the last child is consumed.
-	var parentBasis *sharedBasis
-	if w.opt.Workers > 1 {
-		pooled := w.st.basisPool.Get().(*lp.Basis)
-		if bs := w.solver.BasisInto(pooled); bs != nil {
-			parentBasis = &sharedBasis{bs: bs} // shared by all children
-		} else {
-			w.st.basisPool.Put(pooled)
-		}
 	}
 
 	if bestGroup >= 0 {
@@ -806,10 +745,9 @@ func (w *searcher) processNode(nd *node, incObj float64) (*nodeResult, error) {
 			}
 			r.children = append(r.children, node{
 				fixes: fixes, bound: res.Obj, depth: nd.depth + 1,
-				basis: parentBasis, branchVar: -1, cuts: nd.cuts,
+				branchVar: -1, cuts: nd.cuts,
 			})
 		}
-		parentBasis.setRefs(len(r.children))
 		return r, nil
 	}
 
@@ -819,7 +757,6 @@ func (w *searcher) processNode(nd *node, incObj float64) (*nodeResult, error) {
 		fixes:     appendFix(nd.fixes, fix{branchVar, math.Inf(-1), fl}),
 		bound:     res.Obj,
 		depth:     nd.depth + 1,
-		basis:     parentBasis,
 		cuts:      nd.cuts,
 		branchVar: branchVar, branchUp: false, branchFrac: branchFrac,
 	}
@@ -827,7 +764,6 @@ func (w *searcher) processNode(nd *node, incObj float64) (*nodeResult, error) {
 		fixes:     appendFix(nd.fixes, fix{branchVar, fl + 1, math.Inf(1)}),
 		bound:     res.Obj,
 		depth:     nd.depth + 1,
-		basis:     parentBasis,
 		cuts:      nd.cuts,
 		branchVar: branchVar, branchUp: true, branchFrac: branchFrac,
 	}
@@ -837,16 +773,7 @@ func (w *searcher) processNode(nd *node, incObj float64) (*nodeResult, error) {
 	} else {
 		r.children = append(r.children, up, down)
 	}
-	parentBasis.setRefs(len(r.children))
 	return r, nil
-}
-
-// setRefs arms the refcount once the number of sharing children is known
-// (nil-safe; every child release decrements, the last one recycles).
-func (sb *sharedBasis) setRefs(n int) {
-	if sb != nil {
-		sb.refs.Store(int32(n))
-	}
 }
 
 // Solve runs branch and bound and returns the best solution found.
@@ -876,8 +803,6 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 	if opt.Separate != nil {
 		st.pool = newCutPool(opt.MaxCuts)
 	}
-	st.cond = sync.NewCond(&st.mu)
-	st.basisPool.New = func() any { return new(lp.Basis) }
 
 	if opt.Incumbent != nil {
 		if ok, obj := checkFeasibleBounds(p, p.LP.Bounds, opt.Incumbent); ok {
@@ -886,88 +811,46 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 		}
 	}
 
-	root := newSearcher(p, &opt, st, isInt)
-	searchers := []*searcher{root}
+	w := newSearcher(p, &opt, st, isInt)
 	st.pushNode(node{bound: math.Inf(-1), branchVar: -1})
 
-	// The root node is always processed sequentially: it decides Unbounded,
-	// establishes the root bound, and seeds the heap with first children.
-	// A context already done (a speculative probe already made moot, or a
-	// request past its deadline) skips even that.
+	// A context already done (a race loser already cancelled, or a request
+	// past its deadline) skips even the root.
 	if st.limitHit() {
 		// The unexplored root is DROPPED, not exhausted: finish must not
 		// read the empty heap as a completed proof (a pre-expired deadline
 		// would otherwise claim Infeasible without solving anything).
 		st.dropped += len(st.heap)
 		st.heap = nil
-	} else if err := st.step(root); err != nil {
-		return nil, err
 	}
-	if st.unbounded {
-		return &Solution{Status: Unbounded, Bound: math.Inf(-1), Nodes: st.nodes,
-			LPIterations: st.lpIters, BoundTrusted: true}, nil
-	}
-
-	if opt.Workers > 1 && len(st.heap) > 0 {
-		var wg sync.WaitGroup
-		for i := 0; i < opt.Workers; i++ {
-			w := root
-			if i > 0 {
-				w = newSearcher(p, &opt, st, isInt)
-				searchers = append(searchers, w)
-			}
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				// Label the worker goroutine so -pprof profiles segment
-				// B&B time per worker; a nil Context (batch/bench path)
-				// skips the label machinery entirely.
-				obs.Do(opt.Context, "worker", strconv.Itoa(id), func(context.Context) {
-					st.runWorker(w)
-				})
-			}(i)
+	for len(st.heap) > 0 && !st.limitHit() {
+		if err := st.step(w); err != nil {
+			return nil, err
 		}
-		wg.Wait()
-		if st.err != nil {
-			return nil, st.err
-		}
-	} else {
-		for len(st.heap) > 0 && !st.limitHit() {
-			if err := st.step(root); err != nil {
-				return nil, err
-			}
+		if st.unbounded {
+			return &Solution{Status: Unbounded, Bound: math.Inf(-1), Nodes: st.nodes,
+				LPIterations: st.lpIters, BoundTrusted: true}, nil
 		}
 	}
 
 	sol := st.finish()
-	for _, w := range searchers {
-		sol.Solver.Accumulate(w.solver.Stats)
-	}
+	sol.Solver = w.solver.Stats
 	return sol, nil
 }
 
-// searchState is the shared branch-and-bound state. The sequential search
-// uses it without locking (except the pseudo-cost tables); workers
-// serialize on mu.
+// searchState is the branch-and-bound state of one Solve.
 type searchState struct {
 	opt      *Options
-	mu       sync.Mutex
-	cond     *sync.Cond
 	heap     []node // bound-ordered min-heap, ties pop LIFO
 	seq      int64
-	active   int
-	stopped  bool
-	err      error
 	deadline time.Time
 	limited  bool // limitHit tripped (sticky)
 
 	incumbent []float64
 	incObj    float64
 
-	// Pseudo-cost tables (per integer variable, both directions), guarded
-	// by pcMu because workers read them outside mu. The g* aggregates keep
-	// the unobserved-variable fallback O(1) per lookup.
-	pcMu      sync.Mutex
+	// Pseudo-cost tables (per integer variable, both directions). The g*
+	// aggregates keep the unobserved-variable fallback O(1) per lookup.
 	pcUpSum   []float64
 	pcDownSum []float64
 	pcUpN     []int32
@@ -977,13 +860,8 @@ type searchState struct {
 	gUpN      int32
 	gDownN    int32
 
-	// pool is the shared global-cut store (nil when Options.Separate is
-	// unset; its own mutex serializes access from workers).
+	// pool is the global-cut store (nil when Options.Separate is unset).
 	pool *cutPool
-
-	// basisPool recycles the slice storage of parent-basis snapshots
-	// (parallel search only; see sharedBasis).
-	basisPool sync.Pool
 
 	nodes        int
 	lpIters      int
@@ -1033,7 +911,7 @@ func (st *searchState) popNode() node {
 	top := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
-	h[last] = node{} // release fix/basis references
+	h[last] = node{} // release fix/cut references
 	st.heap = h[:last]
 	i := 0
 	for {
@@ -1058,7 +936,6 @@ func (st *searchState) popNode() node {
 // branching variable j up/down. Unobserved variables fall back to the
 // running average over all observations of that direction, or a neutral 1
 // (reducing the product rule to most-fractional) at the very start.
-// Callers hold pcMu.
 func (st *searchState) pcUpEst(j int) float64 {
 	return pcEst(st.pcUpSum, st.pcUpN, j, st.gUpSum, st.gUpN)
 }
@@ -1092,7 +969,6 @@ func (st *searchState) recordPseudoCost(nd *node, childObj float64) {
 	if f <= intTol || f >= 1-intTol {
 		return
 	}
-	st.pcMu.Lock()
 	if nd.branchUp {
 		st.pcUpSum[j] += delta / (1 - f)
 		st.pcUpN[j]++
@@ -1104,15 +980,12 @@ func (st *searchState) recordPseudoCost(nd *node, childObj float64) {
 		st.gDownSum += delta / f
 		st.gDownN++
 	}
-	st.pcMu.Unlock()
 }
 
 // limitHit reports whether the search must stop: node budget, deadline, or
 // cancelled context. Every trigger is monotone, so the first trip is
 // cached. finish labels the stop by whether the deadline has passed, not by
-// which trigger fired first. The parallel path calls this under st.mu; the
-// sequential path is single-threaded, so the unguarded write is safe in
-// both.
+// which trigger fired first.
 func (st *searchState) limitHit() bool {
 	if !st.limited {
 		st.limited = st.nodes >= st.opt.MaxNodes || pastDeadline(st.deadline) ||
@@ -1121,39 +994,25 @@ func (st *searchState) limitHit() bool {
 	return st.limited
 }
 
-// releaseBasis drops one reference to a shared parent-basis snapshot,
-// recycling its storage into the pool when the last sharing child is
-// consumed (nil-safe).
-func (st *searchState) releaseBasis(sb *sharedBasis) {
-	if sb != nil && sb.refs.Add(-1) == 0 {
-		st.basisPool.Put(sb.bs)
-	}
-}
-
 // pruneFrontier discards the popped node and — because the heap is
 // bound-ordered — every other open node: none of them can improve the
 // incumbent once the heap minimum cannot. The discarded count is folded
-// into st.lpSkipped. Callers in the parallel path hold st.mu.
+// into st.lpSkipped.
 func (st *searchState) pruneFrontier() {
 	st.lpSkipped += 1 + len(st.heap)
-	for i := range st.heap {
-		st.releaseBasis(st.heap[i].basis)
-		st.heap[i] = node{} // release fix/basis references
-	}
+	clear(st.heap) // release fix/cut references
 	st.heap = st.heap[:0]
 }
 
-// step pops and processes one node sequentially (no locking).
+// step pops and processes one node.
 func (st *searchState) step(w *searcher) error {
 	nd := st.popNode()
 
 	if nd.bound > st.incObj-absGap && !math.IsInf(nd.bound, -1) {
-		st.releaseBasis(nd.basis)
 		st.pruneFrontier()
 		return nil
 	}
 	r, err := w.processNode(&nd, st.incObj)
-	st.releaseBasis(nd.basis)
 	if err != nil {
 		return err
 	}
@@ -1167,8 +1026,7 @@ func (st *searchState) step(w *searcher) error {
 // representative progression instead of flooding the recorder.
 const traceNodeSample = 64
 
-// absorb merges one node's result into the shared state. Callers in the
-// parallel path hold st.mu.
+// absorb merges one node's result into the search state.
 func (st *searchState) absorb(nd *node, r *nodeResult) {
 	st.conflictCuts += r.conflictCuts
 	if r.pruned {
@@ -1235,56 +1093,6 @@ func (st *searchState) absorb(nd *node, r *nodeResult) {
 	}
 	for i := range r.children {
 		st.pushNode(r.children[i])
-	}
-}
-
-// runWorker is the parallel search loop: pop under the lock, solve outside
-// it, merge results back under the lock.
-func (st *searchState) runWorker(w *searcher) {
-	st.mu.Lock()
-	for {
-		for len(st.heap) == 0 && st.active > 0 && !st.stopped && st.err == nil {
-			st.cond.Wait()
-		}
-		if st.err != nil || st.stopped || (len(st.heap) == 0 && st.active == 0) {
-			st.cond.Broadcast()
-			st.mu.Unlock()
-			return
-		}
-		if st.limitHit() {
-			st.stopped = true
-			st.cond.Broadcast()
-			st.mu.Unlock()
-			return
-		}
-		nd := st.popNode()
-		if nd.bound > st.incObj-absGap && !math.IsInf(nd.bound, -1) {
-			st.releaseBasis(nd.basis)
-			st.pruneFrontier()
-			continue
-		}
-		st.active++
-		inc := st.incObj
-		st.mu.Unlock()
-
-		r, err := w.processNode(&nd, inc)
-		st.releaseBasis(nd.basis)
-
-		st.mu.Lock()
-		st.active--
-		if err != nil {
-			if st.err == nil {
-				st.err = err
-			}
-			st.cond.Broadcast()
-			st.mu.Unlock()
-			return
-		}
-		st.lpIters += r.iters
-		st.absorb(&nd, r)
-		if len(st.heap) > 0 || st.active == 0 {
-			st.cond.Broadcast()
-		}
 	}
 }
 

@@ -281,3 +281,80 @@ func TestRootOpenHook(t *testing.T) {
 		}
 	}
 }
+
+// randomKnapsack builds a reproducible knapsack instance.
+func randomKnapsack(seed int64, n int) *Problem {
+	rng := rand.New(rand.NewSource(seed))
+	values := make([]float64, n)
+	weights := make([]float64, n)
+	tot := 0.0
+	for i := range values {
+		values[i] = float64(1 + rng.Intn(40))
+		weights[i] = float64(1 + rng.Intn(15))
+		tot += weights[i]
+	}
+	return knapsack(values, weights, math.Floor(tot/2.5))
+}
+
+// TestStopChannelAborts: cancelling Options.Context must end the search
+// promptly with a Limit-like partial result instead of running to
+// completion.
+func TestStopChannelAborts(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // pre-cancelled: the search may only process the root
+	P := randomKnapsack(7, 22)
+	start := time.Now()
+	s, err := Solve(P, Options{Context: ctx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Status == Optimal && s.Nodes > 1 {
+		t.Errorf("stopped search explored %d nodes and claimed optimal", s.Nodes)
+	}
+	if time.Since(start) > 5*time.Second {
+		t.Error("cancel had no effect")
+	}
+}
+
+// TestDroppedNodesDegradeStatus exercises the IterLimit bookkeeping: when
+// nodes are discarded, the solution's bound must be flagged untrusted, the
+// dropped nodes' parent bounds must still enter the reported Bound, and the
+// search must not claim Optimal or Infeasible.
+func TestDroppedNodesDegradeStatus(t *testing.T) {
+	opt := Options{MaxNodes: defaultMaxNodes}
+	st := &searchState{opt: &opt, incObj: math.Inf(1), droppedBound: math.Inf(1)}
+	st.rootSolved = true
+	st.rootBound = 1
+	// Simulate one explored incumbent and one dropped node with bound 2.
+	st.incumbent = []float64{1}
+	st.incObj = 5
+	st.dropped = 1
+	st.droppedBound = 2
+	sol := st.finish()
+	if sol.BoundTrusted {
+		t.Error("BoundTrusted = true with dropped nodes")
+	}
+	if sol.Dropped != 1 {
+		t.Errorf("Dropped = %d, want 1", sol.Dropped)
+	}
+	if sol.Status == Optimal {
+		t.Error("claimed Optimal despite dropped nodes")
+	}
+	if sol.Bound != 2 {
+		t.Errorf("Bound = %g, want 2 (the dropped node's parent bound)", sol.Bound)
+	}
+
+	// Without an incumbent a dropped node must degrade Infeasible to Limit.
+	st2 := &searchState{opt: &opt, incObj: math.Inf(1), droppedBound: math.Inf(1)}
+	st2.rootSolved = true
+	st2.rootBound = 1
+	st2.dropped = 2
+	st2.droppedBound = 1
+	sol2 := st2.finish()
+	if sol2.Status != Limit {
+		t.Errorf("status = %v, want limit (dropped nodes, no incumbent)", sol2.Status)
+	}
+	if sol2.BoundTrusted {
+		t.Error("BoundTrusted = true with dropped nodes and no incumbent")
+	}
+}

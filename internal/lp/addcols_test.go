@@ -188,30 +188,6 @@ func TestAddColsValidation(t *testing.T) {
 	}
 }
 
-// TestAddColsBasisSnapshotFallback: a Basis snapshot taken before AddCols
-// has the wrong shape afterwards and must fall back to a plain solve
-// instead of corrupting state.
-func TestAddColsBasisSnapshotFallback(t *testing.T) {
-	s := NewSolver(cgProblem())
-	if _, err := s.Solve(); err != nil {
-		t.Fatal(err)
-	}
-	bs := s.Basis()
-	if bs == nil {
-		t.Fatal("no snapshot")
-	}
-	if err := s.AddCols([]NewCol{{Obj: 1.5, Lo: 0, Hi: 10, Rows: []int{0, 1}, Vals: []float64{1, 1}}}); err != nil {
-		t.Fatal(err)
-	}
-	sol, err := s.ResolveFrom(bs)
-	if err != nil || sol.Status != Optimal {
-		t.Fatalf("ResolveFrom stale snapshot: %v %v", sol, err)
-	}
-	if math.Abs(sol.Obj-1.5) > 1e-9 {
-		t.Fatalf("obj = %v, want 1.5", sol.Obj)
-	}
-}
-
 // TestAddColsDupRowsMerged: duplicate row indices in one column merge.
 func TestAddColsDupRowsMerged(t *testing.T) {
 	s := NewSolver(cgProblem())

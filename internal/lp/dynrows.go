@@ -13,10 +13,9 @@ import (
 // dual-simplex repair from the current point (the new slack is the only
 // infeasible basic variable) instead of a cold two-phase rebuild.
 //
-// Added rows are solver-local: the shared Problem is never modified, so the
-// concurrent search workers of internal/ilp can hold different cut sets
-// over one Problem. Integer-feasibility checks keep using the Problem's
-// rows — added rows are cutting planes, i.e. redundant for every integral
+// Added rows are solver-local: the shared Problem is never modified, so
+// integer-feasibility checks keep using the Problem's rows — added rows
+// are cutting planes, i.e. redundant for every integral
 // feasible point, which is exactly why a buggy (invalid) cut can cost
 // correctness of *pruning* but can never smuggle an infeasible incumbent
 // through the ilp layer's row checks.

@@ -10,8 +10,7 @@
 //     copy of the variable bounds (SetVarBounds), and re-solves after bound
 //     changes by warm starting from the previous basis — a dual-simplex
 //     repair followed by a primal cleanup — falling back to a from-scratch
-//     two-phase primal solve only when the warm start stalls. Basis
-//     snapshots can be carried across Solvers with Basis/ResolveFrom.
+//     two-phase primal solve only when the warm start stalls.
 //
 // This split exists for the branch-and-bound layer in internal/ilp: a B&B
 // node only tightens variable bounds, so each node costs a handful of

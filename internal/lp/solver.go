@@ -170,7 +170,7 @@ type SolverStats struct {
 	DualPivots       int // pivots spent in the dual-simplex repair
 	RowsAdded        int // constraint rows appended to the live solver (AddRows)
 	ColsAdded        int // structural columns appended to the live solver (AddCols)
-	Refactorizations int // basis reinversions (cold builds, fill/stability triggers, installs)
+	Refactorizations int // basis reinversions (cold builds, fill/stability triggers)
 	BoundFlips       int // dual long-step bound flips (infeasibility absorbed without a pivot)
 	UpdateNNZ        int // cumulative Forrest–Tomlin update-file nonzeros appended
 	SparseFTRANs     int // FTRANs completed on the hyper-sparse path
@@ -224,14 +224,6 @@ type dualBP struct {
 	j     int32
 	alpha float64
 	ratio float64
-}
-
-// Basis is a compact snapshot of a Solver basis, suitable for storing in a
-// branch-and-bound node and replaying on another Solver over the same
-// Problem via ResolveFrom.
-type Basis struct {
-	basis  []int
-	status []varStatus
 }
 
 // feasTol is the primal feasibility tolerance used by the warm-start path.
@@ -382,36 +374,11 @@ func (s *Solver) Invalidate() { s.valid = false }
 // next Solve will attempt the warm-start path.
 func (s *Solver) Warm() bool { return s.valid }
 
-// SetReuseSolution switches the Solver into shared-buffer mode: Solve and
-// ResolveFrom return a Solution owned by the Solver whose X slice is valid
-// only until the next solve. The branch-and-bound hot path uses this to
-// keep node re-solves allocation-free; callers that retain a result must
-// copy it.
+// SetReuseSolution switches the Solver into shared-buffer mode: Solve
+// returns a Solution owned by the Solver whose X slice is valid only until
+// the next solve. The branch-and-bound hot path uses this to keep node
+// re-solves allocation-free; callers that retain a result must copy it.
 func (s *Solver) SetReuseSolution(on bool) { s.reuseSol = on }
-
-// Basis returns a snapshot of the current basis, or nil when the Solver has
-// no valid factorization. Snapshots containing basic artificial variables
-// (redundant rows) are not replayable and also return nil.
-func (s *Solver) Basis() *Basis { return s.BasisInto(nil) }
-
-// BasisInto is Basis with buffer reuse: when bs is non-nil its slices are
-// overwritten and it is returned, so a pooled snapshot costs no allocation.
-func (s *Solver) BasisInto(bs *Basis) *Basis {
-	if !s.valid {
-		return nil
-	}
-	for _, jb := range s.basis {
-		if jb >= s.nStruct+s.m {
-			return nil
-		}
-	}
-	if bs == nil {
-		bs = &Basis{}
-	}
-	bs.basis = append(bs.basis[:0], s.basis...)
-	bs.status = append(bs.status[:0], s.status...)
-	return bs
-}
 
 // Solve minimizes the captured objective under the current bounds. When the
 // Solver holds a dual-feasible basis from a previous solve it warm starts
@@ -425,28 +392,6 @@ func (s *Solver) Solve() (*Solution, error) {
 	s.Stats.Solves++
 	s.iter = 0
 	if s.valid {
-		if sol, ok := s.solveWarm(); ok {
-			return sol, nil
-		}
-	}
-	return s.solveCold()
-}
-
-// ResolveFrom installs a basis snapshot (typically a parent node's) and
-// solves under the current bounds. The snapshot must come from a Solver over
-// the same Problem. When installation fails numerically the solver falls
-// back to a cold solve.
-func (s *Solver) ResolveFrom(bs *Basis) (*Solution, error) {
-	if sol, err, done := s.precheck(); done {
-		return sol, err
-	}
-	if bs == nil || len(bs.basis) != s.m || len(bs.status) != s.nTotal {
-		return s.Solve()
-	}
-	s.ensureBuilt()
-	s.Stats.Solves++
-	s.iter = 0
-	if s.install(bs) {
 		if sol, ok := s.solveWarm(); ok {
 			return sol, nil
 		}
@@ -1323,31 +1268,6 @@ func (s *Solver) build() int {
 	s.refactor()
 	s.computeB()
 	return nArt
-}
-
-// install replays a basis snapshot by reinversion from the original column
-// data. Returns false when the snapshot is not replayable (basic artificial)
-// or numerically singular (caller falls back to cold).
-func (s *Solver) install(bs *Basis) bool {
-	for _, jb := range bs.basis {
-		if jb >= s.nStruct+s.m {
-			return false
-		}
-	}
-	copy(s.basis, bs.basis)
-	copy(s.status, bs.status)
-	for i := 0; i < s.m; i++ {
-		ac := s.nStruct + s.m + i
-		s.lo[ac], s.hi[ac] = 0, 0
-		s.artUsed[i] = false
-		s.artSign[i] = 1
-	}
-	if faultinject.Fire(faultinject.LUSingularFactor) || !s.refactor() {
-		s.valid = false
-		return false
-	}
-	s.valid = true
-	return true
 }
 
 // ---- shared simplex machinery ----

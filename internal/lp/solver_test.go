@@ -134,40 +134,6 @@ func TestWarmMatchesColdProperty(t *testing.T) {
 	}
 }
 
-// TestResolveFromBasis replays a basis snapshot on a second Solver over the
-// same Problem and checks it reaches the same optimum as a cold solve.
-func TestResolveFromBasis(t *testing.T) {
-	for seed := int64(0); seed < 60; seed++ {
-		rng := rand.New(rand.NewSource(1000 + seed))
-		p, _ := randomBoundedLP(rng)
-		s1 := NewSolver(p)
-		first, err := s1.Solve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first.Status != Optimal {
-			continue
-		}
-		bs := s1.Basis()
-		// Change bounds on a second solver and resolve from the snapshot.
-		s2 := NewSolver(p)
-		for k := 0; k < 3; k++ {
-			mutateBounds(rng, p, s2)
-		}
-		got, err := s2.ResolveFrom(bs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := coldReference(t, p, s2)
-		if got.Status != ref.Status {
-			t.Fatalf("seed %d: resolve status %v, cold %v", seed, got.Status, ref.Status)
-		}
-		if got.Status == Optimal && math.Abs(got.Obj-ref.Obj) > 1e-6 {
-			t.Fatalf("seed %d: resolve obj %g, cold %g", seed, got.Obj, ref.Obj)
-		}
-	}
-}
-
 // TestSolverStatsWarmPath checks that repeated bound-change solves actually
 // take the warm path rather than silently rebuilding every time.
 func TestSolverStatsWarmPath(t *testing.T) {

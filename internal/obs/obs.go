@@ -27,8 +27,8 @@ const (
 	// PhasePresolve covers path enumeration, DAG bound computation, and
 	// greedy warm-start construction, before any N is probed.
 	PhasePresolve = "presolve"
-	// PhaseProbe is one relax-N iteration (arg = N). Probe spans overlap
-	// when the speculative ladder runs them concurrently.
+	// PhaseProbe is one relax-N iteration (arg = N). A race rival records
+	// a second probe span for the same N, overlapping the row search's.
 	PhaseProbe = "probe"
 	// PhaseModelBuild is ILP model construction for one N (arg = N).
 	PhaseModelBuild = "model-build"

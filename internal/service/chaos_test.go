@@ -161,10 +161,10 @@ func TestChaosSlowSolveDeadlineFallback(t *testing.T) {
 	assertMetric(t, ts.URL, "sparcsd_solve_timeouts_total 1")
 }
 
-// TestChaosLUFaultsStillCorrect: with both LU fault points firing on every
-// opportunity — reinversions failing, warm-started factors reported
-// singular — the simplex falls back to its handled recovery paths and the
-// service still returns the exact optimum.
+// TestChaosLUFaultsStillCorrect: with the LU refactor fault point firing
+// on every opportunity — reinversions failing — the simplex falls back to
+// its handled recovery path and the service still returns the exact
+// optimum.
 func TestChaosLUFaultsStillCorrect(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
@@ -181,9 +181,8 @@ func TestChaosLUFaultsStillCorrect(t *testing.T) {
 
 	// Finite shot counts: a factor that can NEVER be rebuilt degrades each
 	// LP solve far past the point the per-node deadline check can bound
-	// (an extreme no real fault produces); 100 firings per point exercise
-	// every recovery path while keeping the lane fast.
-	faultinject.Arm(faultinject.LUSingularFactor, 100)
+	// (an extreme no real fault produces); 100 firings exercise the
+	// recovery path while keeping the lane fast.
 	faultinject.Arm(faultinject.LURefactorFail, 100)
 	code, body = postJSON(t, ts.URL+"/v1/solve", req)
 	if code != http.StatusOK {
@@ -197,20 +196,17 @@ func TestChaosLUFaultsStillCorrect(t *testing.T) {
 	if res.N <= 0 || res.LatencyNS <= 0 {
 		t.Fatalf("LU-faulted solve degenerate: %+v", res)
 	}
-	if faultinject.Fired(faultinject.LUSingularFactor) == 0 &&
-		faultinject.Fired(faultinject.LURefactorFail) == 0 {
-		t.Fatal("neither LU fault point fired; hooks are dead")
+	if faultinject.Fired(faultinject.LURefactorFail) == 0 {
+		t.Fatal("the LU refactor fault point never fired; the hook is dead")
 	}
 
 	// A small exactly-solvable graph under the same faults must still hit
-	// the true optimum. Finite shot counts (50 firings each, far more than
-	// the recovery paths need to be exercised) keep the forced cold solves
+	// the true optimum. A finite shot count (50 firings, far more than the
+	// recovery path needs to be exercised) keeps the forced cold solves
 	// from dominating the lane's wall-clock.
-	faultinject.Disarm(faultinject.LUSingularFactor)
 	faultinject.Disarm(faultinject.LURefactorFail)
 	g := wideGraph()
 	wantN, wantLat := directOptimum(t, g)
-	faultinject.Arm(faultinject.LUSingularFactor, 50)
 	faultinject.Arm(faultinject.LURefactorFail, 50)
 	code, body = postJSON(t, ts.URL+"/v1/solve",
 		SolveRequest{Graph: marshalGraph(t, g), Board: "small", NoCache: true})

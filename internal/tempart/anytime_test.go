@@ -63,29 +63,6 @@ func TestSolveContextDeadlineAnytime(t *testing.T) {
 	}
 }
 
-// TestSolveContextDeadlineSpeculative runs the same deadline through the
-// speculative relax-N window: the salvage path must return the best
-// COMPLETED probe's result under the same anytime contract.
-func TestSolveContextDeadlineSpeculative(t *testing.T) {
-	in := hardInput(24)
-	in.SpeculateN = 3
-	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	p, err := Solve(ctx, in)
-	if elapsed := time.Since(start); elapsed > 15*time.Second {
-		t.Fatalf("speculative deadline solve ran %v", elapsed)
-	}
-	switch {
-	case err == nil && p != nil && p.Optimal:
-	case err == nil && p != nil:
-		checkAnytime(t, in, p)
-	case errors.Is(err, ErrDeadline):
-	default:
-		t.Fatalf("got (%v, %v), want anytime result or ErrDeadline", p, err)
-	}
-}
-
 // TestAnytimeLowerBoundSound: the exported floor used for fallback gap
 // reporting must never exceed the true optimum.
 func TestAnytimeLowerBoundSound(t *testing.T) {

@@ -35,7 +35,7 @@ import (
 //
 // Every family above is globally valid — derived from the instance data
 // and integrality alone, never from branching decisions — so those cuts
-// enter the shared ilp pool and strengthen every worker's relaxation. The
+// enter the ilp cut pool and strengthen every later node's relaxation. The
 // one exception is the residual CG cardinality separator (cgResidualCuts):
 // its cuts use the node's fixed assignments, are valid only inside the
 // emitting node's bound box, and are therefore marked node-local
@@ -355,8 +355,7 @@ type resDim struct {
 
 // separator owns the per-model separation state: the variable layout, the
 // capped resource dimensions, the longest-path chain seeds, and the
-// precomputed per-subset layer-cake floors. It is stateless per call and
-// safe for concurrent use from parallel search workers.
+// precomputed per-subset layer-cake floors. It is stateless per call.
 type separator struct {
 	pre *presolve
 	g   *dfg.Graph

@@ -153,8 +153,7 @@ func TestCutsNeverExcludeFeasibleSolutions(t *testing.T) {
 
 // TestCutsPreserveOptimum: branch-and-cut and the plain search must reach
 // identical optima (N, latency, optimality) on random instances, the
-// interchangeable-clone fixtures, and the multi-resource fixture, with
-// both 1 and 4 workers.
+// interchangeable-clone fixtures, and the multi-resource fixture.
 func TestCutsPreserveOptimum(t *testing.T) {
 	type fixture struct {
 		name  string
@@ -182,23 +181,19 @@ func TestCutsPreserveOptimum(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s (nocuts): %v", fx.name, err)
 		}
-		for _, workers := range []int{0, 4} {
-			in := Input{Graph: fx.g, Board: fx.board}
-			in.Workers = workers
-			cut, err := Solve(context.Background(), in)
-			if err != nil {
-				t.Fatalf("%s (cuts, workers=%d): %v", fx.name, workers, err)
-			}
-			if cut.N != plain.N || math.Abs(cut.Latency-plain.Latency) > 1e-6 {
-				t.Errorf("%s workers=%d: cut search N=%d lat=%g, plain N=%d lat=%g",
-					fx.name, workers, cut.N, cut.Latency, plain.N, plain.Latency)
-			}
-			if cut.Optimal != plain.Optimal {
-				t.Errorf("%s workers=%d: optimality cut=%v plain=%v", fx.name, workers, cut.Optimal, plain.Optimal)
-			}
-			if err := CheckFeasible(fx.g, fx.board, cut.Assign, cut.N); err != nil {
-				t.Errorf("%s workers=%d: cut-search assignment infeasible: %v", fx.name, workers, err)
-			}
+		cut, err := Solve(context.Background(), Input{Graph: fx.g, Board: fx.board})
+		if err != nil {
+			t.Fatalf("%s (cuts): %v", fx.name, err)
+		}
+		if cut.N != plain.N || math.Abs(cut.Latency-plain.Latency) > 1e-6 {
+			t.Errorf("%s: cut search N=%d lat=%g, plain N=%d lat=%g",
+				fx.name, cut.N, cut.Latency, plain.N, plain.Latency)
+		}
+		if cut.Optimal != plain.Optimal {
+			t.Errorf("%s: optimality cut=%v plain=%v", fx.name, cut.Optimal, plain.Optimal)
+		}
+		if err := CheckFeasible(fx.g, fx.board, cut.Assign, cut.N); err != nil {
+			t.Errorf("%s: cut-search assignment infeasible: %v", fx.name, err)
 		}
 	}
 }

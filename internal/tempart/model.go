@@ -20,12 +20,7 @@
 //
 // A preprocessing step computes the partition lower bound
 // N0 = ⌈Σ_t R(t) / R_max⌉ and the bound is relaxed by one partition at a
-// time until the model is feasible, exactly as in the paper. The relax
-// loop probes a window of Input.SpeculateN candidate partition counts
-// concurrently (one at a time by default, as in the paper) and returns the
-// lowest feasible N — the same answer at every window size, without
-// serializing infeasibility proofs behind each other when the window is
-// wider; Input.Workers additionally parallelizes each probe's search tree.
+// time until the model is feasible, exactly as in the paper.
 //
 // ListPartition is the list-based greedy baseline the paper compares
 // against (Sec. 4); it shares its packing loop with the ILP's warm start.
@@ -38,7 +33,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/arch"
@@ -78,14 +72,6 @@ type Input struct {
 	// change the optimum and substantially prune the search on regular
 	// DSP graphs. Disable only to measure the ablation.
 	NoSymmetryBreaking bool
-	// SpeculateN is the relax-N loop's window (<= 1 probes one candidate
-	// at a time, as in the paper): up to SpeculateN candidate partition
-	// counts (N0, N0+1, ...) are built and solved concurrently, and the
-	// lowest feasible N wins — the same answer at every window size,
-	// without serializing the infeasibility proofs of the too-small Ns
-	// behind each other. Probes made moot by a lower feasible N are
-	// cancelled through a context derived from Solve's.
-	SpeculateN int
 	// DisableWarmStart suppresses the list-partitioner warm start (for
 	// ablation benchmarks).
 	DisableWarmStart bool
@@ -103,19 +89,16 @@ type Input struct {
 	// sampled node events (the recorder is handed down through
 	// ilp.Options.Trace). A nil Trace is free — every recording site is a
 	// nil-receiver no-op — so the batch and benchmark paths pay nothing.
-	// Under SpeculateN the probe spans of concurrent candidates overlap;
-	// span durations then sum to more than wall clock by design.
+	// A race rival's probe span overlaps the row search's spans of the
+	// same probe; span durations then sum to more than wall clock.
 	Trace *obs.Recorder
-	// Workers sets each probe's concurrent search workers (<= 1 searches
-	// sequentially); the optimum found is the same at every count.
-	Workers int
 	// MaxNodes bounds each probe's branch-and-bound (or branch-and-price)
 	// nodes (0 = the ilp default).
 	MaxNodes int
 
 	// testProbe, when non-nil, runs at the start of every relax-N probe
 	// that reaches a search (tests only: it lets a test panic inside a
-	// probe goroutine).
+	// probe).
 	testProbe func()
 	// testRival, when non-nil, runs on a race's rival goroutine before the
 	// pattern master starts (tests only: it lets a test cancel a solve
@@ -279,11 +262,11 @@ func AnytimeLowerBound(g *dfg.Graph, board arch.Board) float64 {
 // Solve runs the full temporal partitioning tool: preprocessing, model
 // generation for the lower-bound N, and the relax-N loop until feasibility.
 //
-// ctx bounds the search: cancelling it aborts every search worker and
-// every speculative relax-N probe at its next limit check, and a cancelled
-// solve returns ctx.Err() even when the aborted search had already found a
-// feasible (but unproven) incumbent. Deadline expiry is different — that is
-// the anytime contract: when ctx died of context.DeadlineExceeded and the
+// ctx bounds the search: cancelling it aborts the running search (and a
+// race rival) at its next limit check, and a cancelled solve returns
+// ctx.Err() even when the aborted search had already found a feasible (but
+// unproven) incumbent. Deadline expiry is different — that is the anytime
+// contract: when ctx died of context.DeadlineExceeded and the
 // solve still produced a partitioning (the best incumbent, marked Partial
 // with a proven LatencyBound and Gap), the partitioning is returned instead
 // of the error. A deadline that fires before any incumbent exists surfaces
@@ -381,185 +364,79 @@ func validateInput(g *dfg.Graph, board arch.Board) error {
 }
 
 // proofTally accumulates the infeasibility-proof telemetry of one Solve
-// across every relax-N probe (probes run concurrently under SpeculateN,
-// hence the atomics): bin-packing dual-bound fathoms (rejected N probes
-// plus LP-free node fathoms), learned conflict cuts, and separated
+// across every relax-N probe: bin-packing dual-bound fathoms (rejected N
+// probes plus LP-free node fathoms), learned conflict cuts, and separated
 // Chvátal–Gomory cuts — including the probes that ended in an
 // infeasibility proof, whose search effort would otherwise be invisible.
 type proofTally struct {
 	packNeed     int // instance-wide bin-packing dual bound (presolve)
-	dualFathoms  atomic.Int64
-	conflictCuts atomic.Int64
-	cgCuts       atomic.Int64
-	rivals       atomic.Int64 // probes that started a pattern-master rival
+	dualFathoms  int
+	conflictCuts int
+	cgCuts       int
+	rivals       int // probes that started a pattern-master rival
 }
 
-// absorb folds a consumed probe's sub-tally into the aggregate (the
-// speculative consumer's accumulation path; probes never consumed — moot
-// higher-N searches — never reach it).
+// absorb folds a race attempt's sub-tally into the aggregate (only the
+// attempt whose verdict stands contributes).
 func (tally *proofTally) absorb(sub *proofTally) {
-	if sub == nil {
-		return
-	}
-	tally.dualFathoms.Add(sub.dualFathoms.Load())
-	tally.conflictCuts.Add(sub.conflictCuts.Load())
-	tally.cgCuts.Add(sub.cgCuts.Load())
-	tally.rivals.Add(sub.rivals.Load())
+	tally.dualFathoms += sub.dualFathoms
+	tally.conflictCuts += sub.conflictCuts
+	tally.cgCuts += sub.cgCuts
+	tally.rivals += sub.rivals
 }
 
-// stampProofStats folds the tally into a winning partitioning's stats. It
-// must run at acceptance, after every consumed probe's sub-tally has been
-// absorbed (the consumer accepts in ascending N order, so all
-// infeasibility proofs below the winner have already contributed and moot
-// higher-N probes never do).
+// stampProofStats folds the tally into the winning partitioning's stats,
+// after every lower-N probe has contributed.
 func (tally *proofTally) stampProofStats(part *Partitioning) {
-	part.Stats.ConflictCuts = int(tally.conflictCuts.Load())
-	part.Stats.CGCuts += int(tally.cgCuts.Load())
-	part.Stats.DualBoundFathoms = int(tally.dualFathoms.Load())
-	part.Stats.RaceRivals = int(tally.rivals.Load())
+	part.Stats.ConflictCuts = tally.conflictCuts
+	part.Stats.CGCuts += tally.cgCuts
+	part.Stats.DualBoundFathoms = tally.dualFathoms
+	part.Stats.RaceRivals = tally.rivals
 }
 
-// relaxN is the relax-N loop: a sliding window of max(SpeculateN, 1)
-// candidate partition counts is solved concurrently and results are
-// consumed in ascending N order, so the returned partitioning is the one a
-// window of 1 finds. Probes for N values made moot by a lower feasible N
-// are cancelled through a context derived from ctx; their goroutines drain
-// into buffered channels and are discarded.
+// relaxN is the relax-N loop: candidate partition counts are probed in
+// ascending order, one at a time, and the first feasible one wins.
 func relaxN(ctx context.Context, in Input, pre *presolve, paths [][]int, n0, maxN, prunedN int, tally *proofTally) (*Partitioning, error) {
-	// Each probe gets its own sub-tally; the consumer folds a probe's
-	// counts into the shared tally only when it CONSUMES the probe, in
-	// ascending N order. Cancelled higher-N probes are never consumed, so
-	// the stamped proof telemetry covers exactly the probes a window of 1
-	// runs — deterministic, and free of contamination from moot goroutines
-	// still winding down.
-	type probe struct {
-		part       *Partitioning
-		err        error
-		packPruned bool
-		tally      *proofTally
-		panicked   any // a recovered solver panic, re-raised by the consumer
-	}
-	window := max(in.SpeculateN, 1)
-	if window > 1 {
-		// A wider window leaves probes above the winner running when relaxN
-		// returns; cancelling their context reclaims the workers. With a
-		// window of 1 every launched probe is consumed first, so the
-		// caller's context passes through unchanged (an uncancellable one
-		// keeps the batch path free of pprof labels).
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-	}
-
-	launch := func(n int) chan probe {
-		ch := make(chan probe, 1)
-		pt := &proofTally{packNeed: tally.packNeed}
-		go func() {
-			// Each probe gets its own (overlapping) span, ended before the
-			// result is sent so the consumer's trace always holds the
-			// spans of the probes it consumed. A panic is recovered and
-			// re-raised by the consumer, on the caller's goroutine.
-			probeSpan := in.Trace.BeginArg(obs.PhaseProbe, int64(n))
-			r := probe{tally: pt}
-			defer func() {
-				if v := recover(); v != nil {
-					r = probe{panicked: v, tally: pt}
-				}
-				probeSpan.End()
-				ch <- r
-			}()
-			// Bin-packing dual bound: a candidate count below the packing
-			// need is infeasible outright — cheaper than both the exact
-			// packing check below and any branch-and-bound infeasibility
-			// proof. Ignoring temporal order and memory can only make the
-			// problem easier, so multi-resource packing infeasibility
-			// likewise proves ILP infeasibility at this N. Both run inside
-			// the probe, off the consumer's critical path.
-			switch {
-			case n < pt.packNeed:
-				pt.dualFathoms.Add(1)
-				r.packPruned = true
-			case !pre.packingFeasibleAll(n):
-				r.packPruned = true
-			default:
-				if in.testProbe != nil {
-					in.testProbe()
-				}
-				r.part, r.err = solveForN(ctx, in, pre, paths, n, pt)
-			}
-		}()
-		return ch
-	}
-
-	pending := make(map[int]chan probe, window)
-	next := n0
-	for ; next <= maxN && next < n0+window; next++ {
-		pending[next] = launch(next)
-	}
 	for n := n0; n <= maxN; n++ {
-		r := <-pending[n]
-		delete(pending, n)
-		if r.panicked != nil {
-			panic(r.panicked)
+		part, packPruned, err := probeN(ctx, in, pre, paths, n, tally)
+		if err != nil {
+			return nil, err
 		}
-		if r.err != nil {
-			if errors.Is(r.err, ErrDeadline) {
-				// Anytime salvage: the probe at n hit the deadline with no
-				// incumbent, but the already-launched higher-N probes —
-				// stopped by the same deadline — may hold feasible ones.
-				// Consume them in ascending N order and return the best
-				// completed probe's partitioning, labeled Partial with the
-				// floor bound: counts below n are proven infeasible, so
-				// any feasible partitioning costs at least n·reconfig plus
-				// the presolve delay floor.
-				ns := make([]int, 0, len(pending))
-				for k := range pending {
-					ns = append(ns, k)
-				}
-				sort.Ints(ns)
-				for _, k := range ns {
-					r2 := <-pending[k]
-					delete(pending, k)
-					if r2.err != nil || r2.part == nil {
-						continue
-					}
-					tally.absorb(r2.tally)
-					p := r2.part
-					p.Optimal = false
-					p.Partial = true
-					p.BoundTrusted = true
-					p.LatencyBound = float64(n)*in.Board.FPGA.ReconfigTime + pre.sumDelayFloor()
-					if p.LatencyBound > p.Latency {
-						p.LatencyBound = p.Latency
-					}
-					p.Gap = p.Latency - p.LatencyBound
-					p.Stats.RelaxSteps = k - n0 + 1
-					p.Stats.NProbesPruned = prunedN
-					tally.stampProofStats(p)
-					return p, nil
-				}
-			}
-			// An aborted higher-N probe can only fail with a cancel-induced
-			// limit error, which is never reached here: errors are consumed
-			// in ascending N order before the cancel.
-			return nil, r.err
-		}
-		tally.absorb(r.tally)
-		if r.packPruned {
+		if packPruned {
 			prunedN++
 		}
-		if r.part != nil {
-			r.part.Stats.RelaxSteps = n - n0 + 1
-			r.part.Stats.NProbesPruned = prunedN
-			tally.stampProofStats(r.part)
-			return r.part, nil
-		}
-		if next <= maxN {
-			pending[next] = launch(next)
-			next++
+		if part != nil {
+			part.Stats.RelaxSteps = n - n0 + 1
+			part.Stats.NProbesPruned = prunedN
+			tally.stampProofStats(part)
+			return part, nil
 		}
 	}
 	return nil, fmt.Errorf("%w (tried N=%d..%d)", ErrNoSolution, n0, maxN)
+}
+
+// probeN runs one relax-N probe under its own trace span. packPruned
+// reports a candidate count rejected by the packing bounds alone.
+func probeN(ctx context.Context, in Input, pre *presolve, paths [][]int, n int, tally *proofTally) (part *Partitioning, packPruned bool, err error) {
+	probeSpan := in.Trace.BeginArg(obs.PhaseProbe, int64(n))
+	defer probeSpan.End()
+	// Bin-packing dual bound: a candidate count below the packing need is
+	// infeasible outright — cheaper than both the exact packing check below
+	// and any branch-and-bound infeasibility proof. Ignoring temporal order
+	// and memory can only make the problem easier, so multi-resource
+	// packing infeasibility likewise proves ILP infeasibility at this N.
+	switch {
+	case n < tally.packNeed:
+		tally.dualFathoms++
+		return nil, true, nil
+	case !pre.packingFeasibleAll(n):
+		return nil, true, nil
+	}
+	if in.testProbe != nil {
+		in.testProbe()
+	}
+	part, err = solveForN(ctx, in, pre, paths, n, tally)
+	return part, false, err
 }
 
 // tpModel is one generated instance of the Eqs. 1-8 model for a fixed
@@ -866,7 +743,7 @@ func solveForNRows(ctx context.Context, in Input, pre *presolve, paths [][]int, 
 		m = buildModel(in, pre, paths, N, true)
 	})
 	opts := base
-	opts.MaxNodes, opts.Workers, opts.Trace = in.MaxNodes, in.Workers, in.Trace
+	opts.MaxNodes, opts.Trace = in.MaxNodes, in.Trace
 	if !in.DisableWarmStart {
 		if inc := warmStart(pre, paths, N, m.nVars, m.needMem, m.yv, m.wv, m.dv); inc != nil {
 			opts.Incumbent = inc
@@ -882,7 +759,7 @@ func solveForNRows(ctx context.Context, in Input, pre *presolve, paths [][]int, 
 	// Branch and cut: grow node LPs with violated CG cardinality / cover /
 	// temporal-order clique / layer-cake subset cuts, branching only when
 	// separation dries up; infeasibility-fathomed subtrees feed no-good
-	// cuts back into the shared pool.
+	// cuts back into the cut pool.
 	if !in.NoCuts {
 		opts.Separate = newSeparator(pre, g, N, m.yv, m.dv, paths).separate
 	}
@@ -911,10 +788,10 @@ func solveForNRows(ctx context.Context, in Input, pre *presolve, paths [][]int, 
 	}
 	searchSpan.End()
 	solveTime := time.Since(solveStart)
-	tally.conflictCuts.Add(int64(sol.ConflictCuts))
+	tally.conflictCuts += sol.ConflictCuts
 	for name, n := range sol.CutsByName {
 		if strings.HasPrefix(name, "cg-") {
-			tally.cgCuts.Add(int64(n))
+			tally.cgCuts += n
 		}
 	}
 
@@ -963,10 +840,8 @@ func solveForNRows(ctx context.Context, in Input, pre *presolve, paths [][]int, 
 			SeparationRounds:    sol.SeparationRounds,
 			// CGCuts carries only this model's root rows here; the
 			// tally-based counters are stamped by the relax loop at
-			// acceptance time (stampProofStats), after every lower-N
-			// probe has finished contributing — a winning speculative
-			// probe must not snapshot the shared tally while an
-			// infeasibility proof below it is still running.
+			// acceptance time (stampProofStats), once every lower-N
+			// probe has contributed.
 			CGCuts:    m.cgRoot,
 			BuildTime: buildTime, SolveTime: solveTime,
 			Solver:      sol.Solver,

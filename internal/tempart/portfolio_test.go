@@ -191,6 +191,57 @@ func TestHardPortfolio(t *testing.T) {
 	}
 }
 
+// TestPortfolioProofTelemetry pins the relax-N loop's telemetry on every
+// quick solvable instance under its manifest formulation: how many probes
+// ran, how many counts the packing bounds and the greedy clamp rejected,
+// and what each proof engine contributed. These counters are
+// deterministic; a change to the loop or to a proof engine that moves
+// one must update this table deliberately.
+func TestPortfolioProofTelemetry(t *testing.T) {
+	type telemetry struct {
+		relaxSteps, nProbesPruned, dualFathoms, conflictCuts, cgCuts, raceRivals int
+	}
+	want := map[string]telemetry{
+		"pack12":                  {2, 8, 1, 0, 12, 0},
+		"pack15":                  {3, 8, 2, 0, 16, 0},
+		"pack18":                  {3, 8, 2, 0, 18, 0},
+		"chain9":                  {2, 8, 1, 23, 20, 0},
+		"chain10":                 {2, 8, 1, 2, 30, 0},
+		"fir6":                    {1, 8, 0, 0, 4, 0},
+		"fir8":                    {1, 8, 0, 0, 8, 0},
+		"pack2638-patterns":       {2, 5, 0, 0, 0, 0},
+		"chainblocks102-patterns": {16, 24, 15, 0, 0, 0},
+	}
+	entries := loadPortfolio(t)
+	seen := 0
+	for i := range entries {
+		e := entries[i]
+		if !e.Quick || e.Expect != "solve" {
+			continue
+		}
+		seen++
+		name := entryName(&e)
+		t.Run(name, func(t *testing.T) {
+			w, ok := want[name]
+			if !ok {
+				t.Fatal("no pinned telemetry for this instance: add a row")
+			}
+			p, err := runEntry(&e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := p.Stats
+			got := telemetry{s.RelaxSteps, s.NProbesPruned, s.DualBoundFathoms, s.ConflictCuts, s.CGCuts, s.RaceRivals}
+			if got != w {
+				t.Errorf("telemetry {relax, pruned, dual, conflict, cg, rivals} = %v, want %v", got, w)
+			}
+		})
+	}
+	if seen != len(want) {
+		t.Errorf("%d quick solvable instances, %d pinned rows", seen, len(want))
+	}
+}
+
 // BenchmarkHardPortfolio is the stress yardstick (`make stress`): every
 // portfolio instance end to end, reporting aggregate search effort. The
 // deterministic counters (nodes, cuts) make pruning/cut wins visible run

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/arch"
 	"repro/internal/dfg"
@@ -530,8 +528,8 @@ func (pr *presolve) packingFeasibleAll(n int) bool {
 	return true
 }
 
-// nodeScratch is the per-call workspace of the node bound, pooled because
-// the callback runs on every B&B node (concurrently with Workers > 1).
+// nodeScratch is the workspace of the node bound, allocated once per
+// callback because the callback runs on every B&B node.
 type nodeScratch struct {
 	assigned  []int     // task -> fixed partition, or -1
 	used      []int     // CLBs fixed per partition
@@ -600,24 +598,25 @@ func residualPackingInfeasible(sc *nodeScratch, demand []int, used []int, cap, N
 // unfixed items by area or by count (residualPackingInfeasible; these
 // fathoms are tallied in dualFathoms when non-nil, feeding
 // SolveStats.DualBoundFathoms).
-func (pr *presolve) nodeBoundFunc(N int, yv func(t, p int) int, dualFathoms *atomic.Int64) func(bounds func(j int) (lo, hi float64)) (float64, bool) {
+func (pr *presolve) nodeBoundFunc(N int, yv func(t, p int) int, dualFathoms *int) func(bounds func(j int) (lo, hi float64)) (float64, bool) {
 	nT := pr.g.NumTasks()
-	pool := &sync.Pool{New: func() any {
-		sc := &nodeScratch{
-			assigned: make([]int, nT),
-			used:     make([]int, N),
-			chain:    make([]float64, nT),
-			maxChain: make([]float64, N),
-		}
-		for range pr.extraKinds {
-			sc.extraUsed = append(sc.extraUsed, make([]int, N))
-		}
-		return sc
-	}}
+	// One scratch per callback, since each callback serves one sequential
+	// ilp.Solve. It is built on the first call: the conflict-minimization
+	// twin often never runs.
+	var sc *nodeScratch
 	clbCap := pr.board.FPGA.CLBs
 	return func(bounds func(j int) (lo, hi float64)) (float64, bool) {
-		sc := pool.Get().(*nodeScratch)
-		defer pool.Put(sc)
+		if sc == nil {
+			sc = &nodeScratch{
+				assigned: make([]int, nT),
+				used:     make([]int, N),
+				chain:    make([]float64, nT),
+				maxChain: make([]float64, N),
+			}
+			for range pr.extraKinds {
+				sc.extraUsed = append(sc.extraUsed, make([]int, N))
+			}
+		}
 		for p := 0; p < N; p++ {
 			sc.used[p] = 0
 			sc.maxChain[p] = 0
@@ -666,14 +665,14 @@ func (pr *presolve) nodeBoundFunc(N int, yv func(t, p int) int, dualFathoms *ato
 		// area and by count.
 		if residualPackingInfeasible(sc, pr.res, sc.used, clbCap, N) {
 			if dualFathoms != nil {
-				dualFathoms.Add(1)
+				(*dualFathoms)++
 			}
 			return 0, false
 		}
 		for k := range pr.extraDemand {
 			if residualPackingInfeasible(sc, pr.extraDemand[k], sc.extraUsed[k], pr.extraCap[k], N) {
 				if dualFathoms != nil {
-					dualFathoms.Add(1)
+					(*dualFathoms)++
 				}
 				return 0, false
 			}

@@ -12,7 +12,7 @@ import (
 type raceVerdict struct {
 	part     *Partitioning
 	err      error
-	panicked any // a recovered rival panic, re-raised on the probe goroutine
+	panicked any // a recovered rival panic, re-raised on the solving goroutine
 }
 
 // decisive reports whether the verdict settles the probe: a proven optimum
@@ -76,7 +76,7 @@ func raceForN(ctx context.Context, in Input, pre *presolve, paths [][]int, N int
 		tally.absorb(rowsTally)
 		return rows.part, rows.err
 	}
-	tally.rivals.Add(1)
+	tally.rivals++
 	if rows.decisive() {
 		cancel()
 	}

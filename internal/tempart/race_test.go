@@ -77,30 +77,27 @@ func TestRaceRootClosingProbesStartNoRival(t *testing.T) {
 }
 
 // TestRaceMatchesRowsOnRandomDAGs runs the brute-force property set's
-// random small DAGs under the default and under pinned rows, sequentially
-// and with four search workers: N and latency must agree, and some seeds
-// must actually race.
+// random small DAGs under the default and under pinned rows: N and latency
+// must agree, and some seeds must actually race.
 func TestRaceMatchesRowsOnRandomDAGs(t *testing.T) {
 	rivals := 0
 	for seed := int64(0); seed < 40; seed++ {
 		g := randomGraph(rand.New(rand.NewSource(seed)))
-		for _, workers := range []int{1, 4} {
-			in := Input{Graph: g, Board: board(100, 50, 1000), MaxPartitions: 4, Workers: workers}
-			race, rerr := Solve(context.Background(), in)
-			in.Formulation = FormulationRows
-			rows, err := Solve(context.Background(), in)
-			if (rerr == nil) != (err == nil) {
-				t.Fatalf("seed %d workers %d: race err %v, rows err %v", seed, workers, rerr, err)
-			}
-			if err != nil {
-				continue
-			}
-			if race.N != rows.N || math.Abs(race.Latency-rows.Latency) > 1e-6 || !race.Optimal {
-				t.Fatalf("seed %d workers %d: race N=%d lat=%g optimal=%v (%s), rows N=%d lat=%g",
-					seed, workers, race.N, race.Latency, race.Optimal, race.Stats.Formulation, rows.N, rows.Latency)
-			}
-			rivals += race.Stats.RaceRivals
+		in := Input{Graph: g, Board: board(100, 50, 1000), MaxPartitions: 4}
+		race, rerr := Solve(context.Background(), in)
+		in.Formulation = FormulationRows
+		rows, err := Solve(context.Background(), in)
+		if (rerr == nil) != (err == nil) {
+			t.Fatalf("seed %d: race err %v, rows err %v", seed, rerr, err)
 		}
+		if err != nil {
+			continue
+		}
+		if race.N != rows.N || math.Abs(race.Latency-rows.Latency) > 1e-6 || !race.Optimal {
+			t.Fatalf("seed %d: race N=%d lat=%g optimal=%v (%s), rows N=%d lat=%g",
+				seed, race.N, race.Latency, race.Optimal, race.Stats.Formulation, rows.N, rows.Latency)
+		}
+		rivals += race.Stats.RaceRivals
 	}
 	if rivals == 0 {
 		t.Fatal("no seed started a rival: the set no longer exercises the race")

@@ -3,6 +3,7 @@ package tempart
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -319,4 +320,58 @@ func TestEmptyGraph(t *testing.T) {
 	if p.N != 0 {
 		t.Errorf("N = %d, want 0", p.N)
 	}
+}
+
+// randomDAG builds a random layered task graph that needs several
+// partitions under the given board.
+func randomDAG(seed int64, tasks int) *dfg.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	g := dfg.New(fmt.Sprintf("rand%d", seed))
+	for i := 0; i < tasks; i++ {
+		g.MustAddTask(dfg.Task{
+			Name:      fmt.Sprintf("t%d", i),
+			Resources: 20 + rng.Intn(50),
+			Delay:     float64(10 + rng.Intn(90)),
+			ReadEnv:   rng.Intn(3),
+			WriteEnv:  rng.Intn(3),
+		})
+	}
+	for i := 0; i < tasks; i++ {
+		for j := i + 1; j < tasks; j++ {
+			if rng.Intn(4) == 0 {
+				_ = g.AddEdgeByID(i, j, 1+rng.Intn(4))
+			}
+		}
+	}
+	return g
+}
+
+// TestWarmStartEngages asserts the B&B actually reuses solver state: on a
+// multi-node search the warm-solve count must dominate the cold rebuilds.
+func TestWarmStartEngages(t *testing.T) {
+	g := randomDAG(3, 8)
+	p, err := Solve(context.Background(), Input{Graph: g, Board: board(100, 1024, 500), DisableWarmStart: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := p.Stats.Solver
+	if st.Solves < 2 {
+		t.Skipf("search solved in %d nodes; nothing to warm start", st.Solves)
+	}
+	if st.WarmSolves == 0 {
+		t.Errorf("no warm solves across %d node LPs (stats %+v)", st.Solves, st)
+	}
+}
+
+// TestProbePanicReachesCaller: a panic inside a relax-N probe surfaces on
+// Solve's own goroutine, where a caller's recover — the service's
+// solver-panic guard — can catch it.
+func TestProbePanicReachesCaller(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Errorf("recovered %v, want the probe's panic", r)
+		}
+	}()
+	Solve(context.Background(), Input{Graph: randomDAG(0, 7), Board: board(100, 1024, 500),
+		testProbe: func() { panic("boom") }})
 }

@@ -91,18 +91,18 @@ func TestTraceTimelineCoversSolve(t *testing.T) {
 }
 
 // TestTraceSpeculativeParallel drives the recorder through the concurrent
-// paths — overlapping speculative probes and parallel B&B workers — so the
-// CI race lane exercises every recording site under -race.
+// path that remains inside one solve — a race rival recording its probe,
+// build and search spans beside the row search — so the CI race lane
+// exercises those recording sites under -race.
 func TestTraceSpeculativeParallel(t *testing.T) {
-	e := quickSolvableEntry(t)
+	e := portfolioFile(t, "chain9.json")
 	rec := obs.NewRecorder(1 << 12)
 	in := Input{
-		Graph: e.graph, Board: e.board,
-		SpeculateN: 2, Trace: rec,
-		Workers: 4, MaxNodes: e.MaxNodes,
+		Graph: e.graph, Board: e.board, Trace: rec,
+		NoSymmetryBreaking: e.NoSymmetry, DisableWarmStart: e.NoWarm,
 	}
 	untraced, err := Solve(context.Background(), Input{Graph: e.graph, Board: e.board,
-		MaxNodes: e.MaxNodes})
+		NoSymmetryBreaking: e.NoSymmetry, DisableWarmStart: e.NoWarm})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,6 +114,9 @@ func TestTraceSpeculativeParallel(t *testing.T) {
 	if part.N != untraced.N || part.Latency != untraced.Latency {
 		t.Fatalf("traced solve N=%d lat=%g, untraced N=%d lat=%g",
 			part.N, part.Latency, untraced.N, untraced.Latency)
+	}
+	if part.Stats.RaceRivals == 0 {
+		t.Fatal("no probe started a rival: the solve recorded from one goroutine only")
 	}
 	tr := rec.Trace()
 	var probes int
