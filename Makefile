@@ -27,17 +27,16 @@ test:
 # trajectory accumulates in-tree. BENCHTIME is pinned to a fixed Nx count
 # (never a duration): the deterministic search metrics (B&B-nodes,
 # nodes-pruned-combinatorial, lp-solves-skipped, pivots/op) need identical
-# iteration counts run over run to be comparable at all. BENCHCOUNT
-# repeats every benchmark so benchgate can reduce each metric to a median
-# and a min–max spread: one 3x sample cannot tell a scheduling hiccup from
-# a regression. The repetitions are whole passes of the suite, each its
-# own process, rather than one -count run: consecutive repetitions in one
+# iteration counts run over run to be comparable at all. Every benchmark
+# runs five times so benchgate can reduce each metric to a median and a
+# min–max spread: one 3x sample cannot tell a scheduling hiccup from a
+# regression. The repetitions are whole passes of the suite, each its own
+# process, rather than one -count run: consecutive repetitions in one
 # process share its state and miss most of the variance between runs
 # (BenchmarkCoSimBatch2048 spread 7% over five in one process, while six
 # processes ranged 3.8–8.8 ms).
 BENCHTIME ?= 3x
-BENCHCOUNT ?= 5
-BENCHRUN = for i in $$(seq $(BENCHCOUNT)); do \
+BENCHRUN = for i in 1 2 3 4 5; do \
 	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -count 1 -benchmem -json . || exit 1; done
 bench:
 	$(BENCHRUN) > BENCH_$(DATE).json
@@ -63,9 +62,10 @@ bench-lp:
 
 # bench-gate runs the suite fresh and fails when the median of a gated
 # metric (allocs/op, B&B-nodes, pivots/op, refactorizations/op,
-# bound-flips/op, nodes/sec, and ns/op where both spreads are tighter than
-# the threshold) regresses >20% against the newest committed BENCH_*.json
-# baseline.
+# bound-flips/op, nodes/sec, and ns/op where both runs name the same CPU
+# and both spreads are tighter than the threshold) regresses >20% against
+# the newest committed BENCH_*.json baseline. ns/op is gated only against
+# a baseline recorded on the same kind of CPU as the gate's machine.
 bench-gate:
 	$(BENCHRUN) > /tmp/bench-current.json
 	$(GO) run ./cmd/benchgate -old $$(ls BENCH_*.json | sort | tail -1) -new /tmp/bench-current.json

@@ -18,10 +18,12 @@
 //   - nodes/sec:    lower is a regression (search throughput; wall-clock
 //     derived, so it carries machine noise — the deterministic counters
 //     above are the machine-independent teeth of the gate)
-//   - ns/op:        higher is a regression, gated only where both runs
-//     repeat the benchmark and their spread ((max−min)/median) is tighter
-//     than the threshold: a wider spread means the repetitions cannot
-//     resolve a change that size
+//   - ns/op:        higher is a regression, gated only where both streams
+//     name the same CPU (their `cpu:` header line) and both runs repeat the
+//     benchmark with a spread ((max−min)/median) tighter than the
+//     threshold: a wider spread means the repetitions cannot resolve a
+//     change that size, and a tight spread says nothing about a steady
+//     shift between machines
 //
 // Metrics are only gated when both runs report a nonzero value (a solve
 // the presolve fully fathoms legitimately reports zero nodes), so a
@@ -87,16 +89,23 @@ func newStat(vs []float64) stat {
 // ("ns/op", "allocs/op", "nodes/sec", ...).
 type benchResult map[string]stat
 
+// benchRun is one parsed stream: the CPU its `cpu:` header names (empty
+// when it names none) and its benchmarks by name.
+type benchRun struct {
+	cpu     string
+	benches map[string]benchResult
+}
+
 // parseBenchFile replays the output events of a -json stream in order and
 // parses the benchmark result lines they form. Only the first repetition
 // of a benchmark carries its Test name; under -count the runner reports
 // the others as package output, and a line may be split across events
 // (the runner flushes mid-line), so lines are rebuilt from the whole
 // stream rather than per test.
-func parseBenchFile(path string) (map[string]benchResult, error) {
+func parseBenchFile(path string) (benchRun, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return benchRun{}, err
 	}
 	defer f.Close()
 	var out strings.Builder
@@ -112,7 +121,7 @@ func parseBenchFile(path string) (map[string]benchResult, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return benchRun{}, err
 	}
 	return parseBenchOutput(out.String()), nil
 }
@@ -124,10 +133,15 @@ func parseBenchFile(path string) (map[string]benchResult, error) {
 //
 // and reduces each benchmark's values of a unit to a stat. Benchmarks are
 // keyed by name without the GOMAXPROCS suffix, as -json's Test field
-// names them.
-func parseBenchOutput(s string) map[string]benchResult {
+// names them. The run's CPU is its first `cpu:` line.
+func parseBenchOutput(s string) benchRun {
+	var run benchRun
 	samples := map[string]map[string][]float64{}
 	for _, line := range strings.Split(s, "\n") {
+		if cpu, ok := strings.CutPrefix(line, "cpu:"); ok && run.cpu == "" {
+			run.cpu = strings.TrimSpace(cpu)
+			continue
+		}
 		fields := strings.Fields(line)
 		// The name is the line's last Benchmark token: a name flushed
 		// before its numbers can be repeated in front of them.
@@ -164,23 +178,23 @@ func parseBenchOutput(s string) map[string]benchResult {
 			i++
 		}
 	}
-	results := map[string]benchResult{}
+	run.benches = map[string]benchResult{}
 	for name, units := range samples {
 		r := benchResult{}
 		for unit, vs := range units {
 			r[unit] = newStat(vs)
 		}
-		results[name] = r
+		run.benches[name] = r
 	}
-	return results
+	return run
 }
 
 // gate describes one gated metric.
 type gate struct {
 	unit        string
 	higherIsBad bool
-	// noisy metrics are gated only where both runs resolve a change of
-	// the threshold (stat.resolves).
+	// noisy metrics are gated only where both runs name the same CPU and
+	// resolve a change of the threshold (stat.resolves).
 	noisy bool
 }
 
@@ -262,7 +276,12 @@ func main() {
 // compare gates every metric of the benchmarks present in both runs,
 // writing one report line per comparison to w, and reports whether any
 // gate tripped.
-func compare(w io.Writer, oldRes, newRes map[string]benchResult, threshold float64) (failed bool, err error) {
+func compare(w io.Writer, oldRun, newRun benchRun, threshold float64) (failed bool, err error) {
+	oldRes, newRes := oldRun.benches, newRun.benches
+	sameCPU := oldRun.cpu != "" && oldRun.cpu == newRun.cpu
+	if !sameCPU {
+		fmt.Fprintf(w, "cpu differs (old %q, new %q): ns/op not gated\n", oldRun.cpu, newRun.cpu)
+	}
 	names := make([]string, 0, len(newRes))
 	for name := range newRes {
 		if _, ok := oldRes[name]; ok {
@@ -301,6 +320,8 @@ func compare(w io.Writer, oldRes, newRes map[string]benchResult, threshold float
 			reg, bad := gateMetric(name, g, ov, nv, threshold)
 			status := "ok"
 			switch {
+			case g.noisy && !sameCPU:
+				status = "(not gated: cpu differs)"
 			case g.noisy && !(om.resolves(threshold) && nm.resolves(threshold)):
 				status = "(not gated: spread too wide or one sample)"
 			case bad:

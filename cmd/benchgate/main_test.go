@@ -11,7 +11,7 @@ import (
 
 func TestParseBenchOutput(t *testing.T) {
 	line := "BenchmarkILP_DCTPartitioning \t       1\t 562724284 ns/op\t        37.00 B&B-nodes\t 300001330 latency-ns\t        65.77 nodes/sec\t 2844856 B/op\t    2227 allocs/op\n"
-	r := parseBenchOutput(line)["BenchmarkILP_DCTPartitioning"]
+	r := parseBenchOutput(line).benches["BenchmarkILP_DCTPartitioning"]
 	for unit, want := range map[string]float64{
 		"ns/op": 562724284, "B&B-nodes": 37, "nodes/sec": 65.77,
 		"B/op": 2844856, "allocs/op": 2227, "latency-ns": 300001330,
@@ -46,9 +46,9 @@ func TestParseBenchFileJoinsSplitOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, ok := res["BenchmarkX"]
+	r, ok := res.benches["BenchmarkX"]
 	if !ok {
-		t.Fatalf("BenchmarkX missing: %v", res)
+		t.Fatalf("BenchmarkX missing: %v", res.benches)
 	}
 	if r["ns/op"].median != 1000 || r["nodes/sec"].median != 50 || r["allocs/op"].median != 120 {
 		t.Errorf("parsed %v", r)
@@ -76,7 +76,8 @@ func TestFIRNodeCountOverride(t *testing.T) {
 
 // TestMultiRunGatesOnMedian: a -count 5 file whose first repetition is an
 // outlier gates on the median of its five runs, and ns/op is gated only
-// where both sides' spread is tighter than the threshold.
+// where both sides name the same CPU and have a spread tighter than the
+// threshold.
 func TestMultiRunGatesOnMedian(t *testing.T) {
 	run := func(ns, allocs int) string {
 		return "BenchmarkX-2 \t 3\t " + strconv.Itoa(ns) + " ns/op\t " + strconv.Itoa(allocs) + " allocs/op\n"
@@ -90,7 +91,8 @@ func TestMultiRunGatesOnMedian(t *testing.T) {
 		}
 		return `{"Action":"output",` + test + `"Output":"` + strings.ReplaceAll(strings.ReplaceAll(out, "\t", `\t`), "\n", `\n`) + `"}` + "\n"
 	}
-	stream := event("BenchmarkX", run(9000, 200)) + event("", run(1000, 120)) +
+	const cpu = "cpu: Intel(R) Xeon(R) Processor\n"
+	stream := event("", cpu) + event("BenchmarkX", run(9000, 200)) + event("", run(1000, 120)) +
 		event("", "BenchmarkX-2 \t") + event("", run(1010, 120)) +
 		event("", run(990, 120)) + event("", run(1000, 121))
 	path := filepath.Join(t.TempDir(), "count5.json")
@@ -101,7 +103,10 @@ func TestMultiRunGatesOnMedian(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := res["BenchmarkX"]
+	if res.cpu != "Intel(R) Xeon(R) Processor" {
+		t.Errorf("cpu = %q", res.cpu)
+	}
+	r := res.benches["BenchmarkX"]
 	if got := r["allocs/op"]; got.median != 120 || got.min != 120 || got.max != 200 || got.n != 5 {
 		t.Errorf("allocs/op = %+v, want the median 120 of 5 runs over [120, 200]", got)
 	}
@@ -109,8 +114,8 @@ func TestMultiRunGatesOnMedian(t *testing.T) {
 		t.Errorf("ns/op = %+v, want median 1000 over [990, 9000]", got)
 	}
 
-	old := parseBenchOutput(run(1000, 120) + run(1005, 120))
-	failed, err := compare(io.Discard, old, map[string]benchResult{"BenchmarkX": r}, 0.20)
+	old := parseBenchOutput(cpu + run(1000, 120) + run(1005, 120))
+	failed, err := compare(io.Discard, old, res, 0.20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +124,7 @@ func TestMultiRunGatesOnMedian(t *testing.T) {
 	}
 
 	// One sample per side has no spread: ns/op stays ungated.
-	failed, err = compare(io.Discard, parseBenchOutput(run(1000, 120)), parseBenchOutput(run(5000, 120)), 0.20)
+	failed, err = compare(io.Discard, parseBenchOutput(cpu+run(1000, 120)), parseBenchOutput(cpu+run(5000, 120)), 0.20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,13 +133,26 @@ func TestMultiRunGatesOnMedian(t *testing.T) {
 	}
 
 	// Tight spreads on both sides: a 50% slower median fails on ns/op.
-	slow := parseBenchOutput(run(1500, 120) + run(1510, 120) + run(1490, 120))
+	slow := run(1500, 120) + run(1510, 120) + run(1490, 120)
 	var out strings.Builder
-	failed, err = compare(&out, old, slow, 0.20)
+	failed, err = compare(&out, old, parseBenchOutput(cpu+slow), 0.20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !failed || !strings.Contains(out.String(), "ns/op") {
 		t.Errorf("a 50%% ns/op regression with tight spreads passed:\n%s", out.String())
+	}
+
+	// The same tight, 50% slower runs on another CPU, or on a stream that
+	// names none, are a shift between machines: ns/op stays ungated.
+	for _, other := range []string{"cpu: AMD EPYC 7763 64-Core Processor\n", ""} {
+		out.Reset()
+		failed, err = compare(&out, old, parseBenchOutput(other+slow), 0.20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if failed || !strings.Contains(out.String(), "not gated: cpu differs") {
+			t.Errorf("ns/op was gated across CPUs (new cpu line %q):\n%s", other, out.String())
+		}
 	}
 }

@@ -47,7 +47,7 @@ func TestAddColsWarmEntry(t *testing.T) {
 	if s.NumVars() != 3 || s.NumBaseVars() != 2 || s.AddedCols() != 1 {
 		t.Fatalf("counts: NumVars=%d NumBaseVars=%d AddedCols=%d", s.NumVars(), s.NumBaseVars(), s.AddedCols())
 	}
-	if !s.Warm() {
+	if !s.valid {
 		t.Fatal("AddCols invalidated the basis")
 	}
 	warmBefore := s.Stats.WarmSolves

@@ -48,7 +48,7 @@ func TestAddRowsWarmMatchesCold(t *testing.T) {
 	if err := s.AddRows([]CutRow{cut}); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Warm() {
+	if !s.valid {
 		t.Fatal("AddRows dropped the warm basis")
 	}
 	got, err := s.Solve()

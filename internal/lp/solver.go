@@ -370,10 +370,6 @@ func (s *Solver) SetVarBounds(j int, lo, hi float64) {
 // from scratch.
 func (s *Solver) Invalidate() { s.valid = false }
 
-// Warm reports whether the Solver holds a reusable basis, i.e. whether the
-// next Solve will attempt the warm-start path.
-func (s *Solver) Warm() bool { return s.valid }
-
 // SetReuseSolution switches the Solver into shared-buffer mode: Solve
 // returns a Solution owned by the Solver whose X slice is valid only until
 // the next solve. The branch-and-bound hot path uses this to keep node
