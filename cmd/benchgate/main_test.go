@@ -68,6 +68,14 @@ func TestFIRNodeCountOverride(t *testing.T) {
 	if _, bad := gateMetric("BenchmarkILP_FIRBank", nodes, 1, 1, 0.20); bad {
 		t.Error("unchanged FIR node count tripped the gate")
 	}
+	// Chain9, the one root bench with a real search tree, gates its node
+	// count at zero too.
+	if _, bad := gateMetric("BenchmarkILP_Chain9", nodes, 102, 103, 0.20); !bad {
+		t.Error("Chain9 node growth 102 -> 103 passed despite the zero-threshold override")
+	}
+	if _, bad := gateMetric("BenchmarkILP_Chain9", nodes, 102, 102, 0.20); bad {
+		t.Error("unchanged Chain9 node count tripped the gate")
+	}
 	// Other FIR metrics keep the default threshold.
 	if _, bad := gateMetric("BenchmarkILP_FIRBank", gate{unit: "pivots/op", higherIsBad: true}, 100, 110, 0.20); bad {
 		t.Error("FIR pivots inherited the zero threshold")

@@ -234,7 +234,6 @@ func SolveBP(opts BPOptions) (*BPSolution, error) {
 		forbidden: make(map[string]bool),
 		deadline:  deadline,
 	}
-	st.sv.SetReuseSolution(true)
 	if err := st.addColumns(opts.Seeds); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package ilp
 
 import (
 	"repro/internal/lp"
+	"repro/internal/obs"
 )
 
 // This file is the conflict-learning side of the branch-and-bound solver:
@@ -41,10 +42,10 @@ const maxMinimizeFixes = 4 * maxNoGoodSize
 // contradictory pair) — learning from such a node could overclaim.
 // Repeated fixes of one variable are merged (they intersect to the same
 // 0/1 value or the box is contradictory).
-func (w *searcher) conflictFixes(fixes []fix) (f1, f0 []int, ok bool) {
+func (st *searchState) conflictFixes(fixes []fix) (f1, f0 []int, ok bool) {
 	val := make(map[int]float64, len(fixes))
 	for _, f := range fixes {
-		if !w.isInt[f.j] || w.rootLo[f.j] != 0 || w.rootHi[f.j] != 1 {
+		if !st.isInt[f.j] || st.rootLo[f.j] != 0 || st.rootHi[f.j] != 1 {
 			return nil, nil, false
 		}
 		var v float64
@@ -86,7 +87,7 @@ func (w *searcher) conflictFixes(fixes []fix) (f1, f0 []int, ok bool) {
 // mutated between NodeBound queries, so each deletion trial costs a map
 // delete/restore instead of rebuilding slices and closures.
 type conflictProbe struct {
-	w   *searcher
+	st  *searchState
 	set map[int]float64
 }
 
@@ -94,7 +95,7 @@ func (cp *conflictProbe) bounds(j int) (float64, float64) {
 	if v, fixed := cp.set[j]; fixed {
 		return v, v
 	}
-	return cp.w.rootLo[j], cp.w.rootHi[j]
+	return cp.st.rootLo[j], cp.st.rootHi[j]
 }
 
 // infeasible reports whether the bound still proves the current fix set's
@@ -102,9 +103,9 @@ func (cp *conflictProbe) bounds(j int) (float64, float64) {
 // telemetry-counting NodeBound implementations are not inflated by
 // minimization traffic).
 func (cp *conflictProbe) infeasible() bool {
-	nb := cp.w.opt.NodeBoundProbe
+	nb := cp.st.opt.NodeBoundProbe
 	if nb == nil {
-		nb = cp.w.opt.NodeBound
+		nb = cp.st.opt.NodeBound
 	}
 	_, feasible := nb(cp.bounds)
 	return !feasible
@@ -154,25 +155,25 @@ func (cp *conflictProbe) minimize(f1, f0 []int) ([]int, []int) {
 // re-querying it on subsets. LP-proved fathoms keep the full fix set; the
 // pool dedup absorbs repeats. Fix sets too large to plausibly minimize
 // below maxNoGoodSize are dropped up front rather than paying the probe
-// cost for a cut that would be discarded anyway. Returns 1 when a cut was
-// admitted.
-func (w *searcher) learnConflict(nd *node, fromNodeBound bool) int {
+// cost for a cut that would be discarded anyway. An admitted cut is
+// counted in ConflictCuts and on the trace.
+func (st *searchState) learnConflict(nd *node, fromNodeBound bool) {
 	// The root has no fixes to learn from; every other node learns.
-	if w.st.pool == nil || nd.depth == 0 {
-		return 0
+	if st.pool == nil || nd.depth == 0 {
+		return
 	}
-	f1, f0, ok := w.conflictFixes(nd.fixes)
+	f1, f0, ok := st.conflictFixes(nd.fixes)
 	if !ok {
-		return 0
+		return
 	}
 	n := len(f1) + len(f0)
 	switch {
 	case !fromNodeBound && n > maxNoGoodSize:
-		return 0
+		return
 	case fromNodeBound && n > maxMinimizeFixes:
-		return 0
-	case fromNodeBound && w.opt.NodeBound != nil:
-		cp := conflictProbe{w: w, set: make(map[int]float64, n)}
+		return
+	case fromNodeBound && st.opt.NodeBound != nil:
+		cp := conflictProbe{st: st, set: make(map[int]float64, n)}
 		for _, j := range f1 {
 			cp.set[j] = 1
 		}
@@ -182,7 +183,7 @@ func (w *searcher) learnConflict(nd *node, fromNodeBound bool) int {
 		f1, f0 = cp.minimize(f1, f0)
 	}
 	if n = len(f1) + len(f0); n == 0 || n > maxNoGoodSize {
-		return 0
+		return
 	}
 	row := lp.CutRow{Kind: lp.LE, RHS: float64(len(f1) - 1)}
 	for _, j := range f1 {
@@ -193,8 +194,8 @@ func (w *searcher) learnConflict(nd *node, fromNodeBound bool) int {
 		row.Cols = append(row.Cols, j)
 		row.Vals = append(row.Vals, -1)
 	}
-	if !w.st.pool.add(row) {
-		return 0
+	if st.pool.add(row) {
+		st.conflictCuts++
+		st.opt.Trace.Counter(obs.CounterConflicts, 1)
 	}
-	return 1
 }

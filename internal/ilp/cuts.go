@@ -10,7 +10,9 @@ import (
 
 // This file is the cutting-plane side of the branch-and-bound solver: the
 // Cut type returned by Options.Separate, and the cut pool that
-// deduplicates, ages and distributes cuts across the search tree.
+// deduplicates and ages global cuts and compacts when full; the search's
+// solver applies the pool as a prefix of its added rows, so a cut
+// separated at one node reaches every node solved after it.
 //
 // Validity contract: a Global cut must be satisfied by EVERY integral
 // feasible solution of the problem; a non-global (node-local) cut must be
@@ -41,27 +43,29 @@ const cutViolationTol = 1e-6
 // which is what feeds the pool's activity aging.
 const cutTightTol = 1e-7
 
-// poolCut is one active cut in the pool.
-type poolCut struct {
-	row      lp.CutRow
-	hash     uint64
-	activity float64 // tight-at-optimum count since admission
-}
+// maxPoolCuts bounds the global cut pool. Past the bound the pool evicts
+// its least active half.
+const maxPoolCuts = 512
 
-// cutPool is the store of global cuts. The search's solver applies its
-// cuts as a monotone prefix (fetch); when the pool exceeds its bound it
+// cutPool is the store of global cuts, kept as parallel slices so the
+// search's solver can append rows[applied:] in place. The solver applies
+// the pool as a monotone prefix; when the pool exceeds its bound it
 // compacts to the most active half and bumps its generation, telling the
-// solver to drop its added rows and re-apply.
+// solver to drop its added rows and re-apply the whole pool.
 type cutPool struct {
-	max   int
-	gen   int
-	cuts  []poolCut
-	index map[uint64]int // normalized row hash -> index in cuts
+	max      int
+	gen      int
+	rows     []lp.CutRow
+	hashes   []uint64       // normalized row hash of rows[i]
+	activity []float64      // tight-at-optimum count of rows[i] since admission
+	index    map[uint64]int // normalized row hash -> index in rows
 }
 
+// newCutPool returns an empty pool bounded at max cuts (maxPoolCuts when
+// max is not positive).
 func newCutPool(max int) *cutPool {
 	if max <= 0 {
-		max = 512
+		max = maxPoolCuts
 	}
 	return &cutPool{max: max, index: make(map[uint64]int)}
 }
@@ -76,52 +80,19 @@ func (cp *cutPool) add(row lp.CutRow) bool {
 	if _, dup := cp.index[h]; dup {
 		return false
 	}
-	if len(cp.cuts) >= cp.max {
+	if len(cp.rows) >= cp.max {
 		cp.compact()
 	}
-	cp.index[h] = len(cp.cuts)
-	cp.cuts = append(cp.cuts, poolCut{row: row, hash: h})
+	cp.index[h] = len(cp.rows)
+	cp.rows = append(cp.rows, row)
+	cp.hashes = append(cp.hashes, h)
+	cp.activity = append(cp.activity, 0)
 	return true
-}
-
-// fetch returns the active cuts beyond position from, plus the current
-// generation and total count. A generation change means the caller's
-// applied prefix is stale: it must drop its added rows and re-fetch from 0.
-func (cp *cutPool) fetch(from, gen int) (rows []lp.CutRow, hashes []uint64, newGen, total int) {
-	if gen != cp.gen {
-		return nil, nil, cp.gen, len(cp.cuts)
-	}
-	if from > len(cp.cuts) {
-		from = len(cp.cuts)
-	}
-	for i := from; i < len(cp.cuts); i++ {
-		rows = append(rows, cp.cuts[i].row)
-		hashes = append(hashes, cp.cuts[i].hash)
-	}
-	return rows, hashes, cp.gen, len(cp.cuts)
-}
-
-// touch credits the cuts (by hash) that were binding at a node optimum.
-func (cp *cutPool) touch(tight []uint64) {
-	for _, h := range tight {
-		if i, ok := cp.index[h]; ok {
-			cp.cuts[i].activity++
-		}
-	}
-}
-
-// size reports the current pool population (tests).
-func (cp *cutPool) size() int {
-	return len(cp.cuts)
 }
 
 // snapshot copies the active cut rows (validity tests).
 func (cp *cutPool) snapshot() []lp.CutRow {
-	rows := make([]lp.CutRow, len(cp.cuts))
-	for i := range cp.cuts {
-		rows[i] = cp.cuts[i].row
-	}
-	return rows
+	return append([]lp.CutRow(nil), cp.rows...)
 }
 
 // compact evicts the least active half of the pool and bumps the
@@ -132,15 +103,23 @@ func (cp *cutPool) compact() {
 	if keep < 1 {
 		keep = 1
 	}
-	sort.SliceStable(cp.cuts, func(a, b int) bool {
-		return cp.cuts[a].activity > cp.cuts[b].activity
-	})
-	cp.cuts = cp.cuts[:keep]
-	cp.index = make(map[uint64]int, keep)
-	for i := range cp.cuts {
-		cp.cuts[i].activity = 0 // fresh epoch: earn the slot again
-		cp.index[cp.cuts[i].hash] = i
+	order := make([]int, len(cp.rows))
+	for i := range order {
+		order[i] = i
 	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return cp.activity[order[a]] > cp.activity[order[b]]
+	})
+	rows := make([]lp.CutRow, keep, cp.max)
+	hashes := make([]uint64, keep, cp.max)
+	cp.index = make(map[uint64]int, keep)
+	for i, k := range order[:keep] {
+		rows[i], hashes[i] = cp.rows[k], cp.hashes[k]
+		cp.index[hashes[i]] = i
+	}
+	cp.rows, cp.hashes = rows, hashes
+	// Fresh epoch: every survivor earns its slot again.
+	cp.activity = make([]float64, keep, cp.max)
 	cp.gen++
 }
 

@@ -33,8 +33,8 @@ func TestNormalizedRowHashDedups(t *testing.T) {
 	if !pool.add(d) {
 		t.Error("pool rejected a distinct cut")
 	}
-	if pool.size() != 2 {
-		t.Errorf("pool size %d, want 2", pool.size())
+	if len(pool.rows) != 2 {
+		t.Errorf("pool size %d, want 2", len(pool.rows))
 	}
 }
 
@@ -43,36 +43,39 @@ func TestCutPoolCompaction(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		pool.add(lp.CutRow{Kind: lp.LE, Cols: []int{i}, Vals: []float64{1}, RHS: float64(i)})
 	}
-	_, hashes, gen0, _ := pool.fetch(0, 0)
-	pool.touch([]uint64{hashes[3]}) // only the last cut is active
-	pool.add(lp.CutRow{Kind: lp.LE, Cols: []int{9}, Vals: []float64{1}, RHS: 9})
-	rows, _, gen1, total := pool.fetch(0, gen0)
-	if gen1 == gen0 {
+	gen0 := pool.gen
+	pool.activity[3]++ // only the last cut is active
+	if !pool.add(lp.CutRow{Kind: lp.LE, Cols: []int{9}, Vals: []float64{1}, RHS: 9}) {
+		t.Fatal("the overflowing admission was rejected")
+	}
+	if pool.gen == gen0 {
 		t.Fatal("overflow did not bump the generation")
 	}
-	if rows != nil {
-		t.Fatal("stale-generation fetch must return no rows")
+	if n := len(pool.rows); n != 3 || len(pool.hashes) != n || len(pool.activity) != n || len(pool.index) != n {
+		t.Fatalf("compaction left rows/hashes/activity/index = %d/%d/%d/%d, want max/2 survivors + the new admission = 3",
+			len(pool.rows), len(pool.hashes), len(pool.activity), len(pool.index))
 	}
-	rows, _, _, total = pool.fetch(0, gen1)
-	if total > 3 || len(rows) != total {
-		t.Fatalf("compaction kept %d cuts, want <= max/2 survivors + the new admission", total)
+	// The active cut survived compaction, first (most active), and the
+	// admission that triggered it was not evicted.
+	if c := pool.rows[0].Cols; len(c) != 1 || c[0] != 3 {
+		t.Errorf("compaction evicted the most active cut: rows %v", pool.rows)
 	}
-	// The active cut survived compaction, and the admission that triggered
-	// it was not evicted.
-	foundActive, foundNew := false, false
-	for _, r := range rows {
-		if len(r.Cols) == 1 && r.Cols[0] == 3 {
-			foundActive = true
+	if c := pool.rows[2].Cols; len(c) != 1 || c[0] != 9 {
+		t.Errorf("compaction evicted the cut whose admission triggered it: rows %v", pool.rows)
+	}
+	// Survivors start a fresh activity epoch, and the index points at
+	// their new positions.
+	for i, h := range pool.hashes {
+		if pool.activity[i] != 0 {
+			t.Errorf("cut %d kept activity %g across compaction", i, pool.activity[i])
 		}
-		if len(r.Cols) == 1 && r.Cols[0] == 9 {
-			foundNew = true
+		if pool.index[h] != i || normalizedRowHash(pool.rows[i]) != h {
+			t.Errorf("cut %d: index or hash out of step after compaction", i)
 		}
 	}
-	if !foundActive {
-		t.Error("compaction evicted the most active cut")
-	}
-	if !foundNew {
-		t.Error("compaction evicted the cut whose admission triggered it")
+	// An evicted cut's hash left the index: it may be admitted again.
+	if !pool.add(lp.CutRow{Kind: lp.LE, Cols: []int{1}, Vals: []float64{1}, RHS: 1}) {
+		t.Error("an evicted cut could not be re-admitted")
 	}
 }
 
@@ -197,7 +200,7 @@ func TestNodeLocalCuts(t *testing.T) {
 }
 
 func TestSeparationPoolOverflowDuringSearch(t *testing.T) {
-	// A tiny MaxCuts forces mid-search compaction (generation bumps and
+	// A tiny pool bound forces mid-search compaction (generation bumps and
 	// solver rebuilds); the answer must not change.
 	rng := rand.New(rand.NewSource(3))
 	n := 10
@@ -214,7 +217,7 @@ func TestSeparationPoolOverflowDuringSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	cut, err := Solve(knapsackProblem(obj, rows, caps),
-		Options{Separate: coverSeparator(rows, caps, true), MaxCuts: 2})
+		Options{Separate: coverSeparator(rows, caps, true), testMaxCuts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +251,7 @@ func TestLocalCutsSurvivePoolCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut, err := Solve(knapsackProblem(obj, rows, caps), Options{Separate: mixed, MaxCuts: 2})
+	cut, err := Solve(knapsackProblem(obj, rows, caps), Options{Separate: mixed, testMaxCuts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

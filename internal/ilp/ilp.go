@@ -146,9 +146,6 @@ type Options struct {
 	// the point turns integral, or the round budget (maxCutRounds) is
 	// exhausted.
 	Separate func(pt *SeparationPoint) []Cut
-	// MaxCuts bounds the global cut pool (0 = default 512). Past the bound
-	// the pool evicts its least active half.
-	MaxCuts int
 	// Context, when non-nil, is besides MaxNodes the only way a search
 	// stops short. A cancel ends the search at its next limit check,
 	// reported exactly as if the node budget had run out (an HTTP job
@@ -177,6 +174,9 @@ type Options struct {
 	// contents after the search (validity property tests only; unexported
 	// so it is invisible outside the package).
 	testCapturePool func([]lp.CutRow)
+	// testMaxCuts, when positive, replaces the pool bound maxPoolCuts so
+	// tests can force compactions mid-search.
+	testMaxCuts int
 }
 
 const (
@@ -306,541 +306,18 @@ type fix struct {
 	lo, hi float64
 }
 
-// searcher is the solver side of the search: one reusable solver plus the
-// bookkeeping to apply and undo node bound fixes against the root bounds.
-type searcher struct {
-	p       *Problem
-	opt     *Options
-	st      *searchState
-	solver  *lp.Solver
-	rootLo  []float64
-	rootHi  []float64
-	applied []int // variables whose bounds currently differ from the root
-	isInt   []bool
-
-	// Cut bookkeeping: the solver's added-row block is the pool's prefix
-	// [0, poolApplied) (at generation poolGen), optionally followed by the
-	// current node's local cuts (localCuts rows). poolRows/poolHashes
-	// mirror the applied pool prefix for activity scoring.
-	poolApplied int
-	poolGen     int
-	poolRows    []lp.CutRow
-	poolHashes  []uint64
-	// localSet is the node-local cut slice currently applied (nd.cuts of
-	// the node that installed it). Node cut slices are never mutated —
-	// children copy-on-append — so slice identity (length + backing array)
-	// decides whether a popped node's inherited set is already applied,
-	// which keeps a whole subtree below a local cut warm instead of
-	// rebuilding the solver at every descendant.
-	localSet []lp.CutRow
-}
-
-// sameLocalCuts reports whether cuts is exactly the applied local set.
-func (w *searcher) sameLocalCuts(cuts []lp.CutRow) bool {
-	if len(cuts) != len(w.localSet) {
-		return false
-	}
-	return len(cuts) == 0 || &cuts[0] == &w.localSet[0]
-}
-
-func newSearcher(p *Problem, opt *Options, st *searchState, isInt []bool) *searcher {
-	n := p.LP.NumVars()
-	w := &searcher{
-		p:      p,
-		opt:    opt,
-		st:     st,
-		solver: lp.NewSolver(p.LP),
-		rootLo: make([]float64, n),
-		rootHi: make([]float64, n),
-		isInt:  isInt,
-	}
-	// Node re-solves share the solver-owned Solution buffer; everything the
-	// search retains from a result (incumbents, rounding candidates) is
-	// copied out explicitly.
-	w.solver.SetReuseSolution(true)
-	for j := 0; j < n; j++ {
-		w.rootLo[j], w.rootHi[j] = p.LP.Bounds(j)
-	}
-	return w
-}
-
-// applyFixes rebinds the solver to nd's box: previously fixed variables are
-// restored to their root bounds and the node's fixes are applied in order
-// (repeated fixes of one variable intersect). Returns false when the box is
-// empty.
-func (w *searcher) applyFixes(fixes []fix) bool {
-	for _, j := range w.applied {
-		w.solver.SetVarBounds(j, w.rootLo[j], w.rootHi[j])
-	}
-	w.applied = w.applied[:0]
-	for _, f := range fixes {
-		lo, hi := w.solver.Bounds(f.j)
-		nlo, nhi := math.Max(lo, f.lo), math.Min(hi, f.hi)
-		w.applied = append(w.applied, f.j)
-		if nlo > nhi {
-			return false
-		}
-		w.solver.SetVarBounds(f.j, nlo, nhi)
-	}
-	return true
-}
-
-// dropCuts removes every added row from the solver and resets the pool
-// bookkeeping (the basis goes cold; used on pool compaction and when the
-// node-local cut set changes).
-func (w *searcher) dropCuts() {
-	w.solver.DropAddedRows()
-	w.poolApplied = 0
-	w.poolRows = w.poolRows[:0]
-	w.poolHashes = w.poolHashes[:0]
-	w.localSet = nil
-}
-
-// bindCuts makes the solver's added rows hold the pool's cuts plus
-// exactly the given node-local set. It is the single rebind entry point:
-// a pool generation change inside syncPool drops everything (including
-// previously applied locals), and the re-check afterwards re-adds the
-// local set, so the node never silently loses its inherited cuts.
-func (w *searcher) bindCuts(cuts []lp.CutRow) error {
-	if !w.sameLocalCuts(cuts) {
-		w.dropCuts()
-	}
-	if err := w.syncPool(); err != nil {
-		return err
-	}
-	if len(cuts) > 0 && !w.sameLocalCuts(cuts) {
-		if err := w.solver.AddRows(cuts); err != nil {
-			return fmt.Errorf("ilp: applying node-local cuts: %w", err)
-		}
-		w.localSet = cuts
-	}
-	return nil
-}
-
-// syncPool pulls global cuts this solver has not applied yet. On a pool
-// generation change (compaction) the whole added-row block is rebuilt.
-func (w *searcher) syncPool() error {
-	cp := w.st.pool
-	if cp == nil {
-		return nil
-	}
-	rows, hashes, gen, total := cp.fetch(w.poolApplied, w.poolGen)
-	if gen != w.poolGen {
-		w.dropCuts()
-		w.poolGen = gen
-		rows, hashes, _, total = cp.fetch(0, gen)
-	}
-	if len(rows) > 0 {
-		if err := w.solver.AddRows(rows); err != nil {
-			return fmt.Errorf("ilp: applying pool cuts: %w", err)
-		}
-		w.poolRows = append(w.poolRows, rows...)
-		w.poolHashes = append(w.poolHashes, hashes...)
-		w.poolApplied = total
-	}
-	return nil
-}
-
-// recordCutActivity credits pool cuts binding at the node optimum x.
-func (w *searcher) recordCutActivity(x []float64) {
-	if w.st.pool == nil || len(w.poolRows) == 0 {
-		return
-	}
-	var tight []uint64
-	for i := range w.poolRows {
-		r := &w.poolRows[i]
-		if math.Abs(r.Eval(x)-r.RHS) <= cutTightTol {
-			tight = append(tight, w.poolHashes[i])
-		}
-	}
-	w.st.pool.touch(tight)
-}
-
-// applyCuts runs one separation round at a node: call Options.Separate on
-// the LP point, admit the violated valid cuts (global ones to the pool,
-// local ones to the solver and the node), and sync the solver with the
-// pool. It returns (admitted, progressed): admitted counts distinct cuts
-// this round generated, progressed reports whether the node's LP gained
-// any row and a re-solve is worthwhile.
-func (w *searcher) applyCuts(nd *node, res *lp.Solution, round int, r *nodeResult) (int, bool, error) {
-	before := w.solver.AddedRows()
-	cuts := w.opt.Separate(&SeparationPoint{
-		X: res.X, Obj: res.Obj, Depth: nd.depth, Round: round,
-		Bounds: w.solver.Bounds,
-	})
-	nVars := w.p.LP.NumVars()
-	admitted := 0
-	admit := func(name string) {
-		admitted++
-		if r.cutNames == nil {
-			r.cutNames = make(map[string]int)
-		}
-		r.cutNames[name]++
-	}
-	var locals []lp.CutRow
-	for i := range cuts {
-		c := &cuts[i]
-		if !validCut(nVars, c) || c.Violation(res.X) < cutViolationTol {
-			continue
-		}
-		if c.Global {
-			if w.st.pool.add(c.CutRow) {
-				admit(c.Name)
-			}
-		} else {
-			locals = append(locals, c.CutRow)
-			admit(c.Name)
-		}
-	}
-	// bindCuts (not a bare pool sync) so a pool compaction mid-round
-	// re-establishes the node's inherited local cuts after the drop.
-	if err := w.bindCuts(nd.cuts); err != nil {
-		return 0, false, err
-	}
-	if len(locals) > 0 {
-		if err := w.solver.AddRows(locals); err != nil {
-			return 0, false, fmt.Errorf("ilp: applying node-local cuts: %w", err)
-		}
-		merged := make([]lp.CutRow, 0, len(nd.cuts)+len(locals))
-		merged = append(append(merged, nd.cuts...), locals...)
-		nd.cuts = merged // fresh slice: siblings keep the old view
-		w.localSet = merged
-	}
-	// Progress means the node LP's row set changed and a re-solve is
-	// worthwhile: we admitted something (even if a pool compaction shrank
-	// the applied row count below `before`), or the rebind after a
-	// compaction changed the applied rows.
-	return admitted, admitted > 0 || w.solver.AddedRows() != before, nil
-}
-
-// integralPoint reports whether every integer variable is integral in x.
-func integralPoint(x []float64, ints []int) bool {
-	for _, j := range ints {
-		f := x[j] - math.Floor(x[j])
-		if f > intTol && f < 1-intTol {
-			return false
-		}
-	}
-	return true
-}
-
-// nodeResult is what processing one node produces. Exactly one of the
-// following is meaningful depending on lpStatus:
-// children/incumbent (Optimal), nothing (Infeasible/IterLimit/Unbounded),
-// pruned (fathomed before the LP ran).
-type nodeResult struct {
-	lpStatus     lp.Status
-	pruned       bool    // fathomed by the combinatorial bound; no LP was run
-	obj          float64 // node LP bound (valid when lpStatus == Optimal)
-	iters        int
-	cutsAdded    int            // cuts generated at this node (see Solution.CutsAdded)
-	cutNames     map[string]int // admitted cuts by separator name
-	sepRounds    int            // LP re-solves triggered by separation at this node
-	conflictCuts int            // no-goods learned from this node's fathoming
-	children     []node
-	// incumbent is a verified-feasible integral candidate with objective
-	// incObj (nil when the node produced none worth keeping).
-	incumbent []float64
-	incObj    float64
-}
-
-// processNode screens one node (combinatorial bound first), then solves its
-// LP and applies the branching rules. incObj is the incumbent objective
-// (used for pruning and for filtering incumbent candidates).
-func (w *searcher) processNode(nd *node, incObj float64) (*nodeResult, error) {
-	r := &nodeResult{incObj: math.Inf(1)}
-
-	if !w.applyFixes(nd.fixes) {
-		r.lpStatus = lp.Infeasible
-		r.conflictCuts = w.learnConflict(nd, false)
-		return r, nil
-	}
-
-	// LP-free fathoming: if the caller's combinatorial bound already proves
-	// the box infeasible or no better than the incumbent, the simplex never
-	// runs for this node — and neither does the cut-view rebind below, so
-	// fathomed nodes pay no AddRows reinversion. Only the infeasible case
-	// learns a conflict: a bound-dominated box may still hold feasible
-	// (just not better) points, which a no-good would wrongly cut off.
-	if w.opt.NodeBound != nil {
-		if bnd, feasible := w.opt.NodeBound(w.solver.Bounds); !feasible || bnd > incObj-absGap {
-			r.pruned = true
-			r.lpStatus = lp.Infeasible
-			if !feasible {
-				r.conflictCuts = w.learnConflict(nd, true)
-			}
-			return r, nil
-		}
-	}
-
-	// Rebind the solver's added-row block to this node's cut view: the
-	// pool's cuts plus the node's inherited local cuts. Nodes whose local
-	// set is already applied (no local cuts anywhere, or a dive within one
-	// subtree) reuse the standing rows and only append what other nodes
-	// separated since.
-	if err := w.bindCuts(nd.cuts); err != nil {
-		return nil, err
-	}
-
-	solveLP := func() (*lp.Solution, error) {
-		for attempt := 0; ; attempt++ {
-			res, err := w.solver.Solve()
-			if err != nil {
-				return nil, fmt.Errorf("ilp: node LP: %w", err)
-			}
-			r.iters += res.Iterations
-			r.lpStatus = res.Status
-			if res.Status != lp.Optimal {
-				return res, nil
-			}
-			// Guard against numerical drift of the incrementally updated
-			// warm basis: an "optimal" point that violates the original
-			// rows (or the node's cut rows) forces one from-scratch
-			// re-solve of the node.
-			if attempt == 0 && (!w.p.LP.RowsSatisfied(res.X, 1e-6) ||
-				!w.solver.AddedRowsSatisfied(res.X, 1e-6)) {
-				w.solver.Invalidate()
-				continue
-			}
-			return res, nil
-		}
-	}
-
-	res, err := solveLP()
-	if err != nil {
-		return nil, err
-	}
-	if nd.depth == 0 && w.opt.RootOpen != nil && (res.Status == lp.IterLimit ||
-		res.Status == lp.Optimal && res.Obj <= incObj-absGap && !integralPoint(res.X, w.p.Integers)) {
-		w.opt.RootOpen()
-	}
-	if res.Status != lp.Optimal {
-		if res.Status == lp.Infeasible {
-			// The node LP (original rows plus valid cuts) admits no point at
-			// all, so the box holds no integral feasible solution either:
-			// learn the no-good. The LP proof gives no subset certificate,
-			// so the full fix set is kept (the pool dedups repeats).
-			r.conflictCuts = w.learnConflict(nd, false)
-		}
-		return r, nil
-	}
-
-	// Separation rounds: while the point is fractional, could still beat
-	// the incumbent, and the round budget lasts, grow the node LP with
-	// violated cuts and re-solve warm (the dual simplex re-enters from the
-	// current basis; the new rows' slacks are the only infeasibilities).
-	// Branching below only happens when separation dries up.
-	if w.opt.Separate != nil {
-		maxRounds := maxCutRounds(nd.depth)
-		for round := 0; round < maxRounds; round++ {
-			if res.Obj > incObj-absGap || integralPoint(res.X, w.p.Integers) {
-				break
-			}
-			admitted, progressed, err := w.applyCuts(nd, res, round, r)
-			if err != nil {
-				return nil, err
-			}
-			r.cutsAdded += admitted
-			if !progressed {
-				break
-			}
-			r.sepRounds++
-			res, err = solveLP()
-			if err != nil {
-				return nil, err
-			}
-			if res.Status != lp.Optimal {
-				// Valid cuts may legitimately empty a node box holding no
-				// integral point: the node is fathomed (and, for a clean
-				// Infeasible verdict, its no-good learned).
-				if res.Status == lp.Infeasible {
-					r.conflictCuts += w.learnConflict(nd, false)
-				}
-				return r, nil
-			}
-		}
-	}
-	w.recordCutActivity(res.X)
-	r.obj = res.Obj
-
-	if res.Obj > incObj-absGap {
-		return r, nil // bound prune: no children
-	}
-
-	// Prefer SOS1 group branching: pick the most undecided group (the one
-	// whose largest member value is smallest).
-	bestGroup := -1
-	bestMax := 2.0
-	for gi, grp := range w.p.SOS1 {
-		gmax, fractional := 0.0, false
-		for _, j := range grp {
-			v := res.X[j]
-			if v > intTol && v < 1-intTol {
-				fractional = true
-			}
-			if v > gmax {
-				gmax = v
-			}
-		}
-		if fractional && gmax < bestMax {
-			bestMax = gmax
-			bestGroup = gi
-		}
-	}
-
-	// Pseudo-cost selection among the fractional integer variables: score
-	// each candidate by the estimated objective degradation of its two
-	// children (product rule); unobserved directions fall back to the
-	// global average, and with no history at all the rule degrades to
-	// most-fractional.
-	branchVar := -1
-	branchFrac := 0.0
-	if bestGroup < 0 {
-		bestScore := -1.0
-		for _, j := range w.p.Integers {
-			f := res.X[j] - math.Floor(res.X[j])
-			if f <= intTol || f >= 1-intTol {
-				continue
-			}
-			score := math.Max(w.st.pcDownEst(j)*f, 1e-9) * math.Max(w.st.pcUpEst(j)*(1-f), 1e-9)
-			if score > bestScore*(1+1e-9) {
-				bestScore = score
-				branchVar = j
-				branchFrac = f
-			}
-		}
-	}
-
-	if bestGroup < 0 && branchVar == -1 {
-		// Integral: candidate incumbent.
-		if res.Obj < incObj-absGap {
-			r.incumbent = roundInts(res.X, w.isInt)
-			r.incObj = res.Obj
-		}
-		return r, nil
-	}
-
-	if bestGroup >= 0 {
-		grp := w.p.SOS1[bestGroup]
-		// One child per member, fixing it to 1 and siblings to 0. Children
-		// are ordered ascending by LP value so the most promising child is
-		// pushed last and pops first among equal bounds.
-		order := make([]int, len(grp))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool {
-			return res.X[grp[order[a]]] < res.X[grp[order[b]]]
-		})
-		for _, oi := range order {
-			pick := grp[oi]
-			fixes := make([]fix, 0, len(nd.fixes)+len(grp))
-			fixes = append(fixes, nd.fixes...)
-			for _, j := range grp {
-				if j == pick {
-					fixes = append(fixes, fix{j, 1, 1})
-				} else {
-					fixes = append(fixes, fix{j, 0, 0})
-				}
-			}
-			r.children = append(r.children, node{
-				fixes: fixes, bound: res.Obj, depth: nd.depth + 1,
-				branchVar: -1, cuts: nd.cuts,
-			})
-		}
-		return r, nil
-	}
-
-	v := res.X[branchVar]
-	fl := math.Floor(v)
-	down := node{
-		fixes:     appendFix(nd.fixes, fix{branchVar, math.Inf(-1), fl}),
-		bound:     res.Obj,
-		depth:     nd.depth + 1,
-		cuts:      nd.cuts,
-		branchVar: branchVar, branchUp: false, branchFrac: branchFrac,
-	}
-	up := node{
-		fixes:     appendFix(nd.fixes, fix{branchVar, fl + 1, math.Inf(1)}),
-		bound:     res.Obj,
-		depth:     nd.depth + 1,
-		cuts:      nd.cuts,
-		branchVar: branchVar, branchUp: true, branchFrac: branchFrac,
-	}
-	// Push the side nearer the LP value last so it pops first on a tie.
-	if v-fl > 0.5 {
-		r.children = append(r.children, down, up)
-	} else {
-		r.children = append(r.children, up, down)
-	}
-	return r, nil
-}
-
-// Solve runs branch and bound and returns the best solution found.
-func Solve(p *Problem, opt Options) (*Solution, error) {
-	if opt.MaxNodes == 0 {
-		opt.MaxNodes = defaultMaxNodes
-	}
-	nVars := p.LP.NumVars()
-	isInt := make([]bool, nVars)
-	for _, j := range p.Integers {
-		if j < 0 || j >= nVars {
-			return nil, fmt.Errorf("ilp: integer index %d out of range [0,%d)", j, nVars)
-		}
-		isInt[j] = true
-	}
-
-	st := &searchState{
-		opt:          &opt,
-		incObj:       math.Inf(1),
-		droppedBound: math.Inf(1),
-		pcUpSum:      make([]float64, nVars),
-		pcDownSum:    make([]float64, nVars),
-		pcUpN:        make([]int32, nVars),
-		pcDownN:      make([]int32, nVars),
-		deadline:     searchDeadline(opt.Context),
-	}
-	if opt.Separate != nil {
-		st.pool = newCutPool(opt.MaxCuts)
-	}
-
-	if opt.Incumbent != nil {
-		if ok, obj := checkFeasibleBounds(p, p.LP.Bounds, opt.Incumbent); ok {
-			st.incumbent = append([]float64(nil), opt.Incumbent...)
-			st.incObj = obj
-		}
-	}
-
-	w := newSearcher(p, &opt, st, isInt)
-	st.pushNode(node{bound: math.Inf(-1), branchVar: -1})
-
-	// A context already done (a race loser already cancelled, or a request
-	// past its deadline) skips even the root.
-	if st.limitHit() {
-		// The unexplored root is DROPPED, not exhausted: finish must not
-		// read the empty heap as a completed proof (a pre-expired deadline
-		// would otherwise claim Infeasible without solving anything).
-		st.dropped += len(st.heap)
-		st.heap = nil
-	}
-	for len(st.heap) > 0 && !st.limitHit() {
-		if err := st.step(w); err != nil {
-			return nil, err
-		}
-		if st.unbounded {
-			return &Solution{Status: Unbounded, Bound: math.Inf(-1), Nodes: st.nodes,
-				LPIterations: st.lpIters, BoundTrusted: true}, nil
-		}
-	}
-
-	sol := st.finish()
-	sol.Solver = w.solver.Stats
-	return sol, nil
-}
-
-// searchState is the branch-and-bound state of one Solve.
+// searchState is one Solve's branch-and-bound search: the lp.Solver it
+// owns, the root bounds that node fixes are applied against, the cut rows
+// bound to the solver, the node heap, the incumbent, the pseudo-costs and
+// the counters.
 type searchState struct {
+	p        *Problem
 	opt      *Options
+	solver   *lp.Solver
+	rootLo   []float64
+	rootHi   []float64
+	applied  []int // variables whose bounds currently differ from the root
+	isInt    []bool
 	heap     []node // bound-ordered min-heap, ties pop LIFO
 	seq      int64
 	deadline time.Time
@@ -861,7 +338,19 @@ type searchState struct {
 	gDownN    int32
 
 	// pool is the global-cut store (nil when Options.Separate is unset).
-	pool *cutPool
+	// The solver's added-row block is the pool's prefix [0, poolApplied)
+	// at generation poolGen, optionally followed by the current node's
+	// local cuts.
+	pool        *cutPool
+	poolApplied int
+	poolGen     int
+	// localSet is the node-local cut slice currently applied (nd.cuts of
+	// the node that installed it). Node cut slices are never mutated —
+	// children copy-on-append — so slice identity (length + backing array)
+	// decides whether a popped node's inherited set is already applied,
+	// which keeps a whole subtree below a local cut warm instead of
+	// rebuilding the solver at every descendant.
+	localSet []lp.CutRow
 
 	nodes        int
 	lpIters      int
@@ -879,6 +368,495 @@ type searchState struct {
 	rootSolved bool
 	rootBound  float64
 	unbounded  bool
+}
+
+// sameLocalCuts reports whether cuts is exactly the applied local set.
+func (st *searchState) sameLocalCuts(cuts []lp.CutRow) bool {
+	if len(cuts) != len(st.localSet) {
+		return false
+	}
+	return len(cuts) == 0 || &cuts[0] == &st.localSet[0]
+}
+
+// applyFixes rebinds the solver to nd's box: previously fixed variables are
+// restored to their root bounds and the node's fixes are applied in order
+// (repeated fixes of one variable intersect). Returns false when the box is
+// empty.
+func (st *searchState) applyFixes(fixes []fix) bool {
+	for _, j := range st.applied {
+		st.solver.SetVarBounds(j, st.rootLo[j], st.rootHi[j])
+	}
+	st.applied = st.applied[:0]
+	for _, f := range fixes {
+		lo, hi := st.solver.Bounds(f.j)
+		nlo, nhi := math.Max(lo, f.lo), math.Min(hi, f.hi)
+		st.applied = append(st.applied, f.j)
+		if nlo > nhi {
+			return false
+		}
+		st.solver.SetVarBounds(f.j, nlo, nhi)
+	}
+	return true
+}
+
+// dropCuts removes every added row from the solver and resets the pool
+// bookkeeping (the basis goes cold; used on pool compaction and when the
+// node-local cut set changes).
+func (st *searchState) dropCuts() {
+	st.solver.DropAddedRows()
+	st.poolApplied = 0
+	st.localSet = nil
+}
+
+// bindCuts makes the solver's added rows hold the pool's cuts plus
+// exactly the given node-local set. It is the single rebind entry point:
+// a pool generation change inside syncPool drops everything (including
+// previously applied locals), and the re-check afterwards re-adds the
+// local set, so the node never silently loses its inherited cuts.
+func (st *searchState) bindCuts(cuts []lp.CutRow) error {
+	if !st.sameLocalCuts(cuts) {
+		st.dropCuts()
+	}
+	if err := st.syncPool(); err != nil {
+		return err
+	}
+	if len(cuts) > 0 && !st.sameLocalCuts(cuts) {
+		if err := st.solver.AddRows(cuts); err != nil {
+			return fmt.Errorf("ilp: applying node-local cuts: %w", err)
+		}
+		st.localSet = cuts
+	}
+	return nil
+}
+
+// syncPool appends the pool cuts the solver has not applied yet. On a pool
+// generation change (compaction) the whole added-row block is rebuilt.
+func (st *searchState) syncPool() error {
+	cp := st.pool
+	if cp == nil {
+		return nil
+	}
+	if cp.gen != st.poolGen {
+		st.dropCuts()
+		st.poolGen = cp.gen
+	}
+	if st.poolApplied == len(cp.rows) {
+		return nil
+	}
+	if err := st.solver.AddRows(cp.rows[st.poolApplied:]); err != nil {
+		return fmt.Errorf("ilp: applying pool cuts: %w", err)
+	}
+	st.poolApplied = len(cp.rows)
+	return nil
+}
+
+// recordCutActivity credits the applied pool cuts binding at the node
+// optimum x. The applied prefix is in sync with the pool here: every pool
+// admission since the last syncPool was followed by a rebind.
+func (st *searchState) recordCutActivity(x []float64) {
+	for i := 0; i < st.poolApplied; i++ {
+		r := &st.pool.rows[i]
+		if math.Abs(r.Eval(x)-r.RHS) <= cutTightTol {
+			st.pool.activity[i]++
+		}
+	}
+}
+
+// applyCuts runs one separation round at a node: call Options.Separate on
+// the LP point, admit the violated valid cuts (global ones to the pool,
+// local ones to the solver and the node), counting each admitted cut by
+// name, and sync the solver with the pool. It reports whether the node's
+// LP gained any row, which makes a re-solve worthwhile.
+func (st *searchState) applyCuts(nd *node, res *lp.Solution, round int) (bool, error) {
+	before := st.solver.AddedRows()
+	cuts := st.opt.Separate(&SeparationPoint{
+		X: res.X, Obj: res.Obj, Depth: nd.depth, Round: round,
+		Bounds: st.solver.Bounds,
+	})
+	nVars := st.p.LP.NumVars()
+	admitted := 0
+	var locals []lp.CutRow
+	for i := range cuts {
+		c := &cuts[i]
+		if !validCut(nVars, c) || c.Violation(res.X) < cutViolationTol {
+			continue
+		}
+		if c.Global {
+			if !st.pool.add(c.CutRow) {
+				continue
+			}
+		} else {
+			locals = append(locals, c.CutRow)
+		}
+		admitted++
+		if st.cutNames == nil {
+			st.cutNames = make(map[string]int)
+		}
+		st.cutNames[c.Name]++
+	}
+	st.cutsAdded += admitted
+	// bindCuts (not a bare pool sync) so a pool compaction mid-round
+	// re-establishes the node's inherited local cuts after the drop.
+	if err := st.bindCuts(nd.cuts); err != nil {
+		return false, err
+	}
+	if len(locals) > 0 {
+		if err := st.solver.AddRows(locals); err != nil {
+			return false, fmt.Errorf("ilp: applying node-local cuts: %w", err)
+		}
+		merged := make([]lp.CutRow, 0, len(nd.cuts)+len(locals))
+		merged = append(append(merged, nd.cuts...), locals...)
+		nd.cuts = merged // fresh slice: siblings keep the old view
+		st.localSet = merged
+	}
+	// Progress means the node LP's row set changed and a re-solve is
+	// worthwhile: we admitted something (even if a pool compaction shrank
+	// the applied row count below `before`), or the rebind after a
+	// compaction changed the applied rows.
+	return admitted > 0 || st.solver.AddedRows() != before, nil
+}
+
+// integralPoint reports whether every integer variable is integral in x.
+func integralPoint(x []float64, ints []int) bool {
+	for _, j := range ints {
+		f := x[j] - math.Floor(x[j])
+		if f > intTol && f < 1-intTol {
+			return false
+		}
+	}
+	return true
+}
+
+// solveLP solves the node LP on the bound solver.
+func (st *searchState) solveLP() (*lp.Solution, error) {
+	for attempt := 0; ; attempt++ {
+		res, err := st.solver.Solve()
+		if err != nil {
+			return nil, fmt.Errorf("ilp: node LP: %w", err)
+		}
+		st.lpIters += res.Iterations
+		if res.Status != lp.Optimal {
+			return res, nil
+		}
+		// Guard against numerical drift of the incrementally updated warm
+		// basis: an "optimal" point that violates the original rows (or the
+		// node's cut rows) forces one from-scratch re-solve of the node.
+		if attempt == 0 && (!st.p.LP.RowsSatisfied(res.X, 1e-6) ||
+			!st.solver.AddedRowsSatisfied(res.X, 1e-6)) {
+			st.solver.Invalidate()
+			continue
+		}
+		return res, nil
+	}
+}
+
+// processNode screens one node (combinatorial bound first), solves its LP
+// relaxation, runs its separation rounds, and records the outcome: the
+// counters, a learned conflict, the incumbent and the children it pushes.
+func (st *searchState) processNode(nd *node) error {
+	if !st.applyFixes(nd.fixes) {
+		st.nodes++
+		st.learnConflict(nd, false)
+		return nil
+	}
+
+	// LP-free fathoming: if the caller's combinatorial bound already proves
+	// the box infeasible or no better than the incumbent, the simplex never
+	// runs for this node — and neither does the cut-view rebind below, so
+	// fathomed nodes pay no AddRows reinversion. Only the infeasible case
+	// learns a conflict: a bound-dominated box may still hold feasible
+	// (just not better) points, which a no-good would wrongly cut off.
+	if st.opt.NodeBound != nil {
+		if bnd, feasible := st.opt.NodeBound(st.solver.Bounds); !feasible || bnd > st.incObj-absGap {
+			st.prunedComb++
+			st.lpSkipped++
+			if !feasible {
+				st.learnConflict(nd, true)
+			}
+			return nil
+		}
+	}
+	st.nodes++
+
+	// Rebind the solver's added-row block to this node's cut view: the
+	// pool's cuts plus the node's inherited local cuts. Nodes whose local
+	// set is already applied (no local cuts anywhere, or a dive within one
+	// subtree) reuse the standing rows and only append what other nodes
+	// separated since.
+	if err := st.bindCuts(nd.cuts); err != nil {
+		return err
+	}
+	res, err := st.solveLP()
+	if err != nil {
+		return err
+	}
+	if nd.depth == 0 && st.opt.RootOpen != nil && (res.Status == lp.IterLimit ||
+		res.Status == lp.Optimal && res.Obj <= st.incObj-absGap && !integralPoint(res.X, st.p.Integers)) {
+		st.opt.RootOpen()
+	}
+	if res.Status == lp.Optimal && st.opt.Separate != nil {
+		if res, err = st.separate(nd, res); err != nil {
+			return err
+		}
+	}
+	switch res.Status {
+	case lp.Infeasible:
+		// The node LP (original rows plus valid cuts) admits no point at
+		// all, so the box holds no integral feasible solution either:
+		// learn the no-good. The LP proof gives no subset certificate, so
+		// the full fix set is kept (the pool dedups repeats).
+		st.learnConflict(nd, false)
+		return nil
+	case lp.Unbounded:
+		if nd.depth == 0 {
+			st.unbounded = true
+		}
+		return nil
+	case lp.IterLimit:
+		// The node's LP could not be solved within the iteration budget even
+		// after the cold fallback. Drop it, but keep its parent bound in the
+		// reported Bound and flag the result untrusted (see
+		// Solution.BoundTrusted); without an incumbent the final status
+		// degrades to Limit rather than claiming Infeasible.
+		st.dropped++
+		if nd.bound < st.droppedBound {
+			st.droppedBound = nd.bound
+		}
+		return nil
+	}
+	st.recordCutActivity(res.X)
+
+	// A node that cannot beat the incumbent is bound-pruned: no children.
+	var children []node
+	if res.Obj <= st.incObj-absGap {
+		children = st.branch(nd, res)
+	}
+	st.recordPseudoCost(nd, res.Obj)
+	if nd.depth == 0 && !st.rootSolved {
+		st.rootBound = res.Obj
+		st.rootSolved = true
+	}
+	if children == nil && res.Obj < st.incObj-absGap {
+		// Integral: the new incumbent.
+		st.incObj = res.Obj
+		st.incumbent = roundInts(res.X, st.isInt)
+		st.opt.Trace.Incumbent(int64(st.nodes), st.incObj)
+	}
+	if tr := st.opt.Trace; tr != nil && st.nodes%traceNodeSample == 1 {
+		tr.Node(int64(st.nodes), nd.depth, len(st.heap), res.Obj,
+			st.incObj, !math.IsInf(st.incObj, 1))
+	}
+	for i := range children {
+		st.pushNode(children[i])
+	}
+	return nil
+}
+
+// separate runs a node's separation rounds: while the point is fractional,
+// could still beat the incumbent, and the round budget lasts, grow the
+// node LP with violated cuts and re-solve warm (the dual simplex re-enters
+// from the current basis; the new rows' slacks are the only
+// infeasibilities). It returns the node's last LP solution; branching only
+// happens once separation dries up. Valid cuts may legitimately empty a
+// node box holding no integral point, which ends the rounds early with a
+// non-optimal status for the caller to fathom.
+func (st *searchState) separate(nd *node, res *lp.Solution) (*lp.Solution, error) {
+	cuts0, rounds0 := st.cutsAdded, st.sepRounds
+	for round := 0; round < maxCutRounds(nd.depth); round++ {
+		if res.Obj > st.incObj-absGap || integralPoint(res.X, st.p.Integers) {
+			break
+		}
+		progressed, err := st.applyCuts(nd, res, round)
+		if err != nil {
+			return nil, err
+		}
+		if !progressed {
+			break
+		}
+		st.sepRounds++
+		if res, err = st.solveLP(); err != nil {
+			return nil, err
+		}
+		if res.Status != lp.Optimal {
+			break
+		}
+	}
+	st.opt.Trace.Counter(obs.CounterCuts, int64(st.cutsAdded-cuts0))
+	st.opt.Trace.Counter(obs.CounterSepRounds, int64(st.sepRounds-rounds0))
+	return res, nil
+}
+
+// branch returns the children of a fractional node at its LP point res,
+// or nil when res is integral. It reads the pseudo-cost tables, so it runs
+// before the node's own pseudo-cost observation is recorded.
+func (st *searchState) branch(nd *node, res *lp.Solution) []node {
+	// Prefer SOS1 group branching: pick the most undecided group (the one
+	// whose largest member value is smallest).
+	bestGroup := -1
+	bestMax := 2.0
+	for gi, grp := range st.p.SOS1 {
+		gmax, fractional := 0.0, false
+		for _, j := range grp {
+			v := res.X[j]
+			if v > intTol && v < 1-intTol {
+				fractional = true
+			}
+			if v > gmax {
+				gmax = v
+			}
+		}
+		if fractional && gmax < bestMax {
+			bestMax = gmax
+			bestGroup = gi
+		}
+	}
+
+	if bestGroup >= 0 {
+		grp := st.p.SOS1[bestGroup]
+		// One child per member, fixing it to 1 and siblings to 0. Children
+		// are ordered ascending by LP value so the most promising child is
+		// pushed last and pops first among equal bounds.
+		order := make([]int, len(grp))
+		for i := range order {
+			order[i] = i
+		}
+		sort.Slice(order, func(a, b int) bool {
+			return res.X[grp[order[a]]] < res.X[grp[order[b]]]
+		})
+		var children []node
+		for _, oi := range order {
+			pick := grp[oi]
+			fixes := make([]fix, 0, len(nd.fixes)+len(grp))
+			fixes = append(fixes, nd.fixes...)
+			for _, j := range grp {
+				if j == pick {
+					fixes = append(fixes, fix{j, 1, 1})
+				} else {
+					fixes = append(fixes, fix{j, 0, 0})
+				}
+			}
+			children = append(children, node{
+				fixes: fixes, bound: res.Obj, depth: nd.depth + 1,
+				branchVar: -1, cuts: nd.cuts,
+			})
+		}
+		return children
+	}
+
+	// Pseudo-cost selection among the fractional integer variables: score
+	// each candidate by the estimated objective degradation of its two
+	// children (product rule); unobserved directions fall back to the
+	// global average, and with no history at all the rule degrades to
+	// most-fractional.
+	branchVar := -1
+	branchFrac := 0.0
+	bestScore := -1.0
+	for _, j := range st.p.Integers {
+		f := res.X[j] - math.Floor(res.X[j])
+		if f <= intTol || f >= 1-intTol {
+			continue
+		}
+		score := math.Max(st.pcDownEst(j)*f, 1e-9) * math.Max(st.pcUpEst(j)*(1-f), 1e-9)
+		if score > bestScore*(1+1e-9) {
+			bestScore = score
+			branchVar = j
+			branchFrac = f
+		}
+	}
+	if branchVar < 0 {
+		return nil
+	}
+
+	v := res.X[branchVar]
+	fl := math.Floor(v)
+	down := node{
+		fixes:     appendFix(nd.fixes, fix{branchVar, math.Inf(-1), fl}),
+		bound:     res.Obj,
+		depth:     nd.depth + 1,
+		cuts:      nd.cuts,
+		branchVar: branchVar, branchUp: false, branchFrac: branchFrac,
+	}
+	up := node{
+		fixes:     appendFix(nd.fixes, fix{branchVar, fl + 1, math.Inf(1)}),
+		bound:     res.Obj,
+		depth:     nd.depth + 1,
+		cuts:      nd.cuts,
+		branchVar: branchVar, branchUp: true, branchFrac: branchFrac,
+	}
+	// Push the side nearer the LP value last so it pops first on a tie.
+	if v-fl > 0.5 {
+		return []node{down, up}
+	}
+	return []node{up, down}
+}
+
+// Solve runs branch and bound and returns the best solution found.
+func Solve(p *Problem, opt Options) (*Solution, error) {
+	if opt.MaxNodes == 0 {
+		opt.MaxNodes = defaultMaxNodes
+	}
+	nVars := p.LP.NumVars()
+	isInt := make([]bool, nVars)
+	for _, j := range p.Integers {
+		if j < 0 || j >= nVars {
+			return nil, fmt.Errorf("ilp: integer index %d out of range [0,%d)", j, nVars)
+		}
+		isInt[j] = true
+	}
+
+	st := &searchState{
+		p:            p,
+		opt:          &opt,
+		solver:       lp.NewSolver(p.LP),
+		rootLo:       make([]float64, nVars),
+		rootHi:       make([]float64, nVars),
+		isInt:        isInt,
+		incObj:       math.Inf(1),
+		droppedBound: math.Inf(1),
+		pcUpSum:      make([]float64, nVars),
+		pcDownSum:    make([]float64, nVars),
+		pcUpN:        make([]int32, nVars),
+		pcDownN:      make([]int32, nVars),
+		deadline:     searchDeadline(opt.Context),
+	}
+	for j := 0; j < nVars; j++ {
+		st.rootLo[j], st.rootHi[j] = p.LP.Bounds(j)
+	}
+	if opt.Separate != nil {
+		st.pool = newCutPool(opt.testMaxCuts)
+	}
+
+	if opt.Incumbent != nil {
+		if ok, obj := checkFeasibleBounds(p, p.LP.Bounds, opt.Incumbent); ok {
+			st.incumbent = append([]float64(nil), opt.Incumbent...)
+			st.incObj = obj
+		}
+	}
+
+	st.pushNode(node{bound: math.Inf(-1), branchVar: -1})
+
+	// A context already done (a race loser already cancelled, or a request
+	// past its deadline) skips even the root.
+	if st.limitHit() {
+		// The unexplored root is DROPPED, not exhausted: finish must not
+		// read the empty heap as a completed proof (a pre-expired deadline
+		// would otherwise claim Infeasible without solving anything).
+		st.dropped += len(st.heap)
+		st.heap = nil
+	}
+	for len(st.heap) > 0 && !st.limitHit() {
+		if err := st.step(); err != nil {
+			return nil, err
+		}
+		if st.unbounded {
+			return &Solution{Status: Unbounded, Bound: math.Inf(-1), Nodes: st.nodes,
+				LPIterations: st.lpIters, BoundTrusted: true}, nil
+		}
+	}
+
+	sol := st.finish()
+	sol.Solver = st.solver.Stats
+	return sol, nil
 }
 
 // ---- bound-ordered node heap (min bound first, LIFO on ties) ----
@@ -1005,96 +983,20 @@ func (st *searchState) pruneFrontier() {
 }
 
 // step pops and processes one node.
-func (st *searchState) step(w *searcher) error {
+func (st *searchState) step() error {
 	nd := st.popNode()
 
 	if nd.bound > st.incObj-absGap && !math.IsInf(nd.bound, -1) {
 		st.pruneFrontier()
 		return nil
 	}
-	r, err := w.processNode(&nd, st.incObj)
-	if err != nil {
-		return err
-	}
-	st.lpIters += r.iters
-	st.absorb(&nd, r)
-	return nil
+	return st.processNode(&nd)
 }
 
 // traceNodeSample sets the node-event sampling stride: every Nth explored
 // node emits one trace event, so even deep searches produce a bounded,
 // representative progression instead of flooding the recorder.
 const traceNodeSample = 64
-
-// absorb merges one node's result into the search state.
-func (st *searchState) absorb(nd *node, r *nodeResult) {
-	st.conflictCuts += r.conflictCuts
-	if r.pruned {
-		st.prunedComb++
-		st.lpSkipped++
-		return
-	}
-	st.nodes++
-	st.cutsAdded += r.cutsAdded
-	st.sepRounds += r.sepRounds
-	if tr := st.opt.Trace; tr != nil {
-		if r.conflictCuts > 0 {
-			tr.Counter(obs.CounterConflicts, int64(r.conflictCuts))
-		}
-		if r.cutsAdded > 0 {
-			tr.Counter(obs.CounterCuts, int64(r.cutsAdded))
-		}
-		if r.sepRounds > 0 {
-			tr.Counter(obs.CounterSepRounds, int64(r.sepRounds))
-		}
-	}
-	if r.cutNames != nil {
-		if st.cutNames == nil {
-			st.cutNames = make(map[string]int)
-		}
-		for name, n := range r.cutNames {
-			st.cutNames[name] += n
-		}
-	}
-	switch r.lpStatus {
-	case lp.Infeasible:
-		return
-	case lp.Unbounded:
-		if nd.depth == 0 {
-			st.unbounded = true
-		}
-		return
-	case lp.IterLimit:
-		// The node's LP could not be solved within the iteration budget even
-		// after the cold fallback. Drop it, but keep its parent bound in the
-		// reported Bound and flag the result untrusted (see
-		// Solution.BoundTrusted); without an incumbent the final status
-		// degrades to Limit rather than claiming Infeasible.
-		st.dropped++
-		if nd.bound < st.droppedBound {
-			st.droppedBound = nd.bound
-		}
-		return
-	}
-
-	st.recordPseudoCost(nd, r.obj)
-	if nd.depth == 0 && !st.rootSolved {
-		st.rootBound = r.obj
-		st.rootSolved = true
-	}
-	if r.incumbent != nil && r.incObj < st.incObj-absGap {
-		st.incObj = r.incObj
-		st.incumbent = r.incumbent
-		st.opt.Trace.Incumbent(int64(st.nodes), st.incObj)
-	}
-	if tr := st.opt.Trace; tr != nil && st.nodes%traceNodeSample == 1 {
-		tr.Node(int64(st.nodes), nd.depth, len(st.heap), r.obj,
-			st.incObj, !math.IsInf(st.incObj, 1))
-	}
-	for i := range r.children {
-		st.pushNode(r.children[i])
-	}
-}
 
 // finish assembles the Solution from the final search state.
 func (st *searchState) finish() *Solution {
@@ -1209,10 +1111,4 @@ func Binary(p *Problem) int {
 	p.LP.SetBounds(j, 0, 1)
 	p.Integers = append(p.Integers, j)
 	return j
-}
-
-// SortIntegers normalizes the integer index list (useful after bulk model
-// construction so branching order is deterministic).
-func (p *Problem) SortIntegers() {
-	sort.Ints(p.Integers)
 }

@@ -208,14 +208,10 @@ func TestAddColsDupRowsMerged(t *testing.T) {
 	}
 }
 
-// TestAddColsAccumulate covers the stats plumbing for the new counter.
-func TestAddColsAccumulate(t *testing.T) {
-	a := SolverStats{ColsAdded: 3}
+// TestAddColsDelta covers the stats plumbing for the ColsAdded counter.
+func TestAddColsDelta(t *testing.T) {
+	a := SolverStats{ColsAdded: 5}
 	b := SolverStats{ColsAdded: 2}
-	a.Accumulate(b)
-	if a.ColsAdded != 5 {
-		t.Fatalf("Accumulate: %d", a.ColsAdded)
-	}
 	if d := a.Delta(b); d.ColsAdded != 3 {
 		t.Fatalf("Delta: %d", d.ColsAdded)
 	}

@@ -166,11 +166,6 @@ func (p *Problem) EvalRow(i int, x []float64) float64 {
 	return lhs
 }
 
-// RowInfo returns the kind and right-hand side of row i.
-func (p *Problem) RowInfo(i int) (RowKind, float64) {
-	return p.rows[i].kind, p.rows[i].rhs
-}
-
 // RowsSatisfied reports whether x satisfies every constraint row within tol.
 // Variable bounds are not checked here.
 func (p *Problem) RowsSatisfied(x []float64, tol float64) bool {
@@ -298,21 +293,6 @@ func (p *Problem) AddRowCols(kind RowKind, cols []int, vals []float64, rhs float
 	}
 	p.arena = p.arena[:start+w]
 	p.rows = append(p.rows, row{kind: kind, rhs: rhs, coeffs: p.arena[start : start+w]})
-	return len(p.rows) - 1
-}
-
-// AddDenseRow appends a constraint row given a dense coefficient vector.
-func (p *Problem) AddDenseRow(kind RowKind, coeffs []float64, rhs float64) int {
-	if len(coeffs) != p.n {
-		panic(fmt.Sprintf("lp: AddDenseRow: got %d coefficients, want %d", len(coeffs), p.n))
-	}
-	r := row{kind: kind, rhs: rhs}
-	for j, v := range coeffs {
-		if v != 0 {
-			r.coeffs = append(r.coeffs, coeff{j, v})
-		}
-	}
-	p.rows = append(p.rows, r)
 	return len(p.rows) - 1
 }
 

@@ -48,11 +48,11 @@ import (
 //     planes) without touching the shared Problem, keeping the current
 //     basis so the next Solve re-enters through the dual simplex (see
 //     dynrows.go).
-//   - Solve returns a Solution whose X slice is freshly allocated and safe
-//     to retain — unless SetReuseSolution(true) put the Solver in
-//     shared-buffer mode, where the Solution and its X are valid only until
-//     the next solve on this Solver (the allocation-free hot-path mode the
-//     branch-and-bound layer uses).
+//   - Solve returns a Solution owned by the Solver: it and its X slice are
+//     overwritten by the next Solve on this Solver, which keeps node
+//     re-solves allocation-free. A caller that keeps a result past the
+//     next Solve copies what it needs. (The one-shot lp.Solve discards its
+//     Solver, so its result is safe to retain.)
 //   - A Solver is not safe for concurrent use; create one per goroutine
 //     (they share the Problem's immutable row storage).
 type Solver struct {
@@ -151,11 +151,10 @@ type Solver struct {
 	iter      int  // pivots in the current solve
 	maxIter   int
 
-	// Shared-solution mode (SetReuseSolution): finish() fills these instead
-	// of allocating.
-	reuseSol bool
-	sol      Solution
-	solX     []float64
+	// The Solution every Solve returns, and its X buffer (see the contract
+	// above).
+	sol  Solution
+	solX []float64
 
 	// Stats accumulates solver activity across the Solver's lifetime.
 	Stats SolverStats
@@ -198,24 +197,6 @@ func (s SolverStats) Delta(base SolverStats) SolverStats {
 		SparseBTRANs:     s.SparseBTRANs - base.SparseBTRANs,
 		DenseFallbacks:   s.DenseFallbacks - base.DenseFallbacks,
 	}
-}
-
-// Accumulate adds t into s field-wise (aggregating per-worker solver
-// stats into a search total).
-func (s *SolverStats) Accumulate(t SolverStats) {
-	s.Solves += t.Solves
-	s.WarmSolves += t.WarmSolves
-	s.ColdSolves += t.ColdSolves
-	s.Pivots += t.Pivots
-	s.DualPivots += t.DualPivots
-	s.RowsAdded += t.RowsAdded
-	s.ColsAdded += t.ColsAdded
-	s.Refactorizations += t.Refactorizations
-	s.BoundFlips += t.BoundFlips
-	s.UpdateNNZ += t.UpdateNNZ
-	s.SparseFTRANs += t.SparseFTRANs
-	s.SparseBTRANs += t.SparseBTRANs
-	s.DenseFallbacks += t.DenseFallbacks
 }
 
 // dualBP is one dual ratio-test breakpoint: nonbasic column j would change
@@ -369,12 +350,6 @@ func (s *Solver) SetVarBounds(j int, lo, hi float64) {
 // Invalidate drops the warm-start state, forcing the next Solve to rebuild
 // from scratch.
 func (s *Solver) Invalidate() { s.valid = false }
-
-// SetReuseSolution switches the Solver into shared-buffer mode: Solve
-// returns a Solution owned by the Solver whose X slice is valid only until
-// the next solve. The branch-and-bound hot path uses this to keep node
-// re-solves allocation-free; callers that retain a result must copy it.
-func (s *Solver) SetReuseSolution(on bool) { s.reuseSol = on }
 
 // Solve minimizes the captured objective under the current bounds. When the
 // Solver holds a dual-feasible basis from a previous solve it warm starts
@@ -1615,14 +1590,10 @@ func (s *Solver) driveOutArtificials() {
 	}
 }
 
-// statusResult returns a Solution carrying only a status, honoring the
-// shared-buffer mode.
+// statusResult returns the Solver's Solution carrying only a status.
 func (s *Solver) statusResult(st Status) *Solution {
-	if s.reuseSol {
-		s.sol = Solution{Status: st}
-		return &s.sol
-	}
-	return &Solution{Status: st}
+	s.sol = Solution{Status: st}
+	return &s.sol
 }
 
 // iterResult is statusResult plus the iteration count.
@@ -1635,18 +1606,10 @@ func (s *Solver) iterResult(st Status) *Solution {
 // finish marks the factorization reusable and extracts the solution.
 func (s *Solver) finish() *Solution {
 	s.valid = true
-	var sol *Solution
-	var x []float64
-	if s.reuseSol {
-		sol = &s.sol
-		if cap(s.solX) < s.nStruct {
-			s.solX = make([]float64, s.nStruct)
-		}
-		x = s.solX[:s.nStruct]
-	} else {
-		sol = &Solution{}
-		x = make([]float64, s.nStruct)
+	if cap(s.solX) < s.nStruct {
+		s.solX = make([]float64, s.nStruct)
 	}
+	x := s.solX[:s.nStruct]
 	for j := 0; j < s.nStruct; j++ {
 		x[j] = s.val(j)
 	}
@@ -1659,6 +1622,6 @@ func (s *Solver) finish() *Solution {
 	for j := 0; j < s.nStruct; j++ {
 		obj += s.structObj(j) * x[j]
 	}
-	*sol = Solution{Status: Optimal, X: x, Obj: obj, Iterations: s.iter}
-	return sol
+	s.sol = Solution{Status: Optimal, X: x, Obj: obj, Iterations: s.iter}
+	return &s.sol
 }

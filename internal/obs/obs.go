@@ -185,9 +185,9 @@ func (r *Recorder) Counter(name string, delta int64) {
 }
 
 // Node records one sampled branch-and-bound node: its ordinal, depth,
-// frontier size at absorption, LP bound, and the incumbent objective
+// frontier size when it was processed, LP bound, and the incumbent objective
 // (hasIncumbent false when no feasible solution exists yet). Non-finite
-// floats are stored as zero: the searcher's "no incumbent" is +Inf and a
+// floats are stored as zero: the search's "no incumbent" is +Inf and a
 // root bound can be ±Inf, but the trace must marshal to JSON, which has no
 // encoding for them (the flags/zero stand in).
 func (r *Recorder) Node(ordinal int64, depth, frontier int, bound, incumbent float64, hasIncumbent bool) {

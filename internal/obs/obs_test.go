@@ -219,7 +219,7 @@ func TestDoLabelsOnlyCancellableContexts(t *testing.T) {
 }
 
 // TestNodeNonFiniteFloatsMarshal pins the JSON safety of sampled nodes: the
-// searcher reports "no incumbent" as +Inf and a root bound can be infinite,
+// search reports "no incumbent" as +Inf and a root bound can be infinite,
 // but encoding/json rejects non-finite floats, so the recorder must store
 // zero (the has_incumbent flag carries the truth).
 func TestNodeNonFiniteFloatsMarshal(t *testing.T) {

@@ -19,7 +19,7 @@ type TraceNode struct {
 	Depth    int64   `json:"depth"`
 	Frontier int64   `json:"frontier"`
 	Bound    float64 `json:"bound"`
-	// Incumbent is the best objective known when the node was absorbed;
+	// Incumbent is the best objective known when the node was processed;
 	// HasIncumbent false means the search had no feasible solution yet.
 	Incumbent    float64 `json:"incumbent,omitempty"`
 	HasIncumbent bool    `json:"has_incumbent,omitempty"`

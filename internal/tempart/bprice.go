@@ -11,6 +11,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/dfg"
 	"repro/internal/ilp"
+	"repro/internal/lp"
 	"repro/internal/obs"
 )
 
@@ -608,7 +609,7 @@ func patternsApplicable(g *dfg.Graph, board arch.Board) bool {
 // winning selection back to a task assignment. The return contract matches
 // solveForN exactly — (nil, nil) relaxes N, errors abort the relax loop,
 // Timeout-with-incumbent yields an anytime Partial result.
-func solveForNPatterns(ctx context.Context, in Input, pre *presolve, paths [][]int, N int, tally *proofTally) (*Partitioning, error) {
+func solveForNPatterns(ctx context.Context, in Input, pre *presolve, paths [][]int, N int) (*Partitioning, error) {
 	g := in.Graph
 	nT := g.NumTasks()
 	buildStart := time.Now()
@@ -642,25 +643,17 @@ func solveForNPatterns(ctx context.Context, in Input, pre *presolve, paths [][]i
 	buildTime := time.Since(buildStart)
 	buildSpan.End()
 
-	solveStart := time.Now()
-	searchSpan := in.Trace.BeginArg(obs.PhaseSearch, int64(N))
 	var sol *ilp.BPSolution
-	var err error
-	obs.Do(ctx, "phase", obs.PhaseSearch, func(context.Context) {
-		sol, err = ilp.SolveBP(opts)
+	solveTime, err := searchProbe(ctx, in, N, func() (int, lp.SolverStats, error) {
+		var err error
+		if sol, err = ilp.SolveBP(opts); err != nil {
+			return 0, lp.SolverStats{}, err
+		}
+		return sol.Nodes, sol.Solver, nil
 	})
 	if err != nil {
-		searchSpan.End()
 		return nil, err
 	}
-	if in.Trace != nil {
-		in.Trace.Counter(obs.CounterNodes, int64(sol.Nodes))
-		in.Trace.Counter(obs.CounterLPPivots, int64(sol.Solver.Pivots))
-		in.Trace.Counter(obs.CounterLPRefactor, int64(sol.Solver.Refactorizations))
-		in.Trace.Counter(obs.CounterLPFlips, int64(sol.Solver.BoundFlips))
-	}
-	searchSpan.End()
-	solveTime := time.Since(solveStart)
 
 	switch sol.Status {
 	case ilp.Infeasible:
@@ -701,38 +694,18 @@ func solveForNPatterns(ctx context.Context, in Input, pre *presolve, paths [][]i
 	if err := CheckFeasible(g, in.Board, assign, N); err != nil {
 		return nil, fmt.Errorf("tempart: pattern selection infeasible (internal error): %w", err)
 	}
-	delays := EvaluateDelays(g, assign, N, paths)
-	part := &Partitioning{
-		N:       N,
-		Assign:  assign,
-		Delays:  delays,
-		Latency: Latency(in.Board, delays),
-		Optimal: sol.Status == ilp.Optimal && sol.BoundTrusted,
-		Stats: SolveStats{
-			N: N, Vars: nT + sol.ColumnsGenerated, Rows: nT + 1, Paths: len(paths),
-			Nodes: sol.Nodes, LPIterations: sol.LPIterations,
-			ColumnsGenerated: sol.ColumnsGenerated,
-			PricingRounds:    sol.PricingRounds,
-			BuildTime:        buildTime, SolveTime: solveTime,
-			Solver:      sol.Solver,
-			Formulation: FormulationPatterns,
-		},
-	}
-	part.Partial = sol.Status == ilp.Timeout
-	part.BoundTrusted = sol.BoundTrusted
-	if part.Optimal {
-		part.LatencyBound = part.Latency
-	} else {
-		// SolveBP's Bound is a valid lower bound on Σ d(S) (0 when the root
-		// never converged — still sound, just weak).
-		part.LatencyBound = float64(N)*in.Board.FPGA.ReconfigTime + sol.Bound
-		if part.LatencyBound > part.Latency {
-			part.LatencyBound = part.Latency
-		}
-	}
-	if part.LatencyBound > 0 {
-		part.Gap = part.Latency - part.LatencyBound
-	}
+	// SolveBP's Bound is a valid lower bound on Σ d(S) (0 when the root
+	// never converged — still sound, just weak).
+	part := probePartitioning(in, paths, assign, sol.Status == ilp.Optimal && sol.BoundTrusted, sol.Bound, SolveStats{
+		N: N, Vars: nT + sol.ColumnsGenerated, Rows: nT + 1, Paths: len(paths),
+		Nodes: sol.Nodes, LPIterations: sol.LPIterations,
+		ColumnsGenerated: sol.ColumnsGenerated,
+		PricingRounds:    sol.PricingRounds,
+		BuildTime:        buildTime, SolveTime: solveTime,
+		Solver:      sol.Solver,
+		Formulation: FormulationPatterns,
+	})
+	part.Partial, part.BoundTrusted = sol.Status == ilp.Timeout, sol.BoundTrusted
 	return part, nil
 }
 

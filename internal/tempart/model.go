@@ -382,7 +382,6 @@ func (tally *proofTally) absorb(sub *proofTally) {
 	tally.dualFathoms += sub.dualFathoms
 	tally.conflictCuts += sub.conflictCuts
 	tally.cgCuts += sub.cgCuts
-	tally.rivals += sub.rivals
 }
 
 // stampProofStats folds the tally into the winning partitioning's stats,
@@ -721,7 +720,7 @@ func solveForN(ctx context.Context, in Input, pre *presolve, paths [][]int, N in
 	if in.Formulation != FormulationRows && patternsApplicable(in.Graph, in.Board) {
 		switch in.Formulation {
 		case FormulationPatterns:
-			return solveForNPatterns(ctx, in, pre, paths, N, tally)
+			return solveForNPatterns(ctx, in, pre, paths, N)
 		case "":
 			return raceForN(ctx, in, pre, paths, N, tally)
 		}
@@ -766,28 +765,17 @@ func solveForNRows(ctx context.Context, in Input, pre *presolve, paths [][]int, 
 	buildTime := time.Since(buildStart)
 	buildSpan.End()
 
-	solveStart := time.Now()
-	searchSpan := in.Trace.BeginArg(obs.PhaseSearch, int64(N))
 	var sol *ilp.Solution
-	var err error
-	obs.Do(ctx, "phase", obs.PhaseSearch, func(context.Context) {
-		sol, err = ilp.Solve(m.ilp, opts)
+	solveTime, err := searchProbe(ctx, in, N, func() (int, lp.SolverStats, error) {
+		var err error
+		if sol, err = ilp.Solve(m.ilp, opts); err != nil {
+			return 0, lp.SolverStats{}, err
+		}
+		return sol.Nodes, sol.Solver, nil
 	})
 	if err != nil {
-		searchSpan.End()
 		return nil, err
 	}
-	// LP kernel Stats deltas at the search-span boundary (the per-search
-	// Solver aggregate is already a delta: each searcher's solver is born
-	// inside this ilp.Solve call).
-	if in.Trace != nil {
-		in.Trace.Counter(obs.CounterNodes, int64(sol.Nodes))
-		in.Trace.Counter(obs.CounterLPPivots, int64(sol.Solver.Pivots))
-		in.Trace.Counter(obs.CounterLPRefactor, int64(sol.Solver.Refactorizations))
-		in.Trace.Counter(obs.CounterLPFlips, int64(sol.Solver.BoundFlips))
-	}
-	searchSpan.End()
-	solveTime := time.Since(solveStart)
 	tally.conflictCuts += sol.ConflictCuts
 	for name, n := range sol.CutsByName {
 		if strings.HasPrefix(name, "cg-") {
@@ -824,39 +812,74 @@ func solveForNRows(ctx context.Context, in Input, pre *presolve, paths [][]int, 
 			return nil, fmt.Errorf("tempart: task %d unassigned in ILP solution", t)
 		}
 	}
-	delays := EvaluateDelays(g, assign, N, paths)
+	part := probePartitioning(in, paths, assign, sol.Status == ilp.Optimal, sol.Bound, SolveStats{
+		N: N, Vars: m.nVars, Rows: m.prob.NumRows(), Paths: len(paths),
+		Nodes: sol.Nodes, LPIterations: sol.LPIterations,
+		PrunedCombinatorial: sol.PrunedCombinatorial,
+		LPSolvesSkipped:     sol.LPSolvesSkipped,
+		CutsAdded:           sol.CutsAdded,
+		SeparationRounds:    sol.SeparationRounds,
+		// CGCuts carries only this model's root rows here; the
+		// tally-based counters are stamped by the relax loop at
+		// acceptance time (stampProofStats), once every lower-N
+		// probe has contributed.
+		CGCuts:    m.cgRoot,
+		BuildTime: buildTime, SolveTime: solveTime,
+		Solver:      sol.Solver,
+		Formulation: FormulationRows,
+	})
+	part.Partial, part.BoundTrusted = sol.Status == ilp.Timeout, sol.BoundTrusted
+	return part, nil
+}
+
+// searchProbe runs one probe's search under its trace span and profile
+// label, emits the node and LP kernel counters at the span's end, and
+// returns the search's wall time. The search's Solver stats are already a
+// delta: its lp.Solver is born inside the search.
+func searchProbe(ctx context.Context, in Input, N int, search func() (nodes int, lps lp.SolverStats, err error)) (time.Duration, error) {
+	start := time.Now()
+	span := in.Trace.BeginArg(obs.PhaseSearch, int64(N))
+	var (
+		nodes int
+		lps   lp.SolverStats
+		err   error
+	)
+	obs.Do(ctx, "phase", obs.PhaseSearch, func(context.Context) {
+		nodes, lps, err = search()
+	})
+	if err != nil {
+		span.End()
+		return 0, err
+	}
+	in.Trace.Counter(obs.CounterNodes, int64(nodes))
+	in.Trace.Counter(obs.CounterLPPivots, int64(lps.Pivots))
+	in.Trace.Counter(obs.CounterLPRefactor, int64(lps.Refactorizations))
+	in.Trace.Counter(obs.CounterLPFlips, int64(lps.BoundFlips))
+	span.End()
+	return time.Since(start), nil
+}
+
+// probePartitioning maps a probe's task assignment to its Partitioning:
+// delays, latency, the optimality claim, and the latency bound that the
+// search's objective bound proves. The objective is Σ_p d_p with the
+// N·reconfig term constant, so the bound translates directly; a -Inf
+// bound proves none.
+func probePartitioning(in Input, paths [][]int, assign []int, optimal bool, bound float64, stats SolveStats) *Partitioning {
+	N := stats.N
+	delays := EvaluateDelays(in.Graph, assign, N, paths)
 	part := &Partitioning{
 		N:       N,
 		Assign:  assign,
 		Delays:  delays,
 		Latency: Latency(in.Board, delays),
-		Optimal: sol.Status == ilp.Optimal,
-		Stats: SolveStats{
-			N: N, Vars: m.nVars, Rows: m.prob.NumRows(), Paths: len(paths),
-			Nodes: sol.Nodes, LPIterations: sol.LPIterations,
-			PrunedCombinatorial: sol.PrunedCombinatorial,
-			LPSolvesSkipped:     sol.LPSolvesSkipped,
-			CutsAdded:           sol.CutsAdded,
-			SeparationRounds:    sol.SeparationRounds,
-			// CGCuts carries only this model's root rows here; the
-			// tally-based counters are stamped by the relax loop at
-			// acceptance time (stampProofStats), once every lower-N
-			// probe has contributed.
-			CGCuts:    m.cgRoot,
-			BuildTime: buildTime, SolveTime: solveTime,
-			Solver:      sol.Solver,
-			Formulation: FormulationRows,
-		},
+		Optimal: optimal,
+		Stats:   stats,
 	}
-	part.Partial = sol.Status == ilp.Timeout
-	part.BoundTrusted = sol.BoundTrusted
-	// The ILP objective is Σ_p d_p with the N·reconfig term constant, so
-	// the proven objective bound translates directly into a latency bound.
 	switch {
-	case part.Optimal:
+	case optimal:
 		part.LatencyBound = part.Latency
-	case !math.IsInf(sol.Bound, -1):
-		part.LatencyBound = float64(N)*in.Board.FPGA.ReconfigTime + sol.Bound
+	case !math.IsInf(bound, -1):
+		part.LatencyBound = float64(N)*in.Board.FPGA.ReconfigTime + bound
 		if part.LatencyBound > part.Latency {
 			part.LatencyBound = part.Latency
 		}
@@ -864,7 +887,7 @@ func solveForNRows(ctx context.Context, in Input, pre *presolve, paths [][]int, 
 	if part.LatencyBound > 0 {
 		part.Gap = part.Latency - part.LatencyBound
 	}
-	return part, nil
+	return part
 }
 
 // packingFeasible decides one-dimensional bin packing feasibility by

@@ -100,7 +100,12 @@ func TestPortfolioRegenDeterminism(t *testing.T) {
 
 // runEntry solves one portfolio instance under its manifest knobs.
 func runEntry(e *portfolioEntry) (*Partitioning, error) {
-	return Solve(context.Background(), Input{
+	return Solve(context.Background(), entryInput(e))
+}
+
+// entryInput is the solver input of one portfolio instance.
+func entryInput(e *portfolioEntry) Input {
+	return Input{
 		Graph:              e.graph,
 		Board:              e.board,
 		MaxPartitions:      e.MaxParts,
@@ -108,7 +113,7 @@ func runEntry(e *portfolioEntry) (*Partitioning, error) {
 		NoSymmetryBreaking: e.NoSymmetry,
 		DisableWarmStart:   e.NoWarm,
 		MaxNodes:           e.MaxNodes,
-	})
+	}
 }
 
 // entryName is the subtest name of a manifest row: the fixture file stem,

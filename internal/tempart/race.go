@@ -36,13 +36,11 @@ func (v raceVerdict) decisive() bool {
 func raceForN(ctx context.Context, in Input, pre *presolve, paths [][]int, N int, tally *proofTally) (*Partitioning, error) {
 	raceCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	// The row search keeps its proof telemetry apart: it counts only if
+	// the row verdict stands.
 	rowsTally := &proofTally{packNeed: tally.packNeed}
-	var (
-		rival      chan raceVerdict
-		rivalTally *proofTally
-	)
+	var rival chan raceVerdict
 	startRival := func() {
-		rivalTally = &proofTally{packNeed: tally.packNeed}
 		rival = make(chan raceVerdict, 1)
 		in.Trace.Counter(obs.CounterRaceRivals, 1)
 		go func() {
@@ -63,7 +61,7 @@ func raceForN(ctx context.Context, in Input, pre *presolve, paths [][]int, N int
 			if in.testRival != nil {
 				in.testRival()
 			}
-			v.part, v.err = solveForNPatterns(raceCtx, in, pre, paths, N, rivalTally)
+			v.part, v.err = solveForNPatterns(raceCtx, in, pre, paths, N)
 		}()
 		// Without the yield the rival waits in this P's runnext slot, and
 		// with every P busy it sits out a whole preemption time slice.
@@ -86,7 +84,6 @@ func raceForN(ctx context.Context, in Input, pre *presolve, paths [][]int, N int
 	}
 	if !rows.decisive() && v.decisive() {
 		in.Trace.Counter(obs.CounterRaceRivalWins, 1)
-		tally.absorb(rivalTally)
 		return v.part, v.err
 	}
 	tally.absorb(rowsTally)
