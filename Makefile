@@ -46,9 +46,13 @@ bench:
 # at the root, the chain9 portfolio solve under the row model, which pivots
 # through about a hundred nodes and reports the warm-start counters, and
 # chain9 under the default formulation, where the pattern master races the
-# row search (ns/op and allocs/op only).
+# row search (ns/op and allocs/op only). It also runs sparcsd's cache-hit
+# path in-process (BenchmarkService_Hit: /v1/batch calls of renamed copies
+# of a cached working set), which fails unless every item is a cache hit,
+# so a hit path that silently falls through to fresh solves breaks CI.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkILP_(DCTPartitioning|Chain9|Chain9Default)$$' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkService_Hit$$' -benchtime 20x -benchmem ./internal/service/
 
 # bench-lp runs the simplex-kernel micro-benches: a dense and a hyper-sparse
 # FTRAN against the live LU factor (both must be 0 allocs/op; the sparse one
@@ -56,9 +60,12 @@ bench-smoke:
 # gate), the reinversion of a slack-heavy basis (must be 0 allocs/op), and
 # the warm-start bound-fix/unfix repair loop (reports pivots,
 # refactorizations, bound flips, and sparse vs dense basis solves per op and
-# asserts >= 95% of solves stay on the warm path).
+# asserts >= 95% of solves stay on the warm path). The iteration count is
+# pinned: BenchmarkLP_Warm cycles its fixes through i % nVars, so its
+# per-op counters depend on b.N (pivots/op read 117.5 at 139 iterations and
+# 109.7 at 165).
 bench-lp:
-	$(GO) test -run '^$$' -bench 'BenchmarkLP_(FTRAN|SparseFTRAN|Refactor|Warm)' -count 1 -benchmem ./internal/lp/
+	$(GO) test -run '^$$' -bench 'BenchmarkLP_(FTRAN|SparseFTRAN|Refactor|Warm)' -benchtime 150x -count 1 -benchmem ./internal/lp/
 
 # bench-gate runs the suite fresh and fails when the median of a gated
 # metric (allocs/op, B&B-nodes, pivots/op, refactorizations/op,

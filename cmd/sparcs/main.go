@@ -208,11 +208,11 @@ func loadGraph(arg string) (*dfg.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	var g dfg.Graph
-	if err := json.Unmarshal(data, &g); err != nil {
+	g, err := dfg.Decode(data)
+	if err != nil {
 		return nil, fmt.Errorf("parsing %s: %w", arg, err)
 	}
-	return &g, nil
+	return g, nil
 }
 
 func maxInt(a, b int) int {

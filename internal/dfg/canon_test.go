@@ -68,10 +68,10 @@ func TestStructureHashIsomorphismInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		g := randomCanonDAG(rng, 4+rng.Intn(16))
-		want := g.StructureHash()
+		want := hashOf(g)
 		perm := rng.Perm(g.NumTasks())
 		iso := buildPerm(t, g, perm, func(s string) string { return "renamed_" + s })
-		if got := iso.StructureHash(); got != want {
+		if got := hashOf(iso); got != want {
 			t.Fatalf("trial %d: isomorphic graph hashes differ:\n  %s\n  %s\n%s", trial, want, got, g.DOT())
 		}
 	}
@@ -80,9 +80,9 @@ func TestStructureHashIsomorphismInvariant(t *testing.T) {
 // TestStructureHashIgnoresGraphName pins that only structure is keyed.
 func TestStructureHashIgnoresGraphName(t *testing.T) {
 	g := randomCanonDAG(rand.New(rand.NewSource(1)), 8)
-	h1 := g.StructureHash()
+	h1 := hashOf(g)
 	g.Name = "other"
-	if g.StructureHash() != h1 {
+	if hashOf(g) != h1 {
 		t.Fatal("graph name leaked into the structure hash")
 	}
 }
@@ -93,13 +93,13 @@ func TestStructureHashPerturbationSensitive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
 		g := randomCanonDAG(rng, 6+rng.Intn(10))
-		base := g.StructureHash()
+		base := hashOf(g)
 		perturb := func(name string, f func(*Graph) bool) {
 			ng := buildPerm(t, g, identityPerm(g.NumTasks()), func(s string) string { return s })
 			if !f(ng) {
 				return // perturbation not applicable to this graph
 			}
-			if ng.StructureHash() == base {
+			if hashOf(ng) == base {
 				t.Fatalf("trial %d: perturbation %q left the hash unchanged\n%s", trial, name, g.DOT())
 			}
 		}
@@ -157,6 +157,12 @@ func TestStructureHashPerturbationSensitive(t *testing.T) {
 	}
 }
 
+// hashOf returns g's canonical structure hash.
+func hashOf(g *Graph) string {
+	h, _ := g.Canonical()
+	return h
+}
+
 func identityPerm(n int) []int {
 	p := make([]int, n)
 	for i := range p {
@@ -166,7 +172,7 @@ func identityPerm(n int) []int {
 }
 
 // TestCanonicalOrderTransfersAssignments pins the property the service
-// cache relies on: mapping task positions through CanonicalOrder carries a
+// cache relies on: mapping task positions through the canonical order carries a
 // per-task labeling from a graph to an isomorphic copy such that
 // corresponding tasks get the same label whenever the WL signatures are
 // discriminating (ties are interchangeable in these graphs).
@@ -176,7 +182,8 @@ func TestCanonicalOrderTransfersAssignments(t *testing.T) {
 		g := randomCanonDAG(rng, 5+rng.Intn(12))
 		perm := rng.Perm(g.NumTasks())
 		iso := buildPerm(t, g, perm, func(s string) string { return "x" + s })
-		co, ci := g.CanonicalOrder(), iso.CanonicalOrder()
+		_, co := g.Canonical()
+		_, ci := iso.Canonical()
 		if len(co) != len(ci) {
 			t.Fatal("order length mismatch")
 		}

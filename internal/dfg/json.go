@@ -46,35 +46,57 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 	return json.Marshal(jg)
 }
 
-// UnmarshalJSON decodes a graph from the wire schema, replacing the
-// receiver's contents. The input is untrusted (it arrives from files and
+// Decode parses a graph from the wire schema in one json.Unmarshal pass
+// and validates it. The input is untrusted (it arrives from files and
 // from the internal/service HTTP API), so the decoder rejects — with an
 // error naming the offending element — duplicate task names, edges whose
 // endpoints name unknown tasks, self and duplicate edges, negative costs,
 // and dependency cycles. A successfully decoded graph always passes
 // Validate.
-func (g *Graph) UnmarshalJSON(data []byte) error {
+func Decode(data []byte) (*Graph, error) {
 	var jg jsonGraph
 	if err := json.Unmarshal(data, &jg); err != nil {
-		return err
+		return nil, err
 	}
-	ng := New(jg.Name)
+	// Every sparcsd request decodes its graph, so the graph is sized from
+	// the wire arrays and one allocation holds every task.
+	n := len(jg.Tasks)
+	g := &Graph{
+		Name:  jg.Name,
+		index: make(map[string]int, n),
+		tasks: make([]*Task, 0, n),
+		edges: make([]Edge, 0, len(jg.Edges)),
+		succ:  make([][]int, 0, n),
+		pred:  make([][]int, 0, n),
+	}
+	tasks := make([]Task, n)
 	for i, jt := range jg.Tasks {
-		if _, err := ng.AddTask(Task{
+		tasks[i] = Task{
 			Name: jt.Name, Type: jt.Type, Resources: jt.Resources,
 			Delay: jt.Delay, ReadEnv: jt.ReadEnv, WriteEnv: jt.WriteEnv,
 			Extra: jt.Extra,
-		}); err != nil {
-			return fmt.Errorf("dfg: decode: tasks[%d]: %w", i, err)
+		}
+		if _, err := g.addTask(&tasks[i]); err != nil {
+			return nil, fmt.Errorf("dfg: decode: tasks[%d]: %w", i, err)
 		}
 	}
 	for i, je := range jg.Edges {
-		if err := ng.AddEdge(je.From, je.To, je.Data); err != nil {
-			return fmt.Errorf("dfg: decode: edges[%d]: %w", i, err)
+		if err := g.AddEdge(je.From, je.To, je.Data); err != nil {
+			return nil, fmt.Errorf("dfg: decode: edges[%d]: %w", i, err)
 		}
 	}
-	if err := ng.Validate(); err != nil {
-		return fmt.Errorf("dfg: decode: %w", err)
+	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("dfg: decode: %w", err)
+	}
+	return g, nil
+}
+
+// UnmarshalJSON decodes a graph with Decode, replacing the receiver's
+// contents.
+func (g *Graph) UnmarshalJSON(data []byte) error {
+	ng, err := Decode(data)
+	if err != nil {
+		return err
 	}
 	*g = *ng
 	return nil

@@ -64,6 +64,22 @@ type Request struct {
 	// events. The server injects it (per request); it is never part of
 	// the cache key.
 	TraceSink *obs.Recorder
+
+	// canonHash and canonOrder hold Graph.Canonical once canonical has
+	// run: the cache key, the transfer of a hit and the entry of a miss
+	// share one refinement.
+	canonHash  string
+	canonOrder []int
+}
+
+// canonical returns the graph's canonical hash and order, refining the
+// graph on first use. The cache path calls it (through CacheKey) before it
+// hands the request to a singleflight goroutine, which then only reads.
+func (r *Request) canonical() (string, []int) {
+	if r.canonHash == "" {
+		r.canonHash, r.canonOrder = r.Graph.Canonical()
+	}
+	return r.canonHash, r.canonOrder
 }
 
 // engines are the partitioners a request can name, in /healthz order:

@@ -13,14 +13,13 @@ import (
 	"sync"
 
 	"repro/internal/arch"
-	"repro/internal/dfg"
 	"repro/internal/faultinject"
 	"repro/internal/tempart"
 )
 
 // CacheKey derives the canonical memoization key of a request: the
 // structure hash of the normalized task graph (invariant under task
-// renaming and task/edge reordering, see dfg.StructureHash), the full board
+// renaming and task/edge reordering, see dfg.Graph.Canonical), the full board
 // parameters, the engine, and every solver knob that can change the
 // reported result. Trace and TraceSink are excluded: tracing observes a
 // solve without changing it (traced requests bypass the cache entirely,
@@ -37,7 +36,8 @@ func (r *Request) CacheKey() string {
 		h.Write([]byte(s))
 		h.Write([]byte{0})
 	}
-	puts(r.Graph.StructureHash())
+	hash, _ := r.canonical()
+	puts(hash)
 	hashBoard(put, puts, r.Board)
 	puts(r.Engine)
 	put(uint64(r.MaxPartitions))
@@ -87,7 +87,7 @@ type entry struct {
 	n       int
 	optimal bool
 	// assignCanon[i] is the partition of the task at canonical position i
-	// (dfg.CanonicalOrder) of the solved graph.
+	// (dfg.Graph.Canonical) of the solved graph.
 	assignCanon []int
 	latencyNS   float64
 	// formulation is the model the original solve ran, echoed on hits
@@ -95,8 +95,8 @@ type entry struct {
 	formulation string
 }
 
-// newEntry canonicalizes a partitioning of g into a cache entry.
-func newEntry(g *dfg.Graph, p *tempart.Partitioning) *entry {
+// newEntry canonicalizes a partitioning of req's graph into a cache entry.
+func newEntry(req *Request, p *tempart.Partitioning) *entry {
 	e := &entry{
 		n:           p.N,
 		optimal:     p.Optimal,
@@ -104,7 +104,7 @@ func newEntry(g *dfg.Graph, p *tempart.Partitioning) *entry {
 		formulation: p.Stats.Formulation,
 	}
 	if p.N > 0 {
-		ord := g.CanonicalOrder()
+		_, ord := req.canonical()
 		e.assignCanon = make([]int, len(ord))
 		for pos, t := range ord {
 			e.assignCanon[pos] = p.Assign[t]
@@ -135,7 +135,7 @@ func (e *entry) apply(req *Request) (*tempart.Partitioning, error) {
 		return nil, fmt.Errorf("service: cached assignment has %d tasks, graph has %d",
 			len(e.assignCanon), g.NumTasks())
 	}
-	ord := g.CanonicalOrder()
+	_, ord := req.canonical()
 	assign := make([]int, g.NumTasks())
 	for pos, t := range ord {
 		assign[t] = e.assignCanon[pos]

@@ -58,8 +58,8 @@ func (sr *SolveRequest) Parse() (*Request, error) {
 	if len(sr.Graph) == 0 {
 		return nil, fmt.Errorf("service: request has no graph")
 	}
-	var g dfg.Graph
-	if err := json.Unmarshal(sr.Graph, &g); err != nil {
+	g, err := dfg.Decode(sr.Graph)
+	if err != nil {
 		return nil, fmt.Errorf("service: bad graph: %w", err)
 	}
 	boardName := sr.Board
@@ -86,7 +86,7 @@ func (sr *SolveRequest) Parse() (*Request, error) {
 		return nil, fmt.Errorf("service: unknown formulation %q (have: rows, patterns)", sr.Formulation)
 	}
 	return &Request{
-		Graph: &g,
+		Graph: g,
 		Board: board,
 		// Report the resolved board name (not the preset alias) so the
 		// service payload matches cmd/sparcs -o json exactly.

@@ -277,7 +277,7 @@ func (s *Server) solve(ctx context.Context, req *Request) (*Result, error) {
 		}
 		p, tr, err := runSolve(ctx, nil)
 		if err == nil && !p.Partial {
-			s.cache.Put(key, newEntry(req.Graph, p))
+			s.cache.Put(key, newEntry(req, p))
 		}
 		return finish(p, tr, OriginMiss, err)
 	}
@@ -302,7 +302,7 @@ func (s *Server) solve(ctx context.Context, req *Request) (*Result, error) {
 			return nil, fmt.Errorf("service: partial result cannot be cached")
 		}
 		freshTrace, freshStats = tr, p.Stats
-		return newEntry(req.Graph, p), nil
+		return newEntry(req, p), nil
 	})
 	if err != nil {
 		return finish(nil, nil, origin, err)
@@ -355,12 +355,12 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// writeJSON writes v as compact JSON: the responses are for programs, and
+// a person reading one pipes it through jq.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeErr(w http.ResponseWriter, code int, err error) {

@@ -427,6 +427,45 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestBatchPerItemErrors pins that a bad item fails alone: one /v1/batch
+// call with a valid graph, a graph carrying a JSON type error and a cyclic
+// graph answers 200, solves the valid item, and gives each bad item its
+// own decode error.
+func TestBatchPerItemErrors(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	body := `{"requests":[
+		{"graph":{"name":"ok","tasks":[{"name":"a","resources":10,"delay":5}]},"board":"small"},
+		{"graph":{"tasks":[{"name":"a","resources":"x","delay":1}]},"board":"small"},
+		{"graph":{"tasks":[{"name":"a"},{"name":"b"}],
+			"edges":[{"from":"a","to":"b","data":1},{"from":"b","to":"a","data":1}]},"board":"small"}]}`
+	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: HTTP %d, want 200", resp.StatusCode)
+	}
+	var br batchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+		t.Fatal(err)
+	}
+	if len(br.Items) != 3 {
+		t.Fatalf("batch answered %d items, want 3", len(br.Items))
+	}
+	if ok := br.Items[0]; ok.Error != "" || ok.Result == nil || ok.Result.N != 1 {
+		t.Errorf("valid item: error %q, result %+v; want a 1-partition result", ok.Error, ok.Result)
+	}
+	for i, want := range []string{
+		"service: bad graph: json: cannot unmarshal string into Go struct field jsonTask.tasks.resources of type int",
+		"service: bad graph: dfg: decode: dfg: graph contains a cycle",
+	} {
+		if it := br.Items[i+1]; it.Error != want || it.Result != nil {
+			t.Errorf("item %d: error %q, result %+v; want error %q and no result", i+1, it.Error, it.Result, want)
+		}
+	}
+}
+
 // TestJobsCancelledCountedOnce pins jobs_cancelled_total: a running job
 // cancelled mid-solve counts once (not again through its solve's cancelled
 // outcome), a job cancelled while queued counts once, and cancelling a

@@ -278,6 +278,8 @@ func (pp *patternPricer) price(lambda []float64, mu float64, same, differ [][2]i
 	}
 	var best []cand
 	worst := -1 // index of the worst (largest rc) kept candidate
+	keeps := func(rc float64) bool { return len(best) < maxPricedCols || rc < best[worst].rc }
+	// record keeps cur; the caller has checked keeps(rc).
 	record := func(cost, rc float64) {
 		items := append([]int(nil), cur...)
 		if len(best) < maxPricedCols {
@@ -285,9 +287,6 @@ func (pp *patternPricer) price(lambda []float64, mu float64, same, differ [][2]i
 			if worst < 0 || rc > best[worst].rc {
 				worst = len(best) - 1
 			}
-			return
-		}
-		if rc >= best[worst].rc {
 			return
 		}
 		best[worst] = cand{items, cost, rc}
@@ -406,7 +405,9 @@ func (pp *patternPricer) price(lambda []float64, mu float64, same, differ [][2]i
 						}
 					}
 				}
-				if complete && !forbidden[ilp.BPKey(cur)] {
+				// The key is built only for a candidate the round
+				// would keep, and only when a branch forbids columns.
+				if complete && keeps(rc) && (len(forbidden) == 0 || !forbidden[ilp.BPKey(cur)]) {
 					record(cost, rc)
 				}
 			}
