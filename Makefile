@@ -11,11 +11,13 @@ build:
 	$(GO) build ./...
 
 # vet also checks the faultinject-tagged build, whose files (the armed
-# fault points and the chaos suites) an untagged vet never sees, and fails
-# when gofmt would rewrite any file.
+# fault points and the chaos suites) an untagged vet never sees, vets and
+# compiles the sparcsbench load generator, whose own go.mod keeps it out
+# of the root ./... patterns, and fails when gofmt would rewrite any file.
 vet:
 	$(GO) vet ./...
 	$(GO) vet -tags faultinject ./...
+	cd sparcsbench && $(GO) vet ./... && $(GO) build -o /dev/null .
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 

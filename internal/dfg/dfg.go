@@ -323,17 +323,21 @@ func (g *Graph) CountPaths(cap int) int {
 	return total
 }
 
+// ErrTooManyPaths is returned by Paths when the root-to-leaf path count
+// exceeds its cap.
+var ErrTooManyPaths = errors.New("dfg: path enumeration exceeds cap")
+
 // Paths enumerates all root-to-leaf paths (the paper's P_rl set) as slices
-// of task indices. If maxPaths > 0 and the enumeration would exceed it, an
-// error is returned; callers should then fall back to a heuristic
-// partitioner or a coarser delay model.
+// of task indices. If maxPaths > 0 and the enumeration would exceed it, it
+// returns an error wrapping ErrTooManyPaths; callers should then fall back
+// to a heuristic partitioner.
 func (g *Graph) Paths(maxPaths int) ([][]int, error) {
 	if _, err := g.TopoOrder(); err != nil {
 		return nil, err
 	}
 	if maxPaths > 0 {
 		if n := g.CountPaths(maxPaths + 1); n > maxPaths {
-			return nil, fmt.Errorf("dfg: path enumeration exceeds cap (%d > %d)", n, maxPaths)
+			return nil, fmt.Errorf("%w (%d > %d)", ErrTooManyPaths, n, maxPaths)
 		}
 	}
 	var out [][]int
@@ -354,56 +358,6 @@ func (g *Graph) Paths(maxPaths int) ([][]int, error) {
 		walk(r)
 	}
 	return out, nil
-}
-
-// PathDelay sums D(t) along a path of task indices.
-func (g *Graph) PathDelay(path []int) float64 {
-	d := 0.0
-	for _, v := range path {
-		d += g.tasks[v].Delay
-	}
-	return d
-}
-
-// CriticalPath returns the maximum root-to-leaf path delay and one path
-// achieving it. For an empty graph it returns (0, nil).
-func (g *Graph) CriticalPath() (float64, []int) {
-	order, err := g.TopoOrder()
-	if err != nil || len(order) == 0 {
-		return 0, nil
-	}
-	dist := make([]float64, len(g.tasks))
-	from := make([]int, len(g.tasks))
-	for i := range from {
-		from[i] = -1
-	}
-	best := -1.0
-	bestV := -1
-	for _, v := range order {
-		dist[v] += g.tasks[v].Delay
-		for _, s := range g.succ[v] {
-			if dist[v] > dist[s] {
-				dist[s] = dist[v]
-				from[s] = v
-			}
-		}
-		if len(g.succ[v]) == 0 && dist[v] > best {
-			best = dist[v]
-			bestV = v
-		}
-	}
-	if bestV < 0 {
-		return 0, nil
-	}
-	var path []int
-	for v := bestV; v >= 0; v = from[v] {
-		path = append(path, v)
-	}
-	// Reverse.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return best, path
 }
 
 // EdgeData returns B(t_from, t_to) or 0 when the edge does not exist.

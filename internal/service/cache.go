@@ -143,11 +143,7 @@ func (e *entry) apply(req *Request) (*tempart.Partitioning, error) {
 	if err := tempart.CheckFeasible(g, req.Board, assign, e.n); err != nil {
 		return nil, fmt.Errorf("service: cached assignment infeasible on request graph: %w", err)
 	}
-	paths, err := g.Paths(tempart.MaxPaths)
-	if err != nil {
-		return nil, err
-	}
-	delays := tempart.EvaluateDelays(g, assign, e.n, paths)
+	delays := tempart.EvaluateDelays(g, assign, e.n)
 	lat := tempart.Latency(req.Board, delays)
 	if math.Abs(lat-e.latencyNS) > 1e-6*(1+math.Abs(e.latencyNS)) {
 		return nil, fmt.Errorf("service: cached latency %g != re-evaluated %g", e.latencyNS, lat)

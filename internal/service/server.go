@@ -11,6 +11,7 @@ import (
 	"runtime/debug"
 	"time"
 
+	"repro/internal/dfg"
 	"repro/internal/obs"
 	"repro/internal/tempart"
 )
@@ -378,7 +379,10 @@ func errStatus(err error) int {
 		// Only reachable when the greedy fallback itself failed (deadline
 		// requests normally degrade to an anytime or fallback result).
 		return http.StatusGatewayTimeout
-	case errors.Is(err, tempart.ErrNoSolution), errors.Is(err, tempart.ErrTaskTooLarge):
+	case errors.Is(err, tempart.ErrNoSolution), errors.Is(err, tempart.ErrTaskTooLarge),
+		errors.Is(err, dfg.ErrTooManyPaths):
+		// The request is well-formed but this engine cannot solve it; a
+		// path-dense graph still solves under engine "list".
 		return http.StatusUnprocessableEntity
 	default:
 		return http.StatusInternalServerError

@@ -466,6 +466,93 @@ func TestBatchPerItemErrors(t *testing.T) {
 	}
 }
 
+// ladderGraph chains k diamonds top -> {l, r} -> bottom, each bottom the
+// next top: 3k+1 tasks and 2^k root-to-leaf paths.
+func ladderGraph(k int) *dfg.Graph {
+	g := dfg.New(fmt.Sprintf("ladder%d", k))
+	g.MustAddTask(dfg.Task{Name: "v0", Resources: 20, Delay: 10})
+	for i := 0; i < k; i++ {
+		top, bot := fmt.Sprintf("v%d", i), fmt.Sprintf("v%d", i+1)
+		g.MustAddTask(dfg.Task{Name: fmt.Sprintf("l%d", i), Resources: 20, Delay: 30})
+		g.MustAddTask(dfg.Task{Name: fmt.Sprintf("r%d", i), Resources: 20, Delay: 20})
+		g.MustAddTask(dfg.Task{Name: bot, Resources: 20, Delay: 10})
+		for _, side := range []string{"l", "r"} {
+			g.MustAddEdge(top, fmt.Sprintf("%s%d", side, i), 1)
+			g.MustAddEdge(fmt.Sprintf("%s%d", side, i), bot, 1)
+		}
+	}
+	return g
+}
+
+// TestPathDenseRequests: a 16-diamond ladder (49 tasks, 65,536 paths) is
+// past the ILP's path cap. The list engine, which lists no path, answers
+// with a feasible partitioning; the ILP, with or without a deadline,
+// answers 422 and names the cap, as a single request and as a batch item.
+func TestPathDenseRequests(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	g := ladderGraph(16)
+	graph := marshalGraph(t, g)
+	b := mustBoard(t, "small")
+	const capMsg = "dfg: path enumeration exceeds cap (20001 > 20000)"
+	checkList := func(res *Result) {
+		t.Helper()
+		if len(res.Assign) != g.NumTasks() {
+			t.Fatalf("list result assigns %d of %d tasks", len(res.Assign), g.NumTasks())
+		}
+		assign := make([]int, g.NumTasks())
+		for name, p := range res.Assign {
+			assign[g.TaskByName(name)] = p
+		}
+		if err := tempart.CheckFeasible(g, b, assign, res.N); err != nil {
+			t.Errorf("list result infeasible: %v", err)
+		}
+	}
+	reqs := []SolveRequest{
+		{Graph: graph, Board: "small", Engine: "list"},
+		{Graph: graph, Board: "small", Engine: "ilp"},
+		{Graph: graph, Board: "small", Engine: "ilp", DeadlineMS: 50},
+	}
+
+	code, body := postJSON(t, ts.URL+"/v1/solve", reqs[0])
+	if code != http.StatusOK {
+		t.Fatalf("list: HTTP %d, want 200: %s", code, body)
+	}
+	var res Result
+	if err := json.Unmarshal(body, &res); err != nil {
+		t.Fatal(err)
+	}
+	checkList(&res)
+	for _, req := range reqs[1:] {
+		code, body := postJSON(t, ts.URL+"/v1/solve", req)
+		var e apiError
+		_ = json.Unmarshal(body, &e)
+		if code != http.StatusUnprocessableEntity || !strings.Contains(e.Error, capMsg) {
+			t.Errorf("ilp deadline_ms=%d: HTTP %d %s, want 422 naming the path cap", req.DeadlineMS, code, body)
+		}
+	}
+
+	code, body = postJSON(t, ts.URL+"/v1/batch", batchRequest{Requests: reqs})
+	if code != http.StatusOK {
+		t.Fatalf("batch: HTTP %d, want 200: %s", code, body)
+	}
+	var br batchResponse
+	if err := json.Unmarshal(body, &br); err != nil {
+		t.Fatal(err)
+	}
+	if len(br.Items) != len(reqs) {
+		t.Fatalf("batch answered %d items, want %d", len(br.Items), len(reqs))
+	}
+	if it := br.Items[0]; it.Error != "" || it.Result == nil {
+		t.Fatalf("list item: error %q, result %v", it.Error, it.Result)
+	}
+	checkList(br.Items[0].Result)
+	for i, it := range br.Items[1:] {
+		if !strings.Contains(it.Error, capMsg) || it.Result != nil {
+			t.Errorf("ilp item %d: error %q, result %v; want the path-cap error", i+1, it.Error, it.Result)
+		}
+	}
+}
+
 // TestJobsCancelledCountedOnce pins jobs_cancelled_total: a running job
 // cancelled mid-solve counts once (not again through its solve's cancelled
 // outcome), a job cancelled while queued counts once, and cancelling a

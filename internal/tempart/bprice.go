@@ -610,7 +610,7 @@ func patternsApplicable(g *dfg.Graph, board arch.Board) bool {
 // winning selection back to a task assignment. The return contract matches
 // solveForN exactly — (nil, nil) relaxes N, errors abort the relax loop,
 // Timeout-with-incumbent yields an anytime Partial result.
-func solveForNPatterns(ctx context.Context, in Input, pre *presolve, paths [][]int, N int) (*Partitioning, error) {
+func solveForNPatterns(ctx context.Context, in Input, pre *presolve, N int) (*Partitioning, error) {
 	g := in.Graph
 	nT := g.NumTasks()
 	buildStart := time.Now()
@@ -697,9 +697,8 @@ func solveForNPatterns(ctx context.Context, in Input, pre *presolve, paths [][]i
 	}
 	// SolveBP's Bound is a valid lower bound on Σ d(S) (0 when the root
 	// never converged — still sound, just weak).
-	part := probePartitioning(in, paths, assign, sol.Status == ilp.Optimal && sol.BoundTrusted, sol.Bound, SolveStats{
-		N: N, Vars: nT + sol.ColumnsGenerated, Rows: nT + 1, Paths: len(paths),
-		Nodes: sol.Nodes, LPIterations: sol.LPIterations,
+	part := probePartitioning(in, pre, assign, sol.Status == ilp.Optimal && sol.BoundTrusted, sol.Bound, SolveStats{
+		N: N, Nodes: sol.Nodes, LPIterations: sol.LPIterations,
 		ColumnsGenerated: sol.ColumnsGenerated,
 		PricingRounds:    sol.PricingRounds,
 		BuildTime:        buildTime, SolveTime: solveTime,

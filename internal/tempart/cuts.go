@@ -370,9 +370,10 @@ type separator struct {
 }
 
 // newSeparator builds the separator for one generated model.
-func newSeparator(pre *presolve, g *dfg.Graph, N int, yv func(t, p int) int, dv func(p int) int, paths [][]int) *separator {
+func newSeparator(pre *presolve, g *dfg.Graph, N int, yv func(t, p int) int, dv func(p int) int) *separator {
 	s := &separator{pre: pre, g: g, N: N, nT: g.NumTasks(), yv: yv, dv: dv}
 	s.dims = presolveDims(pre)
+	paths := pre.paths
 	// k longest delay-weighted paths (the full path set is already
 	// enumerated for Eq. 7, so "k longest" is a sort, not a search).
 	type pw struct {

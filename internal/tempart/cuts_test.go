@@ -15,7 +15,8 @@ import (
 
 // fullPoint completes an integral assignment into a full model variable
 // vector: one-hot y, the implied w crossings, and the evaluated (minimal
-// feasible) partition delays. Cuts must hold for every such point.
+// feasible) partition delays from the path-sum reference. Cuts must hold
+// for every such point.
 func fullPoint(g *dfg.Graph, m *tpModel, N int, assign []int, paths [][]int) []float64 {
 	x := make([]float64, m.nVars)
 	for t, p := range assign {
@@ -30,7 +31,7 @@ func fullPoint(g *dfg.Graph, m *tpModel, N int, assign []int, paths [][]int) []f
 			}
 		}
 	}
-	for p, d := range EvaluateDelays(g, assign, N, paths) {
+	for p, d := range pathSumDelays(g, assign, N, paths) {
 		x[m.dv(p)] = d
 	}
 	return x
@@ -110,13 +111,14 @@ func TestCutsNeverExcludeFeasibleSolutions(t *testing.T) {
 			continue
 		}
 		pre := newPresolve(g, b)
+		pre.paths = paths
 		n0 := MinPartitions(g, b)
 		if n0 == 0 {
 			continue
 		}
 		for N := n0; N <= n0+2 && N <= 4; N++ {
-			m := buildModel(Input{Graph: g, Board: b}, pre, paths, N, true)
-			sep := newSeparator(pre, g, N, m.yv, m.dv, paths)
+			m := buildModel(Input{Graph: g, Board: b}, pre, N, true)
+			sep := newSeparator(pre, g, N, m.yv, m.dv)
 
 			// Gather cuts: the build-time root cuts, plus separator output
 			// on several fractional points (random ones and the LP
@@ -242,11 +244,10 @@ func TestBoundaryCutsCloseFIRBankRoot(t *testing.T) {
 	// The ablation without boundary/aggregate root cuts must agree on the
 	// optimum (they are valid inequalities, not model changes).
 	pre := newPresolve(g, b)
-	paths, err := g.Paths(0)
-	if err != nil {
+	if pre.paths, err = g.Paths(0); err != nil {
 		t.Fatal(err)
 	}
-	m := buildModel(Input{Graph: g, Board: b}, pre, paths, 2, false)
+	m := buildModel(Input{Graph: g, Board: b}, pre, 2, false)
 	sol, err := ilp.Solve(m.ilp, ilp.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +278,7 @@ func TestBoundaryChainFloorSound(t *testing.T) {
 				preFloor := pre.boundaryChainFloor(N, p, false)
 				sufFloor := pre.boundaryChainFloor(N, p, true)
 				forEachFeasible(g, b, N, func(assign []int) {
-					d := EvaluateDelays(g, assign, N, paths)
+					d := pathSumDelays(g, assign, N, paths)
 					preSum, sufSum := 0.0, 0.0
 					for q := 0; q < N; q++ {
 						if q < p {

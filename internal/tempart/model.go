@@ -22,6 +22,12 @@
 // N0 = ⌈Σ_t R(t) / R_max⌉ and the bound is relaxed by one partition at a
 // time until the model is feasible, exactly as in the paper.
 //
+// The enumerated root-to-leaf paths exist only for the Eq. 7 rows (and the
+// separator's longest-path chain seeds). Every evaluation of the Fig. 4
+// delay model — a probe's answer, the warm start, ListPartition and the
+// service's cache re-verification — is EvaluateDelays' longest-chain DP,
+// which never lists a path.
+//
 // ListPartition is the list-based greedy baseline the paper compares
 // against (Sec. 4); it shares its packing loop with the ILP's warm start.
 package tempart
@@ -109,9 +115,6 @@ type Input struct {
 // SolveStats records model and search sizes for reporting.
 type SolveStats struct {
 	N            int
-	Vars         int
-	Rows         int
-	Paths        int
 	Nodes        int
 	LPIterations int
 	BuildTime    time.Duration
@@ -296,12 +299,11 @@ func solve(ctx context.Context, in Input) (*Partitioning, error) {
 		return &Partitioning{}, nil
 	}
 	// The presolve span covers everything before the first N probe: path
-	// enumeration, the DAG/packing bound computation, and the greedy
-	// dominance clamp. pprof segments the same region under phase=presolve
-	// when a request context is present.
+	// enumeration for the Eq. 7 rows, the DAG/packing bound computation,
+	// and the greedy dominance clamp. pprof segments the same region under
+	// phase=presolve when a request context is present.
 	preSpan := in.Trace.Begin(obs.PhasePresolve)
 	var (
-		paths   [][]int
 		pre     *presolve
 		n0      int
 		maxN    int
@@ -310,8 +312,8 @@ func solve(ctx context.Context, in Input) (*Partitioning, error) {
 		pathErr error
 	)
 	obs.Do(ctx, "phase", obs.PhasePresolve, func(context.Context) {
-		paths, pathErr = g.Paths(MaxPaths)
-		if pathErr != nil {
+		var paths [][]int
+		if paths, pathErr = g.Paths(MaxPaths); pathErr != nil {
 			return
 		}
 		n0 = MinPartitions(g, in.Board)
@@ -320,6 +322,7 @@ func solve(ctx context.Context, in Input) (*Partitioning, error) {
 			maxN = n0 + 8
 		}
 		pre = newPresolve(g, in.Board)
+		pre.paths = paths
 		// Dominance clamp: a feasible greedy partitioning at gn partitions
 		// proves the ILP feasible at every N >= gn (feasibility is monotone
 		// in N), so the relax loop never needs to probe beyond gn — those
@@ -334,7 +337,7 @@ func solve(ctx context.Context, in Input) (*Partitioning, error) {
 		return nil, fmt.Errorf("tempart: %w (use the list partitioner for graphs this path-dense)", pathErr)
 	}
 	preSpan.End()
-	return relaxN(ctx, in, pre, paths, n0, maxN, prunedN, tally)
+	return relaxN(ctx, in, pre, n0, maxN, prunedN, tally)
 }
 
 // validateInput checks the inputs both partitioners share: a well-formed
@@ -395,9 +398,9 @@ func (tally *proofTally) stampProofStats(part *Partitioning) {
 
 // relaxN is the relax-N loop: candidate partition counts are probed in
 // ascending order, one at a time, and the first feasible one wins.
-func relaxN(ctx context.Context, in Input, pre *presolve, paths [][]int, n0, maxN, prunedN int, tally *proofTally) (*Partitioning, error) {
+func relaxN(ctx context.Context, in Input, pre *presolve, n0, maxN, prunedN int, tally *proofTally) (*Partitioning, error) {
 	for n := n0; n <= maxN; n++ {
-		part, packPruned, err := probeN(ctx, in, pre, paths, n, tally)
+		part, packPruned, err := probeN(ctx, in, pre, n, tally)
 		if err != nil {
 			return nil, err
 		}
@@ -416,7 +419,7 @@ func relaxN(ctx context.Context, in Input, pre *presolve, paths [][]int, n0, max
 
 // probeN runs one relax-N probe under its own trace span. packPruned
 // reports a candidate count rejected by the packing bounds alone.
-func probeN(ctx context.Context, in Input, pre *presolve, paths [][]int, n int, tally *proofTally) (part *Partitioning, packPruned bool, err error) {
+func probeN(ctx context.Context, in Input, pre *presolve, n int, tally *proofTally) (part *Partitioning, packPruned bool, err error) {
 	probeSpan := in.Trace.BeginArg(obs.PhaseProbe, int64(n))
 	defer probeSpan.End()
 	// Bin-packing dual bound: a candidate count below the packing need is
@@ -434,7 +437,7 @@ func probeN(ctx context.Context, in Input, pre *presolve, paths [][]int, n int, 
 	if in.testProbe != nil {
 		in.testProbe()
 	}
-	part, err = solveForN(ctx, in, pre, paths, n, tally)
+	part, err = solveForN(ctx, in, pre, n, tally)
 	return part, false, err
 }
 
@@ -456,8 +459,8 @@ type tpModel struct {
 // always include it, while the presolve property tests build the raw
 // relaxation without it so the combinatorial bounds can be compared against
 // the pure LP bound.
-func buildModel(in Input, pre *presolve, paths [][]int, N int, withPresolveCut bool) *tpModel {
-	g := in.Graph
+func buildModel(in Input, pre *presolve, N int, withPresolveCut bool) *tpModel {
+	g, paths := in.Graph, pre.paths
 	nT := g.NumTasks()
 	edges := g.Edges()
 	nE := len(edges)
@@ -703,8 +706,9 @@ func buildModel(in Input, pre *presolve, paths [][]int, N int, withPresolveCut b
 	}
 }
 
-// MaxPaths caps the exact path enumeration behind the Eq. 7 delay model;
-// ListPartition and the service's cache re-verification use the same cap.
+// MaxPaths caps the path enumeration behind the Eq. 7 rows: the ILP fails
+// with dfg.ErrTooManyPaths on a graph with more root-to-leaf paths.
+// ListPartition and EvaluateDelays list no path, so they have no cap.
 const MaxPaths = 20000
 
 // Formulation values for Input.Formulation (empty races the two).
@@ -716,35 +720,35 @@ const (
 // solveForN solves one relax-N probe under the requested formulation: a
 // pinned model runs alone, and the default races the two (raceForN).
 // It returns (nil, nil) when the model is infeasible at this N.
-func solveForN(ctx context.Context, in Input, pre *presolve, paths [][]int, N int, tally *proofTally) (*Partitioning, error) {
+func solveForN(ctx context.Context, in Input, pre *presolve, N int, tally *proofTally) (*Partitioning, error) {
 	if in.Formulation != FormulationRows && patternsApplicable(in.Graph, in.Board) {
 		switch in.Formulation {
 		case FormulationPatterns:
-			return solveForNPatterns(ctx, in, pre, paths, N)
+			return solveForNPatterns(ctx, in, pre, N)
 		case "":
-			return raceForN(ctx, in, pre, paths, N, tally)
+			return raceForN(ctx, in, pre, N, tally)
 		}
 	}
-	return solveForNRows(ctx, in, pre, paths, N, tally, ilp.Options{Context: ctx})
+	return solveForNRows(ctx, in, pre, N, tally, ilp.Options{Context: ctx})
 }
 
 // solveForNRows builds and solves the Eqs. 1-8 row model for a fixed
 // partition bound, with solveForN's return contract. base carries the
 // search's stop context and hooks (a race stops its row search through
 // its own child of ctx); ctx labels the profile.
-func solveForNRows(ctx context.Context, in Input, pre *presolve, paths [][]int, N int, tally *proofTally, base ilp.Options) (*Partitioning, error) {
+func solveForNRows(ctx context.Context, in Input, pre *presolve, N int, tally *proofTally, base ilp.Options) (*Partitioning, error) {
 	g := in.Graph
 	nT := g.NumTasks()
 	buildStart := time.Now()
 	buildSpan := in.Trace.BeginArg(obs.PhaseModelBuild, int64(N))
 	var m *tpModel
 	obs.Do(ctx, "phase", obs.PhaseModelBuild, func(context.Context) {
-		m = buildModel(in, pre, paths, N, true)
+		m = buildModel(in, pre, N, true)
 	})
 	opts := base
 	opts.MaxNodes, opts.Trace = in.MaxNodes, in.Trace
 	if !in.DisableWarmStart {
-		if inc := warmStart(pre, paths, N, m.nVars, m.needMem, m.yv, m.wv, m.dv); inc != nil {
+		if inc := warmStart(pre, N, m.nVars, m.needMem, m.yv, m.wv, m.dv); inc != nil {
 			opts.Incumbent = inc
 		}
 	}
@@ -760,7 +764,7 @@ func solveForNRows(ctx context.Context, in Input, pre *presolve, paths [][]int, 
 	// separation dries up; infeasibility-fathomed subtrees feed no-good
 	// cuts back into the cut pool.
 	if !in.NoCuts {
-		opts.Separate = newSeparator(pre, g, N, m.yv, m.dv, paths).separate
+		opts.Separate = newSeparator(pre, g, N, m.yv, m.dv).separate
 	}
 	buildTime := time.Since(buildStart)
 	buildSpan.End()
@@ -812,9 +816,8 @@ func solveForNRows(ctx context.Context, in Input, pre *presolve, paths [][]int, 
 			return nil, fmt.Errorf("tempart: task %d unassigned in ILP solution", t)
 		}
 	}
-	part := probePartitioning(in, paths, assign, sol.Status == ilp.Optimal, sol.Bound, SolveStats{
-		N: N, Vars: m.nVars, Rows: m.prob.NumRows(), Paths: len(paths),
-		Nodes: sol.Nodes, LPIterations: sol.LPIterations,
+	part := probePartitioning(in, pre, assign, sol.Status == ilp.Optimal, sol.Bound, SolveStats{
+		N: N, Nodes: sol.Nodes, LPIterations: sol.LPIterations,
 		PrunedCombinatorial: sol.PrunedCombinatorial,
 		LPSolvesSkipped:     sol.LPSolvesSkipped,
 		CutsAdded:           sol.CutsAdded,
@@ -864,9 +867,9 @@ func searchProbe(ctx context.Context, in Input, N int, search func() (nodes int,
 // search's objective bound proves. The objective is Σ_p d_p with the
 // N·reconfig term constant, so the bound translates directly; a -Inf
 // bound proves none.
-func probePartitioning(in Input, paths [][]int, assign []int, optimal bool, bound float64, stats SolveStats) *Partitioning {
+func probePartitioning(in Input, pre *presolve, assign []int, optimal bool, bound float64, stats SolveStats) *Partitioning {
 	N := stats.N
-	delays := EvaluateDelays(in.Graph, assign, N, paths)
+	delays := chainDelays(in.Graph, pre.topo, assign, N)
 	part := &Partitioning{
 		N:       N,
 		Assign:  assign,
@@ -946,27 +949,43 @@ func packingFeasible(items []int, cap, bins int) bool {
 	return place(0)
 }
 
-// EvaluateDelays computes d_p = max over paths of the in-partition path
-// delay (the paper's Fig. 4 delay model) for a given assignment.
-func EvaluateDelays(g *dfg.Graph, assign []int, N int, paths [][]int) []float64 {
-	d := make([]float64, N)
-	for _, path := range paths {
-		for p := 0; p < N; p++ {
-			sum := 0.0
-			for _, t := range path {
-				if assign[t] == p {
-					sum += g.Task(t).Delay
+// EvaluateDelays computes the paper's Fig. 4 delay model for an
+// assignment of g's tasks to N partitions: d_p is the largest sum of D(t)
+// over partition p's tasks along any one root-to-leaf path. It lists no
+// path. A longest-chain DP over one topological order,
+//
+//	chain_p[t] = max_{u→t} chain_p[u] + [assign[t] = p]·D(t),   d_p = max_t chain_p[t],
+//
+// gives the path-sum number bit for bit, for every assignment (temporal
+// order need not hold): rounding is monotone, so taking the max before
+// adding D(t) equals adding D(t) on each path and taking the max after. An
+// isolated task is its own chain. g must be acyclic.
+func EvaluateDelays(g *dfg.Graph, assign []int, N int) []float64 {
+	order, _ := g.TopoOrder() // fails only on a cycle, which g must not have
+	return chainDelays(g, order, assign, N)
+}
+
+// chainDelays is EvaluateDelays over a topological order of g the caller
+// already holds (the solver reuses its presolve's).
+func chainDelays(g *dfg.Graph, order, assign []int, N int) []float64 {
+	// The result and the per-task chain scratch share one allocation.
+	buf := make([]float64, N+g.NumTasks())
+	d, chain := buf[:N:N], buf[N:]
+	for p := range d {
+		for _, t := range order {
+			c := 0.0
+			for _, u := range g.Preds(t) {
+				if chain[u] > c {
+					c = chain[u]
 				}
 			}
-			if sum > d[p] {
-				d[p] = sum
+			if assign[t] == p {
+				c += g.Task(t).Delay
 			}
-		}
-	}
-	// Tasks not on any root-leaf path (isolated) still execute.
-	for t, p := range assign {
-		if p >= 0 && p < N && g.Task(t).Delay > d[p] && len(g.Preds(t)) == 0 && len(g.Succs(t)) == 0 {
-			d[p] = g.Task(t).Delay
+			chain[t] = c
+			if c > d[p] {
+				d[p] = c
+			}
 		}
 	}
 	return d
@@ -1046,7 +1065,7 @@ func CheckFeasible(g *dfg.Graph, board arch.Board, assign []int, N int) error {
 // the better feasible one wins. A heuristic feasible at usedN partitions is
 // feasible at every N >= usedN (the extra partitions stay empty), so the
 // cached certificates need no per-N re-validation.
-func warmStart(pre *presolve, paths [][]int, N, nVars int,
+func warmStart(pre *presolve, N, nVars int,
 	needMem bool, yv func(t, p int) int, wv func(p, e int) int, dv func(p int) int) []float64 {
 
 	g, board := pre.g, pre.board
@@ -1056,7 +1075,7 @@ func warmStart(pre *presolve, paths [][]int, N, nVars int,
 		if !gr.ok || gr.usedN > N {
 			continue
 		}
-		lat := Latency(board, EvaluateDelays(g, gr.assign, N, paths))
+		lat := Latency(board, chainDelays(g, pre.topo, gr.assign, N))
 		if best == nil || lat < bestLat {
 			best = gr.assign
 			bestLat = lat
@@ -1094,7 +1113,7 @@ func warmStart(pre *presolve, paths [][]int, N, nVars int,
 			}
 		}
 	}
-	delays := EvaluateDelays(g, best, N, paths)
+	delays := chainDelays(g, pre.topo, best, N)
 	for p := 0; p < N; p++ {
 		x[dv(p)] = delays[p]
 	}
@@ -1104,8 +1123,8 @@ func warmStart(pre *presolve, paths [][]int, N, nVars int,
 // ListPartition is the list-based baseline partitioner the paper compares
 // against (Sec. 4): tasks are visited in topological order and packed into
 // the current partition while the FPGA resources allow, opening a new
-// partition otherwise. The latency is evaluated with the ILP's path-based
-// delay model (Fig. 4).
+// partition otherwise. The latency is evaluated with the ILP's delay model
+// (Fig. 4, EvaluateDelays), so no path is listed and no path cap applies.
 //
 // On the DCT case study this packs T2 tasks into partition 1's unused CLBs,
 // which lengthens partition 1's critical path and gives a worse latency
@@ -1121,17 +1140,13 @@ func ListPartition(g *dfg.Graph, board arch.Board) (*Partitioning, error) {
 	if err := CheckFeasible(g, board, assign, n); err != nil {
 		return nil, fmt.Errorf("tempart: greedy result infeasible: %w", err)
 	}
-	paths, err := g.Paths(MaxPaths)
-	if err != nil {
-		return nil, err
-	}
-	delays := EvaluateDelays(g, assign, n, paths)
+	delays := EvaluateDelays(g, assign, n)
 	return &Partitioning{
 		N:       n,
 		Assign:  assign,
 		Delays:  delays,
 		Latency: Latency(board, delays),
-		Stats:   SolveStats{N: n, Paths: len(paths)},
+		Stats:   SolveStats{N: n},
 	}, nil
 }
 

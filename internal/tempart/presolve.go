@@ -39,7 +39,7 @@ type presolve struct {
 	extraDemand [][]int    // extraDemand[k][t]: demand of task t for kind k
 	extraCap    []int      // board capacity per kind
 
-	critical  float64 // max root-leaf path delay (DAG longest path)
+	critical  float64 // max root-leaf path delay: max_t ancChain[t]
 	areaDelay float64 // layer-cake area×delay lower bound on Σ_p d_p
 	segments  []layerSeg
 	totalRes  int
@@ -56,6 +56,12 @@ type presolve struct {
 	// they depend only on the instance, so every relax-N probe shares one
 	// computation.
 	cgFams []cgFamily
+
+	// paths holds the root-to-leaf paths a solve enumerated (at most
+	// MaxPaths): the Eq. 7 rows and the separator's longest-path chain
+	// seeds read them, and nothing else does. Solve sets it; presolves
+	// built for bounds alone leave it nil.
+	paths [][]int
 
 	// groups caches g.InterchangeableGroups(): the model builder consumes
 	// it per relax-N probe (symmetry-breaking rows) and the warm start per
@@ -124,7 +130,6 @@ func newPresolve(g *dfg.Graph, board arch.Board) *presolve {
 			rt[u/64] |= 1 << uint(u%64)
 		}
 	}
-	pr.critical, _ = g.CriticalPath()
 	pr.segments = layerSegments(g, board)
 	for _, s := range pr.segments {
 		pr.areaDelay += (s.delay - s.next) * float64(s.need)
@@ -139,6 +144,7 @@ func newPresolve(g *dfg.Graph, board arch.Board) *presolve {
 			}
 		}
 		pr.ancChain[t] = best + pr.delays[t]
+		pr.critical = max(pr.critical, pr.ancChain[t])
 	}
 	for i := len(topo) - 1; i >= 0; i-- {
 		t := topo[i]

@@ -32,12 +32,13 @@ func TestCriticalPathNeverExceedsLPBound(t *testing.T) {
 			return true
 		}
 		pre := newPresolve(g, b)
+		pre.paths = paths
 		n0 := MinPartitions(g, b)
 		if n0 == 0 {
 			return true
 		}
 		for n := n0; n <= n0+2; n++ {
-			m := buildModel(Input{Graph: g, Board: b}, pre, paths, n, false)
+			m := buildModel(Input{Graph: g, Board: b}, pre, n, false)
 			sol, err := lp.Solve(m.prob)
 			if err != nil || sol.Status != lp.Optimal {
 				continue // infeasible/degenerate relaxations prove nothing here
@@ -77,6 +78,7 @@ func TestPresolveBoundsNeverExceedIntegerOptimum(t *testing.T) {
 			return true // infeasible instance
 		}
 		pre := newPresolve(g, b)
+		pre.paths = paths
 		if n0 := MinPartitions(g, b); n0 > bestN {
 			t.Logf("seed %d: MinPartitions %d exceeds true minimum %d", seed, n0, bestN)
 			return false
@@ -95,7 +97,7 @@ func TestPresolveBoundsNeverExceedIntegerOptimum(t *testing.T) {
 			return false
 		}
 		// Root node bound over the untouched box.
-		m := buildModel(Input{Graph: g, Board: b}, pre, paths, bestN, true)
+		m := buildModel(Input{Graph: g, Board: b}, pre, bestN, true)
 		nb := pre.nodeBoundFunc(bestN, m.yv, nil)
 		bnd, feasible := nb(m.prob.Bounds)
 		if !feasible {
@@ -309,15 +311,16 @@ func TestNodeBoundNeverFathomsCompletableBoxes(t *testing.T) {
 			continue
 		}
 		pre := newPresolve(g, b)
+		pre.paths = paths
 		n0 := MinPartitions(g, b)
 		if n0 == 0 {
 			continue
 		}
 		for N := n0; N <= n0+1 && N <= 4; N++ {
-			m := buildModel(Input{Graph: g, Board: b}, pre, paths, N, true)
+			m := buildModel(Input{Graph: g, Board: b}, pre, N, true)
 			nb := pre.nodeBoundFunc(N, m.yv, nil)
 			forEachFeasible(g, b, N, func(assign []int) {
-				d := EvaluateDelays(g, assign, N, paths)
+				d := pathSumDelays(g, assign, N, paths)
 				sumD := 0.0
 				for _, v := range d {
 					sumD += v

@@ -33,7 +33,7 @@ func (v raceVerdict) decisive() bool {
 // neither is decisive the row verdict stands: exactly the pinned rows
 // answer. Probes the rows root closes (the DCT, FIR and packing probes)
 // never start a rival and pay only the race context.
-func raceForN(ctx context.Context, in Input, pre *presolve, paths [][]int, N int, tally *proofTally) (*Partitioning, error) {
+func raceForN(ctx context.Context, in Input, pre *presolve, N int, tally *proofTally) (*Partitioning, error) {
 	raceCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	// The row search keeps its proof telemetry apart: it counts only if
@@ -61,14 +61,14 @@ func raceForN(ctx context.Context, in Input, pre *presolve, paths [][]int, N int
 			if in.testRival != nil {
 				in.testRival()
 			}
-			v.part, v.err = solveForNPatterns(raceCtx, in, pre, paths, N)
+			v.part, v.err = solveForNPatterns(raceCtx, in, pre, N)
 		}()
 		// Without the yield the rival waits in this P's runnext slot, and
 		// with every P busy it sits out a whole preemption time slice.
 		runtime.Gosched()
 	}
 	var rows raceVerdict
-	rows.part, rows.err = solveForNRows(ctx, in, pre, paths, N, rowsTally,
+	rows.part, rows.err = solveForNRows(ctx, in, pre, N, rowsTally,
 		ilp.Options{Context: raceCtx, RootOpen: startRival})
 	if rival == nil {
 		tally.absorb(rowsTally)

@@ -95,12 +95,8 @@ func TestFig4DelayModel(t *testing.T) {
 	g.MustAddEdge("b", "e", 1)
 	g.MustAddEdge("c", "e", 1)
 	g.MustAddEdge("d", "e", 1)
-	paths, err := g.Paths(0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	assign := []int{0, 0, 0, 0, 1} // a,b,c,d in partition 1; e in partition 2
-	d := EvaluateDelays(g, assign, 2, paths)
+	d := EvaluateDelays(g, assign, 2)
 	if d[0] != 400 {
 		t.Errorf("d_1 = %g, want 400 (max of 350, 400, 150)", d[0])
 	}
@@ -174,8 +170,7 @@ func TestILPNotWorseThanGreedy(t *testing.T) {
 			t.Fatalf("noSym=%v: %v", noSym, err)
 		}
 		ga, gn := greedyAssign(g, b, false)
-		paths, _ := g.Paths(0)
-		gd := EvaluateDelays(g, ga, gn, paths)
+		gd := EvaluateDelays(g, ga, gn)
 		gl := Latency(b, gd)
 		if gn == p.N && p.Latency > gl+1e-9 {
 			t.Errorf("noSym=%v: ILP latency %g worse than greedy %g", noSym, p.Latency, gl)
@@ -256,7 +251,8 @@ func randomGraph(rng *rand.Rand) *dfg.Graph {
 }
 
 // bruteForce finds the minimum feasible N (up to maxN) and the optimal
-// latency at that N by enumerating every assignment.
+// latency at that N by enumerating every assignment. Delays come from the
+// path-sum reference over paths, independent of EvaluateDelays.
 func bruteForce(g *dfg.Graph, b arch.Board, paths [][]int, maxN int) (int, float64) {
 	nT := g.NumTasks()
 	for N := MinPartitions(g, b); N <= maxN; N++ {
@@ -269,7 +265,7 @@ func bruteForce(g *dfg.Graph, b arch.Board, paths [][]int, maxN int) (int, float
 		rec = func(i int) {
 			if i == nT {
 				if CheckFeasible(g, b, assign, N) == nil {
-					d := EvaluateDelays(g, assign, N, paths)
+					d := pathSumDelays(g, assign, N, paths)
 					if l := Latency(b, d); l < best {
 						best = l
 					}
