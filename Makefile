@@ -46,14 +46,16 @@ bench:
 
 # bench-smoke is the quick CI variant: the headline DCT solve, which closes
 # at the root, the chain9 portfolio solve under the row model, which pivots
-# through about a hundred nodes and reports the warm-start counters, and
+# through about a hundred nodes and reports the warm-start counters,
 # chain9 under the default formulation, where the pattern master races the
-# row search (ns/op and allocs/op only). It also runs sparcsd's cache-hit
+# row search (ns/op and allocs/op only), and chainblocks102 under the
+# pattern master, whose time is column generation (B&B nodes, pivots,
+# columns and pricing rounds). It also runs sparcsd's cache-hit
 # path in-process (BenchmarkService_Hit: /v1/batch calls of renamed copies
 # of a cached working set), which fails unless every item is a cache hit,
 # so a hit path that silently falls through to fresh solves breaks CI.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkILP_(DCTPartitioning|Chain9|Chain9Default)$$' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkILP_(DCTPartitioning|Chain9|Chain9Default|ChainBlocks102)$$' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkService_Hit$$' -benchtime 20x -benchmem ./internal/service/
 
 # bench-lp runs the simplex-kernel micro-benches: a dense and a hyper-sparse

@@ -581,6 +581,14 @@ func BenchmarkILP_Pack18(b *testing.B) { benchPackPortfolio(b, "pack18.json") }
 // the gate fails any B&B-node growth over the baseline (threshold 0).
 func BenchmarkILP_Pack2638(b *testing.B) { benchPackPortfolio(b, "pack2638.json") }
 
+// BenchmarkILP_ChainBlocks102 is the pattern master's scale yardstick: the
+// portfolio's 102-task chain-of-blocks instance under its manifest's
+// `patterns` pin, where the row model has over five thousand binaries at
+// N=51. Branch-and-price proves N=51 in a handful of nodes, so the time
+// goes to column generation: its columns-generated and pricing-rounds
+// counters, with its ns/op and allocs/op, track the pricer on its own.
+func BenchmarkILP_ChainBlocks102(b *testing.B) { benchPackPortfolio(b, "chainblocks102.json") }
+
 // BenchmarkILP_Chain9 is the portfolio's 9-task chain instance under the
 // row model: near-capacity items in 3-task chains, closed by branch-and-
 // bound with the order and cover separators. Unlike the packing proofs it

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -389,10 +390,38 @@ func errStatus(err error) int {
 	}
 }
 
+// decodeBody reads a request body of at most MaxBodyBytes in one read,
+// into a buffer sized from Content-Length when the client sent one, and
+// unmarshals it into v. Bytes after the JSON value are an error. A body
+// that ends before its value keeps the errors a stream decoder gives:
+// io.EOF when it holds no value at all, io.ErrUnexpectedEOF when the value
+// is cut short.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	var data []byte
+	var err error
+	if n := r.ContentLength; n >= 0 && n <= s.cfg.MaxBodyBytes {
+		data = make([]byte, n)
+		_, err = io.ReadFull(body, data)
+	} else {
+		data, err = io.ReadAll(body)
+	}
+	if err != nil {
+		return err
+	}
+	err = json.Unmarshal(data, v)
+	if syn := (*json.SyntaxError)(nil); errors.As(err, &syn) && syn.Error() == "unexpected end of JSON input" {
+		if len(bytes.TrimSpace(data)) == 0 {
+			return io.EOF
+		}
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*Request, bool) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var sr SolveRequest
-	if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
+	if err := s.decodeBody(w, r, &sr); err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("service: bad request body: %w", err))
 		return nil, false
 	}
@@ -441,9 +470,8 @@ type batchResponse struct {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var br batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&br); err != nil {
+	if err := s.decodeBody(w, r, &br); err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("service: bad request body: %w", err))
 		return
 	}

@@ -427,6 +427,65 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestRequestBodyDecoding pins how a request body is read: with or
+// without a Content-Length (a chunked body), over the size limit, empty,
+// cut short, and with bytes after the JSON value, on both /v1/solve and
+// /v1/batch.
+func TestRequestBodyDecoding(t *testing.T) {
+	solve := `{"graph":{"tasks":[{"name":"a","resources":10,"delay":5}]},"board":"small"}`
+	batch := `{"requests":[` + solve + `]}`
+	limit := int64(len(batch))
+	_, ts := newTestServer(t, Config{Workers: 1, MaxBodyBytes: limit})
+	cases := []struct {
+		name, path, body string
+		chunked          bool
+		want             int
+		wantErr          string
+	}{
+		{"solve", "/v1/solve", solve, false, http.StatusOK, ""},
+		{"solve-chunked", "/v1/solve", solve, true, http.StatusOK, ""},
+		{"batch", "/v1/batch", batch, false, http.StatusOK, ""},
+		{"batch-chunked", "/v1/batch", batch, true, http.StatusOK, ""},
+		{"over-limit", "/v1/batch", batch + " ", false, http.StatusBadRequest,
+			"service: bad request body: http: request body too large"},
+		{"over-limit-chunked", "/v1/solve", solve + strings.Repeat(" ", int(limit)), true, http.StatusBadRequest,
+			"service: bad request body: http: request body too large"},
+		{"empty", "/v1/solve", "", false, http.StatusBadRequest, "service: bad request body: EOF"},
+		{"blank-chunked", "/v1/batch", " \n", true, http.StatusBadRequest, "service: bad request body: EOF"},
+		{"cut-short", "/v1/solve", solve[:20], false, http.StatusBadRequest,
+			"service: bad request body: unexpected EOF"},
+		// A stream decoder stopped at the end of the first value and
+		// ignored the rest; a whole-body read rejects it.
+		{"trailing-bytes", "/v1/solve", solve + "{}", false, http.StatusBadRequest,
+			"service: bad request body: invalid character '{' after top-level value"},
+		{"trailing-bytes-batch", "/v1/batch", `{"requests":[]}x`, false, http.StatusBadRequest,
+			"service: bad request body: invalid character 'x' after top-level value"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			req, err := http.NewRequest(http.MethodPost, ts.URL+tc.path, strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.chunked {
+				req.ContentLength = -1 // unknown length: sent chunked
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var apiErr apiError
+			if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.want || apiErr.Error != tc.wantErr {
+				t.Fatalf("HTTP %d error %q, want %d error %q", resp.StatusCode, apiErr.Error, tc.want, tc.wantErr)
+			}
+		})
+	}
+}
+
 // TestBatchPerItemErrors pins that a bad item fails alone: one /v1/batch
 // call with a valid graph, a graph carrying a JSON type error and a cyclic
 // graph answers 200, solves the valid item, and gives each bad item its

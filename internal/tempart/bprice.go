@@ -23,9 +23,13 @@ import (
 // d(S) = the longest delay-weighted chain inside S — and the restricted
 // master selects at most N patterns that cover every task exactly once,
 // minimizing Σ d(S). ilp.SolveBP drives the search: Ryan–Foster branching
-// on task pairs, an exact DFS pricing problem over the presolve's
-// reachability bitsets, and an acyclicity vet (CheckSelection) that cuts
-// cyclic pattern-precedence selections off with no-good rows.
+// on task pairs, an exact pricing problem, and an acyclicity vet
+// (CheckSelection) that cuts cyclic pattern-precedence selections off with
+// no-good rows. Pricing enumerates the feasible patterns over the
+// presolve's reachability bitsets once per SolveBP run into a static tree,
+// and each round walks that tree with the round's duals and branching
+// state; a pattern space too large for the tree is priced by a DFS every
+// round.
 //
 // Soundness rests on three facts about valid temporal partitionings:
 //
@@ -53,61 +57,101 @@ import (
 // patternPricer is the pricing problem of the pattern formulation: find
 // feasible patterns with negative reduced cost d(S) − Σ λ_t − μ under the
 // node's Ryan–Foster constraints. One pricer serves a whole SolveBP run.
+//
+// Pricing is split by what depends on the duals. The static include rules
+// — CLB and extra-resource area, the convexity taint rule, the chain delay
+// — do not, so the first pricing call enumerates every feasible pattern
+// once into a tree (buildTree), and each round walks that tree applying
+// only the per-round rules: the reduced-cost prune, the Ryan–Foster checks
+// and the emission (walk). Where the enumeration does not fit the step
+// budget or maxTreeNodes, every round runs the DFS that interleaves both
+// rule sets (dfs). Both paths emit the same columns in the same order.
 type patternPricer struct {
 	pre   *presolve
 	words int
 	desc  [][]uint64 // strict descendants bitset per task (dual of pre.reach)
 	order []int      // topological candidate order (pre.topo)
 	pos   []int      // task -> position in order
-	// sufMinRes[i]: the smallest CLB demand among order[i:] — lets the DFS
-	// abandon a branch as soon as no remaining task can fit the residual
-	// area (emissions only happen at include steps).
+	// sufMinRes[i]: the smallest CLB demand among order[i:] — lets the
+	// enumeration abandon a set as soon as no remaining task can fit the
+	// residual area (emissions only happen at include steps).
 	sufMinRes []int
 	// unitCost prices every pattern at 1 instead of d(S): the master then
 	// bounds the minimum number of patterns (the set-partitioning packing
 	// bound patternPackBound exposes to the property tests).
 	unitCost bool
-	budget   int // DFS step budget per pricing call; exhausted => inexact
+	budget   int // enumeration steps per tree build or pricing round
 	// done is the solve's cancellation channel (nil: never cancelled). The
-	// DFS polls it every pricerPollSteps steps and reports a cancelled
-	// round inexact, so a cancelled solve never prices out a whole budget.
+	// enumeration polls it every pricerPollSteps steps and reports a
+	// cancelled round inexact, so a cancelled solve never prices out a
+	// whole budget.
 	done <-chan struct{}
 
-	// scratch, reused across pricing calls (SolveBP prices sequentially)
-	member   []uint64
-	descAll  []uint64
-	inSet    []bool
-	chain    []float64
-	saveDesc [][]uint64
+	// tree is the static enumeration tree, built by the first pricing
+	// call; noTree records a build that did not fit, after which every
+	// round runs the DFS.
+	tree   []patternNode
+	noTree bool
+
+	// The enumeration's current set, reused across pricing calls (SolveBP
+	// prices sequentially). join and leave keep cur and inSet, all the walk
+	// needs; add and remove keep the rest for the static rules.
+	cur       []int
+	inSet     []bool
+	member    []uint64
+	descAll   []uint64
+	saveDesc  [][]uint64 // descAll before the include at each position
+	chain     []float64  // longest chain in the set ending at each member
+	areaRes   int
+	extraUsed []int
 }
 
-// pricerBudget bounds one pricing call's DFS steps. Beyond it the round is
-// reported inexact, which SolveBP handles soundly (no bound claims).
+// patternNode is one feasible pattern of the enumeration tree: its
+// parent's set plus the task order[pos], with d(S) = delay. Nodes are in
+// the enumeration's pre-order, so a node's subtree is tree[index+1:end]
+// and end is also the index of its next sibling, if it has one.
+type patternNode struct {
+	pos, end int32
+	delay    float64
+}
+
+// maxTreeNodes caps the enumeration tree at 2^18 16-byte nodes (4 MiB);
+// a larger pattern space is priced by the per-round DFS.
+const maxTreeNodes = 1 << 18
+
+// pricerBudget bounds the enumeration steps of one tree build or pricing
+// round. Beyond it the build is abandoned and a round is reported inexact,
+// which SolveBP handles soundly (no bound claims).
 const pricerBudget = 1_000_000
 
-// pricerPollSteps is the DFS stride between cancellation polls (a power of
-// two: the poll is a mask test on the step count).
+// pricerPollSteps is the enumeration stride between cancellation polls (a
+// power of two: the poll is a mask test on the step count).
 const pricerPollSteps = 1024
 
 // maxPricedCols caps the columns returned per pricing round (best reduced
 // cost first); more would bloat the master faster than it helps.
 const maxPricedCols = 40
 
+// rcEps is the reduced-cost tolerance: a column prices out below −rcEps.
+const rcEps = 1e-9
+
 func newPatternPricer(pre *presolve, unitCost bool) *patternPricer {
 	nT := len(pre.delays)
 	words := (nT + 63) / 64
 	pp := &patternPricer{
-		pre:      pre,
-		words:    words,
-		desc:     make([][]uint64, nT),
-		order:    pre.topo,
-		pos:      make([]int, nT),
-		unitCost: unitCost,
-		budget:   pricerBudget,
-		member:   make([]uint64, words),
-		descAll:  make([]uint64, words),
-		inSet:    make([]bool, nT),
-		chain:    make([]float64, nT),
+		pre:       pre,
+		words:     words,
+		desc:      make([][]uint64, nT),
+		order:     pre.topo,
+		pos:       make([]int, nT),
+		unitCost:  unitCost,
+		budget:    pricerBudget,
+		cur:       make([]int, 0, nT),
+		inSet:     make([]bool, nT),
+		member:    make([]uint64, words),
+		descAll:   make([]uint64, words),
+		chain:     make([]float64, nT),
+		extraUsed: make([]int, len(pre.extraCap)),
 	}
 	flat := make([]uint64, nT*words)
 	for t := 0; t < nT; t++ {
@@ -146,311 +190,425 @@ func newPatternPricer(pre *presolve, unitCost bool) *patternPricer {
 	return pp
 }
 
-// patternDelay computes d(S): the longest delay-weighted chain among the
-// items (a chain in the ancestor order extends to a root-leaf path whose
-// in-partition restriction is exactly the chain).
-func (pp *patternPricer) patternDelay(items []int) float64 {
-	ord := append([]int(nil), items...)
-	sort.Slice(ord, func(a, b int) bool { return pp.pos[ord[a]] < pp.pos[ord[b]] })
-	chain := make([]float64, len(ord))
-	best := 0.0
-	for i, t := range ord {
-		c := 0.0
-		rt := pp.pre.reach[t]
-		for j := 0; j < i; j++ {
-			u := ord[j]
-			if rt[u>>6]&(1<<uint(u&63)) != 0 && chain[j] > c {
-				c = chain[j]
-			}
-		}
-		chain[i] = c + pp.pre.delays[t]
-		if chain[i] > best {
-			best = chain[i]
-		}
-	}
-	return best
+// fits is the area prune at position i: some task of order[i:] still fits
+// beside the current set.
+func (pp *patternPricer) fits(i int) bool {
+	return pp.areaRes+pp.sufMinRes[i] <= pp.pre.board.FPGA.CLBs
 }
 
-// patternCost is the master objective coefficient of a pattern.
-func (pp *patternPricer) patternCost(items []int) float64 {
-	if pp.unitCost {
-		return 1
-	}
-	return pp.patternDelay(items)
-}
-
-// patternFeasible reports whether items is a feasible partition content:
-// area-feasible in every capped dimension and convex in the DAG order.
-func (pp *patternPricer) patternFeasible(items []int) bool {
+// canAdd applies the static include rules to task t beside the current
+// set: CLB and extra-resource area, and the taint rule that keeps the set
+// convex — t may not join when one of its ancestors is a descendant of a
+// member outside the set (that intermediate was already decided out).
+func (pp *patternPricer) canAdd(t int) bool {
 	pre := pp.pre
-	area := 0
-	extra := make([]int, len(pre.extraCap))
-	member := make([]uint64, pp.words)
-	descAll := make([]uint64, pp.words)
-	for _, t := range items {
-		if t < 0 || t >= len(pre.delays) {
-			return false
-		}
-		member[t>>6] |= 1 << uint(t&63)
-		dt := pp.desc[t]
-		for w := range descAll {
-			descAll[w] |= dt[w]
-		}
-		area += pre.res[t]
-		for k := range pre.extraDemand {
-			extra[k] += pre.extraDemand[k][t]
-		}
-	}
-	if area > pre.board.FPGA.CLBs {
+	if pp.areaRes+pre.res[t] > pre.board.FPGA.CLBs {
 		return false
 	}
-	for k, used := range extra {
-		if used > pre.extraCap[k] {
+	for k := range pre.extraDemand {
+		if pp.extraUsed[k]+pre.extraDemand[k][t] > pre.extraCap[k] {
 			return false
 		}
 	}
-	// Convexity: no excluded task may be both a descendant of a member and
-	// an ancestor of a member.
-	for _, t := range items {
-		rt := pre.reach[t]
-		for w := range rt {
-			if rt[w]&descAll[w]&^member[w] != 0 {
-				return false
-			}
+	rt := pre.reach[t]
+	for w := range rt {
+		if rt[w]&pp.descAll[w]&^pp.member[w] != 0 {
+			return false
 		}
 	}
 	return true
 }
 
-// price is the ilp.BPPricer: an exact DFS over the topological candidate
-// order that enumerates every convex, area-feasible pattern compatible with
-// the node's Ryan–Foster state, emitting the best negative-reduced-cost
-// ones. Convexity is maintained by the taint rule — a task whose ancestor
-// set intersects the current members' descendants outside the member set
-// can never join (the intermediate was already decided out) — and the
-// search is pruned by the suffix of positive duals (the reduced cost of any
-// extension is bounded below by cost − λ(S) − μ − Σ_{j≥i, λ>0} λ_j, since
-// the chain cost only grows along a branch). Exhausting the step budget,
-// or a cancelled solve, reports the round inexact; SolveBP then makes no
-// bound claims from it.
-func (pp *patternPricer) price(lambda []float64, mu float64, same, differ [][2]int, forbidden map[string]bool) ([]ilp.BPColumn, bool) {
+// add includes t = order[i] in the current set, whose d(S) is delay, and
+// returns the new set's d(S): the longest delay-weighted chain among the
+// members (a chain in the ancestor order extends to a root-leaf path whose
+// in-partition restriction is exactly the chain).
+func (pp *patternPricer) add(i, t int, delay float64) float64 {
 	pre := pp.pre
-	nT := len(pre.delays)
-	clbCap := pre.board.FPGA.CLBs
-	const eps = 1e-9
-
-	posSuf := make([]float64, nT+1)
-	for i := nT - 1; i >= 0; i-- {
-		posSuf[i] = posSuf[i+1]
-		if l := lambda[pp.order[i]]; l > 0 {
-			posSuf[i] += l
+	copy(pp.saveDesc[i], pp.descAll)
+	pp.member[t>>6] |= 1 << uint(t&63)
+	dt := pp.desc[t]
+	for w := range pp.descAll {
+		pp.descAll[w] |= dt[w]
+	}
+	pp.areaRes += pre.res[t]
+	for k := range pre.extraDemand {
+		pp.extraUsed[k] += pre.extraDemand[k][t]
+	}
+	c := 0.0
+	rt := pre.reach[t]
+	for _, u := range pp.cur {
+		if rt[u>>6]&(1<<uint(u&63)) != 0 && pp.chain[u] > c {
+			c = pp.chain[u]
 		}
 	}
-	samePart := make([][]int, nT)
-	differPart := make([][]int, nT)
-	for _, ab := range same {
-		samePart[ab[0]] = append(samePart[ab[0]], ab[1])
-		samePart[ab[1]] = append(samePart[ab[1]], ab[0])
+	pp.chain[t] = c + pre.delays[t]
+	if pp.chain[t] > delay {
+		delay = pp.chain[t]
 	}
-	for _, ab := range differ {
-		differPart[ab[0]] = append(differPart[ab[0]], ab[1])
-		differPart[ab[1]] = append(differPart[ab[1]], ab[0])
-	}
-
-	for w := range pp.member {
-		pp.member[w] = 0
-		pp.descAll[w] = 0
-	}
-	for t := 0; t < nT; t++ {
-		pp.inSet[t] = false
-	}
-	cur := make([]int, 0, nT)
-	extraUsed := make([]int, len(pre.extraCap))
-	areaRes := 0
-	lamSum := 0.0
-	steps := 0
-	inexact := false
-
-	type cand struct {
-		items []int
-		cost  float64
-		rc    float64
-	}
-	var best []cand
-	worst := -1 // index of the worst (largest rc) kept candidate
-	keeps := func(rc float64) bool { return len(best) < maxPricedCols || rc < best[worst].rc }
-	// record keeps cur; the caller has checked keeps(rc).
-	record := func(cost, rc float64) {
-		items := append([]int(nil), cur...)
-		if len(best) < maxPricedCols {
-			best = append(best, cand{items, cost, rc})
-			if worst < 0 || rc > best[worst].rc {
-				worst = len(best) - 1
-			}
-			return
-		}
-		best[worst] = cand{items, cost, rc}
-		worst = 0
-		for k := 1; k < len(best); k++ {
-			if best[k].rc > best[worst].rc {
-				worst = k
-			}
-		}
-	}
-
-	var dfs func(i int, curDelay float64)
-	dfs = func(i int, curDelay float64) {
-		if inexact {
-			return
-		}
-		steps++
-		if steps > pp.budget || steps&(pricerPollSteps-1) == 0 && pp.cancelled() {
-			inexact = true
-			return
-		}
-		// Reduced-cost prune: no extension from here can go negative.
-		costLB := curDelay
-		if pp.unitCost {
-			costLB = 1 // every emitted pattern is nonempty
-		}
-		if costLB-lamSum-mu-posSuf[i] >= -eps {
-			return
-		}
-		if i == nT {
-			return
-		}
-		// Area prune: emissions only happen at include steps, and no
-		// remaining task fits the residual area.
-		if areaRes+pp.sufMinRes[i] > clbCap {
-			return
-		}
-		t := pp.order[i]
-
-		// Include branch.
-		canInclude := areaRes+pre.res[t] <= clbCap
-		for k := range pre.extraDemand {
-			if !canInclude {
-				break
-			}
-			if extraUsed[k]+pre.extraDemand[k][t] > pre.extraCap[k] {
-				canInclude = false
-			}
-		}
-		if canInclude {
-			// Taint rule: an excluded intermediate makes t unreachable.
-			rt := pre.reach[t]
-			for w := range rt {
-				if rt[w]&pp.descAll[w]&^pp.member[w] != 0 {
-					canInclude = false
-					break
-				}
-			}
-		}
-		if canInclude {
-			for _, u := range differPart[t] {
-				if pp.inSet[u] {
-					canInclude = false
-					break
-				}
-			}
-		}
-		if canInclude {
-			// A same-partner already decided out forbids t.
-			for _, u := range samePart[t] {
-				if pp.pos[u] < i && !pp.inSet[u] {
-					canInclude = false
-					break
-				}
-			}
-		}
-		if canInclude {
-			copy(pp.saveDesc[i], pp.descAll)
-			pp.member[t>>6] |= 1 << uint(t&63)
-			pp.inSet[t] = true
-			dt := pp.desc[t]
-			for w := range pp.descAll {
-				pp.descAll[w] |= dt[w]
-			}
-			areaRes += pre.res[t]
-			for k := range pre.extraDemand {
-				extraUsed[k] += pre.extraDemand[k][t]
-			}
-			lamSum += lambda[t]
-			c := 0.0
-			rt := pre.reach[t]
-			for _, u := range cur {
-				if rt[u>>6]&(1<<uint(u&63)) != 0 && pp.chain[u] > c {
-					c = pp.chain[u]
-				}
-			}
-			pp.chain[t] = c + pre.delays[t]
-			nd := curDelay
-			if pp.chain[t] > nd {
-				nd = pp.chain[t]
-			}
-			cur = append(cur, t)
-
-			cost := nd
-			if pp.unitCost {
-				cost = 1
-			}
-			if rc := cost - lamSum - mu; rc < -eps {
-				complete := true
-			emit:
-				for _, u := range cur {
-					for _, v := range samePart[u] {
-						if !pp.inSet[v] {
-							complete = false
-							break emit
-						}
-					}
-				}
-				// The key is built only for a candidate the round
-				// would keep, and only when a branch forbids columns.
-				if complete && keeps(rc) && (len(forbidden) == 0 || !forbidden[ilp.BPKey(cur)]) {
-					record(cost, rc)
-				}
-			}
-			dfs(i+1, nd)
-
-			cur = cur[:len(cur)-1]
-			lamSum -= lambda[t]
-			for k := range pre.extraDemand {
-				extraUsed[k] -= pre.extraDemand[k][t]
-			}
-			areaRes -= pre.res[t]
-			copy(pp.descAll, pp.saveDesc[i])
-			pp.inSet[t] = false
-			pp.member[t>>6] &^= 1 << uint(t&63)
-		}
-
-		// Exclude branch: dead when a same-partner is already in the set
-		// (every deeper emission would carry the partner without t).
-		for _, u := range samePart[t] {
-			if pp.inSet[u] {
-				return
-			}
-		}
-		dfs(i+1, curDelay)
-	}
-	dfs(0, 0)
-
-	sort.Slice(best, func(a, b int) bool { return best[a].rc < best[b].rc })
-	cols := make([]ilp.BPColumn, len(best))
-	for k, c := range best {
-		cols[k] = ilp.BPColumn{Items: c.items, Cost: c.cost}
-	}
-	return cols, inexact
+	pp.join(t)
+	return delay
 }
 
-// cancelled reports whether the solve's context is done.
-func (pp *patternPricer) cancelled() bool {
+// remove undoes add(i, t, ·) of the set's last member t.
+func (pp *patternPricer) remove(i, t int) {
+	pre := pp.pre
+	pp.leave(t)
+	for k := range pre.extraDemand {
+		pp.extraUsed[k] -= pre.extraDemand[k][t]
+	}
+	pp.areaRes -= pre.res[t]
+	copy(pp.descAll, pp.saveDesc[i])
+	pp.member[t>>6] &^= 1 << uint(t&63)
+}
+
+func (pp *patternPricer) join(t int) {
+	pp.inSet[t] = true
+	pp.cur = append(pp.cur, t)
+}
+
+func (pp *patternPricer) leave(t int) {
+	pp.inSet[t] = false
+	pp.cur = pp.cur[:len(pp.cur)-1]
+}
+
+// measure adds distinct items to the empty set in topological order, as
+// the enumeration would reach them, and takes them out again. feasible
+// reports whether every include passed canAdd (the set is area-feasible
+// in every capped dimension and convex); delay is d(S).
+func (pp *patternPricer) measure(items []int) (feasible bool, delay float64) {
+	for _, t := range items {
+		if t < 0 || t >= len(pp.order) {
+			return false, 0
+		}
+	}
+	ord := append([]int(nil), items...)
+	sort.Slice(ord, func(a, b int) bool { return pp.pos[ord[a]] < pp.pos[ord[b]] })
+	feasible = true
+	for _, t := range ord {
+		feasible = feasible && pp.canAdd(t)
+		delay = pp.add(pp.pos[t], t, delay)
+	}
+	for k := len(ord) - 1; k >= 0; k-- {
+		pp.remove(pp.pos[ord[k]], ord[k])
+	}
+	return feasible, delay
+}
+
+// costOf is the master objective coefficient of a pattern with d(S) =
+// delay.
+func (pp *patternPricer) costOf(delay float64) float64 {
+	if pp.unitCost {
+		return 1
+	}
+	return delay
+}
+
+// patternCost is the master objective coefficient of a pattern.
+func (pp *patternPricer) patternCost(items []int) float64 {
+	_, delay := pp.measure(items)
+	return pp.costOf(delay)
+}
+
+// patternFeasible reports whether items is a feasible partition content:
+// area-feasible in every capped dimension and convex in the DAG order.
+func (pp *patternPricer) patternFeasible(items []int) bool {
+	feasible, _ := pp.measure(items)
+	return feasible
+}
+
+// stepper counts enumeration steps against a budget and polls the solve's
+// cancellation every pricerPollSteps steps; once stopped it stays stopped.
+type stepper struct {
+	steps, budget int
+	done          <-chan struct{}
+	stopped       bool
+}
+
+// step counts one step and reports whether the enumeration must stop.
+func (s *stepper) step() bool {
+	if s.stopped {
+		return true
+	}
+	s.steps++
+	if s.steps > s.budget || s.steps&(pricerPollSteps-1) == 0 && closed(s.done) {
+		s.stopped = true
+	}
+	return s.stopped
+}
+
+// closed reports whether done is closed (a nil channel never is).
+func closed(done <-chan struct{}) bool {
 	select {
-	case <-pp.done:
+	case <-done:
 		return true
 	default:
 		return false
 	}
+}
+
+// buildTree enumerates every feasible pattern once into pp.tree: the DFS
+// over the topological order with only the static rules, which includes
+// order[i] before it excludes it, so the tree is in the DFS's pre-order.
+// It steps exactly where a round's DFS would with no per-round rule in
+// force, so a round over a built tree can never have run out of budget.
+// It reports false, leaving no tree, when the enumeration exceeds the step
+// budget or maxTreeNodes, or the solve is cancelled.
+func (pp *patternPricer) buildTree() bool {
+	nT := len(pp.order)
+	st := stepper{budget: pp.budget, done: pp.done}
+	pp.tree = make([]patternNode, 0, nT)
+	var enum func(i int, delay float64)
+	enum = func(i int, delay float64) {
+		if st.step() || i == nT || !pp.fits(i) {
+			return
+		}
+		if t := pp.order[i]; pp.canAdd(t) {
+			switch len(pp.tree) {
+			case maxTreeNodes:
+				st.stopped = true
+				return
+			case cap(pp.tree):
+				// Doubling keeps the discarded arrays below the tree's
+				// own size, where append's growth for large slices would
+				// allocate about five times the tree over a build.
+				pp.tree = append(make([]patternNode, 0, min(2*cap(pp.tree), maxTreeNodes)), pp.tree...)
+			}
+			at := len(pp.tree)
+			nd := pp.add(i, t, delay)
+			pp.tree = append(pp.tree, patternNode{pos: int32(i), delay: nd})
+			enum(i+1, nd)
+			pp.tree[at].end = int32(len(pp.tree))
+			pp.remove(i, t)
+		}
+		enum(i+1, delay)
+	}
+	enum(0, 0)
+	if st.stopped {
+		pp.tree = nil
+		return false
+	}
+	return true
+}
+
+// pricingRound is one pricing call's dual and branching state.
+type pricingRound struct {
+	pp        *patternPricer
+	lambda    []float64
+	mu        float64
+	posSuf    []float64 // posSuf[i] = Σ λ_t over t ∈ order[i:] with λ_t > 0
+	same      [][2]int
+	samePart  [][]int // task -> its same-partners
+	differ    [][]int // task -> its differ-partners
+	forbidden map[string]bool
+	steps     stepper
+	best      []pricedColumn
+	worst     int // index of the worst (largest rc) kept column
+}
+
+type pricedColumn struct {
+	items    []int
+	cost, rc float64
+}
+
+// pruned is the reduced-cost prune at position i of a set with d(S) =
+// delay and dual sum lamSum: no extension by order[i:] can price negative,
+// since the cost only grows along a branch (a unit cost is 1 for every
+// nonempty pattern) and the duals still to come add at most posSuf[i].
+// posSuf shrinks as i grows, so a prune at i holds at every later
+// position too.
+func (r *pricingRound) pruned(i int, delay, lamSum float64) bool {
+	return r.pp.costOf(delay)-lamSum-r.mu-r.posSuf[i] >= -rcEps
+}
+
+// admits applies the Ryan–Foster rules to including t = order[i]: no
+// differ-partner may be in the set, and no same-partner may have been
+// decided out at an earlier position.
+func (r *pricingRound) admits(t, i int) bool {
+	pp := r.pp
+	for _, u := range r.differ[t] {
+		if pp.inSet[u] {
+			return false
+		}
+	}
+	for _, u := range r.samePart[t] {
+		if pp.pos[u] < i && !pp.inSet[u] {
+			return false
+		}
+	}
+	return true
+}
+
+// nextStop returns the exclusion stop of the set that t = order[i] just
+// joined: the first position after i whose task has a same-partner in the
+// set (len(order) when none). Excluding that task would leave every
+// deeper set carrying the partner without it, so the enumeration excludes
+// nothing there. stop is the set's stop before t joined, at or after i;
+// only when t sat at it does the stop move past a member's partner, and
+// the pairs are scanned again.
+func (r *pricingRound) nextStop(stop, i, t int) int {
+	pp := r.pp
+	if i == stop {
+		stop = len(pp.order)
+		for _, ab := range r.same {
+			for k, u := range ab {
+				if p := pp.pos[ab[1-k]]; pp.inSet[u] && p > i && p < stop {
+					stop = p
+				}
+			}
+		}
+		return stop
+	}
+	for _, v := range r.samePart[t] {
+		if p := pp.pos[v]; p > i && p < stop {
+			stop = p
+		}
+	}
+	return stop
+}
+
+// offer keeps the current set, with d(S) = delay and dual sum lamSum,
+// among the round's best maxPricedCols columns when it prices negative,
+// holds every same-partner of its members, and is not forbidden.
+func (r *pricingRound) offer(delay, lamSum float64) {
+	pp := r.pp
+	cost := pp.costOf(delay)
+	rc := cost - lamSum - r.mu
+	if rc >= -rcEps || len(r.best) == maxPricedCols && rc >= r.best[r.worst].rc {
+		return
+	}
+	for _, u := range pp.cur {
+		for _, v := range r.samePart[u] {
+			if !pp.inSet[v] {
+				return
+			}
+		}
+	}
+	// The key is built only for a column the round would keep, and only
+	// when a branch forbids columns.
+	if len(r.forbidden) > 0 && r.forbidden[ilp.BPKey(pp.cur)] {
+		return
+	}
+	col := pricedColumn{append([]int(nil), pp.cur...), cost, rc}
+	if len(r.best) < maxPricedCols {
+		r.best = append(r.best, col)
+		if len(r.best) == 1 || rc > r.best[r.worst].rc {
+			r.worst = len(r.best) - 1
+		}
+		return
+	}
+	r.best[r.worst] = col
+	r.worst = 0
+	for k := 1; k < len(r.best); k++ {
+		if r.best[k].rc > r.best[r.worst].rc {
+			r.worst = k
+		}
+	}
+}
+
+// walk prices the children tree[lo:hi] of the current set, with d(S) =
+// delay, dual sum lamSum and exclusion stop stop (see nextStop). The
+// child at position i is the DFS's include step at i, which the DFS
+// reaches only when no position from the parent's to i was pruned — the
+// same as i not being pruned, since the prune only tightens as i grows —
+// and i is not past the stop.
+func (r *pricingRound) walk(lo, hi int, delay, lamSum float64, stop int) {
+	pp := r.pp
+	for c := lo; c < hi; c = int(pp.tree[c].end) {
+		n := pp.tree[c]
+		i := int(n.pos)
+		if i > stop || r.pruned(i, delay, lamSum) || r.steps.step() {
+			return
+		}
+		t := pp.order[i]
+		if !r.admits(t, i) {
+			continue
+		}
+		pp.join(t)
+		lam := lamSum + r.lambda[t]
+		r.offer(n.delay, lam)
+		r.walk(c+1, int(n.end), n.delay, lam, r.nextStop(stop, i, t))
+		pp.leave(t)
+	}
+}
+
+// dfs prices from position i of a pricer without a tree: the build's
+// enumeration with the per-round rules applied at every step, for the
+// current set with d(S) = delay, dual sum lamSum and exclusion stop stop
+// (see nextStop).
+func (r *pricingRound) dfs(i int, delay, lamSum float64, stop int) {
+	pp := r.pp
+	if r.steps.step() || r.pruned(i, delay, lamSum) || i == len(pp.order) || !pp.fits(i) {
+		return
+	}
+	if t := pp.order[i]; pp.canAdd(t) && r.admits(t, i) {
+		nd := pp.add(i, t, delay)
+		lam := lamSum + r.lambda[t]
+		r.offer(nd, lam)
+		r.dfs(i+1, nd, lam, r.nextStop(stop, i, t))
+		pp.remove(i, t)
+	}
+	if i < stop {
+		r.dfs(i+1, delay, lamSum, stop)
+	}
+}
+
+// price is the ilp.BPPricer: an exact enumeration, in the topological
+// candidate order, of every convex, area-feasible pattern compatible with
+// the node's Ryan–Foster state, emitting the best negative-reduced-cost
+// ones. The first call builds the static tree; each call then walks it,
+// or runs the DFS where the tree did not fit. The two emit the same
+// columns in the same order: the tree holds the DFS's include steps in the
+// DFS's pre-order, so the walk offers the same sets in the same sequence,
+// and it skips a child exactly when the DFS would not include that task
+// (see walk). Each set's dual sum is the sum of its members' duals in
+// inclusion order, carried by value, so a column's reduced cost does not
+// depend on what the enumeration visited before it. Exhausting the step
+// budget, or a cancelled solve, reports the round inexact; SolveBP then
+// makes no bound claims from it. A built tree never exhausts the budget:
+// the build stepped at least as often as any round's DFS would.
+func (pp *patternPricer) price(lambda []float64, mu float64, same, differ [][2]int, forbidden map[string]bool) ([]ilp.BPColumn, bool) {
+	if pp.tree == nil && !pp.noTree {
+		pp.noTree = !pp.buildTree()
+	}
+	nT := len(pp.order)
+	r := &pricingRound{
+		pp:        pp,
+		lambda:    lambda,
+		mu:        mu,
+		posSuf:    make([]float64, nT+1),
+		same:      same,
+		samePart:  make([][]int, nT),
+		differ:    make([][]int, nT),
+		forbidden: forbidden,
+		steps:     stepper{budget: pp.budget, done: pp.done},
+	}
+	for i := nT - 1; i >= 0; i-- {
+		r.posSuf[i] = r.posSuf[i+1]
+		if l := lambda[pp.order[i]]; l > 0 {
+			r.posSuf[i] += l
+		}
+	}
+	for _, ab := range same {
+		r.samePart[ab[0]] = append(r.samePart[ab[0]], ab[1])
+		r.samePart[ab[1]] = append(r.samePart[ab[1]], ab[0])
+	}
+	for _, ab := range differ {
+		r.differ[ab[0]] = append(r.differ[ab[0]], ab[1])
+		r.differ[ab[1]] = append(r.differ[ab[1]], ab[0])
+	}
+	if pp.noTree {
+		r.dfs(0, 0, 0, nT)
+	} else {
+		r.walk(0, len(pp.tree), 0, 0, nT)
+	}
+
+	sort.Slice(r.best, func(a, b int) bool { return r.best[a].rc < r.best[b].rc })
+	cols := make([]ilp.BPColumn, len(r.best))
+	for k, c := range r.best {
+		cols[k] = ilp.BPColumn{Items: c.items, Cost: c.cost}
+	}
+	return cols, r.steps.stopped
 }
 
 // seedColumns builds the restricted master's initial columns: every

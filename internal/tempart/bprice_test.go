@@ -2,14 +2,18 @@ package tempart
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/arch"
 	"repro/internal/dfg"
+	"repro/internal/hls"
 	"repro/internal/ilp"
+	"repro/internal/jpeg"
 )
 
 // naiveReach computes path existence u ⤳ v by plain DFS on the graph,
@@ -354,5 +358,334 @@ func TestPatternChainBlocks102(t *testing.T) {
 	}
 	if err := CheckFeasible(g, b, part.Assign, part.N); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referencePrice is the pricing DFS the tree walk replaced, kept as the
+// reference the pricer must match exactly: every round enumerates the
+// topological order afresh, applying the static and the per-round rules at
+// every step, and carries each set's dual sum by value. It has its own
+// scratch and reads only the pricer's static fields.
+func referencePrice(pp *patternPricer, lambda []float64, mu float64, same, differ [][2]int, forbidden map[string]bool) ([]ilp.BPColumn, bool) {
+	pre := pp.pre
+	nT := len(pre.delays)
+	clbCap := pre.board.FPGA.CLBs
+	const eps = 1e-9
+
+	posSuf := make([]float64, nT+1)
+	for i := nT - 1; i >= 0; i-- {
+		posSuf[i] = posSuf[i+1]
+		if l := lambda[pp.order[i]]; l > 0 {
+			posSuf[i] += l
+		}
+	}
+	samePart := make([][]int, nT)
+	differPart := make([][]int, nT)
+	for _, ab := range same {
+		samePart[ab[0]] = append(samePart[ab[0]], ab[1])
+		samePart[ab[1]] = append(samePart[ab[1]], ab[0])
+	}
+	for _, ab := range differ {
+		differPart[ab[0]] = append(differPart[ab[0]], ab[1])
+		differPart[ab[1]] = append(differPart[ab[1]], ab[0])
+	}
+
+	member := make([]uint64, pp.words)
+	descAll := make([]uint64, pp.words)
+	inSet := make([]bool, nT)
+	chain := make([]float64, nT)
+	saveDesc := make([][]uint64, nT)
+	for i := range saveDesc {
+		saveDesc[i] = make([]uint64, pp.words)
+	}
+	cur := make([]int, 0, nT)
+	extraUsed := make([]int, len(pre.extraCap))
+	areaRes := 0
+	steps := 0
+	inexact := false
+
+	type cand struct {
+		items    []int
+		cost, rc float64
+	}
+	var best []cand
+	worst := -1
+	record := func(cost, rc float64) {
+		items := append([]int(nil), cur...)
+		if len(best) < maxPricedCols {
+			best = append(best, cand{items, cost, rc})
+			if worst < 0 || rc > best[worst].rc {
+				worst = len(best) - 1
+			}
+			return
+		}
+		best[worst] = cand{items, cost, rc}
+		worst = 0
+		for k := 1; k < len(best); k++ {
+			if best[k].rc > best[worst].rc {
+				worst = k
+			}
+		}
+	}
+
+	var dfs func(i int, curDelay, lamSum float64)
+	dfs = func(i int, curDelay, lamSum float64) {
+		if inexact {
+			return
+		}
+		steps++
+		if steps > pp.budget {
+			inexact = true
+			return
+		}
+		costLB := curDelay
+		if pp.unitCost {
+			costLB = 1
+		}
+		if costLB-lamSum-mu-posSuf[i] >= -eps || i == nT || areaRes+pp.sufMinRes[i] > clbCap {
+			return
+		}
+		t := pp.order[i]
+		canInclude := areaRes+pre.res[t] <= clbCap
+		for k := range pre.extraDemand {
+			if extraUsed[k]+pre.extraDemand[k][t] > pre.extraCap[k] {
+				canInclude = false
+			}
+		}
+		rt := pre.reach[t]
+		for w := range rt {
+			if rt[w]&descAll[w]&^member[w] != 0 {
+				canInclude = false
+			}
+		}
+		for _, u := range differPart[t] {
+			if inSet[u] {
+				canInclude = false
+			}
+		}
+		for _, u := range samePart[t] {
+			if pp.pos[u] < i && !inSet[u] {
+				canInclude = false
+			}
+		}
+		if canInclude {
+			copy(saveDesc[i], descAll)
+			member[t>>6] |= 1 << uint(t&63)
+			inSet[t] = true
+			for w := range descAll {
+				descAll[w] |= pp.desc[t][w]
+			}
+			areaRes += pre.res[t]
+			for k := range pre.extraDemand {
+				extraUsed[k] += pre.extraDemand[k][t]
+			}
+			c := 0.0
+			for _, u := range cur {
+				if rt[u>>6]&(1<<uint(u&63)) != 0 && chain[u] > c {
+					c = chain[u]
+				}
+			}
+			chain[t] = c + pre.delays[t]
+			nd := curDelay
+			if chain[t] > nd {
+				nd = chain[t]
+			}
+			cur = append(cur, t)
+			lam := lamSum + lambda[t]
+
+			cost := nd
+			if pp.unitCost {
+				cost = 1
+			}
+			if rc := cost - lam - mu; rc < -eps {
+				complete := true
+				for _, u := range cur {
+					for _, v := range samePart[u] {
+						if !inSet[v] {
+							complete = false
+						}
+					}
+				}
+				keeps := len(best) < maxPricedCols || rc < best[worst].rc
+				if complete && keeps && !forbidden[ilp.BPKey(cur)] {
+					record(cost, rc)
+				}
+			}
+			dfs(i+1, nd, lam)
+
+			cur = cur[:len(cur)-1]
+			for k := range pre.extraDemand {
+				extraUsed[k] -= pre.extraDemand[k][t]
+			}
+			areaRes -= pre.res[t]
+			copy(descAll, saveDesc[i])
+			inSet[t] = false
+			member[t>>6] &^= 1 << uint(t&63)
+		}
+		for _, u := range samePart[t] {
+			if inSet[u] {
+				return
+			}
+		}
+		dfs(i+1, curDelay, lamSum)
+	}
+	dfs(0, 0, 0)
+
+	sort.Slice(best, func(a, b int) bool { return best[a].rc < best[b].rc })
+	cols := make([]ilp.BPColumn, len(best))
+	for k, c := range best {
+		cols[k] = ilp.BPColumn{Items: c.items, Cost: c.cost}
+	}
+	return cols, inexact
+}
+
+// layeredGraph is a random layered DAG of nT tasks with integral delays:
+// each task draws edges from a few tasks of the layer above, so the
+// pattern space holds thousands of convex sets without exhausting the
+// pricing budget.
+func layeredGraph(rng *rand.Rand, nT int) *dfg.Graph {
+	g := dfg.New("layered")
+	width := 2 + rng.Intn(3)
+	for i := 0; i < nT; i++ {
+		g.MustAddTask(dfg.Task{
+			Name:      fmt.Sprintf("t%d", i),
+			Resources: 10 + rng.Intn(30),
+			Delay:     float64(10 * (1 + rng.Intn(5))),
+		})
+		if layer := i / width; layer > 0 {
+			for k := 0; k < 1+rng.Intn(2); k++ {
+				_ = g.AddEdgeByID((layer-1)*width+rng.Intn(width), i, 1)
+			}
+		}
+	}
+	return g
+}
+
+// pricingDuals draws signed duals on a grid of tenths, scaled to the cost
+// of a pattern, so many columns tie in exact arithmetic and any drift in a
+// dual sum reorders them; and a signed μ.
+func pricingDuals(rng *rand.Rand, g *dfg.Graph, unitCost bool) ([]float64, float64) {
+	nT := g.NumTasks()
+	scale := 0.0
+	for t := 0; t < nT; t++ {
+		scale += g.Task(t).Delay
+	}
+	scale /= float64(nT)
+	if unitCost {
+		scale = 0.25
+	}
+	lambda := make([]float64, nT)
+	for t := range lambda {
+		lambda[t] = scale * float64(rng.Intn(21)-5) / 10
+	}
+	return lambda, scale * float64(rng.Intn(11)-5) / 10
+}
+
+// ryanFosterPairs draws a few distinct same and differ task pairs.
+func ryanFosterPairs(rng *rand.Rand, nT int) (same, differ [][2]int) {
+	draw := func() [][2]int {
+		var pairs [][2]int
+		for k := rng.Intn(5); k > 0; k-- {
+			if a, b := rng.Intn(nT), rng.Intn(nT); a != b {
+				pairs = append(pairs, [2]int{a, b})
+			}
+		}
+		return pairs
+	}
+	return draw(), draw()
+}
+
+// checkPricingRounds prices several rounds on one pricer, so rounds after
+// the first reuse what the first built, and compares each round with the
+// reference under ==: items, costs, order and the inexact flag. Every
+// other round also forbids a random share of the previous round's columns.
+func checkPricingRounds(t *testing.T, name string, rng *rand.Rand, g *dfg.Graph, b arch.Board, unitCost bool, rounds int) *patternPricer {
+	t.Helper()
+	pp := newPatternPricer(newPresolve(g, b), unitCost)
+	var prev []ilp.BPColumn
+	for round := 0; round < rounds; round++ {
+		lambda, mu := pricingDuals(rng, g, unitCost)
+		var same, differ [][2]int
+		if round > 0 {
+			same, differ = ryanFosterPairs(rng, g.NumTasks())
+		}
+		var forbidden map[string]bool
+		if round%2 == 1 {
+			forbidden = map[string]bool{}
+			for _, c := range prev {
+				if rng.Intn(2) == 0 {
+					forbidden[ilp.BPKey(c.Items)] = true
+				}
+			}
+		}
+		want, wantInexact := referencePrice(pp, lambda, mu, same, differ, forbidden)
+		got, gotInexact := pp.price(lambda, mu, same, differ, forbidden)
+		if gotInexact != wantInexact || !equalColumns(got, want) {
+			t.Fatalf("%s unit=%v round %d (same %v differ %v, %d forbidden):\n got %v inexact=%v\nwant %v inexact=%v",
+				name, unitCost, round, same, differ, len(forbidden), got, gotInexact, want, wantInexact)
+		}
+		prev = got
+	}
+	return pp
+}
+
+func equalColumns(a, b []ilp.BPColumn) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if a[k].Cost != b[k].Cost || len(a[k].Items) != len(b[k].Items) {
+			return false
+		}
+		for j := range a[k].Items {
+			if a[k].Items[j] != b[k].Items[j] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestPatternPricerMatchesReference pins the pricer to the per-round DFS:
+// on random layered DAGs and every portfolio fixture, under random signed
+// duals, Ryan–Foster pairs, forbidden keys and both cost modes, each round
+// returns exactly the reference's columns in the reference's order. The
+// reference carries dual sums by value, so a pricer whose reduced costs
+// drift with the visit history fails here on tied columns.
+func TestPatternPricerMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	b := board(100, 100000, 10)
+	for k := 0; k < 40; k++ {
+		g := layeredGraph(rng, 8+rng.Intn(12))
+		for _, unit := range []bool{false, true} {
+			checkPricingRounds(t, fmt.Sprintf("layered#%d", k), rng, g, b, unit, 6)
+		}
+	}
+	if testing.Short() {
+		return // the portfolio rounds are sequential work the race lane need not repeat
+	}
+	for _, e := range loadPortfolio(t) {
+		for _, unit := range []bool{false, true} {
+			checkPricingRounds(t, e.File, rng, e.graph, e.board, unit, 3)
+		}
+	}
+}
+
+// TestPatternPricerFallbackMatchesReference prices the paper's DCT, whose
+// wide independent layers take the enumeration past its step budget: the
+// tree build is abandoned and every round runs the DFS, which must still
+// match the reference, inexact flag included.
+func TestPatternPricerFallbackMatchesReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("budget-exhausting DCT pricing rounds under -short")
+	}
+	dct, err := jpeg.BuildDCTGraph(hls.XC4000Library(), hls.Constraints{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	pp := checkPricingRounds(t, "dct", rng, dct, arch.PaperXC4044Board(), false, 2)
+	if !pp.noTree {
+		t.Fatalf("DCT built a %d-node tree; want the build to exceed the step budget", len(pp.tree))
 	}
 }
