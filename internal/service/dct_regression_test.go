@@ -89,3 +89,28 @@ func TestDCTInvariantThroughService(t *testing.T) {
 		}
 	}
 }
+
+// TestDCTPinnedPatternsThroughService: the DCT's pattern space is past the
+// pricer's tree cap, so a request that pins formulation "patterns" is
+// answered by the row model with the same proven optimum, and says so.
+func TestDCTPinnedPatternsThroughService(t *testing.T) {
+	g, err := jpeg.BuildDCTGraph(hls.XC4000Library(), hls.Constraints{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Workers: 1})
+	code, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{
+		Graph: marshalGraph(t, g), Board: "paper", Formulation: "patterns",
+	})
+	if code != http.StatusOK {
+		t.Fatalf("solve: HTTP %d: %s", code, body)
+	}
+	var res Result
+	if err := json.Unmarshal(body, &res); err != nil {
+		t.Fatal(err)
+	}
+	if !res.Optimal || res.N != 3 || res.LatencyNS != 300001330 || res.Formulation != "rows" {
+		t.Fatalf("optimal=%v N=%d latency=%.0f formulation=%q, want true/3/300001330/rows",
+			res.Optimal, res.N, res.LatencyNS, res.Formulation)
+	}
+}

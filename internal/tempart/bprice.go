@@ -8,8 +8,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/arch"
-	"repro/internal/dfg"
 	"repro/internal/ilp"
 	"repro/internal/lp"
 	"repro/internal/obs"
@@ -26,10 +24,11 @@ import (
 // on task pairs, an exact pricing problem, and an acyclicity vet
 // (CheckSelection) that cuts cyclic pattern-precedence selections off with
 // no-good rows. Pricing enumerates the feasible patterns over the
-// presolve's reachability bitsets once per SolveBP run into a static tree,
-// and each round walks that tree with the round's duals and branching
-// state; a pattern space too large for the tree is priced by a DFS every
-// round.
+// presolve's reachability bitsets into a static tree, built at most once
+// per Solve and kept beside the presolve for every later probe, and each
+// round walks that tree with the round's duals and branching state. A
+// pattern space too large for the tree is not priced at all: the pattern
+// master does not run on it (patternsApplicable).
 //
 // Soundness rests on three facts about valid temporal partitionings:
 //
@@ -49,23 +48,23 @@ import (
 // bound, which dominates the area ratio and (with the convexity and chain
 // costs) the row formulation's relaxation on mixed-cardinality packings —
 // the regime where the row model's search degenerates into an exponential
-// symmetric crawl. The formulation is gated to instances whose worst-case
-// boundary traffic fits the on-board memory (patternsApplicable): exactly
-// the instances whose memory rows the row model drops too, so neither
-// formulation models Eq. 3 when they compete.
+// symmetric crawl. The formulation is gated (patternsApplicable) to
+// instances whose worst-case boundary traffic fits the on-board memory —
+// exactly the instances whose memory rows the row model drops too, so
+// neither formulation models Eq. 3 when they compete — and whose pattern
+// tree fits, so every pricing round is exact.
 
 // patternPricer is the pricing problem of the pattern formulation: find
 // feasible patterns with negative reduced cost d(S) − Σ λ_t − μ under the
-// node's Ryan–Foster constraints. One pricer serves a whole SolveBP run.
+// node's Ryan–Foster constraints. One pricer serves every pattern probe of
+// a Solve: patternsApplicable creates it and builds its tree, and keeps it
+// on the presolve only when the tree fits.
 //
 // Pricing is split by what depends on the duals. The static include rules
 // — CLB and extra-resource area, the convexity taint rule, the chain delay
-// — do not, so the first pricing call enumerates every feasible pattern
-// once into a tree (buildTree), and each round walks that tree applying
-// only the per-round rules: the reduced-cost prune, the Ryan–Foster checks
-// and the emission (walk). Where the enumeration does not fit the step
-// budget or maxTreeNodes, every round runs the DFS that interleaves both
-// rule sets (dfs). Both paths emit the same columns in the same order.
+// — do not, so buildTree enumerates every feasible pattern once into a
+// tree, and each round walks that tree applying only the per-round rules:
+// the reduced-cost prune, the Ryan–Foster checks and the emission (walk).
 type patternPricer struct {
 	pre   *presolve
 	words int
@@ -76,22 +75,13 @@ type patternPricer struct {
 	// enumeration abandon a set as soon as no remaining task can fit the
 	// residual area (emissions only happen at include steps).
 	sufMinRes []int
-	// unitCost prices every pattern at 1 instead of d(S): the master then
-	// bounds the minimum number of patterns (the set-partitioning packing
-	// bound patternPackBound exposes to the property tests).
-	unitCost bool
-	budget   int // enumeration steps per tree build or pricing round
-	// done is the solve's cancellation channel (nil: never cancelled). The
-	// enumeration polls it every pricerPollSteps steps and reports a
-	// cancelled round inexact, so a cancelled solve never prices out a
-	// whole budget.
+	// done is the running probe's cancellation channel (nil: never
+	// cancelled). The walk polls it (stepper) and reports a cancelled round
+	// inexact.
 	done <-chan struct{}
 
-	// tree is the static enumeration tree, built by the first pricing
-	// call; noTree records a build that did not fit, after which every
-	// round runs the DFS.
-	tree   []patternNode
-	noTree bool
+	// tree is the static enumeration tree (buildTree).
+	tree []patternNode
 
 	// The enumeration's current set, reused across pricing calls (SolveBP
 	// prices sequentially). join and leave keep cur and inSet, all the walk
@@ -116,12 +106,12 @@ type patternNode struct {
 }
 
 // maxTreeNodes caps the enumeration tree at 2^18 16-byte nodes (4 MiB);
-// a larger pattern space is priced by the per-round DFS.
+// the pattern master does not run on a larger pattern space.
 const maxTreeNodes = 1 << 18
 
-// pricerBudget bounds the enumeration steps of one tree build or pricing
-// round. Beyond it the build is abandoned and a round is reported inexact,
-// which SolveBP handles soundly (no bound claims).
+// pricerBudget bounds the enumeration steps of one tree build; a build
+// past it is abandoned like one past maxTreeNodes. A round's walk steps at
+// most as often as the build did, so it never reaches the budget.
 const pricerBudget = 1_000_000
 
 // pricerPollSteps is the enumeration stride between cancellation polls (a
@@ -135,7 +125,7 @@ const maxPricedCols = 40
 // rcEps is the reduced-cost tolerance: a column prices out below −rcEps.
 const rcEps = 1e-9
 
-func newPatternPricer(pre *presolve, unitCost bool) *patternPricer {
+func newPatternPricer(pre *presolve) *patternPricer {
 	nT := len(pre.delays)
 	words := (nT + 63) / 64
 	pp := &patternPricer{
@@ -144,8 +134,6 @@ func newPatternPricer(pre *presolve, unitCost bool) *patternPricer {
 		desc:      make([][]uint64, nT),
 		order:     pre.topo,
 		pos:       make([]int, nT),
-		unitCost:  unitCost,
-		budget:    pricerBudget,
 		cur:       make([]int, 0, nT),
 		inSet:     make([]bool, nT),
 		member:    make([]uint64, words),
@@ -295,19 +283,10 @@ func (pp *patternPricer) measure(items []int) (feasible bool, delay float64) {
 	return feasible, delay
 }
 
-// costOf is the master objective coefficient of a pattern with d(S) =
-// delay.
-func (pp *patternPricer) costOf(delay float64) float64 {
-	if pp.unitCost {
-		return 1
-	}
-	return delay
-}
-
-// patternCost is the master objective coefficient of a pattern.
+// patternCost is the master objective coefficient of a pattern: d(S).
 func (pp *patternPricer) patternCost(items []int) float64 {
 	_, delay := pp.measure(items)
-	return pp.costOf(delay)
+	return delay
 }
 
 // patternFeasible reports whether items is a feasible partition content:
@@ -317,12 +296,13 @@ func (pp *patternPricer) patternFeasible(items []int) bool {
 	return feasible
 }
 
-// stepper counts enumeration steps against a budget and polls the solve's
-// cancellation every pricerPollSteps steps; once stopped it stays stopped.
+// stepper counts enumeration steps against pricerBudget and polls the
+// cancellation channel on the first step and every pricerPollSteps steps
+// after it; once stopped it stays stopped.
 type stepper struct {
-	steps, budget int
-	done          <-chan struct{}
-	stopped       bool
+	steps   int
+	done    <-chan struct{}
+	stopped bool
 }
 
 // step counts one step and reports whether the enumeration must stop.
@@ -331,7 +311,7 @@ func (s *stepper) step() bool {
 		return true
 	}
 	s.steps++
-	if s.steps > s.budget || s.steps&(pricerPollSteps-1) == 0 && closed(s.done) {
+	if s.steps > pricerBudget || s.steps&(pricerPollSteps-1) == 1 && closed(s.done) {
 		s.stopped = true
 	}
 	return s.stopped
@@ -350,13 +330,13 @@ func closed(done <-chan struct{}) bool {
 // buildTree enumerates every feasible pattern once into pp.tree: the DFS
 // over the topological order with only the static rules, which includes
 // order[i] before it excludes it, so the tree is in the DFS's pre-order.
-// It steps exactly where a round's DFS would with no per-round rule in
-// force, so a round over a built tree can never have run out of budget.
-// It reports false, leaving no tree, when the enumeration exceeds the step
-// budget or maxTreeNodes, or the solve is cancelled.
-func (pp *patternPricer) buildTree() bool {
+// A round's walk visits a subset of the tree's nodes, so it cannot run out
+// of the budget the build fit in. It reports false, leaving no tree, when
+// the enumeration exceeds pricerBudget steps or maxNodes nodes, or done is
+// closed.
+func (pp *patternPricer) buildTree(done <-chan struct{}, maxNodes int) bool {
 	nT := len(pp.order)
-	st := stepper{budget: pp.budget, done: pp.done}
+	st := stepper{done: done}
 	pp.tree = make([]patternNode, 0, nT)
 	var enum func(i int, delay float64)
 	enum = func(i int, delay float64) {
@@ -365,14 +345,14 @@ func (pp *patternPricer) buildTree() bool {
 		}
 		if t := pp.order[i]; pp.canAdd(t) {
 			switch len(pp.tree) {
-			case maxTreeNodes:
+			case maxNodes:
 				st.stopped = true
 				return
 			case cap(pp.tree):
 				// Doubling keeps the discarded arrays below the tree's
 				// own size, where append's growth for large slices would
 				// allocate about five times the tree over a build.
-				pp.tree = append(make([]patternNode, 0, min(2*cap(pp.tree), maxTreeNodes)), pp.tree...)
+				pp.tree = append(make([]patternNode, 0, min(2*cap(pp.tree), maxNodes)), pp.tree...)
 			}
 			at := len(pp.tree)
 			nd := pp.add(i, t, delay)
@@ -413,12 +393,11 @@ type pricedColumn struct {
 
 // pruned is the reduced-cost prune at position i of a set with d(S) =
 // delay and dual sum lamSum: no extension by order[i:] can price negative,
-// since the cost only grows along a branch (a unit cost is 1 for every
-// nonempty pattern) and the duals still to come add at most posSuf[i].
-// posSuf shrinks as i grows, so a prune at i holds at every later
-// position too.
+// since the cost only grows along a branch and the duals still to come add
+// at most posSuf[i]. posSuf shrinks as i grows, so a prune at i holds at
+// every later position too.
 func (r *pricingRound) pruned(i int, delay, lamSum float64) bool {
-	return r.pp.costOf(delay)-lamSum-r.mu-r.posSuf[i] >= -rcEps
+	return delay-lamSum-r.mu-r.posSuf[i] >= -rcEps
 }
 
 // admits applies the Ryan–Foster rules to including t = order[i]: no
@@ -472,8 +451,7 @@ func (r *pricingRound) nextStop(stop, i, t int) int {
 // holds every same-partner of its members, and is not forbidden.
 func (r *pricingRound) offer(delay, lamSum float64) {
 	pp := r.pp
-	cost := pp.costOf(delay)
-	rc := cost - lamSum - r.mu
+	rc := delay - lamSum - r.mu
 	if rc >= -rcEps || len(r.best) == maxPricedCols && rc >= r.best[r.worst].rc {
 		return
 	}
@@ -489,7 +467,7 @@ func (r *pricingRound) offer(delay, lamSum float64) {
 	if len(r.forbidden) > 0 && r.forbidden[ilp.BPKey(pp.cur)] {
 		return
 	}
-	col := pricedColumn{append([]int(nil), pp.cur...), cost, rc}
+	col := pricedColumn{append([]int(nil), pp.cur...), delay, rc}
 	if len(r.best) < maxPricedCols {
 		r.best = append(r.best, col)
 		if len(r.best) == 1 || rc > r.best[r.worst].rc {
@@ -507,11 +485,13 @@ func (r *pricingRound) offer(delay, lamSum float64) {
 }
 
 // walk prices the children tree[lo:hi] of the current set, with d(S) =
-// delay, dual sum lamSum and exclusion stop stop (see nextStop). The
-// child at position i is the DFS's include step at i, which the DFS
-// reaches only when no position from the parent's to i was pruned — the
-// same as i not being pruned, since the prune only tightens as i grows —
-// and i is not past the stop.
+// delay, dual sum lamSum and exclusion stop stop (see nextStop). Its
+// reference is the per-round DFS that applies the static and the
+// per-round rules at every step (referencePrice in the tests). The child
+// at position i is that DFS's include step at i, which the DFS reaches
+// only when no position from the parent's to i was pruned — the same as i
+// not being pruned, since the prune only tightens as i grows — and i is
+// not past the stop.
 func (r *pricingRound) walk(lo, hi int, delay, lamSum float64, stop int) {
 	pp := r.pp
 	for c := lo; c < hi; c = int(pp.tree[c].end) {
@@ -532,45 +512,18 @@ func (r *pricingRound) walk(lo, hi int, delay, lamSum float64, stop int) {
 	}
 }
 
-// dfs prices from position i of a pricer without a tree: the build's
-// enumeration with the per-round rules applied at every step, for the
-// current set with d(S) = delay, dual sum lamSum and exclusion stop stop
-// (see nextStop).
-func (r *pricingRound) dfs(i int, delay, lamSum float64, stop int) {
-	pp := r.pp
-	if r.steps.step() || r.pruned(i, delay, lamSum) || i == len(pp.order) || !pp.fits(i) {
-		return
-	}
-	if t := pp.order[i]; pp.canAdd(t) && r.admits(t, i) {
-		nd := pp.add(i, t, delay)
-		lam := lamSum + r.lambda[t]
-		r.offer(nd, lam)
-		r.dfs(i+1, nd, lam, r.nextStop(stop, i, t))
-		pp.remove(i, t)
-	}
-	if i < stop {
-		r.dfs(i+1, delay, lamSum, stop)
-	}
-}
-
 // price is the ilp.BPPricer: an exact enumeration, in the topological
 // candidate order, of every convex, area-feasible pattern compatible with
 // the node's Ryan–Foster state, emitting the best negative-reduced-cost
-// ones. The first call builds the static tree; each call then walks it,
-// or runs the DFS where the tree did not fit. The two emit the same
-// columns in the same order: the tree holds the DFS's include steps in the
-// DFS's pre-order, so the walk offers the same sets in the same sequence,
-// and it skips a child exactly when the DFS would not include that task
-// (see walk). Each set's dual sum is the sum of its members' duals in
-// inclusion order, carried by value, so a column's reduced cost does not
-// depend on what the enumeration visited before it. Exhausting the step
-// budget, or a cancelled solve, reports the round inexact; SolveBP then
-// makes no bound claims from it. A built tree never exhausts the budget:
-// the build stepped at least as often as any round's DFS would.
+// ones. It walks the tree buildTree built, which must have fit: the tree
+// holds the reference DFS's include steps in its pre-order, so the walk
+// offers the same sets in the same sequence, and it skips a child exactly
+// when the DFS would not include that task (see walk). Each
+// set's dual sum is the sum of its members' duals in inclusion order,
+// carried by value, so a column's reduced cost does not depend on what the
+// enumeration visited before it. A cancelled probe reports the round
+// inexact; SolveBP then makes no bound claims from it.
 func (pp *patternPricer) price(lambda []float64, mu float64, same, differ [][2]int, forbidden map[string]bool) ([]ilp.BPColumn, bool) {
-	if pp.tree == nil && !pp.noTree {
-		pp.noTree = !pp.buildTree()
-	}
 	nT := len(pp.order)
 	r := &pricingRound{
 		pp:        pp,
@@ -581,7 +534,7 @@ func (pp *patternPricer) price(lambda []float64, mu float64, same, differ [][2]i
 		samePart:  make([][]int, nT),
 		differ:    make([][]int, nT),
 		forbidden: forbidden,
-		steps:     stepper{budget: pp.budget, done: pp.done},
+		steps:     stepper{done: pp.done},
 	}
 	for i := nT - 1; i >= 0; i-- {
 		r.posSuf[i] = r.posSuf[i+1]
@@ -597,11 +550,7 @@ func (pp *patternPricer) price(lambda []float64, mu float64, same, differ [][2]i
 		r.differ[ab[0]] = append(r.differ[ab[0]], ab[1])
 		r.differ[ab[1]] = append(r.differ[ab[1]], ab[0])
 	}
-	if pp.noTree {
-		r.dfs(0, 0, 0, nT)
-	} else {
-		r.walk(0, len(pp.tree), 0, 0, nT)
-	}
+	r.walk(0, len(pp.tree), 0, 0, nT)
 
 	sort.Slice(r.best, func(a, b int) bool { return r.best[a].rc < r.best[b].rc })
 	cols := make([]ilp.BPColumn, len(r.best))
@@ -751,29 +700,61 @@ func (pp *patternPricer) selectionAcyclic(sel [][]int) bool {
 	return ok
 }
 
-// patternsApplicable gates the pattern formulation to instances whose
-// worst-case boundary traffic fits the on-board memory: exactly the
-// instances whose memory rows buildModel drops as never-binding, so the
-// pattern master (which has no memory rows) solves the same problem.
-func patternsApplicable(g *dfg.Graph, board arch.Board) bool {
+// errNoPatternTree is a race rival's verdict when the pattern master does
+// not apply: not decisive, so the row verdict stands.
+var errNoPatternTree = errors.New("tempart: pattern master not applicable")
+
+// patternsApplicable decides whether the pattern master may run a probe of
+// this solve. Two conditions must hold. The instance's worst-case boundary
+// traffic must fit the on-board memory: exactly the instances whose memory
+// rows buildModel drops as never-binding, so the pattern master (which has
+// no memory rows) solves the same problem. And its pattern tree must fit
+// the step budget and the node cap, so every pricing round is exact.
+//
+// The tree is built at most once per solve, here, and kept on the presolve
+// (pre.pricer) when it fits; a tree that does not fit is remembered too
+// (pre.treeOverflow), and the solve runs rows from then on. Until the tree
+// is known, build decides: true builds it now under ctx, and false answers
+// true and leaves the build to the caller's pattern master (a race rival
+// builds on its own goroutine). A build stopped by ctx leaves the tree
+// unknown, so a later probe builds again.
+func patternsApplicable(ctx context.Context, in Input, pre *presolve, build bool) bool {
 	total := 0
-	for _, e := range g.Edges() {
+	for _, e := range in.Graph.Edges() {
 		total += e.Data
 	}
-	return total <= board.Memory.Words
+	switch {
+	case total > in.Board.Memory.Words || pre.treeOverflow:
+		return false
+	case pre.pricer != nil || !build:
+		return true
+	}
+	maxNodes := maxTreeNodes
+	if in.testMaxTreeNodes > 0 {
+		maxNodes = in.testMaxTreeNodes
+	}
+	pp := newPatternPricer(pre)
+	switch {
+	case pp.buildTree(ctx.Done(), maxNodes):
+		pre.pricer = pp
+	case ctx.Err() == nil:
+		pre.treeOverflow = true
+	}
+	return pre.pricer != nil
 }
 
-// solveForNPatterns is the pattern-formulation twin of solveForN: build the
-// pricer, run branch-and-price at the fixed partition budget N, and map the
-// winning selection back to a task assignment. The return contract matches
-// solveForN exactly — (nil, nil) relaxes N, errors abort the relax loop,
-// Timeout-with-incumbent yields an anytime Partial result.
+// solveForNPatterns is the pattern-formulation twin of solveForN: run
+// branch-and-price at the fixed partition budget N over the solve's pricer,
+// which patternsApplicable must have built, and map the winning selection
+// back to a task assignment. The return contract matches solveForN exactly
+// — (nil, nil) relaxes N, errors abort the relax loop, Timeout-with-
+// incumbent yields an anytime Partial result.
 func solveForNPatterns(ctx context.Context, in Input, pre *presolve, N int) (*Partitioning, error) {
 	g := in.Graph
 	nT := g.NumTasks()
 	buildStart := time.Now()
 	buildSpan := in.Trace.BeginArg(obs.PhaseModelBuild, int64(N))
-	pp := newPatternPricer(pre, false)
+	pp := pre.pricer
 	pp.done = ctx.Done()
 	sumDelay := 0.0
 	integral := true
@@ -865,38 +846,4 @@ func solveForNPatterns(ctx context.Context, in Input, pre *presolve, N int) (*Pa
 	})
 	part.Partial, part.BoundTrusted = sol.Status == ilp.Timeout, sol.BoundTrusted
 	return part, nil
-}
-
-// patternPackBound returns the unit-cost pattern master's root bound: the
-// converged column-generation LP bound on the minimum number of patterns
-// any cover needs. The property tests compare it against the combinatorial
-// packingNeed floor — the pattern bound must dominate it (rounded up),
-// since convexity only shrinks the pattern set. trusted=false reports that
-// pricing did not converge at the root (budget), making the bound only
-// restricted-master-valid.
-func patternPackBound(g *dfg.Graph, board arch.Board) (float64, bool) {
-	pre := newPresolve(g, board)
-	pp := newPatternPricer(pre, true)
-	// The probe is offline (property tests, not the solve path), so it can
-	// afford a much deeper DFS: a converged root is the whole point here,
-	// and wide unit-cost instances (parallel FIR banks) need the headroom.
-	pp.budget = 16 * pricerBudget
-	nT := g.NumTasks()
-	if nT == 0 {
-		return 0, true
-	}
-	sol, err := ilp.SolveBP(ilp.BPOptions{
-		NumItems:   nT,
-		Count:      nT,
-		ArtCost:    4*float64(nT) + 16,
-		MaxFeasObj: float64(nT),
-		Seeds:      pp.seedColumns(true),
-		Pricer:     pp.price,
-		ObjInteger: true,
-		MaxNodes:   1,
-	})
-	if err != nil {
-		return 0, false
-	}
-	return sol.Bound, sol.BoundTrusted
 }

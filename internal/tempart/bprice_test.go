@@ -125,8 +125,7 @@ func TestPatternPricerColumnsFeasible(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng)
 		n := g.NumTasks()
-		pre := newPresolve(g, b)
-		pp := newPatternPricer(pre, false)
+		pp := builtPricer(t, g, b)
 		// Duals generous enough that every feasible pattern prices negative:
 		// λ_t = D(t) + Σ D — each single inclusion already beats any chain.
 		sum := 0.0
@@ -306,7 +305,7 @@ func TestPatternFormulationFallsBackToRows(t *testing.T) {
 	g.MustAddTask(dfg.Task{Name: "b", Resources: 60, Delay: 100})
 	g.MustAddEdge("a", "b", 200) // 200 words > 100-word memory
 	b := board(100, 100, 0)
-	if patternsApplicable(g, b) {
+	if patternsApplicable(context.Background(), Input{Graph: g, Board: b}, newPresolve(g, b), true) {
 		t.Fatal("patternsApplicable should reject 200 words > 100")
 	}
 	part, err := Solve(context.Background(), Input{Graph: g, Board: b, Formulation: FormulationPatterns})
@@ -365,8 +364,10 @@ func TestPatternChainBlocks102(t *testing.T) {
 // reference the pricer must match exactly: every round enumerates the
 // topological order afresh, applying the static and the per-round rules at
 // every step, and carries each set's dual sum by value. It has its own
-// scratch and reads only the pricer's static fields.
-func referencePrice(pp *patternPricer, lambda []float64, mu float64, same, differ [][2]int, forbidden map[string]bool) ([]ilp.BPColumn, bool) {
+// scratch and reads only the pricer's static fields. unitCost prices every
+// pattern at 1 instead of d(S) (patternPackBound's master), and a round
+// past budget steps is reported inexact.
+func referencePrice(pp *patternPricer, unitCost bool, budget int, lambda []float64, mu float64, same, differ [][2]int, forbidden map[string]bool) ([]ilp.BPColumn, bool) {
 	pre := pp.pre
 	nT := len(pre.delays)
 	clbCap := pre.board.FPGA.CLBs
@@ -434,12 +435,12 @@ func referencePrice(pp *patternPricer, lambda []float64, mu float64, same, diffe
 			return
 		}
 		steps++
-		if steps > pp.budget {
+		if steps > budget {
 			inexact = true
 			return
 		}
 		costLB := curDelay
-		if pp.unitCost {
+		if unitCost {
 			costLB = 1
 		}
 		if costLB-lamSum-mu-posSuf[i] >= -eps || i == nT || areaRes+pp.sufMinRes[i] > clbCap {
@@ -494,7 +495,7 @@ func referencePrice(pp *patternPricer, lambda []float64, mu float64, same, diffe
 			lam := lamSum + lambda[t]
 
 			cost := nd
-			if pp.unitCost {
+			if unitCost {
 				cost = 1
 			}
 			if rc := cost - lam - mu; rc < -eps {
@@ -564,16 +565,13 @@ func layeredGraph(rng *rand.Rand, nT int) *dfg.Graph {
 // pricingDuals draws signed duals on a grid of tenths, scaled to the cost
 // of a pattern, so many columns tie in exact arithmetic and any drift in a
 // dual sum reorders them; and a signed μ.
-func pricingDuals(rng *rand.Rand, g *dfg.Graph, unitCost bool) ([]float64, float64) {
+func pricingDuals(rng *rand.Rand, g *dfg.Graph) ([]float64, float64) {
 	nT := g.NumTasks()
 	scale := 0.0
 	for t := 0; t < nT; t++ {
 		scale += g.Task(t).Delay
 	}
 	scale /= float64(nT)
-	if unitCost {
-		scale = 0.25
-	}
 	lambda := make([]float64, nT)
 	for t := range lambda {
 		lambda[t] = scale * float64(rng.Intn(21)-5) / 10
@@ -595,16 +593,26 @@ func ryanFosterPairs(rng *rand.Rand, nT int) (same, differ [][2]int) {
 	return draw(), draw()
 }
 
-// checkPricingRounds prices several rounds on one pricer, so rounds after
-// the first reuse what the first built, and compares each round with the
-// reference under ==: items, costs, order and the inexact flag. Every
-// other round also forbids a random share of the previous round's columns.
-func checkPricingRounds(t *testing.T, name string, rng *rand.Rand, g *dfg.Graph, b arch.Board, unitCost bool, rounds int) *patternPricer {
+// builtPricer returns a pricer for g on b whose pattern tree fits.
+func builtPricer(t *testing.T, g *dfg.Graph, b arch.Board) *patternPricer {
 	t.Helper()
-	pp := newPatternPricer(newPresolve(g, b), unitCost)
+	pp := newPatternPricer(newPresolve(g, b))
+	if !pp.buildTree(nil, maxTreeNodes) {
+		t.Fatalf("%s: the pattern tree does not fit", g.Name)
+	}
+	return pp
+}
+
+// checkPricingRounds prices several rounds on one built pricer and
+// compares each round with the reference under ==: items, costs, order and
+// the inexact flag. Every other round also forbids a random share of the
+// previous round's columns.
+func checkPricingRounds(t *testing.T, name string, rng *rand.Rand, pp *patternPricer, rounds int) {
+	t.Helper()
+	g := pp.pre.g
 	var prev []ilp.BPColumn
 	for round := 0; round < rounds; round++ {
-		lambda, mu := pricingDuals(rng, g, unitCost)
+		lambda, mu := pricingDuals(rng, g)
 		var same, differ [][2]int
 		if round > 0 {
 			same, differ = ryanFosterPairs(rng, g.NumTasks())
@@ -618,15 +626,14 @@ func checkPricingRounds(t *testing.T, name string, rng *rand.Rand, g *dfg.Graph,
 				}
 			}
 		}
-		want, wantInexact := referencePrice(pp, lambda, mu, same, differ, forbidden)
+		want, wantInexact := referencePrice(pp, false, pricerBudget, lambda, mu, same, differ, forbidden)
 		got, gotInexact := pp.price(lambda, mu, same, differ, forbidden)
 		if gotInexact != wantInexact || !equalColumns(got, want) {
-			t.Fatalf("%s unit=%v round %d (same %v differ %v, %d forbidden):\n got %v inexact=%v\nwant %v inexact=%v",
-				name, unitCost, round, same, differ, len(forbidden), got, gotInexact, want, wantInexact)
+			t.Fatalf("%s round %d (same %v differ %v, %d forbidden):\n got %v inexact=%v\nwant %v inexact=%v",
+				name, round, same, differ, len(forbidden), got, gotInexact, want, wantInexact)
 		}
 		prev = got
 	}
-	return pp
 }
 
 func equalColumns(a, b []ilp.BPColumn) bool {
@@ -647,45 +654,95 @@ func equalColumns(a, b []ilp.BPColumn) bool {
 }
 
 // TestPatternPricerMatchesReference pins the pricer to the per-round DFS:
-// on random layered DAGs and every portfolio fixture, under random signed
-// duals, Ryan–Foster pairs, forbidden keys and both cost modes, each round
-// returns exactly the reference's columns in the reference's order. The
-// reference carries dual sums by value, so a pricer whose reduced costs
-// drift with the visit history fails here on tied columns.
+// on random layered DAGs and every portfolio fixture whose tree fits,
+// under random signed duals, Ryan–Foster pairs and forbidden keys, each
+// round returns exactly the reference's columns in the reference's order.
+// The reference carries dual sums by value, so a pricer whose reduced
+// costs drift with the visit history fails here on tied columns. The
+// fixtures in treeOverflows must overflow instead.
 func TestPatternPricerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	b := board(100, 100000, 10)
 	for k := 0; k < 40; k++ {
 		g := layeredGraph(rng, 8+rng.Intn(12))
-		for _, unit := range []bool{false, true} {
-			checkPricingRounds(t, fmt.Sprintf("layered#%d", k), rng, g, b, unit, 6)
-		}
+		checkPricingRounds(t, fmt.Sprintf("layered#%d", k), rng, builtPricer(t, g, b), 6)
 	}
 	if testing.Short() {
 		return // the portfolio rounds are sequential work the race lane need not repeat
 	}
 	for _, e := range loadPortfolio(t) {
-		for _, unit := range []bool{false, true} {
-			checkPricingRounds(t, e.File, rng, e.graph, e.board, unit, 3)
+		pp := newPatternPricer(newPresolve(e.graph, e.board))
+		if fits := pp.buildTree(nil, maxTreeNodes); fits == treeOverflows[e.File] {
+			t.Fatalf("%s: tree fits = %v, want %v", e.File, fits, !treeOverflows[e.File])
+		}
+		if !treeOverflows[e.File] {
+			checkPricingRounds(t, e.File, rng, pp, 3)
 		}
 	}
 }
 
-// TestPatternPricerFallbackMatchesReference prices the paper's DCT, whose
-// wide independent layers take the enumeration past its step budget: the
-// tree build is abandoned and every round runs the DFS, which must still
-// match the reference, inexact flag included.
-func TestPatternPricerFallbackMatchesReference(t *testing.T) {
+// treeOverflows names the portfolio fixtures whose pattern space is past
+// the tree's cap: the pattern master does not run on them.
+var treeOverflows = map[string]bool{"fir8.json": true}
+
+// TestPatternTreeOverflowsOnWideLayers builds the pattern trees of the
+// paper's DCT and of fir8, whose wide independent layers hold more
+// convex, area-feasible sets than the tree's cap: both builds overflow,
+// and a solve that asks for the pattern master gets the row model.
+func TestPatternTreeOverflowsOnWideLayers(t *testing.T) {
 	if testing.Short() {
-		t.Skip("budget-exhausting DCT pricing rounds under -short")
+		t.Skip("cap-sized tree builds under -short")
 	}
 	dct, err := jpeg.BuildDCTGraph(hls.XC4000Library(), hls.Constraints{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(8))
-	pp := checkPricingRounds(t, "dct", rng, dct, arch.PaperXC4044Board(), false, 2)
-	if !pp.noTree {
-		t.Fatalf("DCT built a %d-node tree; want the build to exceed the step budget", len(pp.tree))
+	fir8 := portfolioFile(t, "fir8.json")
+	for name, in := range map[string]Input{
+		"dct":  {Graph: dct, Board: arch.PaperXC4044Board()},
+		"fir8": {Graph: fir8.graph, Board: fir8.board},
+	} {
+		pre := newPresolve(in.Graph, in.Board)
+		if patternsApplicable(context.Background(), in, pre, true) || !pre.treeOverflow || pre.pricer != nil {
+			t.Errorf("%s: pattern master applies (overflow=%v); want the tree to overflow", name, pre.treeOverflow)
+		}
 	}
+}
+
+// patternPackBound returns the unit-cost pattern master's root bound: the
+// converged column-generation LP bound on the minimum number of patterns
+// any cover needs. TestPatternRootBoundDominatesPackingNeed compares it
+// against the combinatorial packingNeed floor — the pattern bound must
+// dominate it (rounded up), since convexity only shrinks the pattern set.
+// trusted=false reports that pricing did not converge at the root
+// (budget), making the bound only restricted-master-valid. It prices with
+// referencePrice, which needs no tree, at 16 times the build's budget:
+// a converged root is the whole point here, and wide unit-cost instances
+// (parallel FIR banks) need the headroom.
+func patternPackBound(g *dfg.Graph, board arch.Board) (float64, bool) {
+	nT := g.NumTasks()
+	if nT == 0 {
+		return 0, true
+	}
+	pp := newPatternPricer(newPresolve(g, board))
+	seeds := pp.seedColumns(true)
+	for k := range seeds {
+		seeds[k].Cost = 1
+	}
+	sol, err := ilp.SolveBP(ilp.BPOptions{
+		NumItems:   nT,
+		Count:      nT,
+		ArtCost:    4*float64(nT) + 16,
+		MaxFeasObj: float64(nT),
+		Seeds:      seeds,
+		Pricer: func(lambda []float64, mu float64, same, differ [][2]int, forbidden map[string]bool) ([]ilp.BPColumn, bool) {
+			return referencePrice(pp, true, 16*pricerBudget, lambda, mu, same, differ, forbidden)
+		},
+		ObjInteger: true,
+		MaxNodes:   1,
+	})
+	if err != nil {
+		return 0, false
+	}
+	return sol.Bound, sol.BoundTrusted
 }

@@ -70,8 +70,10 @@ type Input struct {
 	// them: each probe runs rows, and starts the pattern master as a rival
 	// when the rows root LP leaves the probe open; the first proof wins
 	// (raceForN). Instances whose worst-case boundary traffic exceeds the
-	// on-board memory run rows alone (the pattern master has no Eq. 3
-	// rows; see patternsApplicable).
+	// on-board memory (the pattern master has no Eq. 3 rows), or whose
+	// pattern space does not fit the pricer's pattern tree, run rows
+	// alone, pinned or not, and report Stats.Formulation "rows" (see
+	// patternsApplicable).
 	Formulation string
 	// NoSymmetryBreaking disables the ordering constraints between
 	// provably interchangeable tasks. They are on by default: they never
@@ -107,9 +109,14 @@ type Input struct {
 	// probe).
 	testProbe func()
 	// testRival, when non-nil, runs on a race's rival goroutine before the
-	// pattern master starts (tests only: it lets a test cancel a solve
-	// once its rival is live).
-	testRival func()
+	// pattern master starts, with the race's context (tests only: it lets
+	// a test cancel a solve once its rival is live, or hold the rival
+	// until the row search wins).
+	testRival func(race context.Context)
+	// testMaxTreeNodes, when positive, replaces the pattern tree's node
+	// cap maxTreeNodes (tests only: it makes a small instance's tree
+	// overflow).
+	testMaxTreeNodes int
 }
 
 // SolveStats records model and search sizes for reporting.
@@ -164,7 +171,8 @@ type SolveStats struct {
 	// verdict ("rows" or "patterns"); empty for non-ILP results. Under the
 	// default it names the race's winner, and under a pin it can still
 	// differ from Input.Formulation when the pattern backend declined the
-	// instance (inter-partition data) and fell back to rows.
+	// instance (inter-partition data, or a pattern space past the tree's
+	// cap) and fell back to rows.
 	Formulation string
 }
 
@@ -721,7 +729,7 @@ const (
 // pinned model runs alone, and the default races the two (raceForN).
 // It returns (nil, nil) when the model is infeasible at this N.
 func solveForN(ctx context.Context, in Input, pre *presolve, N int, tally *proofTally) (*Partitioning, error) {
-	if in.Formulation != FormulationRows && patternsApplicable(in.Graph, in.Board) {
+	if in.Formulation != FormulationRows && patternsApplicable(ctx, in, pre, in.Formulation == FormulationPatterns) {
 		switch in.Formulation {
 		case FormulationPatterns:
 			return solveForNPatterns(ctx, in, pre, N)

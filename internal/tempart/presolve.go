@@ -75,6 +75,14 @@ type presolve struct {
 	// at usedN serves every probe with N >= usedN — maxFeasibleN and every
 	// warmStart call read these instead of re-running the packing.
 	greedy [2]greedyResult
+
+	// pricer is the pattern master's pricer with its pattern tree, and
+	// treeOverflow records a tree that did not fit. patternsApplicable sets
+	// them, at most once per solve; the pattern probes run one at a time
+	// (a race joins its rival before the probe returns), so they need no
+	// lock.
+	pricer       *patternPricer
+	treeOverflow bool
 }
 
 // greedyResult is one cached warm-start heuristic outcome.

@@ -32,7 +32,10 @@ func (v raceVerdict) decisive() bool {
 // non-decisive first finisher waits for the other attempt, and when
 // neither is decisive the row verdict stands: exactly the pinned rows
 // answer. Probes the rows root closes (the DCT, FIR and packing probes)
-// never start a rival and pay only the race context.
+// never start a rival and pay only the race context. The first rival of a
+// solve builds the pattern tree (patternsApplicable) on its own goroutine;
+// when the tree does not fit, that rival's verdict is not decisive, and
+// solveForN starts no rival on later probes.
 func raceForN(ctx context.Context, in Input, pre *presolve, N int, tally *proofTally) (*Partitioning, error) {
 	raceCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -59,7 +62,11 @@ func raceForN(ctx context.Context, in Input, pre *presolve, N int, tally *proofT
 				rival <- v
 			}()
 			if in.testRival != nil {
-				in.testRival()
+				in.testRival(raceCtx)
+			}
+			if !patternsApplicable(raceCtx, in, pre, true) {
+				v.err = errNoPatternTree
+				return
 			}
 			v.part, v.err = solveForNPatterns(raceCtx, in, pre, N)
 		}()

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -114,7 +115,7 @@ func TestRaceCancelJoinsRival(t *testing.T) {
 	defer cancel()
 	rec := obs.NewRecorder(0)
 	_, err := Solve(ctx, Input{Graph: e.graph, Board: e.board, NoSymmetryBreaking: e.NoSymmetry,
-		DisableWarmStart: e.NoWarm, Trace: rec, testRival: cancel})
+		DisableWarmStart: e.NoWarm, Trace: rec, testRival: func(context.Context) { cancel() }})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled race returned %v, want context.Canceled", err)
 	}
@@ -160,9 +161,10 @@ func TestRaceTraceShowsRival(t *testing.T) {
 }
 
 // TestPatternPricerHonoursCancel cancels an explicit-patterns solve of the
-// paper's DCT 2 ms in. Its pricing DFS exhausts the step budget on every
-// call (wide independent layers), so only the pricer's own cancellation
-// poll can stop it before the call ends.
+// paper's DCT 2 ms into its first searched probe. That probe is building
+// the solve's pattern tree, and the DCT's wide independent layers take the
+// build to the tree's node cap, so only the build's own cancellation poll
+// can stop it before it ends.
 func TestPatternPricerHonoursCancel(t *testing.T) {
 	dct, err := jpeg.BuildDCTGraph(hls.XC4000Library(), hls.Constraints{})
 	if err != nil {
@@ -170,17 +172,122 @@ func TestPatternPricerHonoursCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var cancelled time.Time
-	time.AfterFunc(2*time.Millisecond, func() {
-		cancelled = time.Now()
-		cancel()
-	})
-	_, err = Solve(ctx, Input{Graph: dct, Board: arch.PaperXC4044Board(), Formulation: FormulationPatterns})
+	var (
+		once      sync.Once
+		cancelled time.Time
+	)
+	probe := func() {
+		once.Do(func() {
+			time.AfterFunc(2*time.Millisecond, func() {
+				cancelled = time.Now()
+				cancel()
+			})
+		})
+	}
+	_, err = Solve(ctx, Input{Graph: dct, Board: arch.PaperXC4044Board(), Formulation: FormulationPatterns, testProbe: probe})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled solve returned %v, want context.Canceled", err)
 	}
 	if lag := time.Since(cancelled); lag > 25*time.Millisecond {
 		t.Fatalf("solve returned %v after its cancel", lag)
+	}
+}
+
+// TestPinnedPatternsPastTheTreeRunRows: the paper's DCT and fir8 have
+// pattern spaces past the tree's cap, so a pinned "patterns" solve runs
+// the row model and returns its proven optimum in well under the wall
+// bound, also under the race detector.
+func TestPinnedPatternsPastTheTreeRunRows(t *testing.T) {
+	dct, err := jpeg.BuildDCTGraph(hls.XC4000Library(), hls.Constraints{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fir8 := portfolioFile(t, "fir8.json")
+	for _, c := range []struct {
+		name    string
+		in      Input
+		wantN   int
+		wantLat float64
+	}{
+		{"dct", Input{Graph: dct, Board: arch.PaperXC4044Board()}, 3, 300001330},
+		{"fir8", Input{Graph: fir8.graph, Board: fir8.board}, 2, 200002780},
+	} {
+		c.in.Formulation = FormulationPatterns
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		p, err := Solve(ctx, c.in)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if p.N != c.wantN || p.Latency != c.wantLat || !p.Optimal || !p.BoundTrusted || p.Stats.Formulation != FormulationRows {
+			t.Errorf("%s: N=%d latency=%v optimal=%v trusted=%v formulation=%q, want %d/%v/true/true/rows",
+				c.name, p.N, p.Latency, p.Optimal, p.BoundTrusted, p.Stats.Formulation, c.wantN, c.wantLat)
+		}
+	}
+}
+
+// raceTwice is a small random DAG whose default solve starts a rival at two
+// probes (N=2 and N=3): the row root leaves both open.
+func raceTwice() Input {
+	return Input{Graph: randomGraph(rand.New(rand.NewSource(12))), Board: board(100, 50, 1000), MaxPartitions: 4}
+}
+
+// raceAgainstRows solves in under the default formulation and under pinned
+// rows, checks that the two agree, and returns the default solve and its
+// trace's race_rivals count.
+func raceAgainstRows(t *testing.T, in Input) (*Partitioning, int64) {
+	t.Helper()
+	rows := in
+	rows.Formulation = FormulationRows
+	want, err := Solve(context.Background(), rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder(0)
+	in.Trace = rec
+	p, err := Solve(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.N != want.N || p.Latency != want.Latency || !p.Optimal {
+		t.Fatalf("race N=%d latency=%v optimal=%v, rows N=%d latency=%v",
+			p.N, p.Latency, p.Optimal, want.N, want.Latency)
+	}
+	return p, rec.Trace().Counters[obs.CounterRaceRivals]
+}
+
+// TestRaceNoRivalAfterTreeOverflow caps the pattern tree at one node, so
+// the first rival's build overflows: that rival is counted, its verdict
+// leaves the rows answer standing, and no later probe starts a rival.
+func TestRaceNoRivalAfterTreeOverflow(t *testing.T) {
+	in := raceTwice()
+	if _, rivals := raceAgainstRows(t, in); rivals != 2 {
+		t.Fatalf("uncapped race started %d rivals, want 2", rivals)
+	}
+	in.testMaxTreeNodes = 1
+	p, rivals := raceAgainstRows(t, in)
+	if rivals != 1 || p.Stats.RaceRivals != 1 || p.Stats.Formulation != FormulationRows {
+		t.Fatalf("capped race: race_rivals=%d stats=%d formulation=%q, want 1/1/rows",
+			rivals, p.Stats.RaceRivals, p.Stats.Formulation)
+	}
+}
+
+// TestRaceCancelledBuildLeavesTreeUnknown holds each rival until the row
+// search has won its probe, so the rival's tree build starts cancelled and
+// stops at its first poll. A cancelled build says nothing about the tree's
+// size: the next probe must start a rival again, which builds anew.
+func TestRaceCancelledBuildLeavesTreeUnknown(t *testing.T) {
+	in := raceTwice()
+	done := make(chan struct{})
+	close(done)
+	if newPatternPricer(newPresolve(in.Graph, in.Board)).buildTree(done, maxTreeNodes) {
+		t.Fatal("a build with its done channel closed ran to completion")
+	}
+	in.testRival = func(race context.Context) { <-race.Done() }
+	p, rivals := raceAgainstRows(t, in)
+	if rivals != 2 || p.Stats.RaceRivals != 2 || p.Stats.Formulation != FormulationRows {
+		t.Fatalf("race_rivals=%d stats=%d formulation=%q, want 2/2/rows",
+			rivals, p.Stats.RaceRivals, p.Stats.Formulation)
 	}
 }
 
