@@ -1,6 +1,6 @@
 // Package repro_test is the benchmark harness that regenerates every table
-// and figure of the paper's evaluation (see DESIGN.md section 4 for the
-// experiment index and EXPERIMENTS.md for paper-vs-measured numbers).
+// and figure of the paper's evaluation (cmd/jpegbench prints the tables;
+// ROADMAP.md states the gaps to the paper's numbers).
 //
 // Run with:
 //
@@ -41,39 +41,21 @@ import (
 
 var fixtureOnce sync.Once
 var fx struct {
-	graph   *dfg.Graph
-	design  *core.Design
-	static  sim.StaticDesign
-	rtr     sim.RTRDesign
-	board   arch.Board
-	staticD *hls.PartitionDesign
+	graph  *dfg.Graph
+	design *core.Design
+	static sim.StaticDesign
+	rtr    sim.RTRDesign
+	board  arch.Board
 }
 
 func fixtures(tb testing.TB) {
 	fixtureOnce.Do(func() {
 		fx.board = arch.PaperXC4044Board()
-		g, err := jpeg.BuildDCTGraph(hls.XC4000Library(), hls.Constraints{})
+		cs, err := core.DCTCaseStudy(fx.board)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		fx.graph = g
-		d, err := core.Build(g, core.DefaultConfig())
-		if err != nil {
-			tb.Fatal(err)
-		}
-		fx.design = d
-		st, err := hls.SynthesizeStatic(jpeg.StaticDCTBehaviors(), jpeg.StaticAllocation(),
-			hls.XC4000Library(), hls.Constraints{})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		fx.staticD = st
-		fx.static = sim.StaticDesign{
-			BodyCycles: st.Cycles, ClockNS: st.ClockNS,
-			InWords: 16, OutWords: 16,
-			BatchK: fx.board.Memory.Words / d.Fission.MaxMTemp,
-		}
-		fx.rtr = sim.RTRDesign{Partitions: d.Timings, Analysis: d.Fission}
+		fx.graph, fx.design, fx.static, fx.rtr = cs.Design.Graph, cs.Design, cs.Static, cs.RTR
 	})
 }
 
@@ -680,8 +662,8 @@ func TestHeadlineReproduction(t *testing.T) {
 	if fx.static.ClockNS != 100 {
 		t.Errorf("static clock = %g, want 100", fx.static.ClockNS)
 	}
-	if fx.staticD.Cycles < 160 || fx.staticD.Cycles > 170 {
-		t.Errorf("static cycles = %d, want 160-170", fx.staticD.Cycles)
+	if fx.static.BodyCycles < 160 || fx.static.BodyCycles > 170 {
+		t.Errorf("static cycles = %d, want 160-170", fx.static.BodyCycles)
 	}
 	// Partition timings: the calibrated single-port schedule gives
 	// 80 cycles @ 50 ns and 40 @ 70 ns (paper: 68/36; see EXPERIMENTS.md

@@ -12,14 +12,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/fission"
-	"repro/internal/hls"
-	"repro/internal/jpeg"
 	"repro/internal/sim"
 )
 
@@ -30,7 +29,7 @@ func main() {
 		showPlan = flag.Bool("plan", false, "print the design report and sequencers before the tables")
 	)
 	flag.Parse()
-	if err := run(*dsv, *paperT, *showPlan); err != nil {
+	if err := run(os.Stdout, *dsv, *paperT, *showPlan); err != nil {
 		fmt.Fprintln(os.Stderr, "jpegbench:", err)
 		os.Exit(1)
 	}
@@ -40,34 +39,17 @@ func main() {
 // explicit 245,760-block image (the "XV file").
 var sizes = []int{245760, 122880, 61440, 30720, 15360, 7680, 3840}
 
-func run(dsvOverride float64, paperTimings, showPlan bool) error {
+func run(w io.Writer, dsvOverride float64, paperTimings, showPlan bool) error {
 	board := arch.PaperXC4044Board()
 	if dsvOverride > 0 {
 		board.Link.WordTransferNS = dsvOverride
 	}
 
-	g, err := jpeg.BuildDCTGraph(hls.XC4000Library(), hls.Constraints{})
+	cs, err := core.DCTCaseStudy(board)
 	if err != nil {
 		return err
 	}
-	cfg := core.DefaultConfig()
-	cfg.Board = board
-	d, err := core.Build(g, cfg)
-	if err != nil {
-		return err
-	}
-
-	rtr := sim.RTRDesign{Partitions: d.Timings, Analysis: d.Fission}
-	st, err := hls.SynthesizeStatic(jpeg.StaticDCTBehaviors(), jpeg.StaticAllocation(),
-		hls.XC4000Library(), hls.Constraints{})
-	if err != nil {
-		return err
-	}
-	static := sim.StaticDesign{
-		BodyCycles: st.Cycles, ClockNS: st.ClockNS,
-		InWords: 16, OutWords: 16,
-		BatchK: board.Memory.Words / d.Fission.MaxMTemp,
-	}
+	d, static, rtr := cs.Design, cs.Static, cs.RTR
 	if paperTimings {
 		rtr.Partitions = []sim.PartitionTiming{
 			{BodyCycles: 68, ClockNS: 50},
@@ -79,12 +61,12 @@ func run(dsvOverride float64, paperTimings, showPlan bool) error {
 	}
 
 	if showPlan {
-		fmt.Print(d.Report())
-		fmt.Println()
-		fmt.Print(fission.SequencerCode(fission.FDH, d.Fission.N))
-		fmt.Println()
-		fmt.Print(fission.SequencerCode(fission.IDH, d.Fission.N))
-		fmt.Println()
+		fmt.Fprint(w, d.Report())
+		fmt.Fprintln(w)
+		fmt.Fprint(w, fission.SequencerCode(fission.FDH, d.Fission.N))
+		fmt.Fprintln(w)
+		fmt.Fprint(w, fission.SequencerCode(fission.IDH, d.Fission.N))
+		fmt.Fprintln(w)
 	}
 
 	perBlockStatic := (float64(static.BodyCycles) + 1) * static.ClockNS
@@ -92,19 +74,19 @@ func run(dsvOverride float64, paperTimings, showPlan bool) error {
 	for _, p := range rtr.Partitions {
 		perBlockRTR += p.PerComputationNS()
 	}
-	fmt.Printf("per 4x4 block: static %.0f ns, RTR %.0f ns (paper: 16000 vs 8440)\n",
+	fmt.Fprintf(w, "per 4x4 block: static %.0f ns, RTR %.0f ns (paper: 16000 vs 8440)\n",
 		perBlockStatic, perBlockRTR)
-	fmt.Printf("k = %d computations per run (paper: 2048); D_sv = %.0f ns/word\n\n",
+	fmt.Fprintf(w, "k = %d computations per run (paper: 2048); D_sv = %.0f ns/word\n\n",
 		d.Fission.K, board.Link.WordTransferNS)
 
-	fmt.Println("Table 1: DCT execution time, FDH strategy")
-	table(rtr, static, board, fission.FDH)
-	fmt.Println()
-	fmt.Println("Table 2: DCT execution time, IDH strategy")
-	table(rtr, static, board, fission.IDH)
+	fmt.Fprintln(w, "Table 1: DCT execution time, FDH strategy")
+	table(w, rtr, static, board, fission.FDH)
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Table 2: DCT execution time, IDH strategy")
+	table(w, rtr, static, board, fission.IDH)
 
 	be := fission.BreakEvenComputations(board, d.Fission.N, perBlockStatic, perBlockRTR)
-	fmt.Printf("\nbreak-even: %.0f blocks per batch (paper reports 42,553)\n", be)
+	fmt.Fprintf(w, "\nbreak-even: %.0f blocks per batch (paper reports 42,553)\n", be)
 
 	b6 := arch.XC6000Board()
 	if dsvOverride > 0 {
@@ -118,28 +100,28 @@ func run(dsvOverride float64, paperTimings, showPlan bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("XC6000 conjecture (CT=500 us): IDH improvement at %d blocks = %.1f%% (paper conjectures 47%%)\n",
+	fmt.Fprintf(w, "XC6000 conjecture (CT=500 us): IDH improvement at %d blocks = %.1f%% (paper conjectures 47%%)\n",
 		sizes[0], 100*sim.Improvement(s6.TotalNS, r6.TotalNS))
 	return nil
 }
 
-func table(rtr sim.RTRDesign, static sim.StaticDesign, board arch.Board, strategy fission.Strategy) {
-	fmt.Printf("  %-8s %6s %12s %12s %12s\n", "blocks", "I_sw", "static (s)", "RTR (s)", "improvement")
-	fmt.Println("  " + strings.Repeat("-", 56))
+func table(w io.Writer, rtr sim.RTRDesign, static sim.StaticDesign, board arch.Board, strategy fission.Strategy) {
+	fmt.Fprintf(w, "  %-8s %6s %12s %12s %12s\n", "blocks", "I_sw", "static (s)", "RTR (s)", "improvement")
+	fmt.Fprintln(w, "  "+strings.Repeat("-", 56))
 	k := rtr.Analysis.K
 	for _, I := range sizes {
 		s, err := sim.SimulateStatic(static, board, I, sim.Options{TraceCap: -1})
 		if err != nil {
-			fmt.Println("  error:", err)
+			fmt.Fprintln(w, "  error:", err)
 			return
 		}
 		r, err := sim.SimulateRTR(rtr, board, strategy, I, sim.Options{TraceCap: -1})
 		if err != nil {
-			fmt.Println("  error:", err)
+			fmt.Fprintln(w, "  error:", err)
 			return
 		}
 		isw := (I + k - 1) / k
-		fmt.Printf("  %-8d %6d %12.3f %12.3f %11.1f%%\n",
+		fmt.Fprintf(w, "  %-8d %6d %12.3f %12.3f %11.1f%%\n",
 			I, isw, s.TotalNS/arch.Second, r.TotalNS/arch.Second,
 			100*sim.Improvement(s.TotalNS, r.TotalNS))
 	}

@@ -11,13 +11,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/fission"
-	"repro/internal/hls"
-	"repro/internal/jpeg"
 	"repro/internal/sim"
 )
 
@@ -27,7 +26,7 @@ func main() {
 		strategy = flag.String("strategy", "idh", "sequencing strategy: fdh or idh")
 	)
 	flag.Parse()
-	if err := run(*iMax, *strategy); err != nil {
+	if err := run(os.Stdout, *iMax, *strategy); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
@@ -36,7 +35,7 @@ func main() {
 var ctsMS = []float64{0.1, 0.5, 1, 5, 10, 50, 100, 500}
 var dsvsNS = []float64{0, 30, 60, 120, 240}
 
-func run(iMax int, stratArg string) error {
+func run(w io.Writer, iMax int, stratArg string) error {
 	var strategy fission.Strategy
 	switch stratArg {
 	case "fdh":
@@ -47,32 +46,20 @@ func run(iMax int, stratArg string) error {
 		return fmt.Errorf("unknown strategy %q", stratArg)
 	}
 
-	g, err := jpeg.BuildDCTGraph(hls.XC4000Library(), hls.Constraints{})
+	// Both designs come from the paper's board. The sweep varies only CT
+	// and D_sv, which leave the memory, and so the static batching, as is.
+	cs, err := core.DCTCaseStudy(arch.PaperXC4044Board())
 	if err != nil {
 		return err
 	}
-	d, err := core.Build(g, core.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	st, err := hls.SynthesizeStatic(jpeg.StaticDCTBehaviors(), jpeg.StaticAllocation(),
-		hls.XC4000Library(), hls.Constraints{})
-	if err != nil {
-		return err
-	}
-	rtr := sim.RTRDesign{Partitions: d.Timings, Analysis: d.Fission}
+	static, rtr := cs.Static, cs.RTR
 
-	fmt.Println("ct_ms,dsv_ns,improvement_pct,crossover_blocks")
+	fmt.Fprintln(w, "ct_ms,dsv_ns,improvement_pct,crossover_blocks")
 	for _, ctMS := range ctsMS {
 		for _, dsv := range dsvsNS {
 			board := arch.PaperXC4044Board()
 			board.FPGA.ReconfigTime = ctMS * arch.Millisecond
 			board.Link.WordTransferNS = dsv
-			static := sim.StaticDesign{
-				BodyCycles: st.Cycles, ClockNS: st.ClockNS,
-				InWords: 16, OutWords: 16,
-				BatchK: board.Memory.Words / d.Fission.MaxMTemp,
-			}
 			sRes, err := sim.SimulateStatic(static, board, iMax, sim.Options{TraceCap: -1})
 			if err != nil {
 				return err
@@ -83,7 +70,7 @@ func run(iMax int, stratArg string) error {
 			}
 			imp := 100 * sim.Improvement(sRes.TotalNS, rRes.TotalNS)
 			cross := crossover(rtr, static, board, strategy, iMax)
-			fmt.Printf("%g,%g,%.1f,%s\n", ctMS, dsv, imp, cross)
+			fmt.Fprintf(w, "%g,%g,%.1f,%s\n", ctMS, dsv, imp, cross)
 		}
 	}
 	return nil

@@ -1,18 +1,45 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"flag"
+	"io"
+	"os"
+	"path/filepath"
+	"testing"
+)
 
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
+
+// TestRunSweep compares the IDH sweep byte for byte with
+// testdata/idh.golden, so any change to an improvement or crossover
+// figure shows up as a diff of that file.
 func TestRunSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the ILP and ~80 crossover searches; skipped in -short mode")
 	}
-	if err := run(245760, "idh"); err != nil {
+	var out bytes.Buffer
+	if err := run(&out, 245760, "idh"); err != nil {
 		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "idh.golden")
+	if *update {
+		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("output differs from %s (rerun with -update if the change is meant):\n--- got ---\n%s--- want ---\n%s", path, out.Bytes(), want)
 	}
 }
 
 func TestRunSweepBadStrategy(t *testing.T) {
-	if err := run(100, "nope"); err == nil {
+	if err := run(io.Discard, 100, "nope"); err == nil {
 		t.Error("unknown strategy accepted")
 	}
 }
@@ -24,7 +51,7 @@ func TestCrossoverMonotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip()
 	}
-	if err := run(512, "fdh"); err != nil {
+	if err := run(io.Discard, 512, "fdh"); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/fission"
-	"repro/internal/hls"
 	"repro/internal/jpeg"
 	"repro/internal/sim"
 )
@@ -34,44 +33,27 @@ func main() {
 	fmt.Printf("compressed %dx%d image: %d blocks, %.2f bits/pixel, PSNR %.1f dB\n",
 		im.W, im.H, res.Blocks, res.BitsPerPix, res.PSNRdB)
 
-	// --- Hardware flow: partition the DCT task graph. ---
-	g, err := jpeg.BuildDCTGraph(hls.XC4000Library(), hls.Constraints{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	design, err := core.Build(g, cfg)
+	// --- Hardware flow: the partitioned DCT and its static counterpart. ---
+	board := arch.PaperXC4044Board()
+	cs, err := core.DCTCaseStudy(board)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println()
-	fmt.Print(design.Report())
-
-	// --- Static counterpart. ---
-	lib := hls.XC4000Library()
-	st, err := hls.SynthesizeStatic(jpeg.StaticDCTBehaviors(), jpeg.StaticAllocation(), lib, hls.Constraints{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	static := sim.StaticDesign{
-		BodyCycles: st.Cycles, ClockNS: st.ClockNS,
-		InWords: 16, OutWords: 16,
-		BatchK: cfg.Board.Memory.Words / design.Fission.MaxMTemp,
-	}
+	fmt.Print(cs.Design.Report())
 	fmt.Printf("\nstatic design: %d cycles @ %.0f ns per 4x4 block (paper: 160 @ 100 ns)\n",
-		st.Cycles, st.ClockNS)
+		cs.Static.BodyCycles, cs.Static.ClockNS)
 
 	// --- Compare on this image's block count. ---
 	I := res.Blocks
-	rtr := sim.RTRDesign{Partitions: design.Timings, Analysis: design.Fission}
-	stRes, err := sim.SimulateStatic(static, cfg.Board, I, sim.Options{TraceCap: -1})
+	stRes, err := sim.SimulateStatic(cs.Static, board, I, sim.Options{TraceCap: -1})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nDCT timing for the %d blocks of this image:\n", I)
 	fmt.Printf("  static: %10.3f ms\n", stRes.TotalNS/arch.Millisecond)
 	for _, strategy := range []fission.Strategy{fission.FDH, fission.IDH} {
-		r, err := sim.SimulateRTR(rtr, cfg.Board, strategy, I, sim.Options{TraceCap: -1})
+		r, err := sim.SimulateRTR(cs.RTR, board, strategy, I, sim.Options{TraceCap: -1})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -19,6 +19,7 @@ import (
 	"repro/internal/dfg"
 	"repro/internal/fission"
 	"repro/internal/hls"
+	"repro/internal/jpeg"
 	"repro/internal/memmap"
 	"repro/internal/rtl"
 	"repro/internal/sim"
@@ -294,4 +295,45 @@ func (d *Design) Report() string {
 			d.Fission.WastagePerBlock, d.Config.Strategy)
 	}
 	return b.String()
+}
+
+// CaseStudy is the paper's DCT case study (Sec. 4) on one board: the
+// temporally partitioned RTR design and the single-configuration static
+// design it is measured against.
+type CaseStudy struct {
+	Design *Design
+	Static sim.StaticDesign
+	RTR    sim.RTRDesign
+}
+
+// DCTCaseStudy partitions the 4x4 DCT task graph on board with the paper's
+// tool and synthesizes the static design. The static design moves each
+// block's 16 input and 16 output words over the host link in batches of as
+// many blocks as the RTR design's largest partition buffers per run
+// (Memory.Words / max m_temp), so both designs see the same batching.
+func DCTCaseStudy(board arch.Board) (*CaseStudy, error) {
+	g, err := jpeg.BuildDCTGraph(hls.XC4000Library(), hls.Constraints{})
+	if err != nil {
+		return nil, err
+	}
+	cfg := DefaultConfig()
+	cfg.Board = board
+	d, err := Build(g, cfg)
+	if err != nil {
+		return nil, err
+	}
+	st, err := hls.SynthesizeStatic(jpeg.StaticDCTBehaviors(), jpeg.StaticAllocation(),
+		cfg.Library, cfg.Constraints)
+	if err != nil {
+		return nil, err
+	}
+	return &CaseStudy{
+		Design: d,
+		Static: sim.StaticDesign{
+			BodyCycles: st.Cycles, ClockNS: st.ClockNS,
+			InWords: 16, OutWords: 16,
+			BatchK: board.Memory.Words / d.Fission.MaxMTemp,
+		},
+		RTR: sim.RTRDesign{Partitions: d.Timings, Analysis: d.Fission},
+	}, nil
 }

@@ -106,6 +106,31 @@ func TestFullDCTFlow(t *testing.T) {
 	}
 }
 
+// TestDCTCaseStudy checks the case study's two designs: the RTR design is
+// the built design's timings and fission analysis on the given board, and
+// the static design is the paper's 160 cycles @ 100 ns per block, batched
+// by the RTR design's k = 65536 / 32 = 2048 blocks.
+func TestDCTCaseStudy(t *testing.T) {
+	board := arch.PaperXC4044Board()
+	board.Link.WordTransferNS = 60
+	cs, err := DCTCaseStudy(board)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := cs.Design
+	if d.Config.Board.Link.WordTransferNS != 60 || d.Partitioning.N != 3 {
+		t.Errorf("design on D_sv=%g with N=%d, want the given board (60) and N=3",
+			d.Config.Board.Link.WordTransferNS, d.Partitioning.N)
+	}
+	if cs.RTR.Analysis != d.Fission || len(cs.RTR.Partitions) != 3 || cs.RTR.Partitions[0] != d.Timings[0] {
+		t.Errorf("RTR design %+v does not run the built design", cs.RTR)
+	}
+	want := sim.StaticDesign{BodyCycles: 160, ClockNS: 100, InWords: 16, OutWords: 16, BatchK: 2048}
+	if cs.Static != want {
+		t.Errorf("static design = %+v, want %+v", cs.Static, want)
+	}
+}
+
 // TestListPartitionerBaseline reproduces the paper's Sec. 4 comparison: the
 // greedy list partitioner mixes T2 tasks into partition 1 (it has unused
 // CLBs), which increases partition 1's delay and the overall latency.

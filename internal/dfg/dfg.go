@@ -360,16 +360,6 @@ func (g *Graph) Paths(maxPaths int) ([][]int, error) {
 	return out, nil
 }
 
-// EdgeData returns B(t_from, t_to) or 0 when the edge does not exist.
-func (g *Graph) EdgeData(from, to int) int {
-	for _, e := range g.edges {
-		if e.From == from && e.To == to {
-			return e.Data
-		}
-	}
-	return 0
-}
-
 // InterchangeableGroups returns groups of task indices that are provably
 // interchangeable for partitioning: same Type, same Resources and Delay,
 // same environment I/O, and identical predecessor and successor sets.

@@ -140,17 +140,6 @@ func TestTotalResources(t *testing.T) {
 	}
 }
 
-func TestEdgeData(t *testing.T) {
-	g := diamond(t)
-	a, b := g.TaskByName("a"), g.TaskByName("b")
-	if d := g.EdgeData(a, b); d != 4 {
-		t.Errorf("EdgeData(a,b) = %d, want 4", d)
-	}
-	if d := g.EdgeData(b, a); d != 0 {
-		t.Errorf("EdgeData(b,a) = %d, want 0", d)
-	}
-}
-
 func TestInterchangeableGroups(t *testing.T) {
 	g := New("sym")
 	g.MustAddTask(Task{Name: "src", Type: "S", Resources: 5, Delay: 10})

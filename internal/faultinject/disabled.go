@@ -4,9 +4,6 @@ package faultinject
 
 import "time"
 
-// Enabled reports whether fault injection was compiled in.
-func Enabled() bool { return false }
-
 // Arm is a no-op without the faultinject build tag.
 func Arm(point string, n int) {}
 

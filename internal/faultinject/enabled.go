@@ -18,9 +18,6 @@ var (
 	points = map[string]*point{}
 )
 
-// Enabled reports whether fault injection was compiled in.
-func Enabled() bool { return true }
-
 // Arm schedules the named point to fire on its next n triggers (n < 0 arms
 // it until Disarm/Reset). Re-arming replaces the previous shot count but
 // keeps the fired tally.

@@ -159,10 +159,10 @@ func TestFissionStableUnderParallelPartitioning(t *testing.T) {
 			t.Fatal(err)
 		}
 		if pPar.Reconfigurations != pSeq.Reconfigurations ||
-			math.Abs(pPar.TotalOverheadNS()-pSeq.TotalOverheadNS()) > 1 {
+			math.Abs(pPar.ReconfigNS+pPar.TransferNS-pSeq.ReconfigNS-pSeq.TransferNS) > 1 {
 			t.Errorf("%v: default plan diverged (%d reconfigs, %g ns overhead vs %d, %g)",
-				strat, pPar.Reconfigurations, pPar.TotalOverheadNS(),
-				pSeq.Reconfigurations, pSeq.TotalOverheadNS())
+				strat, pPar.Reconfigurations, pPar.ReconfigNS+pPar.TransferNS,
+				pSeq.Reconfigurations, pSeq.ReconfigNS+pSeq.TransferNS)
 		}
 	}
 }

@@ -260,9 +260,6 @@ func envIn(a *Analysis, i int) int { return a.EnvIn[i] }
 
 func envOut(a *Analysis, i int) int { return a.EnvOut[i] }
 
-// TotalOverheadNS is ReconfigNS + TransferNS.
-func (p *Plan) TotalOverheadNS() float64 { return p.ReconfigNS + p.TransferNS }
-
 // BreakEvenComputations returns the paper's break-even analysis (Sec. 4):
 // the number of computations that must be batched into each configuration
 // pass so that the reconfiguration overhead N·CT is recovered by the

@@ -40,15 +40,6 @@ type RegisterBinding struct {
 // NumRegisters returns the number of physical registers allocated.
 func (rb *RegisterBinding) NumRegisters() int { return len(rb.Widths) }
 
-// TotalBits sums the widths of all physical registers.
-func (rb *RegisterBinding) TotalBits() int {
-	bits := 0
-	for _, w := range rb.Widths {
-		bits += w
-	}
-	return bits
-}
-
 // resultWidth returns the registered width of an op's result.
 func resultWidth(g *OpGraph, lib *Library, op Op) int {
 	if op.Kind == OpMul || op.Kind == OpMac {

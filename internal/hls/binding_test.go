@@ -61,7 +61,11 @@ func TestBindRegistersSharesBelowNaive(t *testing.T) {
 	if rb.NumRegisters() < 2 {
 		t.Errorf("binding used %d registers (lifetimes must overlap)", rb.NumRegisters())
 	}
-	if rb.TotalBits() <= 0 {
+	bits := 0
+	for _, w := range rb.Widths {
+		bits += w
+	}
+	if bits <= 0 {
 		t.Error("no register bits accounted")
 	}
 }

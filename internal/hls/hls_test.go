@@ -35,7 +35,15 @@ func TestVectorProductShape(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	reads, writes := g.MemOps()
+	reads, writes := 0, 0
+	for i := 0; i < g.NumOps(); i++ {
+		switch g.Op(i).Kind {
+		case OpRead:
+			reads++
+		case OpWrite:
+			writes++
+		}
+	}
 	if reads != 4 || writes != 1 {
 		t.Errorf("mem ops = %d reads, %d writes; want 4, 1", reads, writes)
 	}
@@ -153,6 +161,16 @@ func TestChooseClockUserConstraint(t *testing.T) {
 	// Memory access (25 ns) dominates an 8-bit adder (13.6 ns): 25+4 -> 30.
 	if clock != 30 {
 		t.Errorf("clock = %g, want 30 (memory bound)", clock)
+	}
+}
+
+func TestClockCannotUndercutMemory(t *testing.T) {
+	lib := XC4000Library()
+	alloc := Allocation{{OpAdd, 8}: 1}
+	// Memory access is 25 ns + 4 setup -> 30 ns floor; a 20 ns clock must
+	// be rejected.
+	if _, err := ChooseClock(alloc, lib, Constraints{MaxClockNS: 20}); err == nil {
+		t.Error("20 ns clock accepted below the memory access floor")
 	}
 }
 

@@ -117,15 +117,6 @@ func MinimalAllocation(g *OpGraph) Allocation {
 	return a
 }
 
-// Clone returns a copy of the allocation.
-func (a Allocation) Clone() Allocation {
-	out := make(Allocation, len(a))
-	for k, v := range a {
-		out[k] = v
-	}
-	return out
-}
-
 // TotalCLBs sums the CLB cost of all allocated functional units.
 func (a Allocation) TotalCLBs(lib *Library) (int, error) {
 	sum := 0

@@ -153,19 +153,6 @@ func (g *OpGraph) Validate() error {
 	return nil
 }
 
-// MemOps counts memory reads and writes.
-func (g *OpGraph) MemOps() (reads, writes int) {
-	for _, op := range g.ops {
-		switch op.Kind {
-		case OpRead:
-			reads++
-		case OpWrite:
-			writes++
-		}
-	}
-	return
-}
-
 // ErrEmptyGraph is returned when estimating an op graph with no
 // schedulable operations.
 var ErrEmptyGraph = errors.New("hls: op graph has no schedulable operations")

@@ -22,9 +22,8 @@ type rleSymbol struct {
 }
 
 const (
-	maxRun  = 14
-	eobRun  = 15
-	maxSize = 24
+	maxRun = 14
+	eobRun = 15
 )
 
 func (s rleSymbol) id() int { return s.Run*32 + s.Size }

@@ -43,13 +43,6 @@ type colEntry struct {
 	v float64
 }
 
-// NumBaseVars returns the number of structural variables captured from the
-// Problem (AddCols appends past this).
-func (s *Solver) NumBaseVars() int { return s.nStructBase }
-
-// AddedCols returns the number of dynamically added columns.
-func (s *Solver) AddedCols() int { return len(s.newCols) }
-
 // AddCols appends structural columns to the live solver. Each column may
 // carry nonzeros in base rows only; duplicate row indices are merged and
 // zero coefficients dropped. The columns enter nonbasic at their lower

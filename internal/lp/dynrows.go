@@ -84,12 +84,6 @@ type extEntry struct {
 	v float64
 }
 
-// Rows returns the current total row count (base rows + added rows).
-func (s *Solver) Rows() int { return s.m }
-
-// BaseRows returns the number of rows captured from the Problem.
-func (s *Solver) BaseRows() int { return s.mBase }
-
 // AddedRows returns the number of dynamically added rows.
 func (s *Solver) AddedRows() int { return len(s.added) }
 

@@ -62,8 +62,8 @@ func TestAddRowsWarmMatchesCold(t *testing.T) {
 	if s.Stats.ColdSolves != 1 {
 		t.Fatalf("post-cut solve went cold (%+v), want dual-simplex warm re-entry", s.Stats)
 	}
-	if s.Stats.RowsAdded != 1 || s.Rows() != 3 || s.AddedRows() != 1 || s.BaseRows() != 2 {
-		t.Fatalf("row accounting: stats=%+v rows=%d added=%d base=%d", s.Stats, s.Rows(), s.AddedRows(), s.BaseRows())
+	if s.Stats.RowsAdded != 1 || s.m != 3 || s.AddedRows() != 1 || s.mBase != 2 {
+		t.Fatalf("row accounting: stats=%+v rows=%d added=%d base=%d", s.Stats, s.m, s.AddedRows(), s.mBase)
 	}
 }
 
@@ -142,8 +142,8 @@ func TestDropAddedRowsRestoresBase(t *testing.T) {
 		t.Fatalf("cut solve: %v %v", cutSol, err)
 	}
 	s.DropAddedRows()
-	if s.AddedRows() != 0 || s.Rows() != 1 {
-		t.Fatalf("rows after drop: %d/%d", s.AddedRows(), s.Rows())
+	if s.AddedRows() != 0 || s.m != 1 {
+		t.Fatalf("rows after drop: %d/%d", s.AddedRows(), s.m)
 	}
 	again, err := s.Solve()
 	if err != nil || again.Status != Optimal {
@@ -187,8 +187,8 @@ func TestAddRowsValidation(t *testing.T) {
 	if err := s.AddRows([]CutRow{{Kind: LE, Cols: []int{0, 1}, Vals: []float64{1}, RHS: 1}}); err == nil {
 		t.Fatal("mismatched cols/vals accepted")
 	}
-	if s.Rows() != 1 || s.AddedRows() != 0 {
-		t.Fatalf("failed AddRows mutated the solver: rows=%d added=%d", s.Rows(), s.AddedRows())
+	if s.m != 1 || s.AddedRows() != 0 {
+		t.Fatalf("failed AddRows mutated the solver: rows=%d added=%d", s.m, s.AddedRows())
 	}
 }
 

@@ -189,9 +189,6 @@ func (p *Problem) RowsSatisfied(x []float64, tol float64) bool {
 	return true
 }
 
-// NumRows returns the number of constraint rows.
-func (p *Problem) NumRows() int { return len(p.rows) }
-
 // SetObj sets the objective coefficient of variable j.
 func (p *Problem) SetObj(j int, c float64) {
 	p.obj[j] = c

@@ -468,35 +468,6 @@ func (s *Solver) loadCol(j int, v []float64) {
 	}
 }
 
-// colAxpy adds t times column j into the dense row vector v.
-func (s *Solver) colAxpy(j int, t float64, v []float64) {
-	switch {
-	case j < s.nStructBase:
-		for k := s.colPtr[j]; k < s.colPtr[j+1]; k++ {
-			v[s.colRow[k]] += s.colVal[k] * t
-		}
-		if s.extCols != nil {
-			for _, e := range s.extCols[j] {
-				v[e.i] += e.v * t
-			}
-		}
-	case j < s.nStruct:
-		for _, e := range s.newCols[j-s.nStructBase] {
-			v[e.i] += e.v * t
-		}
-		if s.extCols != nil {
-			for _, e := range s.extCols[j] {
-				v[e.i] += e.v * t
-			}
-		}
-	case j < s.nStruct+s.m:
-		v[j-s.nStruct] += t
-	default:
-		i := j - s.nStruct - s.m
-		v[i] += s.artSign[i] * t
-	}
-}
-
 // ftranCol computes alpha = B⁻¹ A_j into the alpha scratch via the
 // hyper-sparse path (columns are sparse by construction; the density
 // threshold decides per solve). The returned index list is non-nil when

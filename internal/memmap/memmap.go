@@ -87,19 +87,6 @@ func (l *Layout) SegmentIndex(name string) (int, error) {
 // Wastage returns the words lost per block to power-of-two rounding.
 func (l *Layout) Wastage() int { return l.RoundedWords - l.BlockWords }
 
-// MaxIterations returns how many blocks fit in a memory of the given size —
-// the k of Eq. 9 — under exact or power-of-two addressing.
-func (l *Layout) MaxIterations(memWords int, pow2 bool) int {
-	bs := l.BlockWords
-	if pow2 {
-		bs = l.RoundedWords
-	}
-	if bs == 0 {
-		return 0
-	}
-	return memWords / bs
-}
-
 // Address computes the physical word address of (iteration, segment,
 // location). With pow2 true it uses the concatenation-style address
 // (iteration << log2(RoundedWords)); otherwise the exact multiply.

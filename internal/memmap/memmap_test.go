@@ -100,18 +100,18 @@ func TestSegmentIndex(t *testing.T) {
 
 func TestMaxIterationsAndFit(t *testing.T) {
 	l := fig6Layout(t)
-	// 64K words: exact 65536/40 = 1638; pow2 65536/64 = 1024.
-	if k := l.MaxIterations(65536, false); k != 1638 {
-		t.Errorf("exact k = %d, want 1638", k)
-	}
-	if k := l.MaxIterations(65536, true); k != 1024 {
-		t.Errorf("pow2 k = %d, want 1024", k)
-	}
-	if err := l.CheckFit(1024, 65536, true); err != nil {
-		t.Error(err)
-	}
-	if err := l.CheckFit(1025, 65536, true); !errors.Is(err, ErrBlockOverflow) {
-		t.Errorf("overflow not caught: %v", err)
+	// 64K words hold at most 65536/40 = 1638 exact blocks and 65536/64 =
+	// 1024 power-of-two blocks.
+	for _, c := range []struct {
+		pow2 bool
+		max  int
+	}{{false, 1638}, {true, 1024}} {
+		if err := l.CheckFit(c.max, 65536, c.pow2); err != nil {
+			t.Error(err)
+		}
+		if err := l.CheckFit(c.max+1, 65536, c.pow2); !errors.Is(err, ErrBlockOverflow) {
+			t.Errorf("pow2=%v: overflow at %d blocks not caught: %v", c.pow2, c.max+1, err)
+		}
 	}
 }
 
@@ -130,7 +130,11 @@ func TestAddressDisjointnessProperty(t *testing.T) {
 			return false
 		}
 		for _, pow2 := range []bool{false, true} {
-			k := l.MaxIterations(512, pow2)
+			bs := l.BlockWords
+			if pow2 {
+				bs = l.RoundedWords
+			}
+			k := 512 / bs
 			if k > 6 {
 				k = 6
 			}

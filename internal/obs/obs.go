@@ -30,7 +30,8 @@ const (
 	// PhaseProbe is one relax-N iteration (arg = N). A race rival records
 	// a second probe span for the same N, overlapping the row search's.
 	PhaseProbe = "probe"
-	// PhaseModelBuild is ILP model construction for one N (arg = N).
+	// PhaseModelBuild is ILP model construction for one N, or the
+	// solve's pattern-tree build during the probe for N (arg = N).
 	PhaseModelBuild = "model-build"
 	// PhaseRootCut is the root cutting-plane emission inside model build.
 	PhaseRootCut = "root-cut"

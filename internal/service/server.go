@@ -113,9 +113,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // CacheStats exposes cache counters (tests and /healthz).
 func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
 
-// Scheduler exposes the job scheduler (tests).
-func (s *Server) Scheduler() *Scheduler { return s.sched }
-
 // Shutdown cancels in-flight work and waits for the worker pool to drain.
 func (s *Server) Shutdown() { s.sched.Shutdown() }
 

@@ -717,8 +717,9 @@ var errNoPatternTree = errors.New("tempart: pattern master not applicable")
 // is known, build decides: true builds it now under ctx, and false answers
 // true and leaves the build to the caller's pattern master (a race rival
 // builds on its own goroutine). A build stopped by ctx leaves the tree
-// unknown, so a later probe builds again.
-func patternsApplicable(ctx context.Context, in Input, pre *presolve, build bool) bool {
+// unknown, so a later probe builds again. The build runs under a
+// model-build span for the probe's N.
+func patternsApplicable(ctx context.Context, in Input, pre *presolve, N int, build bool) bool {
 	total := 0
 	for _, e := range in.Graph.Edges() {
 		total += e.Data
@@ -734,8 +735,11 @@ func patternsApplicable(ctx context.Context, in Input, pre *presolve, build bool
 		maxNodes = in.testMaxTreeNodes
 	}
 	pp := newPatternPricer(pre)
+	span := in.Trace.BeginArg(obs.PhaseModelBuild, int64(N))
+	fits := pp.buildTree(ctx.Done(), maxNodes)
+	span.End()
 	switch {
-	case pp.buildTree(ctx.Done(), maxNodes):
+	case fits:
 		pre.pricer = pp
 	case ctx.Err() == nil:
 		pre.treeOverflow = true

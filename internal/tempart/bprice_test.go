@@ -305,7 +305,7 @@ func TestPatternFormulationFallsBackToRows(t *testing.T) {
 	g.MustAddTask(dfg.Task{Name: "b", Resources: 60, Delay: 100})
 	g.MustAddEdge("a", "b", 200) // 200 words > 100-word memory
 	b := board(100, 100, 0)
-	if patternsApplicable(context.Background(), Input{Graph: g, Board: b}, newPresolve(g, b), true) {
+	if patternsApplicable(context.Background(), Input{Graph: g, Board: b}, newPresolve(g, b), 1, true) {
 		t.Fatal("patternsApplicable should reject 200 words > 100")
 	}
 	part, err := Solve(context.Background(), Input{Graph: g, Board: b, Formulation: FormulationPatterns})
@@ -703,7 +703,7 @@ func TestPatternTreeOverflowsOnWideLayers(t *testing.T) {
 		"fir8": {Graph: fir8.graph, Board: fir8.board},
 	} {
 		pre := newPresolve(in.Graph, in.Board)
-		if patternsApplicable(context.Background(), in, pre, true) || !pre.treeOverflow || pre.pricer != nil {
+		if patternsApplicable(context.Background(), in, pre, 1, true) || !pre.treeOverflow || pre.pricer != nil {
 			t.Errorf("%s: pattern master applies (overflow=%v); want the tree to overflow", name, pre.treeOverflow)
 		}
 	}

@@ -45,18 +45,11 @@ import (
 // random instances.
 
 // modelCut is the uniform cut-row representation: a named lp.CutRow that
-// can be baked into an lp.Problem at build time (root cuts) or handed to
-// the branch-and-cut layer as an ilp.Cut (separation).
+// separation hands to the branch-and-cut layer as an ilp.Cut, and that
+// rootCuts collects for the validity tests.
 type modelCut struct {
 	name string
 	lp.CutRow
-}
-
-// addTo appends the cut as an ordinary model row (build-time root cuts).
-// AddRowCols merges any duplicate column indices by summation, matching the
-// map accumulation this used to do.
-func (c *modelCut) addTo(p *lp.Problem) {
-	p.AddRowCols(c.Kind, c.Cols, c.Vals, c.RHS)
 }
 
 // toCut converts the cut for the ilp separation hook. All tempart cuts are

@@ -729,7 +729,7 @@ const (
 // pinned model runs alone, and the default races the two (raceForN).
 // It returns (nil, nil) when the model is infeasible at this N.
 func solveForN(ctx context.Context, in Input, pre *presolve, N int, tally *proofTally) (*Partitioning, error) {
-	if in.Formulation != FormulationRows && patternsApplicable(ctx, in, pre, in.Formulation == FormulationPatterns) {
+	if in.Formulation != FormulationRows && patternsApplicable(ctx, in, pre, N, in.Formulation == FormulationPatterns) {
 		switch in.Formulation {
 		case FormulationPatterns:
 			return solveForNPatterns(ctx, in, pre, N)

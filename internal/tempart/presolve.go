@@ -187,14 +187,6 @@ func newPresolve(g *dfg.Graph, board arch.Board) *presolve {
 	return pr
 }
 
-// latencyLowerBound is the combinatorial latency floor for a partition
-// count: N reconfigurations plus the DAG critical path (any partitioning
-// executes every root-leaf path across its partitions, so Σ d_p can never
-// undercut the longest one).
-func (pr *presolve) latencyLowerBound(n int) float64 {
-	return float64(n)*pr.board.FPGA.ReconfigTime + pr.critical
-}
-
 // sumDelayFloor is the strongest instance-wide lower bound on Σ_p d_p the
 // presolve knows: the DAG critical path and the layer-cake area×delay
 // bound. Unlike the critical path, the layer-cake bound uses integrality

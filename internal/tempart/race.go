@@ -64,7 +64,7 @@ func raceForN(ctx context.Context, in Input, pre *presolve, N int, tally *proofT
 			if in.testRival != nil {
 				in.testRival(raceCtx)
 			}
-			if !patternsApplicable(raceCtx, in, pre, true) {
+			if !patternsApplicable(raceCtx, in, pre, N, true) {
 				v.err = errNoPatternTree
 				return
 			}

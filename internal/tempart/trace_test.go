@@ -5,6 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/arch"
+	"repro/internal/hls"
+	"repro/internal/jpeg"
 	"repro/internal/obs"
 )
 
@@ -158,5 +161,52 @@ func TestTraceSpeculativeParallel(t *testing.T) {
 	}
 	if probes == 0 {
 		t.Fatalf("no probe spans; spans = %+v", tr.Spans)
+	}
+}
+
+// TestTraceShowsPatternTreeBuild: a pinned-patterns solve of the paper's
+// DCT builds its pattern tree on the first probe, finds it past the cap,
+// and answers every probe through the row model. The build runs under a
+// model-build span of its own, so the trace holds one model-build span per
+// probe plus the build's, for the first probe's N, and the build's time is
+// not left as probe self time.
+func TestTraceShowsPatternTreeBuild(t *testing.T) {
+	dct, err := jpeg.BuildDCTGraph(hls.XC4000Library(), hls.Constraints{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder(1 << 12)
+	p, err := Solve(context.Background(), Input{Graph: dct, Board: arch.PaperXC4044Board(),
+		Formulation: FormulationPatterns, Trace: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Stats.Formulation != FormulationRows {
+		t.Fatalf("formulation %q, want the row model past the tree's cap", p.Stats.Formulation)
+	}
+	tr := rec.Trace()
+	if tr.Dropped != 0 {
+		t.Fatalf("trace dropped %d events", tr.Dropped)
+	}
+	probes, builds := 0, map[int64]int{}
+	firstN := int64(-1)
+	for _, sp := range tr.Spans {
+		switch sp.Phase {
+		case obs.PhaseProbe:
+			probes++
+			if firstN < 0 || sp.N < firstN {
+				firstN = sp.N
+			}
+		case obs.PhaseModelBuild:
+			builds[sp.N]++
+		}
+	}
+	total := 0
+	for _, n := range builds {
+		total += n
+	}
+	if probes == 0 || total != probes+1 || builds[firstN] != 2 {
+		t.Fatalf("%d probe spans and model-build spans %v, want one per probe plus the tree build at N=%d",
+			probes, builds, firstN)
 	}
 }
