@@ -205,7 +205,6 @@ func BenchmarkILP_DCTPartitioning(b *testing.B) {
 	b.ReportMetric(float64(p.Stats.LPSolvesSkipped), "lp-solves-skipped")
 	b.ReportMetric(float64(p.Stats.CutsAdded), "cuts-added")
 	b.ReportMetric(float64(p.Stats.SeparationRounds), "separation-rounds")
-	b.ReportMetric(float64(p.Stats.ConflictCuts), "conflict-cuts")
 	b.ReportMetric(float64(p.Stats.CGCuts), "cg-cuts")
 	b.ReportMetric(float64(p.Stats.DualBoundFathoms), "dual-bound-fathoms")
 	b.ReportMetric(float64(p.Stats.Solver.Pivots), "pivots/op")
@@ -328,8 +327,8 @@ func benchTable(b *testing.B, strategy fission.Strategy) {
 func BenchmarkTable1_FDH(b *testing.B) { benchTable(b, fission.FDH) }
 
 // BenchmarkTable2_IDH regenerates Table 2: IDH improves at large sizes
-// (paper: 42% at 245,760 blocks; our synthesized timings give ~26%, see
-// EXPERIMENTS.md).
+// (paper: 42% at 245,760 blocks; our synthesized timings give 26.0%, pinned
+// by cmd/jpegbench/testdata/default.golden).
 func BenchmarkTable2_IDH(b *testing.B) { benchTable(b, fission.IDH) }
 
 // BenchmarkBreakEven regenerates the Sec. 4 break-even analysis (paper:
@@ -456,7 +455,6 @@ func BenchmarkILP_FIRBank(b *testing.B) {
 	b.ReportMetric(float64(p.Stats.LPSolvesSkipped), "lp-solves-skipped")
 	b.ReportMetric(float64(p.Stats.CutsAdded), "cuts-added")
 	b.ReportMetric(float64(p.Stats.SeparationRounds), "separation-rounds")
-	b.ReportMetric(float64(p.Stats.ConflictCuts), "conflict-cuts")
 	b.ReportMetric(float64(p.Stats.CGCuts), "cg-cuts")
 	b.ReportMetric(float64(p.Stats.DualBoundFathoms), "dual-bound-fathoms")
 	b.ReportMetric(float64(p.Stats.Solver.Pivots), "pivots/op")
@@ -494,7 +492,6 @@ func benchPackPortfolio(b *testing.B, file string) {
 	b.ReportMetric(float64(p.Stats.Nodes), "B&B-nodes")
 	b.ReportMetric(float64(p.Stats.PrunedCombinatorial), "nodes-pruned-combinatorial")
 	b.ReportMetric(float64(p.Stats.CutsAdded), "cuts-added")
-	b.ReportMetric(float64(p.Stats.ConflictCuts), "conflict-cuts")
 	b.ReportMetric(float64(p.Stats.CGCuts), "cg-cuts")
 	b.ReportMetric(float64(p.Stats.DualBoundFathoms), "dual-bound-fathoms")
 	b.ReportMetric(float64(p.Stats.NProbesPruned), "n-probes-pruned")
@@ -547,7 +544,7 @@ func portfolioInstance(b *testing.B, file string) (*tempart.PortfolioInstance, *
 
 // BenchmarkILP_Pack12/15/18 are the near-capacity packing proofs of the
 // hard-instance portfolio — the regime the infeasibility-proof engine (CG
-// cardinality cuts, conflict learning, bin-packing dual bound) exists for.
+// cardinality cuts, bin-packing dual bound) exists for.
 // Before the engine they blew their 2000-node budgets; the bench gate now
 // fails ANY B&B-node growth over the committed baseline (threshold 0).
 func BenchmarkILP_Pack12(b *testing.B) { benchPackPortfolio(b, "pack12.json") }
@@ -666,8 +663,8 @@ func TestHeadlineReproduction(t *testing.T) {
 		t.Errorf("static cycles = %d, want 160-170", fx.static.BodyCycles)
 	}
 	// Partition timings: the calibrated single-port schedule gives
-	// 80 cycles @ 50 ns and 40 @ 70 ns (paper: 68/36; see EXPERIMENTS.md
-	// note (a)).
+	// 80 cycles @ 50 ns and 40 @ 70 ns (paper: 68/36; jpegbench
+	// -paper-timings reruns the tables at the paper's counts).
 	if d.Timings[0].BodyCycles != 80 || d.Timings[0].ClockNS != 50 {
 		t.Errorf("partition 1 timing = %+v, want 80 @ 50", d.Timings[0])
 	}
@@ -675,7 +672,8 @@ func TestHeadlineReproduction(t *testing.T) {
 		t.Errorf("partition 2 timing = %+v, want 40 @ 70", d.Timings[1])
 	}
 	// Table 2 sign structure: IDH wins at 245,760, loses at 3,840, with
-	// the improvement pinned to the EXPERIMENTS.md band (26% ± 2).
+	// the improvement pinned to 26% ± 2 around the 26.0% of
+	// cmd/jpegbench/testdata/default.golden.
 	sBig, _ := sim.SimulateStatic(fx.static, fx.board, 245760, sim.Options{TraceCap: -1})
 	rBig, _ := sim.SimulateRTR(fx.rtr, fx.board, fission.IDH, 245760, sim.Options{TraceCap: -1})
 	if imp := sim.Improvement(sBig.TotalNS, rBig.TotalNS); imp < 0.24 || imp > 0.28 {

@@ -53,7 +53,7 @@ func TestChainShape(t *testing.T) {
 	if g.NumTasks() != 5 || g.NumEdges() != 4 {
 		t.Errorf("chain: %d tasks, %d edges", g.NumTasks(), g.NumEdges())
 	}
-	if len(g.Roots()) != 1 || len(g.Leaves()) != 1 {
+	if len(g.Roots()) != 1 || sinks(g) != 1 {
 		t.Error("chain must have one root and one leaf")
 	}
 }
@@ -67,9 +67,20 @@ func TestTreeShape(t *testing.T) {
 	if g.NumTasks() != 15 {
 		t.Errorf("tree tasks = %d, want 15", g.NumTasks())
 	}
-	if len(g.Leaves()) != 1 {
-		t.Errorf("tree must reduce to one sink, got %d", len(g.Leaves()))
+	if n := sinks(g); n != 1 {
+		t.Errorf("tree must reduce to one sink, got %d", n)
 	}
+}
+
+// sinks counts the tasks with no successors.
+func sinks(g *dfg.Graph) int {
+	n := 0
+	for i := 0; i < g.NumTasks(); i++ {
+		if len(g.Succs(i)) == 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // TestGeneratedGraphsPartition: every generated family flows through the

@@ -106,8 +106,10 @@ var ErrUnknownBoard = errors.New("arch: unknown board preset")
 // D_sv calibration: the paper moves data between host and board memory over
 // 33 MHz / 32-bit PCI. One word per bus clock in burst (DMA) mode is ~30 ns
 // per word; the simple handshaking protocol is amortized across a burst. We
-// use D_sv = 30 ns/word. EXPERIMENTS.md reports the sensitivity of the
-// Table 1/2 reproduction to this constant.
+// use D_sv = 30 ns/word. jpegbench -dsv reruns Tables 1/2 at another value;
+// cmd/jpegbench/testdata/paper-timings-plan-dsv60.golden pins the run at
+// 60 ns/word with the paper's cycle counts (IDH improvement 25.7% at
+// 245,760 blocks).
 func PaperXC4044Board() Board {
 	return Board{
 		Name: "XC4044-PCI",

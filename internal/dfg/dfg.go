@@ -182,17 +182,6 @@ func (g *Graph) Roots() []int {
 	return out
 }
 
-// Leaves returns tasks with no successors (the paper's T_l set).
-func (g *Graph) Leaves() []int {
-	var out []int
-	for i := range g.tasks {
-		if len(g.succ[i]) == 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // ErrCycle is returned when the graph contains a dependency cycle.
 var ErrCycle = errors.New("dfg: graph contains a cycle")
 

@@ -1,17 +1,12 @@
 package hls
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// Constraints carries the architecture and user constraints fed to the
-// estimation engine (the paper: "the architecture constraints are the
-// resources available on the FPGA, the user constraints are the maximum
-// clock-width for the design").
+// Constraints carries the architecture constraints fed to the estimation
+// engine: the clock grid, register margin and on-board memory timing. The
+// paper's user constraint, a maximum clock width, is not modelled; the
+// clock is whatever the slowest allocated component needs.
 type Constraints struct {
-	// MaxClockNS is the user's maximum clock period; 0 means unconstrained.
-	MaxClockNS float64
 	// ClockGridNS quantizes the chosen clock period (default 10 ns, the
 	// granularity of the paper's reported clocks).
 	ClockGridNS float64
@@ -72,8 +67,7 @@ type TaskEstimate struct {
 
 // ChooseClock selects the design clock period: the slowest allocated
 // component delay (or the memory access time if larger) plus register
-// setup, rounded up to the clock grid. An error is returned if the result
-// violates the user's MaxClockNS.
+// setup, rounded up to the clock grid.
 func ChooseClock(alloc Allocation, lib *Library, cons Constraints) (float64, error) {
 	cons = cons.withDefaults()
 	d, err := alloc.MaxDelay(lib)
@@ -82,11 +76,7 @@ func ChooseClock(alloc Allocation, lib *Library, cons Constraints) (float64, err
 	}
 	d = math.Max(d, cons.MemoryAccessNS)
 	period := d + cons.RegSetupNS
-	period = math.Ceil(period/cons.ClockGridNS) * cons.ClockGridNS
-	if cons.MaxClockNS > 0 && period > cons.MaxClockNS+1e-9 {
-		return 0, fmt.Errorf("hls: required clock %.1f ns exceeds user maximum %.1f ns", period, cons.MaxClockNS)
-	}
-	return period, nil
+	return math.Ceil(period/cons.ClockGridNS) * cons.ClockGridNS, nil
 }
 
 // EstimateArea produces the CLB estimate for a task given its allocation.

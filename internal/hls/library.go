@@ -19,8 +19,9 @@ type Component struct {
 // "makes use of a component library characterized for the particular
 // reconfigurable device"; this is that library for an XC4000-class part.
 //
-// Characterization formulas (see EXPERIMENTS.md for the calibration against
-// the paper's reported XC4044 data points):
+// Characterization formulas, calibrated so the DCT's T1 and T2 tasks
+// estimate to the paper's 70 and 180 CLBs at 50 and 70 ns clocks
+// (TestTaskEstimatesMatchPaper and TestLibraryCalibration pin them):
 //
 //	adder/subtractor (W bits):  ceil(W/2)+1 CLBs,  0.7*W + 8 ns
 //	array multiplier (W x W):   ceil(W*W/2) CLBs,  3*W + 14 ns

@@ -592,7 +592,7 @@ func (st *bpState) solveAndPrice() (*lp.Solution, bool, error) {
 // branch builds the two children for the current fractional point: a
 // Ryan–Foster item pair with fractional together-mass when one exists
 // (the pricing-friendly branching — children constrain pairs, which the
-// pricer's DFS enforces natively), otherwise a fix/forbid split on the
+// pattern-tree walk enforces natively), otherwise a fix/forbid split on the
 // most fractional pattern. The constraining side is returned last, so the
 // LIFO stack dives into it first.
 func (st *bpState) branch(node []bpDecision, sol *lp.Solution, fracPat int) [][]bpDecision {

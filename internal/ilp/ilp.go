@@ -20,13 +20,6 @@
 // strengthens every other; node-local cuts ride on the node and its
 // descendants. See cuts.go for the validity contract.
 //
-// The search also learns from failure: a subtree fathomed INFEASIBLE (an
-// empty bound box, an Options.NodeBound infeasibility proof, or an
-// infeasible node LP) is encoded as a no-good cut over its fixed 0-1
-// bounds and fed into the same pool, so symmetric copies of a dead
-// arrangement prune without re-proving it — see conflict.go for the
-// derivation, minimization, and why bound-dominated fathoms never learn.
-//
 // The search is organised prune-first: open nodes live on a bound-ordered
 // priority heap (best-first, with LIFO tie-breaking so equal-bound children
 // dive like DFS and keep the warm-start locality), every node is screened
@@ -129,13 +122,6 @@ type Options struct {
 	// that overclaims makes the search wrongly prune subtrees, so it must
 	// err on the side of weaker bounds.
 	NodeBound func(bounds func(j int) (lo, hi float64)) (bnd float64, feasible bool)
-	// NodeBoundProbe, when non-nil, is used instead of NodeBound for
-	// conflict-minimization probes (conflict.go re-queries the bound on fix
-	// subsets, many times per learned conflict). It must implement exactly
-	// the same bound, but a caller that counts NodeBound fathoms for
-	// telemetry can supply an uncounted twin here so minimization probes do
-	// not inflate the counters. Defaults to NodeBound.
-	NodeBoundProbe func(bounds func(j int) (lo, hi float64)) (bnd float64, feasible bool)
 	// Separate, when non-nil, turns the search into branch-and-cut: it is
 	// invoked in rounds at every node whose LP relaxation is fractional,
 	// before branching, and returns valid inequalities violated by the
@@ -218,13 +204,10 @@ type Solution struct {
 	LPIterations int
 	// CutsAdded counts distinct cuts generated by Options.Separate and
 	// admitted to the search (pool-deduplicated global cuts plus node-local
-	// cuts). Conflict cuts are counted separately in ConflictCuts.
+	// cuts).
 	CutsAdded int
 	// SeparationRounds counts node LP re-solves triggered by cut rounds.
 	SeparationRounds int
-	// ConflictCuts counts no-good cuts learned from infeasibility-fathomed
-	// subtrees and admitted to the cut pool (see conflict.go).
-	ConflictCuts int
 	// CutsByName breaks CutsAdded down by the separator-assigned Cut.Name
 	// (nil when no cuts were admitted). This is what lets callers report
 	// per-family telemetry (e.g. how many Chvátal–Gomory cuts fired)
@@ -254,14 +237,6 @@ func maxCutRounds(depth int) int {
 		return 8
 	}
 	return 2
-}
-
-// Gap returns Obj - Bound (0 for proven optimal solutions).
-func (s *Solution) Gap() float64 {
-	if s.X == nil {
-		return math.Inf(1)
-	}
-	return s.Obj - s.Bound
 }
 
 const intTol = 1e-6
@@ -352,15 +327,14 @@ type searchState struct {
 	// rebuilding the solver at every descendant.
 	localSet []lp.CutRow
 
-	nodes        int
-	lpIters      int
-	dropped      int
-	prunedComb   int
-	lpSkipped    int
-	cutsAdded    int
-	cutNames     map[string]int
-	sepRounds    int
-	conflictCuts int
+	nodes      int
+	lpIters    int
+	dropped    int
+	prunedComb int
+	lpSkipped  int
+	cutsAdded  int
+	cutNames   map[string]int
+	sepRounds  int
 	// droppedBound tracks the min parent bound among dropped nodes so the
 	// reported Bound stays valid even when subtrees are discarded.
 	droppedBound float64
@@ -552,27 +526,21 @@ func (st *searchState) solveLP() (*lp.Solution, error) {
 
 // processNode screens one node (combinatorial bound first), solves its LP
 // relaxation, runs its separation rounds, and records the outcome: the
-// counters, a learned conflict, the incumbent and the children it pushes.
+// counters, the incumbent and the children it pushes.
 func (st *searchState) processNode(nd *node) error {
 	if !st.applyFixes(nd.fixes) {
 		st.nodes++
-		st.learnConflict(nd, false)
 		return nil
 	}
 
 	// LP-free fathoming: if the caller's combinatorial bound already proves
 	// the box infeasible or no better than the incumbent, the simplex never
 	// runs for this node — and neither does the cut-view rebind below, so
-	// fathomed nodes pay no AddRows reinversion. Only the infeasible case
-	// learns a conflict: a bound-dominated box may still hold feasible
-	// (just not better) points, which a no-good would wrongly cut off.
+	// fathomed nodes pay no AddRows reinversion.
 	if st.opt.NodeBound != nil {
 		if bnd, feasible := st.opt.NodeBound(st.solver.Bounds); !feasible || bnd > st.incObj-absGap {
 			st.prunedComb++
 			st.lpSkipped++
-			if !feasible {
-				st.learnConflict(nd, true)
-			}
 			return nil
 		}
 	}
@@ -601,11 +569,6 @@ func (st *searchState) processNode(nd *node) error {
 	}
 	switch res.Status {
 	case lp.Infeasible:
-		// The node LP (original rows plus valid cuts) admits no point at
-		// all, so the box holds no integral feasible solution either:
-		// learn the no-good. The LP proof gives no subset certificate, so
-		// the full fix set is kept (the pool dedups repeats).
-		st.learnConflict(nd, false)
 		return nil
 	case lp.Unbounded:
 		if nd.depth == 0 {
@@ -1011,7 +974,6 @@ func (st *searchState) finish() *Solution {
 		CutsAdded:           st.cutsAdded,
 		CutsByName:          st.cutNames,
 		SeparationRounds:    st.sepRounds,
-		ConflictCuts:        st.conflictCuts,
 		BoundTrusted:        st.dropped == 0,
 	}
 	if st.opt.testCapturePool != nil && st.pool != nil {

@@ -44,8 +44,8 @@ func TestAddColsWarmEntry(t *testing.T) {
 	if err := s.AddCols([]NewCol{{Obj: 1.5, Lo: 0, Hi: 10, Rows: []int{0, 1}, Vals: []float64{1, 1}}}); err != nil {
 		t.Fatalf("AddCols: %v", err)
 	}
-	if s.NumVars() != 3 || s.nStructBase != 2 || len(s.newCols) != 1 {
-		t.Fatalf("counts: NumVars=%d NumBaseVars=%d AddedCols=%d", s.NumVars(), s.nStructBase, len(s.newCols))
+	if s.nStruct != 3 || s.nStructBase != 2 || len(s.newCols) != 1 {
+		t.Fatalf("counts: nStruct=%d nStructBase=%d newCols=%d", s.nStruct, s.nStructBase, len(s.newCols))
 	}
 	if !s.valid {
 		t.Fatal("AddCols invalidated the basis")
@@ -173,8 +173,8 @@ func TestAddColsValidation(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	if s.NumVars() != 2 || len(s.newCols) != 0 {
-		t.Fatalf("rejected batches mutated the solver: NumVars=%d AddedCols=%d", s.NumVars(), len(s.newCols))
+	if s.nStruct != 2 || len(s.newCols) != 0 {
+		t.Fatalf("rejected batches mutated the solver: nStruct=%d newCols=%d", s.nStruct, len(s.newCols))
 	}
 	// A batch with one bad column must reject the good one too.
 	if err := s.AddCols([]NewCol{

@@ -78,7 +78,7 @@ func TestChaosSparseFallbackEquivalence(t *testing.T) {
 		}
 		// Warm replay: bound tightening drives the FT-update / sparse
 		// re-entry paths on both solvers.
-		for j := 0; j < faulted.NumVars(); j += 5 {
+		for j := 0; j < faulted.nStruct; j += 5 {
 			ref.SetVarBounds(j, 1, 1)
 			faulted.SetVarBounds(j, 1, 1)
 			want, err = ref.Solve()
@@ -130,7 +130,7 @@ func TestChaosRefactorFailureKeepsSolving(t *testing.T) {
 		}
 		// Warm re-solves after bound tightening (the branching pattern that
 		// drives Forrest-Tomlin updates and eventually reinversions).
-		for j := 0; j < faulted.NumVars(); j += 3 {
+		for j := 0; j < faulted.nStruct; j += 3 {
 			lo, hi := faulted.Bounds(j)
 			faulted.SetVarBounds(j, lo, math.Max(lo, hi-1))
 			ref.SetVarBounds(j, lo, math.Max(lo, hi-1))

@@ -329,9 +329,6 @@ func (s *Solver) ensureBuilt() {
 	}
 }
 
-// NumVars returns the number of structural variables.
-func (s *Solver) NumVars() int { return s.nStruct }
-
 // Bounds returns the Solver's current bounds of structural variable j.
 func (s *Solver) Bounds(j int) (lo, hi float64) { return s.lo[j], s.hi[j] }
 

@@ -48,7 +48,6 @@ const (
 	CounterNodes      = "bb_nodes"
 	CounterCuts       = "cuts_added"
 	CounterSepRounds  = "separation_rounds"
-	CounterConflicts  = "conflict_cuts"
 	// CounterRaceRivals counts relax-N probes that started a pattern-master
 	// rival beside the row search, and CounterRaceRivalWins the probes
 	// whose verdict the rival supplied.

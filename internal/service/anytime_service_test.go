@@ -80,7 +80,7 @@ func TestE2EDeadlinePartial(t *testing.T) {
 
 	// The partial result must not have populated the cache, and a repeat
 	// of the same deadline request must not be served from it.
-	if n := svc.CacheStats().Entries; n != 0 {
+	if n := svc.cache.Stats().Entries; n != 0 {
 		t.Fatalf("cache holds %d entries after a partial-only workload", n)
 	}
 	code, body = postJSON(t, ts.URL+"/v1/solve", req)
@@ -133,7 +133,7 @@ func TestDeadlineCompleteResultCached(t *testing.T) {
 	if res.Cache != string(OriginMiss) {
 		t.Fatalf("first solve origin %q, want miss", res.Cache)
 	}
-	if n := svc.CacheStats().Entries; n != 1 {
+	if n := svc.cache.Stats().Entries; n != 1 {
 		t.Fatalf("cache entries = %d, want 1", n)
 	}
 	for _, deadline := range []int{0, 60000} {

@@ -106,7 +106,7 @@ func TestChaosCacheNeverPoisoned(t *testing.T) {
 	if faulted.N != seed.N || faulted.LatencyNS != seed.LatencyNS || !faulted.Optimal {
 		t.Fatalf("fallback solve diverged: %+v vs %+v", faulted, seed)
 	}
-	if got := svc.CacheStats().RemapFallbacks; got != 1 {
+	if got := svc.cache.Stats().RemapFallbacks; got != 1 {
 		t.Fatalf("remap fallbacks = %d, want 1", got)
 	}
 	if fired := faultinject.Fired(faultinject.CacheVerifyFail); fired != 1 {
@@ -154,7 +154,7 @@ func TestChaosSlowSolveDeadlineFallback(t *testing.T) {
 		t.Fatalf("fallback bound/gap inconsistent: bound=%g gap=%g",
 			res.LatencyBoundNS, res.GapNS)
 	}
-	if n := svc.CacheStats().Entries; n != 0 {
+	if n := svc.cache.Stats().Entries; n != 0 {
 		t.Fatalf("fallback result leaked into the cache (%d entries)", n)
 	}
 	assertMetric(t, ts.URL, "sparcsd_fallback_solves_total 1")

@@ -18,9 +18,8 @@ type SearchCounters struct {
 	// triggered.
 	CutsAdded        int `json:"cuts_added,omitempty"`
 	SeparationRounds int `json:"separation_rounds,omitempty"`
-	// Infeasibility-proof engine: learned no-goods, Chvátal–Gomory
-	// cardinality cuts in play, and bin-packing dual-bound fathoms.
-	ConflictCuts     int `json:"conflict_cuts,omitempty"`
+	// Infeasibility-proof engine: Chvátal–Gomory cardinality cuts in play
+	// and bin-packing dual-bound fathoms.
 	CGCuts           int `json:"cg_cuts,omitempty"`
 	DualBoundFathoms int `json:"dual_bound_fathoms,omitempty"`
 	// Simplex kernel: pivots, basis reinversions the Forrest–Tomlin update
@@ -49,7 +48,6 @@ func searchCountersOf(st tempart.SolveStats) SearchCounters {
 		LPSolvesSkipped:     st.LPSolvesSkipped,
 		CutsAdded:           st.CutsAdded,
 		SeparationRounds:    st.SeparationRounds,
-		ConflictCuts:        st.ConflictCuts,
 		CGCuts:              st.CGCuts,
 		DualBoundFathoms:    st.DualBoundFathoms,
 		LPIterations:        st.LPIterations,
@@ -91,8 +89,6 @@ var searchFamilies = []searchFamily{
 		func(c *SearchCounters) int { return c.SeparationRounds }},
 	// Rising fathoms with flat nodes is the proof engine doing the pruning
 	// (N probes and B&B nodes killed LP-free).
-	{"conflict_cuts", "No-good cuts learned from infeasible subtrees.",
-		func(c *SearchCounters) int { return c.ConflictCuts }},
 	{"cg_cuts", "Chvatal-Gomory cardinality cuts in play.",
 		func(c *SearchCounters) int { return c.CGCuts }},
 	{"dual_bound_fathoms", "Bin-packing dual-bound fathoms (LP-free).",

@@ -75,7 +75,6 @@ func TestDCTInvariantThroughService(t *testing.T) {
 		`sparcsd_lp_solves_skipped_total{engine="ilp"}`,
 		`sparcsd_cuts_added_total{engine="ilp"}`,
 		`sparcsd_separation_rounds_total{engine="ilp"}`,
-		`sparcsd_conflict_cuts_total{engine="ilp"}`,
 		`sparcsd_cg_cuts_total{engine="ilp"}`,
 		`sparcsd_dual_bound_fathoms_total{engine="ilp"}`,
 		`sparcsd_lp_refactorizations_total{engine="ilp"}`,

@@ -69,7 +69,7 @@ func TestLoadSmoke(t *testing.T) {
 	if ok.Load() != requests {
 		t.Fatalf("%d/%d requests succeeded (%d failed)", ok.Load(), requests, failed.Load())
 	}
-	st := svc.CacheStats()
+	st := svc.cache.Stats()
 	if st.Misses != uint64(len(graphs)) {
 		t.Errorf("want %d solver misses, got %+v", len(graphs), st)
 	}

@@ -46,7 +46,7 @@ func TestTraceSolveEndpoint(t *testing.T) {
 
 	// Traced solve: must be a fresh miss even though the cache holds the
 	// answer, and must not disturb the cache.
-	before := svc.CacheStats()
+	before := svc.cache.Stats()
 	code, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{Graph: g, Board: "small", Formulation: rows, Trace: true})
 	if code != http.StatusOK {
 		t.Fatalf("traced solve: HTTP %d: %s", code, body)
@@ -56,7 +56,7 @@ func TestTraceSolveEndpoint(t *testing.T) {
 	if traced.Cache != string(OriginMiss) {
 		t.Errorf("traced solve origin = %q, want %q (cache bypass)", traced.Cache, OriginMiss)
 	}
-	if after := svc.CacheStats(); after.Hits != before.Hits || after.Misses != before.Misses {
+	if after := svc.cache.Stats(); after.Hits != before.Hits || after.Misses != before.Misses {
 		t.Errorf("traced solve touched the cache: %+v -> %+v", before, after)
 	}
 	if traced.N != warm.N || traced.LatencyNS != warm.LatencyNS {
@@ -372,7 +372,6 @@ func TestPrometheusExpositionParses(t *testing.T) {
 		`sparcsd_lp_solves_skipped_total{engine="ilp"}`,
 		`sparcsd_cuts_added_total{engine="ilp"}`,
 		`sparcsd_separation_rounds_total{engine="ilp"}`,
-		`sparcsd_conflict_cuts_total{engine="ilp"}`,
 		`sparcsd_cg_cuts_total{engine="ilp"}`,
 		`sparcsd_dual_bound_fathoms_total{engine="ilp"}`,
 		`sparcsd_lp_refactorizations_total{engine="ilp"}`,

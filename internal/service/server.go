@@ -110,9 +110,6 @@ func New(cfg Config) *Server {
 // Handler returns the HTTP API.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// CacheStats exposes cache counters (tests and /healthz).
-func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
-
 // Shutdown cancels in-flight work and waits for the worker pool to drain.
 func (s *Server) Shutdown() { s.sched.Shutdown() }
 

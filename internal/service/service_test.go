@@ -731,7 +731,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	getJSON(t, ts.URL+"/healthz", &raw)
 	for _, key := range []string{
 		"bb_nodes", "bb_pruned_combinatorial", "lp_solves_skipped",
-		"cuts_added", "separation_rounds", "conflict_cuts", "cg_cuts",
+		"cuts_added", "separation_rounds", "cg_cuts",
 		"dual_bound_fathoms", "lp_refactorizations", "lp_bound_flips",
 		"lp_sparse_ftrans", "lp_sparse_btrans", "lp_dense_fallbacks",
 		"columns_generated", "pricing_rounds", "race_rivals",

@@ -32,33 +32,50 @@ func checkAnytime(t *testing.T, in Input, p *Partitioning) {
 	}
 }
 
-// TestSolveContextDeadlineAnytime drives the hard mixed-cardinality
-// instance into a deadline it cannot meet: the solve must come back within
-// a few multiples of the budget with either an anytime incumbent (feasible,
-// Partial, finite gap) or ErrDeadline (no incumbent at all) — never a
-// different error and never a blown deadline.
+// TestSolveContextDeadlineAnytime drives instances into deadlines they
+// cannot meet: the solve must come back within a few multiples of the
+// budget with either an anytime incumbent (feasible, Partial, finite gap)
+// or ErrDeadline (no incumbent at all) — never a different error and never
+// a blown deadline. The hard mixed-cardinality instance stops mid-search.
+// The 108-task chain of blocks stops before its row search solves the root
+// LP, so the search proves no bound and the presolve floor must stand in;
+// under a pinned-patterns deadline that cuts the pattern-tree build short,
+// the same row model answers.
 func TestSolveContextDeadlineAnytime(t *testing.T) {
-	for _, budget := range []time.Duration{50 * time.Millisecond, 300 * time.Millisecond} {
-		in := hardInput(24)
-		ctx, cancel := context.WithTimeout(context.Background(), budget)
+	blocks := Input{Graph: portfolioChainBlocks(36), Board: board(100, 1024, 1e6), MaxPartitions: 62}
+	blocksRows, blocksPatterns := blocks, blocks
+	blocksRows.Formulation = FormulationRows
+	blocksPatterns.Formulation = FormulationPatterns
+	cases := []struct {
+		name   string
+		in     Input
+		budget time.Duration
+	}{
+		{"pack2638", hardInput(24), 50 * time.Millisecond},
+		{"pack2638", hardInput(24), 300 * time.Millisecond},
+		{"chainblocks108-rows", blocksRows, 100 * time.Microsecond},
+		{"chainblocks108-patterns", blocksPatterns, 100 * time.Microsecond},
+	}
+	for _, c := range cases {
+		ctx, cancel := context.WithTimeout(context.Background(), c.budget)
 		start := time.Now()
-		p, err := Solve(ctx, in)
+		p, err := Solve(ctx, c.in)
 		elapsed := time.Since(start)
 		cancel()
-		if elapsed > budget+10*time.Second {
-			t.Fatalf("budget %v: solve ran %v", budget, elapsed)
+		if elapsed > c.budget+10*time.Second {
+			t.Fatalf("%s, budget %v: solve ran %v", c.name, c.budget, elapsed)
 		}
 		switch {
 		case err == nil && p != nil && p.Optimal:
 			// A fast machine finished the probe inside the budget; nothing
 			// anytime to check.
 		case err == nil && p != nil:
-			checkAnytime(t, in, p)
+			checkAnytime(t, c.in, p)
 		case errors.Is(err, ErrDeadline):
 			// No incumbent in time: the service layer's fallback cue.
 		default:
-			t.Fatalf("budget %v: got (%v, %v), want anytime result or ErrDeadline",
-				budget, p, err)
+			t.Fatalf("%s, budget %v: got (%v, %v), want anytime result or ErrDeadline",
+				c.name, c.budget, p, err)
 		}
 	}
 }

@@ -222,40 +222,57 @@ func TestPatternRootBoundDominatesPackingNeed(t *testing.T) {
 }
 
 // TestPatternFormulationEquivalence pins the tentpole's correctness claim:
-// on random DAGs both formulations prove the same minimum N and the same
-// optimal latency.
+// both formulations prove the same minimum N and the same optimal latency,
+// with a trusted bound, on random DAGs and on seeded 9- and 10-task
+// portfolio chains. The random DAGs have 3-6 tasks and close in a few
+// nodes; the chains are near-capacity items whose row search branches
+// through dozens of nodes, so they keep every pruning rule of the deep
+// search honest against the pattern master.
 func TestPatternFormulationEquivalence(t *testing.T) {
-	b := board(100, 100000, 10)
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomGraph(rng)
+	equal := func(name string, g *dfg.Graph, b arch.Board) bool {
 		rows, err := Solve(context.Background(), Input{Graph: g, Board: b, Formulation: FormulationRows})
 		if err != nil {
-			t.Errorf("seed %d rows: %v", seed, err)
+			t.Errorf("%s rows: %v", name, err)
 			return false
 		}
 		pats, err := Solve(context.Background(), Input{Graph: g, Board: b, Formulation: FormulationPatterns})
 		if err != nil {
-			t.Errorf("seed %d patterns: %v", seed, err)
+			t.Errorf("%s patterns: %v", name, err)
 			return false
 		}
-		if !rows.Optimal || !pats.Optimal {
-			t.Errorf("seed %d: optimality rows=%v patterns=%v", seed, rows.Optimal, pats.Optimal)
+		if !rows.Optimal || !pats.Optimal || !rows.BoundTrusted || !pats.BoundTrusted {
+			t.Errorf("%s: optimal/trusted rows=%v/%v patterns=%v/%v",
+				name, rows.Optimal, rows.BoundTrusted, pats.Optimal, pats.BoundTrusted)
 			return false
 		}
 		if rows.N != pats.N || math.Abs(rows.Latency-pats.Latency) > 1e-6 {
-			t.Errorf("seed %d: rows N=%d lat=%v, patterns N=%d lat=%v",
-				seed, rows.N, rows.Latency, pats.N, pats.Latency)
+			t.Errorf("%s: rows N=%d lat=%v, patterns N=%d lat=%v",
+				name, rows.N, rows.Latency, pats.N, pats.Latency)
 			return false
 		}
 		if err := CheckFeasible(g, b, pats.Assign, pats.N); err != nil {
-			t.Errorf("seed %d: pattern assignment infeasible: %v", seed, err)
+			t.Errorf("%s: pattern assignment infeasible: %v", name, err)
 			return false
 		}
 		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
+	random := func(seed int64) bool {
+		g := randomGraph(rand.New(rand.NewSource(seed)))
+		return equal(fmt.Sprintf("seed %d", seed), g, board(100, 100000, 10))
+	}
+	if err := quick.Check(random, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+	if testing.Short() {
+		return // the chains are sequential searches: no coverage for the race lane
+	}
+	// The portfolio chains' board: 100 CLBs, 1024 words, 1 ms reconfiguration.
+	chainBoard := board(100, 1024, 1e6)
+	for _, n := range []int{9, 10} {
+		for seed := int64(1); seed <= 8; seed++ {
+			g := portfolioChain(rand.New(rand.NewSource(seed)), n)
+			equal(fmt.Sprintf("chain%d seed %d", n, seed), g, chainBoard)
+		}
 	}
 }
 

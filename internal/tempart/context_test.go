@@ -22,8 +22,8 @@ import (
 // need 2b+3c ≥ 12, so a+b+c ≥ (12−b)/2 + b + (12−2b)/3 = 10 − b/6 ≥ 9
 // (b ≤ 6 from the 26s), and at N=9 the layer-cake
 // and CG-delay floors sit at 800 while the integral optimum is 900. Proving
-// either side is an exponential enumeration that no incumbent, cut family,
-// conflict clause, or packing bound shortcuts. (The earlier 34/35/36
+// either side is an exponential enumeration that no incumbent, cut family
+// or packing bound shortcuts. (The earlier 34/35/36
 // variant died to the CG cardinality engine: uniform near-capacity sizes
 // make the cardinality bound exact.) Symmetry breaking and the warm start
 // are disabled on top to keep the tree maximal, and the row model is

@@ -143,15 +143,12 @@ type SolveStats struct {
 	// re-solves they triggered.
 	CutsAdded        int
 	SeparationRounds int
-	// ConflictCuts counts the no-good cuts learned from
-	// infeasibility-fathomed subtrees across every relax-N probe (including
-	// probes that ended in an infeasibility proof), CGCuts the
-	// Chvátal–Gomory cardinality cuts in play (root rows baked into the
-	// winning model plus cg-* cuts separated during search), and
-	// DualBoundFathoms how often the bin-packing dual bound fired: N probes
-	// rejected because packingNeed exceeded the candidate count, plus B&B
-	// nodes whose residual packing proved the box empty LP-free.
-	ConflictCuts     int
+	// CGCuts counts the Chvátal–Gomory cardinality cuts in play (root rows
+	// baked into the winning model plus cg-* cuts separated during search),
+	// and DualBoundFathoms how often the bin-packing dual bound fired
+	// across every relax-N probe: N probes rejected because packingNeed
+	// exceeded the candidate count, plus B&B nodes whose residual packing
+	// proved the box empty LP-free.
 	CGCuts           int
 	DualBoundFathoms int
 	// ColumnsGenerated and PricingRounds report the branch-and-price
@@ -195,8 +192,8 @@ type Partitioning struct {
 	Partial bool
 	// LatencyBound is the proven lower bound (ns) on the achievable
 	// latency: equal to Latency for Optimal results, and derived from the
-	// search's objective bound (plus the constant N·reconfig term) for
-	// truncated ones. Zero when no bound was established.
+	// search's objective bound (plus the constant N·reconfig term), or the
+	// presolve's floor where that is stronger, for truncated ones.
 	LatencyBound float64
 	// Gap is Latency - LatencyBound (0 when Optimal).
 	Gap float64
@@ -376,29 +373,26 @@ func validateInput(g *dfg.Graph, board arch.Board) error {
 
 // proofTally accumulates the infeasibility-proof telemetry of one Solve
 // across every relax-N probe: bin-packing dual-bound fathoms (rejected N
-// probes plus LP-free node fathoms), learned conflict cuts, and separated
-// Chvátal–Gomory cuts — including the probes that ended in an
-// infeasibility proof, whose search effort would otherwise be invisible.
+// probes plus LP-free node fathoms) and separated Chvátal–Gomory cuts —
+// including the probes that ended in an infeasibility proof, whose search
+// effort would otherwise be invisible.
 type proofTally struct {
-	packNeed     int // instance-wide bin-packing dual bound (presolve)
-	dualFathoms  int
-	conflictCuts int
-	cgCuts       int
-	rivals       int // probes that started a pattern-master rival
+	packNeed    int // instance-wide bin-packing dual bound (presolve)
+	dualFathoms int
+	cgCuts      int
+	rivals      int // probes that started a pattern-master rival
 }
 
 // absorb folds a race attempt's sub-tally into the aggregate (only the
 // attempt whose verdict stands contributes).
 func (tally *proofTally) absorb(sub *proofTally) {
 	tally.dualFathoms += sub.dualFathoms
-	tally.conflictCuts += sub.conflictCuts
 	tally.cgCuts += sub.cgCuts
 }
 
 // stampProofStats folds the tally into the winning partitioning's stats,
 // after every lower-N probe has contributed.
 func (tally *proofTally) stampProofStats(part *Partitioning) {
-	part.Stats.ConflictCuts = tally.conflictCuts
 	part.Stats.CGCuts += tally.cgCuts
 	part.Stats.DualBoundFathoms = tally.dualFathoms
 	part.Stats.RaceRivals = tally.rivals
@@ -762,15 +756,11 @@ func solveForNRows(ctx context.Context, in Input, pre *presolve, N int, tally *p
 	}
 	// LP-free fathoming: the presolve's combinatorial bound screens every
 	// B&B node before its LP relaxation is solved; its bin-packing
-	// dual-bound fathoms land in the tally. Conflict minimization re-probes
-	// the same bound many times per learned conflict, so it gets an
-	// uncounted twin — only genuine node fathoms reach DualBoundFathoms.
+	// dual-bound fathoms land in the tally.
 	opts.NodeBound = pre.nodeBoundFunc(N, m.yv, &tally.dualFathoms)
-	opts.NodeBoundProbe = pre.nodeBoundFunc(N, m.yv, nil)
 	// Branch and cut: grow node LPs with violated CG cardinality / cover /
 	// temporal-order clique / layer-cake subset cuts, branching only when
-	// separation dries up; infeasibility-fathomed subtrees feed no-good
-	// cuts back into the cut pool.
+	// separation dries up.
 	if !in.NoCuts {
 		opts.Separate = newSeparator(pre, g, N, m.yv, m.dv).separate
 	}
@@ -788,7 +778,6 @@ func solveForNRows(ctx context.Context, in Input, pre *presolve, N int, tally *p
 	if err != nil {
 		return nil, err
 	}
-	tally.conflictCuts += sol.ConflictCuts
 	for name, n := range sol.CutsByName {
 		if strings.HasPrefix(name, "cg-") {
 			tally.cgCuts += n
@@ -873,8 +862,10 @@ func searchProbe(ctx context.Context, in Input, N int, search func() (nodes int,
 // probePartitioning maps a probe's task assignment to its Partitioning:
 // delays, latency, the optimality claim, and the latency bound that the
 // search's objective bound proves. The objective is Σ_p d_p with the
-// N·reconfig term constant, so the bound translates directly; a -Inf
-// bound proves none.
+// N·reconfig term constant, so the bound translates directly. The
+// presolve's floor on Σ_p d_p holds in every box, so it stands in for a
+// weaker search bound: a deadline inside the root LP leaves the row search
+// with -Inf, and an unconverged pattern root with 0.
 func probePartitioning(in Input, pre *presolve, assign []int, optimal bool, bound float64, stats SolveStats) *Partitioning {
 	N := stats.N
 	delays := chainDelays(in.Graph, pre.topo, assign, N)
@@ -886,18 +877,12 @@ func probePartitioning(in Input, pre *presolve, assign []int, optimal bool, boun
 		Optimal: optimal,
 		Stats:   stats,
 	}
-	switch {
-	case optimal:
-		part.LatencyBound = part.Latency
-	case !math.IsInf(bound, -1):
-		part.LatencyBound = float64(N)*in.Board.FPGA.ReconfigTime + bound
-		if part.LatencyBound > part.Latency {
-			part.LatencyBound = part.Latency
-		}
+	part.LatencyBound = part.Latency
+	if !optimal {
+		lb := float64(N)*in.Board.FPGA.ReconfigTime + math.Max(bound, pre.sumDelayFloor())
+		part.LatencyBound = math.Min(lb, part.Latency)
 	}
-	if part.LatencyBound > 0 {
-		part.Gap = part.Latency - part.LatencyBound
-	}
+	part.Gap = part.Latency - part.LatencyBound
 	return part
 }
 

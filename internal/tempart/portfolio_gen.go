@@ -167,7 +167,7 @@ type PortfolioInstance struct {
 	MaxBBNodes int    `json:"max_bb_nodes"`
 	Quick      bool   `json:"quick"`
 	// ExpectProof asserts the infeasibility-proof machinery carried the
-	// solve: ConflictCuts or DualBoundFathoms must be nonzero.
+	// solve: DualBoundFathoms must be nonzero.
 	ExpectProof bool   `json:"expect_proof"`
 	Note        string `json:"note"`
 }

@@ -132,9 +132,8 @@ func entryName(e *portfolioEntry) string {
 // instances reach their known optimum partition count with a feasible
 // assignment, FIR shapes within the root-cut node budget, and the pack
 // instances — which blew their 2000-node budgets before the
-// infeasibility-proof engine — within their manifest max_nodes, with the
-// proof counters (conflict cuts / dual-bound fathoms) nonzero where the
-// manifest demands them. An entry may still declare expect "limit" for a
+// infeasibility-proof engine — within their manifest max_nodes, with
+// dual-bound fathoms nonzero where the manifest demands them. An entry may still declare expect "limit" for a
 // deliberately budget-bound yardstick.
 func TestHardPortfolio(t *testing.T) {
 	if testing.Short() {
@@ -186,8 +185,8 @@ func TestHardPortfolio(t *testing.T) {
 				if e.MaxBBNodes > 0 && p.Stats.Nodes > e.MaxBBNodes {
 					t.Errorf("explored %d nodes, budget %d (cut engine regression)", p.Stats.Nodes, e.MaxBBNodes)
 				}
-				if e.ExpectProof && p.Stats.ConflictCuts == 0 && p.Stats.DualBoundFathoms == 0 {
-					t.Errorf("proof-regime instance closed with zero conflict cuts and zero dual-bound fathoms (stats %+v) — the infeasibility-proof engine did not engage", p.Stats)
+				if e.ExpectProof && p.Stats.DualBoundFathoms == 0 {
+					t.Errorf("proof-regime instance closed with zero dual-bound fathoms (stats %+v) — the infeasibility-proof engine did not engage", p.Stats)
 				}
 			default:
 				t.Fatalf("manifest: unknown expect %q", e.Expect)
@@ -204,18 +203,18 @@ func TestHardPortfolio(t *testing.T) {
 // one must update this table deliberately.
 func TestPortfolioProofTelemetry(t *testing.T) {
 	type telemetry struct {
-		relaxSteps, nProbesPruned, dualFathoms, conflictCuts, cgCuts, raceRivals int
+		relaxSteps, nProbesPruned, dualFathoms, cgCuts, raceRivals int
 	}
 	want := map[string]telemetry{
-		"pack12":                  {2, 8, 1, 0, 12, 0},
-		"pack15":                  {3, 8, 2, 0, 16, 0},
-		"pack18":                  {3, 8, 2, 0, 18, 0},
-		"chain9":                  {2, 8, 1, 23, 20, 0},
-		"chain10":                 {2, 8, 1, 2, 30, 0},
-		"fir6":                    {1, 8, 0, 0, 4, 0},
-		"fir8":                    {1, 8, 0, 0, 8, 0},
-		"pack2638-patterns":       {2, 5, 0, 0, 0, 0},
-		"chainblocks102-patterns": {16, 24, 15, 0, 0, 0},
+		"pack12":                  {2, 8, 1, 12, 0},
+		"pack15":                  {3, 8, 2, 16, 0},
+		"pack18":                  {3, 8, 2, 18, 0},
+		"chain9":                  {2, 8, 1, 20, 0},
+		"chain10":                 {2, 8, 1, 30, 0},
+		"fir6":                    {1, 8, 0, 4, 0},
+		"fir8":                    {1, 8, 0, 8, 0},
+		"pack2638-patterns":       {2, 5, 0, 0, 0},
+		"chainblocks102-patterns": {16, 24, 15, 0, 0},
 	}
 	entries := loadPortfolio(t)
 	seen := 0
@@ -236,9 +235,9 @@ func TestPortfolioProofTelemetry(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := p.Stats
-			got := telemetry{s.RelaxSteps, s.NProbesPruned, s.DualBoundFathoms, s.ConflictCuts, s.CGCuts, s.RaceRivals}
+			got := telemetry{s.RelaxSteps, s.NProbesPruned, s.DualBoundFathoms, s.CGCuts, s.RaceRivals}
 			if got != w {
-				t.Errorf("telemetry {relax, pruned, dual, conflict, cg, rivals} = %v, want %v", got, w)
+				t.Errorf("telemetry {relax, pruned, dual, cg, rivals} = %v, want %v", got, w)
 			}
 		})
 	}
@@ -255,10 +254,9 @@ func BenchmarkHardPortfolio(b *testing.B) {
 	entries := loadPortfolio(b)
 	var nodes, cuts, rounds, pruned int
 	start := time.Now()
-	var conflicts, dualFathoms int
+	var dualFathoms int
 	for i := 0; i < b.N; i++ {
-		nodes, cuts, rounds, pruned = 0, 0, 0, 0
-		conflicts, dualFathoms = 0, 0
+		nodes, cuts, rounds, pruned, dualFathoms = 0, 0, 0, 0, 0
 		for j := range entries {
 			e := entries[j]
 			p, err := runEntry(&e)
@@ -278,7 +276,6 @@ func BenchmarkHardPortfolio(b *testing.B) {
 			cuts += p.Stats.CutsAdded
 			rounds += p.Stats.SeparationRounds
 			pruned += p.Stats.PrunedCombinatorial
-			conflicts += p.Stats.ConflictCuts
 			dualFathoms += p.Stats.DualBoundFathoms
 		}
 	}
@@ -287,7 +284,6 @@ func BenchmarkHardPortfolio(b *testing.B) {
 	b.ReportMetric(float64(cuts), "portfolio-cuts-added")
 	b.ReportMetric(float64(rounds), "portfolio-separation-rounds")
 	b.ReportMetric(float64(pruned), "portfolio-pruned-combinatorial")
-	b.ReportMetric(float64(conflicts), "portfolio-conflict-cuts")
 	b.ReportMetric(float64(dualFathoms), "portfolio-dual-bound-fathoms")
 	b.ReportMetric(time.Since(start).Seconds()/float64(b.N), "sec/pass")
 }

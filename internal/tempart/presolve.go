@@ -602,27 +602,22 @@ func residualPackingInfeasible(sc *nodeScratch, demand []int, used []int, cap, N
 // resource capacity, a task that no longer fits anywhere, or — the
 // bin-packing dual bound — residual capacities that cannot absorb the
 // unfixed items by area or by count (residualPackingInfeasible; these
-// fathoms are tallied in dualFathoms when non-nil, feeding
-// SolveStats.DualBoundFathoms).
+// fathoms are tallied in *dualFathoms, feeding SolveStats.DualBoundFathoms).
 func (pr *presolve) nodeBoundFunc(N int, yv func(t, p int) int, dualFathoms *int) func(bounds func(j int) (lo, hi float64)) (float64, bool) {
 	nT := pr.g.NumTasks()
 	// One scratch per callback, since each callback serves one sequential
-	// ilp.Solve. It is built on the first call: the conflict-minimization
-	// twin often never runs.
-	var sc *nodeScratch
+	// ilp.Solve.
+	sc := &nodeScratch{
+		assigned: make([]int, nT),
+		used:     make([]int, N),
+		chain:    make([]float64, nT),
+		maxChain: make([]float64, N),
+	}
+	for range pr.extraKinds {
+		sc.extraUsed = append(sc.extraUsed, make([]int, N))
+	}
 	clbCap := pr.board.FPGA.CLBs
 	return func(bounds func(j int) (lo, hi float64)) (float64, bool) {
-		if sc == nil {
-			sc = &nodeScratch{
-				assigned: make([]int, nT),
-				used:     make([]int, N),
-				chain:    make([]float64, nT),
-				maxChain: make([]float64, N),
-			}
-			for range pr.extraKinds {
-				sc.extraUsed = append(sc.extraUsed, make([]int, N))
-			}
-		}
 		for p := 0; p < N; p++ {
 			sc.used[p] = 0
 			sc.maxChain[p] = 0
@@ -670,16 +665,12 @@ func (pr *presolve) nodeBoundFunc(N int, yv func(t, p int) int, dualFathoms *int
 		// of every capped dimension must fit the partitions' residues by
 		// area and by count.
 		if residualPackingInfeasible(sc, pr.res, sc.used, clbCap, N) {
-			if dualFathoms != nil {
-				(*dualFathoms)++
-			}
+			(*dualFathoms)++
 			return 0, false
 		}
 		for k := range pr.extraDemand {
 			if residualPackingInfeasible(sc, pr.extraDemand[k], sc.extraUsed[k], pr.extraCap[k], N) {
-				if dualFathoms != nil {
-					(*dualFathoms)++
-				}
+				(*dualFathoms)++
 				return 0, false
 			}
 		}

@@ -98,7 +98,7 @@ func TestPresolveBoundsNeverExceedIntegerOptimum(t *testing.T) {
 		}
 		// Root node bound over the untouched box.
 		m := buildModel(Input{Graph: g, Board: b}, pre, bestN, true)
-		nb := pre.nodeBoundFunc(bestN, m.yv, nil)
+		nb := pre.nodeBoundFunc(bestN, m.yv, new(int))
 		bnd, feasible := nb(m.prob.Bounds)
 		if !feasible {
 			t.Logf("seed %d: root box declared infeasible despite optimum N=%d", seed, bestN)
@@ -318,7 +318,7 @@ func TestNodeBoundNeverFathomsCompletableBoxes(t *testing.T) {
 		}
 		for N := n0; N <= n0+1 && N <= 4; N++ {
 			m := buildModel(Input{Graph: g, Board: b}, pre, N, true)
-			nb := pre.nodeBoundFunc(N, m.yv, nil)
+			nb := pre.nodeBoundFunc(N, m.yv, new(int))
 			forEachFeasible(g, b, N, func(assign []int) {
 				d := pathSumDelays(g, assign, N, paths)
 				sumD := 0.0

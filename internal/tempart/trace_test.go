@@ -93,37 +93,6 @@ func TestTraceTimelineCoversSolve(t *testing.T) {
 	}
 }
 
-// TestTraceConflictCounterMatchesStats: on every quick row-model
-// portfolio instance, the conflict_cuts counter of a traced solve equals
-// the ConflictCuts the solve reports, so every learned no-good reaches the
-// trace, including those of nodes the combinatorial bound fathoms before
-// their LP runs.
-func TestTraceConflictCounterMatchesStats(t *testing.T) {
-	entries := loadPortfolio(t)
-	for i := range entries {
-		e := entries[i]
-		if !e.Quick || e.Formulation != FormulationRows {
-			continue
-		}
-		t.Run(entryName(&e), func(t *testing.T) {
-			rec := obs.NewRecorder(1 << 14)
-			in := entryInput(&e)
-			in.Trace = rec
-			part, err := Solve(context.Background(), in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr := rec.Trace()
-			if tr.Dropped != 0 {
-				t.Fatalf("trace dropped %d events", tr.Dropped)
-			}
-			if got := tr.Counters[obs.CounterConflicts]; got != int64(part.Stats.ConflictCuts) {
-				t.Errorf("traced %s = %d, Stats.ConflictCuts = %d", obs.CounterConflicts, got, part.Stats.ConflictCuts)
-			}
-		})
-	}
-}
-
 // TestTraceSpeculativeParallel drives the recorder through the concurrent
 // path that remains inside one solve — a race rival recording its probe,
 // build and search spans beside the row search — so the CI race lane
