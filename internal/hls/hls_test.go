@@ -149,6 +149,20 @@ func TestStaticClockMatchesPaper(t *testing.T) {
 	}
 }
 
+// TestChooseClockUserConstraint: the paper's user maximum clock width is not
+// modelled, so the slowest allocated component alone sets the clock, even
+// where a user cap (say 50 ns) would have refused it.
+func TestChooseClockUserConstraint(t *testing.T) {
+	clock, err := ChooseClock(Allocation{{OpMul, 17}: 1}, XC4000Library(), Constraints{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 17x17 multiplier: 3*17+14 = 65 ns, +4 setup -> 69 -> 70.
+	if clock != 70 {
+		t.Errorf("clock = %g, want 70 (multiplier bound)", clock)
+	}
+}
+
 func TestClockCannotUndercutMemory(t *testing.T) {
 	clock, err := ChooseClock(Allocation{{OpAdd, 8}: 1}, XC4000Library(), Constraints{})
 	if err != nil {
