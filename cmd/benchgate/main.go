@@ -217,8 +217,8 @@ var gates = []gate{
 // thresholdOverrides tightens the gate for specific (benchmark, unit)
 // pairs. The FIR bank is the headline branch-and-cut benchmark, the pack
 // portfolio is the headline infeasibility-proof regime, and Chain9 is the
-// one root bench with a real search tree (the cut pool, SOS1 and
-// pseudo-cost branching all steer it): their node counts are
+// one root bench with a real search tree (the cut pool, the NodeBound
+// screen and SOS1 branching all steer it): their node counts are
 // deterministic and the cut/proof engines exist to shrink them, so ANY
 // node-count growth over the committed baseline fails the gate
 // (threshold 0), not just the default 20%.

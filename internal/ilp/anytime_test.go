@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/lp"
 )
 
 // randKnapsack builds a reproducible n-item knapsack (values/weights/cap
@@ -121,7 +123,7 @@ func TestDeadlineStopWithoutIncumbent(t *testing.T) {
 			ctx, stop := context.WithCancel(ctx)
 			defer stop()
 			opt := Options{MaxNodes: tc.maxNodes, Context: ctx}
-			opt.Separate = func(*SeparationPoint) []Cut {
+			opt.Separate = func([]float64) []lp.CutRow {
 				time.Sleep(time.Until(dl) + time.Millisecond)
 				if tc.stop {
 					stop()

@@ -9,31 +9,19 @@ import (
 )
 
 // This file is the cutting-plane side of the branch-and-bound solver: the
-// Cut type returned by Options.Separate, and the cut pool that
-// deduplicates and ages global cuts and compacts when full; the search's
-// solver applies the pool as a prefix of its added rows, so a cut
-// separated at one node reaches every node solved after it.
+// cut pool that deduplicates and ages the rows Options.Separate returns
+// and compacts when full. The search's solver applies the pool as a prefix
+// of its added rows, so a cut separated at one node reaches every node
+// solved after it.
 //
-// Validity contract: a Global cut must be satisfied by EVERY integral
-// feasible solution of the problem; a non-global (node-local) cut must be
-// satisfied by every integral feasible solution inside the emitting node's
-// bound box. Cuts are allowed — encouraged — to cut off fractional LP
-// points; that is their job. A separator that violates the contract makes
-// the search wrongly prune subtrees (like an overclaiming NodeBound), but
-// it can never produce an infeasible incumbent: candidate incumbents are
-// verified against the original Problem rows only, never against cuts.
-
-// Cut is one violated valid inequality produced by an Options.Separate
-// callback.
-type Cut struct {
-	lp.CutRow
-	// Global marks the cut valid for the whole problem. Global cuts enter
-	// the pool and reach every later node; non-global cuts apply
-	// to the emitting node and are inherited by its descendants only.
-	Global bool
-	// Name tags the originating separator (logging only).
-	Name string
-}
+// Validity contract: every cut must be satisfied by EVERY integral
+// feasible solution of the problem, whichever node it was separated at —
+// a cut derived from a node's branching fixes is not valid. Cuts are
+// allowed — encouraged — to cut off fractional LP points; that is their
+// job. A separator that violates the contract makes the search wrongly
+// prune subtrees (like an overclaiming NodeBound), but it can never
+// produce an infeasible incumbent: candidate incumbents are verified
+// against the original Problem rows only, never against cuts.
 
 // cutViolationTol is the minimum violation for a returned cut to be kept:
 // cuts the current point (nearly) satisfies would not move the LP.
@@ -43,11 +31,11 @@ const cutViolationTol = 1e-6
 // which is what feeds the pool's activity aging.
 const cutTightTol = 1e-7
 
-// maxPoolCuts bounds the global cut pool. Past the bound the pool evicts
+// maxPoolCuts bounds the cut pool. Past the bound the pool evicts
 // its least active half.
 const maxPoolCuts = 512
 
-// cutPool is the store of global cuts, kept as parallel slices so the
+// cutPool is the store of cuts, kept as parallel slices so the
 // search's solver can append rows[applied:] in place. The solver applies
 // the pool as a monotone prefix; when the pool exceeds its bound it
 // compacts to the most active half and bumps its generation, telling the
@@ -181,7 +169,7 @@ func normalizedRowHash(r lp.CutRow) uint64 {
 }
 
 // validCut screens a separator-returned cut before it may touch a solver.
-func validCut(nVars int, c *Cut) bool {
+func validCut(nVars int, c *lp.CutRow) bool {
 	if len(c.Cols) != len(c.Vals) || len(c.Cols) == 0 {
 		return false
 	}

@@ -105,9 +105,9 @@ func knapsackProblem(obj []float64, rows [][]int, caps []int) *Problem {
 // coverSeparator returns extended-cover cuts for the given knapsack rows —
 // the canonical valid-inequality family for 0-1 knapsacks, used here to
 // exercise the branch-and-cut plumbing end to end.
-func coverSeparator(rows [][]int, caps []int, global bool) func(pt *SeparationPoint) []Cut {
-	return func(pt *SeparationPoint) []Cut {
-		var cuts []Cut
+func coverSeparator(rows [][]int, caps []int) func(x []float64) []lp.CutRow {
+	return func(x []float64) []lp.CutRow {
+		var cuts []lp.CutRow
 		for ri, w := range rows {
 			type it struct {
 				j, w int
@@ -116,7 +116,7 @@ func coverSeparator(rows [][]int, caps []int, global bool) func(pt *SeparationPo
 			var items []it
 			for j, wj := range w {
 				if wj > 0 {
-					items = append(items, it{j, wj, pt.X[j]})
+					items = append(items, it{j, wj, x[j]})
 				}
 			}
 			sort.Slice(items, func(a, b int) bool { return items[a].x > items[b].x })
@@ -133,9 +133,7 @@ func coverSeparator(rows [][]int, caps []int, global bool) func(pt *SeparationPo
 			if sum <= caps[ri] || mass <= float64(len(cover)-1)+1e-6 {
 				continue
 			}
-			cut := Cut{Global: global, Name: "cover"}
-			cut.Kind = lp.LE
-			cut.RHS = float64(len(cover) - 1)
+			cut := lp.CutRow{Kind: lp.LE, RHS: float64(len(cover) - 1)}
 			for _, c := range cover {
 				cut.Cols = append(cut.Cols, c.j)
 				cut.Vals = append(cut.Vals, 1)
@@ -156,7 +154,7 @@ func TestSeparationMatchesPlainSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cutOpt := Options{Separate: coverSeparator(rows, caps, true)}
+	cutOpt := Options{Separate: coverSeparator(rows, caps)}
 	cut, err := Solve(knapsackProblem(obj, rows, caps), cutOpt)
 	if err != nil {
 		t.Fatal(err)
@@ -172,30 +170,6 @@ func TestSeparationMatchesPlainSearch(t *testing.T) {
 	}
 	if cut.Nodes > plain.Nodes {
 		t.Errorf("cuts grew the tree: %d nodes vs %d plain", cut.Nodes, plain.Nodes)
-	}
-}
-
-func TestNodeLocalCuts(t *testing.T) {
-	// The same search with the separator emitting node-local cuts: the
-	// optimum must be unchanged and the local-cut drop/re-add path must
-	// hold up (locals are inherited by descendants only).
-	obj := []float64{10, 10, 10, 10, 10, 10}
-	rows := [][]int{{34, 35, 36, 34, 35, 36}}
-	caps := []int{100}
-	plain, err := Solve(knapsackProblem(obj, rows, caps), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := Solve(knapsackProblem(obj, rows, caps),
-		Options{Separate: coverSeparator(rows, caps, false)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if local.Status != Optimal || math.Abs(local.Obj-plain.Obj) > 1e-6 {
-		t.Fatalf("local-cut search: %v obj=%g, want optimal obj=%g", local.Status, local.Obj, plain.Obj)
-	}
-	if local.CutsAdded == 0 {
-		t.Fatal("no local cuts were admitted")
 	}
 }
 
@@ -217,48 +191,11 @@ func TestSeparationPoolOverflowDuringSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	cut, err := Solve(knapsackProblem(obj, rows, caps),
-		Options{Separate: coverSeparator(rows, caps, true), testMaxCuts: 2})
+		Options{Separate: coverSeparator(rows, caps), testMaxCuts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cut.Status != Optimal || math.Abs(cut.Obj-plain.Obj) > 1e-6 {
 		t.Fatalf("overflowing pool changed the answer: %v obj=%g, want %g", cut.Status, cut.Obj, plain.Obj)
-	}
-}
-
-// TestLocalCutsSurvivePoolCompaction pins the bindCuts recovery path: with
-// a tiny pool forcing mid-search generation bumps AND a separator emitting
-// node-local cuts, every drop triggered by a compaction must re-establish
-// the node's inherited local set before the LP re-solves. The optimum must
-// match the plain search.
-func TestLocalCutsSurvivePoolCompaction(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	n := 10
-	obj := make([]float64, n)
-	w := make([]int, n)
-	for j := 0; j < n; j++ {
-		obj[j] = float64(5 + rng.Intn(10))
-		w[j] = 30 + rng.Intn(12)
-	}
-	rows := [][]int{w}
-	caps := []int{95}
-	globalSep := coverSeparator(rows, caps, true)
-	localSep := coverSeparator(rows, caps, false)
-	mixed := func(pt *SeparationPoint) []Cut {
-		return append(globalSep(pt), localSep(pt)...)
-	}
-	plain, err := Solve(knapsackProblem(obj, rows, caps), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut, err := Solve(knapsackProblem(obj, rows, caps), Options{Separate: mixed, testMaxCuts: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cut.Status != Optimal || math.Abs(cut.Obj-plain.Obj) > 1e-6 {
-		t.Fatalf("%v obj=%g, want optimal obj=%g", cut.Status, cut.Obj, plain.Obj)
-	}
-	if cut.CutsAdded == 0 {
-		t.Fatal("no cuts admitted")
 	}
 }

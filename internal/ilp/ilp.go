@@ -14,11 +14,11 @@
 // inequalities it returns are appended to the live solver (lp.Solver.
 // AddRows keeps the basis, so each round re-enters through the dual
 // simplex), and branching happens only when separation dries up or the
-// round budget is exhausted. Global cuts flow through a size-bounded pool
-// — deduplicated by normalized row hash, aged by tight-at-optimum
-// activity, compacted when full — so a cut found in one subtree
-// strengthens every other; node-local cuts ride on the node and its
-// descendants. See cuts.go for the validity contract.
+// round budget is exhausted. Every cut is globally valid and flows
+// through a size-bounded pool — deduplicated by normalized row hash, aged
+// by tight-at-optimum activity, compacted when full — so a cut found in
+// one subtree strengthens every other. See cuts.go for the validity
+// contract.
 //
 // The search is organised prune-first: open nodes live on a bound-ordered
 // priority heap (best-first, with LIFO tie-breaking so equal-bound children
@@ -27,8 +27,8 @@
 // caller-supplied combinatorial lower bound — before its LP relaxation is
 // ever solved, and once the heap minimum cannot beat the incumbent the
 // whole remaining frontier is discarded in one step. Branching prefers SOS1
-// groups; leftover fractional integer variables are chosen by pseudo-cost
-// scores learned during the search.
+// groups; a fractional integer variable outside every group is branched on
+// by the most-fractional rule.
 //
 // The search is sequential: one Solve runs on the caller's goroutine. It
 // keeps the best incumbent and its bound, honours its node budget and its
@@ -124,14 +124,15 @@ type Options struct {
 	NodeBound func(bounds func(j int) (lo, hi float64)) (bnd float64, feasible bool)
 	// Separate, when non-nil, turns the search into branch-and-cut: it is
 	// invoked in rounds at every node whose LP relaxation is fractional,
-	// before branching, and returns valid inequalities violated by the
-	// node's LP point (see the Cut validity contract in cuts.go). Cuts the
-	// point does not violate beyond a tolerance are dropped; the rest are
-	// added to the node's live LP, which is re-solved warm, and the next
-	// round begins. The node branches only when a round yields no new cut,
+	// before branching, with the node's LP point x (which it must not
+	// retain or modify), and returns valid inequalities that x violates
+	// (see the validity contract in cuts.go). Cuts the point does not
+	// violate beyond a tolerance are dropped; the rest enter the cut pool
+	// and the node's live LP, which is re-solved warm, and the next round
+	// begins. The node branches only when a round yields no new cut,
 	// the point turns integral, or the round budget (maxCutRounds) is
 	// exhausted.
-	Separate func(pt *SeparationPoint) []Cut
+	Separate func(x []float64) []lp.CutRow
 	// Context, when non-nil, is besides MaxNodes the only way a search
 	// stops short. A cancel ends the search at its next limit check,
 	// reported exactly as if the node budget had run out (an HTTP job
@@ -140,6 +141,8 @@ type Options struct {
 	// cleanly and reports the best incumbent (or its absence) with Status
 	// Timeout — the anytime contract. Any unproven stop after the
 	// deadline, even one tripped by MaxNodes or a cancel, reports Timeout.
+	// A stop also ends the node LP in progress within a few dozen pivots
+	// (lp.Solver.SetStop); that node is dropped, so BoundTrusted is false.
 	Context context.Context
 	// Trace, when non-nil, receives search telemetry: separation-round and
 	// cut counters, incumbent improvements, and a sampled node event every
@@ -150,13 +153,14 @@ type Options struct {
 	// RootOpen, when non-nil, is called once, on the goroutine running
 	// Solve, when the root's first LP relaxation leaves the root open:
 	// neither infeasible, nor bound-fathomed against the incumbent, nor
-	// integral (an LP stopped at its iteration limit counts as open). The
-	// search is about to cut and branch, or to give up on the root.
+	// integral (an LP stopped at its iteration limit counts as open, one
+	// stopped by the Context does not). The search is about to cut and
+	// branch, or to give up on the root.
 	// tempart starts its pattern-master rival here; it is a solver hook,
 	// not a search setting.
 	RootOpen func()
 
-	// testCapturePool, when non-nil, receives the final global cut pool
+	// testCapturePool, when non-nil, receives the final cut pool
 	// contents after the search (validity property tests only; unexported
 	// so it is invisible outside the package).
 	testCapturePool func([]lp.CutRow)
@@ -182,7 +186,8 @@ type Solution struct {
 	// Bound is the best proven lower bound on the optimum. See BoundTrusted.
 	Bound float64
 	// BoundTrusted is false when nodes had to be discarded because their LP
-	// relaxation hit the simplex iteration limit. Bound remains valid (the
+	// relaxation hit the simplex iteration limit or was stopped by the
+	// Context. Bound remains valid (the
 	// discarded subtrees' parent bounds enter it, so an incumbent within
 	// 1e-6 of it may still be reported Optimal), but exhaustive-search
 	// claims — Optimal via tree exhaustion, or Infeasible — are degraded.
@@ -203,31 +208,13 @@ type Solution struct {
 	// LPIterations accumulates simplex pivots across all nodes.
 	LPIterations int
 	// CutsAdded counts distinct cuts generated by Options.Separate and
-	// admitted to the search (pool-deduplicated global cuts plus node-local
-	// cuts).
+	// admitted to the pool (deduplicated by normalized row hash).
 	CutsAdded int
 	// SeparationRounds counts node LP re-solves triggered by cut rounds.
 	SeparationRounds int
-	// CutsByName breaks CutsAdded down by the separator-assigned Cut.Name
-	// (nil when no cuts were admitted). This is what lets callers report
-	// per-family telemetry (e.g. how many Chvátal–Gomory cuts fired)
-	// without a side channel.
-	CutsByName map[string]int
 	// Solver is the search's lp.Solver activity (warm vs cold solves,
 	// dual-repair pivots).
 	Solver lp.SolverStats
-}
-
-// SeparationPoint is the node state handed to Options.Separate. X is the
-// node's current (fractional) LP point; it must not be retained or
-// modified. Bounds exposes the node's variable-bound box (the root bounds
-// with the branching fixes applied) and is only valid during the call.
-type SeparationPoint struct {
-	X      []float64
-	Obj    float64
-	Depth  int
-	Round  int
-	Bounds func(j int) (lo, hi float64)
 }
 
 // maxCutRounds is the per-node separation round budget: root cuts are
@@ -266,14 +253,7 @@ type node struct {
 	fixes []fix   // bound changes relative to the root
 	bound float64 // parent LP bound (heap priority, valid subtree bound)
 	depth int
-	seq   int64       // push order; ties on bound pop LIFO (dive like DFS)
-	cuts  []lp.CutRow // node-local cuts inherited from ancestors (never mutated)
-
-	// Pseudo-cost bookkeeping: the single-variable branch that created this
-	// node (branchVar < 0 for the root and SOS1 children).
-	branchVar  int
-	branchUp   bool
-	branchFrac float64 // fractional part of branchVar at the parent
+	seq   int64 // push order; ties on bound pop LIFO (dive like DFS)
 }
 
 type fix struct {
@@ -283,8 +263,7 @@ type fix struct {
 
 // searchState is one Solve's branch-and-bound search: the lp.Solver it
 // owns, the root bounds that node fixes are applied against, the cut rows
-// bound to the solver, the node heap, the incumbent, the pseudo-costs and
-// the counters.
+// bound to the solver, the node heap, the incumbent and the counters.
 type searchState struct {
 	p        *Problem
 	opt      *Options
@@ -301,31 +280,12 @@ type searchState struct {
 	incumbent []float64
 	incObj    float64
 
-	// Pseudo-cost tables (per integer variable, both directions). The g*
-	// aggregates keep the unobserved-variable fallback O(1) per lookup.
-	pcUpSum   []float64
-	pcDownSum []float64
-	pcUpN     []int32
-	pcDownN   []int32
-	gUpSum    float64
-	gDownSum  float64
-	gUpN      int32
-	gDownN    int32
-
-	// pool is the global-cut store (nil when Options.Separate is unset).
-	// The solver's added-row block is the pool's prefix [0, poolApplied)
-	// at generation poolGen, optionally followed by the current node's
-	// local cuts.
+	// pool is the cut store (nil when Options.Separate is unset). The
+	// solver's added-row block is the pool's prefix [0, poolApplied) at
+	// generation poolGen.
 	pool        *cutPool
 	poolApplied int
 	poolGen     int
-	// localSet is the node-local cut slice currently applied (nd.cuts of
-	// the node that installed it). Node cut slices are never mutated —
-	// children copy-on-append — so slice identity (length + backing array)
-	// decides whether a popped node's inherited set is already applied,
-	// which keeps a whole subtree below a local cut warm instead of
-	// rebuilding the solver at every descendant.
-	localSet []lp.CutRow
 
 	nodes      int
 	lpIters    int
@@ -333,7 +293,6 @@ type searchState struct {
 	prunedComb int
 	lpSkipped  int
 	cutsAdded  int
-	cutNames   map[string]int
 	sepRounds  int
 	// droppedBound tracks the min parent bound among dropped nodes so the
 	// reported Bound stays valid even when subtrees are discarded.
@@ -342,14 +301,6 @@ type searchState struct {
 	rootSolved bool
 	rootBound  float64
 	unbounded  bool
-}
-
-// sameLocalCuts reports whether cuts is exactly the applied local set.
-func (st *searchState) sameLocalCuts(cuts []lp.CutRow) bool {
-	if len(cuts) != len(st.localSet) {
-		return false
-	}
-	return len(cuts) == 0 || &cuts[0] == &st.localSet[0]
 }
 
 // applyFixes rebinds the solver to nd's box: previously fixed variables are
@@ -373,45 +324,17 @@ func (st *searchState) applyFixes(fixes []fix) bool {
 	return true
 }
 
-// dropCuts removes every added row from the solver and resets the pool
-// bookkeeping (the basis goes cold; used on pool compaction and when the
-// node-local cut set changes).
-func (st *searchState) dropCuts() {
-	st.solver.DropAddedRows()
-	st.poolApplied = 0
-	st.localSet = nil
-}
-
-// bindCuts makes the solver's added rows hold the pool's cuts plus
-// exactly the given node-local set. It is the single rebind entry point:
-// a pool generation change inside syncPool drops everything (including
-// previously applied locals), and the re-check afterwards re-adds the
-// local set, so the node never silently loses its inherited cuts.
-func (st *searchState) bindCuts(cuts []lp.CutRow) error {
-	if !st.sameLocalCuts(cuts) {
-		st.dropCuts()
-	}
-	if err := st.syncPool(); err != nil {
-		return err
-	}
-	if len(cuts) > 0 && !st.sameLocalCuts(cuts) {
-		if err := st.solver.AddRows(cuts); err != nil {
-			return fmt.Errorf("ilp: applying node-local cuts: %w", err)
-		}
-		st.localSet = cuts
-	}
-	return nil
-}
-
 // syncPool appends the pool cuts the solver has not applied yet. On a pool
-// generation change (compaction) the whole added-row block is rebuilt.
+// generation change (compaction) the whole added-row block is dropped and
+// rebuilt (the basis goes cold).
 func (st *searchState) syncPool() error {
 	cp := st.pool
 	if cp == nil {
 		return nil
 	}
 	if cp.gen != st.poolGen {
-		st.dropCuts()
+		st.solver.DropAddedRows()
+		st.poolApplied = 0
 		st.poolGen = cp.gen
 	}
 	if st.poolApplied == len(cp.rows) {
@@ -437,55 +360,27 @@ func (st *searchState) recordCutActivity(x []float64) {
 }
 
 // applyCuts runs one separation round at a node: call Options.Separate on
-// the LP point, admit the violated valid cuts (global ones to the pool,
-// local ones to the solver and the node), counting each admitted cut by
-// name, and sync the solver with the pool. It reports whether the node's
-// LP gained any row, which makes a re-solve worthwhile.
-func (st *searchState) applyCuts(nd *node, res *lp.Solution, round int) (bool, error) {
+// the LP point, admit the violated valid cuts to the pool, and sync the
+// solver with the pool. It reports whether the node's LP gained any row,
+// which makes a re-solve worthwhile.
+func (st *searchState) applyCuts(res *lp.Solution) (bool, error) {
 	before := st.solver.AddedRows()
-	cuts := st.opt.Separate(&SeparationPoint{
-		X: res.X, Obj: res.Obj, Depth: nd.depth, Round: round,
-		Bounds: st.solver.Bounds,
-	})
+	cuts := st.opt.Separate(res.X)
 	nVars := st.p.LP.NumVars()
 	admitted := 0
-	var locals []lp.CutRow
 	for i := range cuts {
 		c := &cuts[i]
-		if !validCut(nVars, c) || c.Violation(res.X) < cutViolationTol {
-			continue
+		if validCut(nVars, c) && c.Violation(res.X) >= cutViolationTol && st.pool.add(*c) {
+			admitted++
 		}
-		if c.Global {
-			if !st.pool.add(c.CutRow) {
-				continue
-			}
-		} else {
-			locals = append(locals, c.CutRow)
-		}
-		admitted++
-		if st.cutNames == nil {
-			st.cutNames = make(map[string]int)
-		}
-		st.cutNames[c.Name]++
 	}
 	st.cutsAdded += admitted
-	// bindCuts (not a bare pool sync) so a pool compaction mid-round
-	// re-establishes the node's inherited local cuts after the drop.
-	if err := st.bindCuts(nd.cuts); err != nil {
+	if err := st.syncPool(); err != nil {
 		return false, err
-	}
-	if len(locals) > 0 {
-		if err := st.solver.AddRows(locals); err != nil {
-			return false, fmt.Errorf("ilp: applying node-local cuts: %w", err)
-		}
-		merged := make([]lp.CutRow, 0, len(nd.cuts)+len(locals))
-		merged = append(append(merged, nd.cuts...), locals...)
-		nd.cuts = merged // fresh slice: siblings keep the old view
-		st.localSet = merged
 	}
 	// Progress means the node LP's row set changed and a re-solve is
 	// worthwhile: we admitted something (even if a pool compaction shrank
-	// the applied row count below `before`), or the rebind after a
+	// the applied row count below `before`), or the rebuild after a
 	// compaction changed the applied rows.
 	return admitted > 0 || st.solver.AddedRows() != before, nil
 }
@@ -546,19 +441,16 @@ func (st *searchState) processNode(nd *node) error {
 	}
 	st.nodes++
 
-	// Rebind the solver's added-row block to this node's cut view: the
-	// pool's cuts plus the node's inherited local cuts. Nodes whose local
-	// set is already applied (no local cuts anywhere, or a dive within one
-	// subtree) reuse the standing rows and only append what other nodes
-	// separated since.
-	if err := st.bindCuts(nd.cuts); err != nil {
+	// Bring the solver's added-row block up to the pool: the standing rows
+	// stay, and only what other nodes separated since is appended.
+	if err := st.syncPool(); err != nil {
 		return err
 	}
 	res, err := st.solveLP()
 	if err != nil {
 		return err
 	}
-	if nd.depth == 0 && st.opt.RootOpen != nil && (res.Status == lp.IterLimit ||
+	if nd.depth == 0 && st.opt.RootOpen != nil && (res.Status == lp.IterLimit && !stopRequested(st.opt.Context) ||
 		res.Status == lp.Optimal && res.Obj <= st.incObj-absGap && !integralPoint(res.X, st.p.Integers)) {
 		st.opt.RootOpen()
 	}
@@ -594,7 +486,6 @@ func (st *searchState) processNode(nd *node) error {
 	if res.Obj <= st.incObj-absGap {
 		children = st.branch(nd, res)
 	}
-	st.recordPseudoCost(nd, res.Obj)
 	if nd.depth == 0 && !st.rootSolved {
 		st.rootBound = res.Obj
 		st.rootSolved = true
@@ -629,7 +520,7 @@ func (st *searchState) separate(nd *node, res *lp.Solution) (*lp.Solution, error
 		if res.Obj > st.incObj-absGap || integralPoint(res.X, st.p.Integers) {
 			break
 		}
-		progressed, err := st.applyCuts(nd, res, round)
+		progressed, err := st.applyCuts(res)
 		if err != nil {
 			return nil, err
 		}
@@ -650,8 +541,7 @@ func (st *searchState) separate(nd *node, res *lp.Solution) (*lp.Solution, error
 }
 
 // branch returns the children of a fractional node at its LP point res,
-// or nil when res is integral. It reads the pseudo-cost tables, so it runs
-// before the node's own pseudo-cost observation is recorded.
+// or nil when res is integral.
 func (st *searchState) branch(nd *node, res *lp.Solution) []node {
 	// Prefer SOS1 group branching: pick the most undecided group (the one
 	// whose largest member value is smallest).
@@ -700,30 +590,23 @@ func (st *searchState) branch(nd *node, res *lp.Solution) []node {
 			}
 			children = append(children, node{
 				fixes: fixes, bound: res.Obj, depth: nd.depth + 1,
-				branchVar: -1, cuts: nd.cuts,
 			})
 		}
 		return children
 	}
 
-	// Pseudo-cost selection among the fractional integer variables: score
-	// each candidate by the estimated objective degradation of its two
-	// children (product rule); unobserved directions fall back to the
-	// global average, and with no history at all the rule degrades to
-	// most-fractional.
+	// Every SOS1 group is integral: branch on the most fractional integer
+	// variable (the first wins a tie).
 	branchVar := -1
-	branchFrac := 0.0
-	bestScore := -1.0
+	bestScore := 0.0
 	for _, j := range st.p.Integers {
 		f := res.X[j] - math.Floor(res.X[j])
 		if f <= intTol || f >= 1-intTol {
 			continue
 		}
-		score := math.Max(st.pcDownEst(j)*f, 1e-9) * math.Max(st.pcUpEst(j)*(1-f), 1e-9)
-		if score > bestScore*(1+1e-9) {
+		if score := f * (1 - f); score > bestScore {
 			bestScore = score
 			branchVar = j
-			branchFrac = f
 		}
 	}
 	if branchVar < 0 {
@@ -733,18 +616,14 @@ func (st *searchState) branch(nd *node, res *lp.Solution) []node {
 	v := res.X[branchVar]
 	fl := math.Floor(v)
 	down := node{
-		fixes:     appendFix(nd.fixes, fix{branchVar, math.Inf(-1), fl}),
-		bound:     res.Obj,
-		depth:     nd.depth + 1,
-		cuts:      nd.cuts,
-		branchVar: branchVar, branchUp: false, branchFrac: branchFrac,
+		fixes: appendFix(nd.fixes, fix{branchVar, math.Inf(-1), fl}),
+		bound: res.Obj,
+		depth: nd.depth + 1,
 	}
 	up := node{
-		fixes:     appendFix(nd.fixes, fix{branchVar, fl + 1, math.Inf(1)}),
-		bound:     res.Obj,
-		depth:     nd.depth + 1,
-		cuts:      nd.cuts,
-		branchVar: branchVar, branchUp: true, branchFrac: branchFrac,
+		fixes: appendFix(nd.fixes, fix{branchVar, fl + 1, math.Inf(1)}),
+		bound: res.Obj,
+		depth: nd.depth + 1,
 	}
 	// Push the side nearer the LP value last so it pops first on a tie.
 	if v-fl > 0.5 {
@@ -776,14 +655,16 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 		isInt:        isInt,
 		incObj:       math.Inf(1),
 		droppedBound: math.Inf(1),
-		pcUpSum:      make([]float64, nVars),
-		pcDownSum:    make([]float64, nVars),
-		pcUpN:        make([]int32, nVars),
-		pcDownN:      make([]int32, nVars),
 		deadline:     searchDeadline(opt.Context),
 	}
 	for j := 0; j < nVars; j++ {
 		st.rootLo[j], st.rootHi[j] = p.LP.Bounds(j)
+	}
+	// A cancel or deadline also ends the node LP in progress: the LP stops
+	// at its iteration limit, so its node is dropped and the search stops
+	// at its next limit check.
+	if ctx := opt.Context; ctx != nil && ctx.Done() != nil {
+		st.solver.SetStop(func() bool { return ctx.Err() != nil })
 	}
 	if opt.Separate != nil {
 		st.pool = newCutPool(opt.testMaxCuts)
@@ -796,7 +677,7 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 		}
 	}
 
-	st.pushNode(node{bound: math.Inf(-1), branchVar: -1})
+	st.pushNode(node{bound: math.Inf(-1)})
 
 	// A context already done (a race loser already cancelled, or a request
 	// past its deadline) skips even the root.
@@ -852,7 +733,7 @@ func (st *searchState) popNode() node {
 	top := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
-	h[last] = node{} // release fix/cut references
+	h[last] = node{} // release the fix slice
 	st.heap = h[:last]
 	i := 0
 	for {
@@ -873,56 +754,6 @@ func (st *searchState) popNode() node {
 	return top
 }
 
-// pcUpEst / pcDownEst estimate the per-unit objective degradation of
-// branching variable j up/down. Unobserved variables fall back to the
-// running average over all observations of that direction, or a neutral 1
-// (reducing the product rule to most-fractional) at the very start.
-func (st *searchState) pcUpEst(j int) float64 {
-	return pcEst(st.pcUpSum, st.pcUpN, j, st.gUpSum, st.gUpN)
-}
-
-func (st *searchState) pcDownEst(j int) float64 {
-	return pcEst(st.pcDownSum, st.pcDownN, j, st.gDownSum, st.gDownN)
-}
-
-func pcEst(sum []float64, n []int32, j int, gSum float64, gN int32) float64 {
-	if n[j] > 0 {
-		return sum[j] / float64(n[j])
-	}
-	if gN > 0 {
-		return gSum / float64(gN)
-	}
-	return 1
-}
-
-// recordPseudoCost folds the observed LP degradation of a branched child
-// into the tables.
-func (st *searchState) recordPseudoCost(nd *node, childObj float64) {
-	j := nd.branchVar
-	if j < 0 || math.IsInf(nd.bound, -1) {
-		return
-	}
-	delta := childObj - nd.bound
-	if delta < 0 {
-		delta = 0
-	}
-	f := nd.branchFrac
-	if f <= intTol || f >= 1-intTol {
-		return
-	}
-	if nd.branchUp {
-		st.pcUpSum[j] += delta / (1 - f)
-		st.pcUpN[j]++
-		st.gUpSum += delta / (1 - f)
-		st.gUpN++
-	} else {
-		st.pcDownSum[j] += delta / f
-		st.pcDownN[j]++
-		st.gDownSum += delta / f
-		st.gDownN++
-	}
-}
-
 // limitHit reports whether the search must stop: node budget, deadline, or
 // cancelled context. Every trigger is monotone, so the first trip is
 // cached. finish labels the stop by whether the deadline has passed, not by
@@ -941,7 +772,7 @@ func (st *searchState) limitHit() bool {
 // into st.lpSkipped.
 func (st *searchState) pruneFrontier() {
 	st.lpSkipped += 1 + len(st.heap)
-	clear(st.heap) // release fix/cut references
+	clear(st.heap) // release fix slices
 	st.heap = st.heap[:0]
 }
 
@@ -972,7 +803,6 @@ func (st *searchState) finish() *Solution {
 		PrunedCombinatorial: st.prunedComb,
 		LPSolvesSkipped:     st.lpSkipped,
 		CutsAdded:           st.cutsAdded,
-		CutsByName:          st.cutNames,
 		SeparationRounds:    st.sepRounds,
 		BoundTrusted:        st.dropped == 0,
 	}

@@ -334,8 +334,8 @@ func mergeDupCols(r *addedRow) {
 // to the Problem's base row set. The basis is invalidated (a basis of the
 // extended system is not generally a basis of the truncated one), so the
 // next Solve rebuilds cold. The ilp layer uses this when the cut pool
-// compacts or a node-local cut set changes; both are rare enough that one
-// cold solve is cheaper than bookkeeping an incremental removal.
+// compacts, which is rare enough that one cold solve is cheaper than
+// bookkeeping an incremental removal.
 func (s *Solver) DropAddedRows() {
 	if len(s.added) == 0 {
 		return

@@ -67,7 +67,8 @@ const (
 	Infeasible
 	// Unbounded means the objective is unbounded below on the feasible set.
 	Unbounded
-	// IterLimit means the iteration safety limit was exceeded.
+	// IterLimit means the iteration safety limit was exceeded, or the
+	// Solver's stop callback fired (Solver.SetStop).
 	IterLimit
 )
 

@@ -150,6 +150,10 @@ type Solver struct {
 	costPhase int  // 0 unset, 1 phase-1 cost row, 2 phase-2 (true objective)
 	iter      int  // pivots in the current solve
 	maxIter   int
+	// stop, when set (SetStop), is polled every stopPollPivots pivots;
+	// halted records that it fired and ends the current Solve.
+	stop   func() bool
+	halted bool
 
 	// The Solution every Solve returns, and its X buffer (see the contract
 	// above).
@@ -348,6 +352,25 @@ func (s *Solver) SetVarBounds(j int, lo, hi float64) {
 // from scratch.
 func (s *Solver) Invalidate() { s.valid = false }
 
+// stopPollPivots is how many pivots a Solve runs between polls of its stop
+// callback.
+const stopPollPivots = 64
+
+// SetStop installs a callback that every Solve polls when it starts a
+// simplex phase and every stopPollPivots pivots after that. Once the
+// callback returns true, that Solve ends with Status IterLimit and the
+// next Solve starts cold. A nil stop removes the callback.
+func (s *Solver) SetStop(stop func() bool) { s.stop = stop }
+
+// halt reports whether the current Solve must end: its stop callback has
+// fired, now or at an earlier poll of the same Solve.
+func (s *Solver) halt() bool {
+	if !s.halted && s.stop != nil && s.iter%stopPollPivots == 0 {
+		s.halted = s.stop()
+	}
+	return s.halted
+}
+
 // Solve minimizes the captured objective under the current bounds. When the
 // Solver holds a dual-feasible basis from a previous solve it warm starts
 // (dual simplex repair followed by a primal cleanup); otherwise, or when the
@@ -359,9 +382,14 @@ func (s *Solver) Solve() (*Solution, error) {
 	s.ensureBuilt()
 	s.Stats.Solves++
 	s.iter = 0
+	s.halted = false
 	if s.valid {
 		if sol, ok := s.solveWarm(); ok {
 			return sol, nil
+		}
+		if s.halted {
+			s.Stats.Pivots += s.iter
+			return s.iterResult(IterLimit), nil
 		}
 	}
 	return s.solveCold()
@@ -791,7 +819,7 @@ func (s *Solver) dual() Status {
 	// zero-progress pivots; past this budget a cold rebuild is cheaper.
 	budget := s.iter + 60 + s.m/6
 	for {
-		if s.iter >= budget {
+		if s.iter >= budget || s.halt() {
 			return IterLimit
 		}
 		// Leaving row: the worst devex-weighted bound violation.
@@ -1308,7 +1336,7 @@ func (s *Solver) primal() Status {
 	stall := 0
 	lastObj := math.Inf(1)
 	for {
-		if s.iter >= s.maxIter {
+		if s.iter >= s.maxIter || s.halt() {
 			return IterLimit
 		}
 		useBland := stall > 50

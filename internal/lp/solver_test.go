@@ -226,3 +226,48 @@ func BenchmarkWarmResolve(b *testing.B) {
 		s.SetVarBounds(j, 0, 10)
 	}
 }
+
+// TestSolverStop: a stop callback that fires ends the Solve in progress as
+// IterLimit after at most stopPollPivots more pivots, and a Solve after it
+// is removed reaches the unstopped optimum.
+func TestSolverStop(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n, m = 120, 60
+	p := NewProblem(n)
+	for j := 0; j < n; j++ {
+		p.SetObj(j, -1-float64(rng.Intn(20)))
+		p.SetBounds(j, 0, 1)
+	}
+	for i := 0; i < m; i++ {
+		row := map[int]float64{}
+		for j := 0; j < n; j++ {
+			if rng.Intn(3) == 0 {
+				row[j] = float64(1 + rng.Intn(9))
+			}
+		}
+		p.AddRow(LE, row, float64(10+rng.Intn(20)))
+	}
+	want, err := NewSolver(p).Solve()
+	if err != nil || want.Status != Optimal {
+		t.Fatalf("unstopped solve: %v, %v", want, err)
+	}
+	wantObj, wantIters := want.Obj, want.Iterations
+	if wantIters <= stopPollPivots {
+		t.Fatalf("unstopped solve took %d pivots, want more than %d to stop inside", wantIters, stopPollPivots)
+	}
+
+	s := NewSolver(p)
+	polls := 0
+	s.SetStop(func() bool { polls++; return polls > 1 })
+	sol, err := s.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != IterLimit || sol.Iterations > stopPollPivots {
+		t.Fatalf("stopped solve: status %v after %d pivots, want IterLimit within %d", sol.Status, sol.Iterations, stopPollPivots)
+	}
+	s.SetStop(nil)
+	if sol, err = s.Solve(); err != nil || sol.Status != Optimal || math.Abs(sol.Obj-wantObj) > 1e-6 {
+		t.Fatalf("solve after the stop: %v (obj %g, err %v), want optimal obj %g", sol.Status, sol.Obj, err, wantObj)
+	}
+}

@@ -18,8 +18,8 @@ type SearchCounters struct {
 	// triggered.
 	CutsAdded        int `json:"cuts_added,omitempty"`
 	SeparationRounds int `json:"separation_rounds,omitempty"`
-	// Infeasibility-proof engine: Chvátal–Gomory cardinality cuts in play
-	// and bin-packing dual-bound fathoms.
+	// Infeasibility-proof engine: Chvátal–Gomory cardinality rows built
+	// into the winning row model and bin-packing dual-bound fathoms.
 	CGCuts           int `json:"cg_cuts,omitempty"`
 	DualBoundFathoms int `json:"dual_bound_fathoms,omitempty"`
 	// Simplex kernel: pivots, basis reinversions the Forrest–Tomlin update
@@ -89,7 +89,7 @@ var searchFamilies = []searchFamily{
 		func(c *SearchCounters) int { return c.SeparationRounds }},
 	// Rising fathoms with flat nodes is the proof engine doing the pruning
 	// (N probes and B&B nodes killed LP-free).
-	{"cg_cuts", "Chvatal-Gomory cardinality cuts in play.",
+	{"cg_cuts", "Chvatal-Gomory cardinality rows built into the winning row model.",
 		func(c *SearchCounters) int { return c.CGCuts }},
 	{"dual_bound_fathoms", "Bin-packing dual-bound fathoms (LP-free).",
 		func(c *SearchCounters) int { return c.DualBoundFathoms }},

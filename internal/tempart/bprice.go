@@ -799,6 +799,7 @@ func solveForNPatterns(ctx context.Context, in Input, pre *presolve, N int) (*Pa
 		return nil, err
 	}
 
+	var assign []int
 	switch sol.Status {
 	case ilp.Infeasible:
 		if !sol.BoundTrusted {
@@ -809,7 +810,14 @@ func solveForNPatterns(ctx context.Context, in Input, pre *presolve, N int) (*Pa
 		return nil, errors.New("tempart: pattern master unbounded (internal error)")
 	case ilp.Timeout:
 		if len(sol.Columns) == 0 {
-			return nil, fmt.Errorf("%w (N=%d)", ErrDeadline, N)
+			// The deadline beat the master's first integral selection: the
+			// greedy warm start its seeds came from is the partial answer.
+			if !in.DisableWarmStart {
+				assign = pre.bestGreedy(N)
+			}
+			if assign == nil {
+				return nil, fmt.Errorf("%w (N=%d)", ErrDeadline, N)
+			}
 		}
 	case ilp.Limit:
 		if len(sol.Columns) == 0 {
@@ -817,22 +825,24 @@ func solveForNPatterns(ctx context.Context, in Input, pre *presolve, N int) (*Pa
 		}
 	}
 
-	order, ok := pp.selectionOrder(sol.Columns)
-	if !ok {
-		return nil, errors.New("tempart: accepted selection has cyclic pattern precedence (internal error)")
-	}
-	assign := make([]int, nT)
-	for t := range assign {
-		assign[t] = -1
-	}
-	for idx, pi := range order {
-		for _, t := range sol.Columns[pi] {
-			assign[t] = idx
+	if assign == nil {
+		order, ok := pp.selectionOrder(sol.Columns)
+		if !ok {
+			return nil, errors.New("tempart: accepted selection has cyclic pattern precedence (internal error)")
 		}
-	}
-	for t, p := range assign {
-		if p < 0 {
-			return nil, fmt.Errorf("tempart: task %d uncovered in pattern selection", t)
+		assign = make([]int, nT)
+		for t := range assign {
+			assign[t] = -1
+		}
+		for idx, pi := range order {
+			for _, t := range sol.Columns[pi] {
+				assign[t] = idx
+			}
+		}
+		for t, p := range assign {
+			if p < 0 {
+				return nil, fmt.Errorf("tempart: task %d uncovered in pattern selection", t)
+			}
 		}
 	}
 	if err := CheckFeasible(g, in.Board, assign, N); err != nil {

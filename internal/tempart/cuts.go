@@ -5,18 +5,15 @@ import (
 	"sort"
 
 	"repro/internal/dfg"
-	"repro/internal/ilp"
 	"repro/internal/lp"
 )
 
 // This file is the cutting-plane side of the temporal partitioning model:
 // the uniform cut-row representation shared by the presolve (root cuts
 // baked into the model at build time) and the separation callback (cuts
-// added to the live node LPs during branch and bound), plus the three
+// added to the live node LPs during branch and bound), plus the two
 // separator families over the ilp.Options.Separate hook:
 //
-//   - knapsack cover cuts, lifted (extended covers) from the per-partition
-//     resource rows Σ_t R(t)·y[t][p] ≤ cap;
 //   - temporal-order clique cuts: for a chain a_1 ≺ a_2 ≺ … ≺ a_k in the
 //     ancestor partial order (straight from the presolve's reachability
 //     bitsets) and descending partition bands I_1 > I_2 > … > I_k, at most
@@ -33,29 +30,18 @@ import (
 //     (see presolve.subsetDelayFloor for the validity argument; the
 //     lifting is the integrality ceiling inside need()).
 //
-// Every family above is globally valid — derived from the instance data
-// and integrality alone, never from branching decisions — so those cuts
-// enter the ilp cut pool and strengthen every later node's relaxation. The
-// one exception is the residual CG cardinality separator (cgResidualCuts):
-// its cuts use the node's fixed assignments, are valid only inside the
-// emitting node's bound box, and are therefore marked node-local
-// (scoredCut.local → ilp.Cut.Global=false) so they ride the node and its
-// descendants instead of the pool. The cut-validity property tests
-// brute-force all of this against all integral feasible assignments of
-// random instances.
+// Both families are globally valid — derived from the instance data and
+// integrality alone, never from branching decisions — as the ilp cut pool
+// requires: a cut separated at one node strengthens every later node's
+// relaxation. The cut-validity property tests brute-force this against
+// all integral feasible assignments of random instances.
 
-// modelCut is the uniform cut-row representation: a named lp.CutRow that
-// separation hands to the branch-and-cut layer as an ilp.Cut, and that
-// rootCuts collects for the validity tests.
+// modelCut is the uniform cut-row representation: an lp.CutRow named by
+// the family that produced it. Separation hands the rows to the
+// branch-and-cut layer; the names are for the validity tests' messages.
 type modelCut struct {
 	name string
 	lp.CutRow
-}
-
-// toCut converts the cut for the ilp separation hook. All tempart cuts are
-// globally valid.
-func (c *modelCut) toCut() ilp.Cut {
-	return ilp.Cut{CutRow: c.CutRow, Global: true, Name: c.name}
 }
 
 // cgFamily is one Chvátal–Gomory cardinality family: a task set S (a size
@@ -220,8 +206,15 @@ func dedupeCGFamilies(fams []cgFamily) []cgFamily {
 	return out
 }
 
+// resDim is one capped resource dimension (CLBs or an extra kind).
+type resDim struct {
+	name   string
+	demand []int
+	cap    int
+}
+
 // presolveDims lists the capped resource dimensions of an instance in the
-// uniform form the cut layer consumes (CLBs first, then the board's capped
+// uniform form cgFamilies consumes (CLBs first, then the board's capped
 // extra kinds).
 func presolveDims(pre *presolve) []resDim {
 	var dims []resDim
@@ -246,7 +239,7 @@ func presolveDims(pre *presolve) []resDim {
 // uniqueness rows, so the root relaxation is infeasible with no search at
 // all, and at the feasible N the delay-coupled forms hold every
 // partition's d_p to its share of the cardinality floor. withCuts=false is
-// the Input.NoCuts ablation, which reproduces the PR 3 model exactly.
+// the Input.testNoCuts reference model: the aggregate row alone.
 //
 // The cols/vals slices passed to emit are scratch, reused across calls —
 // consumers must copy what they keep. The model builder feeds them
@@ -339,33 +332,23 @@ const (
 	sepMaxChains = 6
 )
 
-// resDim is one capped resource dimension (CLBs or an extra kind).
-type resDim struct {
-	name   string
-	demand []int
-	cap    int
-}
-
 // separator owns the per-model separation state: the variable layout, the
-// capped resource dimensions, the longest-path chain seeds, and the
-// precomputed per-subset layer-cake floors. It is stateless per call.
+// longest-path chain seeds, and the precomputed per-subset layer-cake
+// floors. It is stateless per call.
 type separator struct {
 	pre *presolve
-	g   *dfg.Graph
 	N   int
 	nT  int
 	yv  func(t, p int) int
 	dv  func(p int) int
 
-	dims      []resDim
 	longPaths [][]int
 	subsetRHS []float64 // subsetRHS[s]: layer-cake floor for s-subsets, s in [1,N)
 }
 
 // newSeparator builds the separator for one generated model.
 func newSeparator(pre *presolve, g *dfg.Graph, N int, yv func(t, p int) int, dv func(p int) int) *separator {
-	s := &separator{pre: pre, g: g, N: N, nT: g.NumTasks(), yv: yv, dv: dv}
-	s.dims = presolveDims(pre)
+	s := &separator{pre: pre, N: N, nT: g.NumTasks(), yv: yv, dv: dv}
 	paths := pre.paths
 	// k longest delay-weighted paths (the full path set is already
 	// enumerated for Eq. 7, so "k longest" is a sort, not a search).
@@ -396,174 +379,30 @@ func newSeparator(pre *presolve, g *dfg.Graph, N int, yv func(t, p int) int, dv 
 }
 
 // scoredCut pairs a candidate cut with its violation at the current point.
-// local marks cuts valid only inside the emitting node's bound box (the
-// residual CG cuts); they ride the node instead of the shared pool.
 type scoredCut struct {
-	mc    modelCut
-	viol  float64
-	local bool
+	mc   modelCut
+	viol float64
 }
 
-// separate is the ilp.Options.Separate callback: run every family on the
-// fractional point and return the most violated candidates.
-func (s *separator) separate(pt *ilp.SeparationPoint) []ilp.Cut {
-	var cand []scoredCut
-	cand = s.coverCuts(pt.X, cand)
-	cand = s.chainCuts(pt.X, cand)
-	cand = s.layerCakeCuts(pt.X, cand)
-	cand = s.cgResidualCuts(pt, cand)
-	if len(cand) == 0 {
-		return nil
-	}
-	sort.Slice(cand, func(a, b int) bool { return cand[a].viol > cand[b].viol })
-	if len(cand) > sepMaxCutsPerRound {
-		cand = cand[:sepMaxCutsPerRound]
-	}
-	out := make([]ilp.Cut, len(cand))
+// separate is the ilp.Options.Separate callback: the rows of the most
+// violated candidates at the fractional point x.
+func (s *separator) separate(x []float64) []lp.CutRow {
+	cand := s.candidates(x)
+	out := make([]lp.CutRow, len(cand))
 	for i := range cand {
-		out[i] = cand[i].mc.toCut()
-		if cand[i].local {
-			out[i].Global = false
-		}
+		out[i] = cand[i].mc.CutRow
 	}
 	return out
 }
 
-// cgResidualCuts separates node-local CG cardinality cuts from the node's
-// residual capacities: with the box's fixed tasks occupying used(p) of a
-// dimension, at most κ_p more of the still-eligible tasks — the largest
-// count whose smallest members fit cap − used(p) — can join partition p,
-// so Σ_{t eligible} y[t][p] ≤ κ_p inside this box. At the root the cut
-// degenerates to the global cardinality row already in the model (never
-// violated there); below the root the shrunken residues make it strictly
-// sharper than anything globally valid, which is exactly why it is a
-// node-local cut inherited by the subtree only.
-func (s *separator) cgResidualCuts(pt *ilp.SeparationPoint, cand []scoredCut) []scoredCut {
-	type elig struct {
-		t, size int
-		v       float64
-	}
-	for _, dim := range s.dims {
-		for p := 0; p < s.N; p++ {
-			used := 0
-			var items []elig
-			mass := 0.0
-			for t := 0; t < s.nT; t++ {
-				d := dim.demand[t]
-				if d <= 0 {
-					continue
-				}
-				lo, hi := pt.Bounds(s.yv(t, p))
-				switch {
-				case lo > 0.5:
-					used += d
-				case hi > 0.5:
-					items = append(items, elig{t, d, pt.X[s.yv(t, p)]})
-					mass += pt.X[s.yv(t, p)]
-				}
-			}
-			if len(items) < 2 {
-				continue
-			}
-			sizes := make([]int, len(items))
-			for i, it := range items {
-				sizes[i] = it.size
-			}
-			sort.Ints(sizes)
-			kappa := maxFitCount(sizes, dim.cap-used)
-			if kappa >= len(items) || mass-float64(kappa) <= sepMinViolation {
-				continue
-			}
-			mc := modelCut{name: "cg-res-" + dim.name, CutRow: lp.CutRow{Kind: lp.LE, RHS: float64(kappa)}}
-			for _, it := range items {
-				mc.Cols = append(mc.Cols, s.yv(it.t, p))
-				mc.Vals = append(mc.Vals, 1)
-			}
-			cand = append(cand, scoredCut{mc: mc, viol: mass - float64(kappa), local: true})
-		}
-	}
-	return cand
-}
-
-// coverCuts separates extended cover inequalities from each partition's
-// resource rows: if C is a set of tasks whose total demand exceeds the
-// capacity (a cover), no partition can host all of C, so
-// Σ_{t∈C} y[t][p] ≤ |C|-1; the lifting extends the left-hand side with
-// every task at least as large as the largest cover member (any |C| of the
-// extended set also overflow), which strengthens the cut for free.
-func (s *separator) coverCuts(x []float64, cand []scoredCut) []scoredCut {
-	type item struct {
-		t, w int
-		v    float64
-	}
-	for _, dim := range s.dims {
-		items := make([]item, 0, s.nT)
-		for t := 0; t < s.nT; t++ {
-			if dim.demand[t] > 0 {
-				items = append(items, item{t: t, w: dim.demand[t]})
-			}
-		}
-		if len(items) < 2 {
-			continue
-		}
-		for p := 0; p < s.N; p++ {
-			for i := range items {
-				items[i].v = x[s.yv(items[i].t, p)]
-			}
-			sort.Slice(items, func(a, b int) bool {
-				if items[a].v != items[b].v {
-					return items[a].v > items[b].v
-				}
-				return items[a].w > items[b].w
-			})
-			sum, mass, k := 0, 0.0, 0
-			for k < len(items) && sum <= dim.cap {
-				sum += items[k].w
-				mass += items[k].v
-				k++
-			}
-			if sum <= dim.cap {
-				continue // all tasks together fit: no cover exists
-			}
-			cover := items[:k]
-			// Minimalize from the low-value end: dropping a member keeps
-			// the cover when the rest still overflow, and each drop raises
-			// the violation by 1 - v ≥ 0.
-			for len(cover) > 2 {
-				last := cover[len(cover)-1]
-				if sum-last.w <= dim.cap {
-					break
-				}
-				sum -= last.w
-				mass -= last.v
-				cover = cover[:len(cover)-1]
-			}
-			viol := mass - float64(len(cover)-1)
-			if viol <= sepMinViolation {
-				continue
-			}
-			maxw := 0
-			for _, c := range cover {
-				if c.w > maxw {
-					maxw = c.w
-				}
-			}
-			mc := modelCut{name: "cover-" + dim.name, CutRow: lp.CutRow{Kind: lp.LE, RHS: float64(len(cover) - 1)}}
-			for _, c := range cover {
-				mc.Cols = append(mc.Cols, s.yv(c.t, p))
-				mc.Vals = append(mc.Vals, 1)
-			}
-			// Lifting: items[k:] is disjoint from the cover (a subset of
-			// items[:k]), so membership needs no check.
-			for _, c := range items[k:] {
-				if c.w >= maxw {
-					mc.Cols = append(mc.Cols, s.yv(c.t, p))
-					mc.Vals = append(mc.Vals, 1)
-					viol += c.v // lifting terms only add violation
-				}
-			}
-			cand = append(cand, scoredCut{mc: mc, viol: viol})
-		}
+// candidates runs every family on the fractional point x and returns the
+// sepMaxCutsPerRound most violated cuts, most violated first.
+func (s *separator) candidates(x []float64) []scoredCut {
+	cand := s.chainCuts(x, nil)
+	cand = s.layerCakeCuts(x, cand)
+	sort.Slice(cand, func(a, b int) bool { return cand[a].viol > cand[b].viol })
+	if len(cand) > sepMaxCutsPerRound {
+		cand = cand[:sepMaxCutsPerRound]
 	}
 	return cand
 }

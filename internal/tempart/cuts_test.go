@@ -118,6 +118,19 @@ func TestCutsNeverExcludeFeasibleSolutions(t *testing.T) {
 		}
 		for N := n0; N <= n0+2 && N <= 4; N++ {
 			m := buildModel(Input{Graph: g, Board: b}, pre, N, true)
+			// Every integer column sits in exactly one SOS1 group, so the
+			// search never branches on a single variable.
+			inGroups := make(map[int]int)
+			for _, grp := range m.ilp.SOS1 {
+				for _, j := range grp {
+					inGroups[j]++
+				}
+			}
+			for _, j := range m.ilp.Integers {
+				if inGroups[j] != 1 {
+					t.Fatalf("seed %d N=%d: integer column %d is in %d SOS1 groups, want 1", seed, N, j, inGroups[j])
+				}
+			}
 			sep := newSeparator(pre, g, N, m.yv, m.dv)
 
 			// Gather cuts: the build-time root cuts, plus separator output
@@ -133,8 +146,8 @@ func TestCutsNeverExcludeFeasibleSolutions(t *testing.T) {
 				points = append(points, sol.X)
 			}
 			for _, x := range points {
-				for _, ic := range sep.separate(&ilp.SeparationPoint{X: x, Bounds: m.prob.Bounds}) {
-					cuts = append(cuts, modelCut{name: ic.Name, CutRow: ic.CutRow})
+				for _, c := range sep.candidates(x) {
+					cuts = append(cuts, c.mc)
 				}
 			}
 			if len(cuts) == 0 {
@@ -179,7 +192,7 @@ func TestCutsPreserveOptimum(t *testing.T) {
 	fixtures = append(fixtures, fixture{"multires", mrg, multiResBoard()})
 
 	for _, fx := range fixtures {
-		plain, err := Solve(context.Background(), Input{Graph: fx.g, Board: fx.board, NoCuts: true})
+		plain, err := Solve(context.Background(), Input{Graph: fx.g, Board: fx.board, testNoCuts: true})
 		if err != nil {
 			t.Fatalf("%s (nocuts): %v", fx.name, err)
 		}

@@ -83,14 +83,6 @@ type Input struct {
 	// DisableWarmStart suppresses the list-partitioner warm start (for
 	// ablation benchmarks).
 	DisableWarmStart bool
-	// NoCuts disables the whole cutting-plane contribution of this PR: the
-	// cover / temporal-order clique / layer-cake subset separators inside
-	// the branch and bound AND the build-time boundary chain-area root
-	// cuts, reproducing the PR 3 model and search exactly. The optimum
-	// never depends on it — cuts are valid inequalities — so this exists
-	// for ablation benchmarks and the cut-validity equivalence tests. The
-	// PR 3 aggregate presolve cut (Σ d_p ≥ combinatorial floor) stays on.
-	NoCuts bool
 	// Trace, when non-nil, receives the solve's phase timeline: presolve /
 	// relax-N probe / model-build / root-cut / search spans, LP kernel
 	// counter deltas at search-span boundaries, and the ilp layer's
@@ -117,6 +109,12 @@ type Input struct {
 	// cap maxTreeNodes (tests only: it makes a small instance's tree
 	// overflow).
 	testMaxTreeNodes int
+	// testNoCuts switches off every cut but the aggregate presolve row
+	// (Σ d_p ≥ combinatorial floor): the separators inside the branch and
+	// bound and the boundary chain-area and CG root rows (tests only: cuts
+	// are valid inequalities, so the optimum must not move; the
+	// cut-validity tests compare against this reference search).
+	testNoCuts bool
 }
 
 // SolveStats records model and search sizes for reporting.
@@ -143,12 +141,12 @@ type SolveStats struct {
 	// re-solves they triggered.
 	CutsAdded        int
 	SeparationRounds int
-	// CGCuts counts the Chvátal–Gomory cardinality cuts in play (root rows
-	// baked into the winning model plus cg-* cuts separated during search),
-	// and DualBoundFathoms how often the bin-packing dual bound fired
-	// across every relax-N probe: N probes rejected because packingNeed
-	// exceeded the candidate count, plus B&B nodes whose residual packing
-	// proved the box empty LP-free.
+	// CGCuts counts the Chvátal–Gomory cardinality rows built into the
+	// winning model (the root rows of cgFamilies), and DualBoundFathoms
+	// how often the bin-packing dual bound fired across every relax-N
+	// probe: N probes rejected because packingNeed exceeded the candidate
+	// count, plus B&B nodes whose residual packing proved the box empty
+	// LP-free.
 	CGCuts           int
 	DualBoundFathoms int
 	// ColumnsGenerated and PricingRounds report the branch-and-price
@@ -373,13 +371,12 @@ func validateInput(g *dfg.Graph, board arch.Board) error {
 
 // proofTally accumulates the infeasibility-proof telemetry of one Solve
 // across every relax-N probe: bin-packing dual-bound fathoms (rejected N
-// probes plus LP-free node fathoms) and separated Chvátal–Gomory cuts —
-// including the probes that ended in an infeasibility proof, whose search
-// effort would otherwise be invisible.
+// probes plus LP-free node fathoms) — including the probes that ended in
+// an infeasibility proof, whose search effort would otherwise be
+// invisible.
 type proofTally struct {
 	packNeed    int // instance-wide bin-packing dual bound (presolve)
 	dualFathoms int
-	cgCuts      int
 	rivals      int // probes that started a pattern-master rival
 }
 
@@ -387,13 +384,11 @@ type proofTally struct {
 // attempt whose verdict stands contributes).
 func (tally *proofTally) absorb(sub *proofTally) {
 	tally.dualFathoms += sub.dualFathoms
-	tally.cgCuts += sub.cgCuts
 }
 
 // stampProofStats folds the tally into the winning partitioning's stats,
 // after every lower-N probe has contributed.
 func (tally *proofTally) stampProofStats(part *Partitioning) {
-	part.Stats.CGCuts += tally.cgCuts
 	part.Stats.DualBoundFathoms = tally.dualFathoms
 	part.Stats.RaceRivals = tally.rivals
 }
@@ -659,7 +654,7 @@ func buildModel(in Input, pre *presolve, N int, withPresolveCut bool) *tpModel {
 	cgRoot := 0
 	if withPresolveCut {
 		cutSpan := in.Trace.BeginArg(obs.PhaseRootCut, int64(N))
-		emitRootCuts(pre, N, yv, dv, !in.NoCuts,
+		emitRootCuts(pre, N, yv, dv, !in.testNoCuts,
 			func(name string, kind lp.RowKind, rcols []int, rvals []float64, rhs float64) {
 				if strings.HasPrefix(name, "cg-") {
 					cgRoot++
@@ -758,10 +753,9 @@ func solveForNRows(ctx context.Context, in Input, pre *presolve, N int, tally *p
 	// B&B node before its LP relaxation is solved; its bin-packing
 	// dual-bound fathoms land in the tally.
 	opts.NodeBound = pre.nodeBoundFunc(N, m.yv, &tally.dualFathoms)
-	// Branch and cut: grow node LPs with violated CG cardinality / cover /
-	// temporal-order clique / layer-cake subset cuts, branching only when
-	// separation dries up.
-	if !in.NoCuts {
+	// Branch and cut: grow node LPs with violated temporal-order clique and
+	// layer-cake subset cuts, branching only when separation dries up.
+	if !in.testNoCuts {
 		opts.Separate = newSeparator(pre, g, N, m.yv, m.dv).separate
 	}
 	buildTime := time.Since(buildStart)
@@ -777,11 +771,6 @@ func solveForNRows(ctx context.Context, in Input, pre *presolve, N int, tally *p
 	})
 	if err != nil {
 		return nil, err
-	}
-	for name, n := range sol.CutsByName {
-		if strings.HasPrefix(name, "cg-") {
-			tally.cgCuts += n
-		}
 	}
 
 	switch sol.Status {
@@ -819,10 +808,9 @@ func solveForNRows(ctx context.Context, in Input, pre *presolve, N int, tally *p
 		LPSolvesSkipped:     sol.LPSolvesSkipped,
 		CutsAdded:           sol.CutsAdded,
 		SeparationRounds:    sol.SeparationRounds,
-		// CGCuts carries only this model's root rows here; the
-		// tally-based counters are stamped by the relax loop at
-		// acceptance time (stampProofStats), once every lower-N
-		// probe has contributed.
+		// The tally-based counters are stamped by the relax loop at
+		// acceptance time (stampProofStats), once every lower-N probe
+		// has contributed.
 		CGCuts:    m.cgRoot,
 		BuildTime: buildTime, SolveTime: solveTime,
 		Solver:      sol.Solver,
@@ -1050,36 +1038,41 @@ func CheckFeasible(g *dfg.Graph, board arch.Board, assign []int, N int) error {
 	return nil
 }
 
-// warmStart builds a full ILP variable assignment from the presolve's
-// cached greedy heuristics when a solution using at most N partitions
-// exists. Two heuristics compete — plain topological packing, and
-// type-homogeneous packing (which avoids mixing slow task types into fast
-// partitions, the effect the paper's Sec. 4 comparison highlights) — and
-// the better feasible one wins. A heuristic feasible at usedN partitions is
-// feasible at every N >= usedN (the extra partitions stay empty), so the
-// cached certificates need no per-N re-validation.
-func warmStart(pre *presolve, N, nVars int,
-	needMem bool, yv func(t, p int) int, wv func(p, e int) int, dv func(p int) int) []float64 {
-
-	g, board := pre.g, pre.board
+// bestGreedy returns a copy of the lower-latency of the presolve's cached
+// greedy heuristics that fits N partitions, or nil when neither does. Two
+// heuristics compete — plain topological packing, and type-homogeneous
+// packing (which avoids mixing slow task types into fast partitions, the
+// effect the paper's Sec. 4 comparison highlights). A heuristic feasible
+// at usedN partitions is feasible at every N >= usedN (the extra
+// partitions stay empty), so the cached certificates need no per-N
+// re-validation.
+func (pre *presolve) bestGreedy(N int) []int {
 	var best []int
 	bestLat := 0.0
 	for _, gr := range pre.greedy {
 		if !gr.ok || gr.usedN > N {
 			continue
 		}
-		lat := Latency(board, chainDelays(g, pre.topo, gr.assign, N))
+		lat := Latency(pre.board, chainDelays(pre.g, pre.topo, gr.assign, N))
 		if best == nil || lat < bestLat {
 			best = gr.assign
 			bestLat = lat
 		}
 	}
+	// The cached assignments are shared across probes.
+	return append([]int(nil), best...)
+}
+
+// warmStart builds a full ILP variable assignment from the best greedy
+// heuristic (bestGreedy) when one fits N partitions, and nil otherwise.
+func warmStart(pre *presolve, N, nVars int,
+	needMem bool, yv func(t, p int) int, wv func(p, e int) int, dv func(p int) int) []float64 {
+
+	g := pre.g
+	best := pre.bestGreedy(N)
 	if best == nil {
 		return nil
 	}
-	// The canonicalization below mutates the assignment; the cached one is
-	// shared across probes.
-	best = append([]int(nil), best...)
 	// Canonicalize within interchangeable groups so the incumbent also
 	// satisfies the symmetry-breaking ordering rows (permuting members of
 	// a group across their partitions preserves feasibility and latency).
