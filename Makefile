@@ -47,10 +47,10 @@ bench:
 # bench-smoke is the quick CI variant: the headline DCT solve, which closes
 # at the root, the chain9 portfolio solve under the row model, which pivots
 # through about a hundred nodes and reports the warm-start counters,
-# chain9 under the default formulation, where the pattern master races the
-# row search (ns/op and allocs/op only), and chainblocks102 under the
-# pattern master, whose time is column generation (B&B nodes, pivots,
-# columns and pricing rounds). It also runs sparcsd's cache-hit
+# chain9 under the default formulation, where the row search hands its
+# open root off to the pattern master (the same counters), and
+# chainblocks102 under the pattern master, whose time is column generation
+# (B&B nodes, pivots, columns and pricing rounds). It also runs sparcsd's cache-hit
 # path in-process (BenchmarkService_Hit: /v1/batch calls of renamed copies
 # of a cached working set), which fails unless every item is a cache hit,
 # so a hit path that silently falls through to fresh solves breaks CI.
@@ -83,25 +83,22 @@ bench-gate:
 
 # race runs the packages with concurrent code under the race detector:
 # service (the scheduler and its worker pool, the cache and singleflight,
-# the traced solve path and the flight recorder), obs (the trace recorder
-# shared by a solve's goroutines), ilp (the search a race's two goroutines
-# each run, and its context stops), and tempart (the formulation race: the
-# pattern-master rival beside the row search, its cancel and join, and the
-# spans both record). tempart runs -short under race: the sequential
-# brute-force property tests and portfolio yardsticks add minutes of race
-# overhead but no concurrency coverage; the race and cancellation tests
-# still run.
+# the traced solve path and the flight recorder), obs (the trace recorder,
+# safe for concurrent use), and ilp (its context stop, which a cancel trips
+# from another goroutine while the search polls it). tempart is not here:
+# a solve runs on one goroutine (no non-test file in tempart, ilp or lp
+# starts one), and the service's tests cover solves beside each other.
 race:
 	$(GO) test -race -count=1 ./internal/service/... ./internal/obs/... ./internal/ilp/...
-	$(GO) test -race -count=1 -short ./internal/tempart/...
 
 # chaos builds with the faultinject registry compiled in and runs the whole
 # internal tree — the tagged chaos suites (service + lp) arm the fault
 # points, and every untagged test re-runs against the chaos build to prove
 # the hooks change nothing until armed. Race detector on: the registry is
-# shared by the service's workers and a race's rival, and the recovery
-# paths are exactly where concurrency bugs would hide.
-# tempart runs -short for the same reason as the race lane.
+# shared by the service's workers, and the recovery paths are exactly where
+# concurrency bugs would hide. tempart runs -short: its sequential
+# brute-force property tests and portfolio yardsticks add minutes of race
+# overhead and arm no fault point.
 chaos:
 	$(GO) test -tags faultinject -race -count=1 $$($(GO) list ./internal/... | grep -v /tempart)
 	$(GO) test -tags faultinject -race -count=1 -short ./internal/tempart/...

@@ -463,12 +463,17 @@ func BenchmarkILP_FIRBank(b *testing.B) {
 	b.ReportMetric(p.Stats.SolveTime.Seconds()*1e3, "solve-ms")
 }
 
-// benchPackPortfolio loads one pack instance of the committed
-// hard-instance portfolio through the schema the tempart portfolio tests
-// use (tempart.LoadPortfolioManifest), so the benchmark runs under exactly
-// the manifest knobs the tests pin and the two can never drift apart.
-func benchPackPortfolio(b *testing.B, file string) {
+// benchPortfolio loads one instance of the committed hard-instance
+// portfolio through the schema the tempart portfolio tests use
+// (tempart.LoadPortfolioManifest), so the benchmark runs under exactly the
+// manifest knobs the tests pin and the two can never drift apart.
+// unpinned drops the manifest's formulation pin for the default's.
+func benchPortfolio(b *testing.B, file string, unpinned bool) {
 	entry, g, board := portfolioInstance(b, file)
+	formulation := entry.Formulation
+	if unpinned {
+		formulation = ""
+	}
 	var p *tempart.Partitioning
 	var err error
 	for i := 0; i < b.N; i++ {
@@ -476,7 +481,7 @@ func benchPackPortfolio(b *testing.B, file string) {
 			Graph:              g,
 			Board:              board,
 			MaxPartitions:      entry.MaxParts,
-			Formulation:        entry.Formulation,
+			Formulation:        formulation,
 			NoSymmetryBreaking: entry.NoSymmetry,
 			DisableWarmStart:   entry.NoWarm,
 			MaxNodes:           entry.MaxNodes,
@@ -547,9 +552,9 @@ func portfolioInstance(b *testing.B, file string) (*tempart.PortfolioInstance, *
 // cardinality cuts, bin-packing dual bound) exists for.
 // Before the engine they blew their 2000-node budgets; the bench gate now
 // fails ANY B&B-node growth over the committed baseline (threshold 0).
-func BenchmarkILP_Pack12(b *testing.B) { benchPackPortfolio(b, "pack12.json") }
-func BenchmarkILP_Pack15(b *testing.B) { benchPackPortfolio(b, "pack15.json") }
-func BenchmarkILP_Pack18(b *testing.B) { benchPackPortfolio(b, "pack18.json") }
+func BenchmarkILP_Pack12(b *testing.B) { benchPortfolio(b, "pack12.json", false) }
+func BenchmarkILP_Pack15(b *testing.B) { benchPortfolio(b, "pack15.json", false) }
+func BenchmarkILP_Pack18(b *testing.B) { benchPortfolio(b, "pack18.json", false) }
 
 // BenchmarkILP_Pack2638 is the mixed-cardinality packing yardstick of the
 // branch-and-price formulation: 12×26 + 12×38 CLB items whose optimal
@@ -558,7 +563,7 @@ func BenchmarkILP_Pack18(b *testing.B) { benchPackPortfolio(b, "pack18.json") }
 // manifest forces `formulation: "patterns"`; the set-partitioning master's
 // LP bound is exactly 9·delay, the N=8 probe dies at its master root, and
 // the gate fails any B&B-node growth over the baseline (threshold 0).
-func BenchmarkILP_Pack2638(b *testing.B) { benchPackPortfolio(b, "pack2638.json") }
+func BenchmarkILP_Pack2638(b *testing.B) { benchPortfolio(b, "pack2638.json", false) }
 
 // BenchmarkILP_ChainBlocks102 is the pattern master's scale yardstick: the
 // portfolio's 102-task chain-of-blocks instance under its manifest's
@@ -566,7 +571,7 @@ func BenchmarkILP_Pack2638(b *testing.B) { benchPackPortfolio(b, "pack2638.json"
 // N=51. Branch-and-price proves N=51 in a handful of nodes, so the time
 // goes to column generation: its columns-generated and pricing-rounds
 // counters, with its ns/op and allocs/op, track the pricer on its own.
-func BenchmarkILP_ChainBlocks102(b *testing.B) { benchPackPortfolio(b, "chainblocks102.json") }
+func BenchmarkILP_ChainBlocks102(b *testing.B) { benchPortfolio(b, "chainblocks102.json", false) }
 
 // BenchmarkILP_Chain9 is the portfolio's 9-task chain instance under the
 // row model: near-capacity items in 3-task chains, closed by branch-and-
@@ -576,32 +581,15 @@ func BenchmarkILP_ChainBlocks102(b *testing.B) { benchPackPortfolio(b, "chainblo
 // bound-flip and sparse/dense solve counters track the LP kernel, and its
 // warm-solves, cold-solves and dual-pivots measure the warm start. It is
 // also CI's perf smoke (make bench-smoke).
-func BenchmarkILP_Chain9(b *testing.B) { benchPackPortfolio(b, "chain9.json") }
+func BenchmarkILP_Chain9(b *testing.B) { benchPortfolio(b, "chain9.json", false) }
 
 // BenchmarkILP_Chain9Default solves the same instance under the default
-// formulation, which races the pattern master against the row search from
-// the rows root (see tempart.Input.Formulation). Which attempt supplies
-// the proof depends on scheduling, and so do the search counters, so it
-// reports only ns/op and allocs/op; against BenchmarkILP_Chain9 it is the
-// race's end-to-end gain on the chain family.
-func BenchmarkILP_Chain9Default(b *testing.B) {
-	entry, g, board := portfolioInstance(b, "chain9.json")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p, err := tempart.Solve(context.Background(), tempart.Input{
-			Graph:              g,
-			Board:              board,
-			NoSymmetryBreaking: entry.NoSymmetry,
-			DisableWarmStart:   entry.NoWarm,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if p.N != entry.WantN || !p.Optimal {
-			b.Fatalf("N=%d optimal=%v, want %d/true", p.N, p.Optimal, entry.WantN)
-		}
-	}
-}
+// formulation, which hands the row search's open root off to the pattern
+// master (see tempart.Input.Formulation). The solve runs on one goroutine,
+// so its search counters repeat run for run, and it reports the same ones
+// as BenchmarkILP_Chain9; against it, its ns/op is the hand-off's
+// end-to-end gain on the chain family.
+func BenchmarkILP_Chain9Default(b *testing.B) { benchPortfolio(b, "chain9.json", true) }
 
 // BenchmarkDCT8x8Greedy partitions the 128-task 8x8 DCT generalization
 // with the greedy baseline (the scale regime beyond the paper's ILP).

@@ -41,7 +41,7 @@ func main() {
 		verilogArg = flag.Bool("verilog", false, "print partition RTL after the flow")
 		seqArg     = flag.Bool("sequencer", false, "print the host sequencer code")
 		traceArg   = flag.Int("trace", 0, "print the first N simulation trace events")
-		formArg    = flag.String("formulation", "", "ILP model: rows (assignment variables), patterns (branch-and-price), or empty to race the two per partition count")
+		formArg    = flag.String("formulation", "", "ILP model: rows (assignment variables), patterns (branch-and-price), or empty to run rows and hand each partition count its root leaves open to patterns")
 		maxPartArg = flag.Int("max-partitions", 0, "cap on the partition count search (0 = the solver's default window)")
 		outArg     = flag.String("o", "text", "output format: text, or json (the machine-readable service payload; skips simulation)")
 	)
@@ -70,8 +70,9 @@ type cliOptions struct {
 	Output string
 	// Formulation selects the ilp partitioner's model: "rows" pins the
 	// assignment-variable row model, "patterns" branch-and-price over
-	// partition-pattern columns, and "" (the service's default too) races
-	// the two per relax-N probe.
+	// partition-pattern columns, and "" (the service's default too) runs
+	// rows and hands each relax-N probe the rows root leaves open off to
+	// the pattern master.
 	Formulation string
 	// MaxPartitions caps the relax-N search (0 = the solver's default
 	// window above the combinatorial lower bound).

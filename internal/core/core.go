@@ -62,7 +62,8 @@ type Config struct {
 	Pow2Blocks bool
 	// Formulation selects the ILP model: tempart.FormulationRows pins the
 	// row model, tempart.FormulationPatterns branch-and-price over
-	// partition-pattern columns, and "" races the two per relax-N probe.
+	// partition-pattern columns, and "" runs rows and hands each probe the
+	// rows root leaves open off to the pattern master.
 	Formulation string
 	// MaxPartitions caps the relax-N loop (0 keeps tempart's default
 	// lower-bound+8 window; instances whose area floor sits far below the

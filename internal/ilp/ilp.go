@@ -133,14 +133,13 @@ type Options struct {
 	// the point turns integral, or the round budget (maxCutRounds) is
 	// exhausted.
 	Separate func(x []float64) []lp.CutRow
-	// Context, when non-nil, is besides MaxNodes the only way a search
-	// stops short. A cancel ends the search at its next limit check,
-	// reported exactly as if the node budget had run out (an HTTP job
-	// cancel, or tempart stopping the loser of a formulation race). At its
-	// deadline the search stops
-	// cleanly and reports the best incumbent (or its absence) with Status
-	// Timeout — the anytime contract. Any unproven stop after the
-	// deadline, even one tripped by MaxNodes or a cancel, reports Timeout.
+	// Context, when non-nil, is besides MaxNodes and RootOpen the only way
+	// a search stops short. A cancel ends the search at its next limit
+	// check, reported exactly as if the node budget had run out (an HTTP
+	// job cancel). At its deadline the search stops cleanly and reports
+	// the best incumbent (or its absence) with Status Timeout — the
+	// anytime contract. Any unproven stop after the deadline, even one
+	// tripped by MaxNodes or a cancel, reports Timeout.
 	// A stop also ends the node LP in progress within a few dozen pivots
 	// (lp.Solver.SetStop); that node is dropped, so BoundTrusted is false.
 	Context context.Context
@@ -150,15 +149,17 @@ type Options struct {
 	// frontier size). A nil Trace costs one nil check per node — the
 	// allocation-free hot path is unchanged.
 	Trace *obs.Recorder
-	// RootOpen, when non-nil, is called once, on the goroutine running
-	// Solve, when the root's first LP relaxation leaves the root open:
-	// neither infeasible, nor bound-fathomed against the incumbent, nor
-	// integral (an LP stopped at its iteration limit counts as open, one
-	// stopped by the Context does not). The search is about to cut and
-	// branch, or to give up on the root.
-	// tempart starts its pattern-master rival here; it is a solver hook,
-	// not a search setting.
-	RootOpen func()
+	// RootOpen, when non-nil, is called once when the root's first LP
+	// relaxation leaves the root open: neither infeasible, nor
+	// bound-fathomed against the incumbent, nor integral (an LP stopped at
+	// its iteration limit counts as open, one stopped by the Context does
+	// not). The search is about to cut and branch, or to give up on the
+	// root. It returns true when the caller has settled the problem
+	// another way: the search then ends at once, before any separation
+	// round or further node, with the root dropped, so the Solution is an
+	// unproven stop (BoundTrusted false). tempart hands a probe off to its
+	// pattern master here; it is a solver hook, not a search setting.
+	RootOpen func() (stop bool)
 
 	// testCapturePool, when non-nil, receives the final cut pool
 	// contents after the search (validity property tests only; unexported
@@ -451,8 +452,12 @@ func (st *searchState) processNode(nd *node) error {
 		return err
 	}
 	if nd.depth == 0 && st.opt.RootOpen != nil && (res.Status == lp.IterLimit && !stopRequested(st.opt.Context) ||
-		res.Status == lp.Optimal && res.Obj <= st.incObj-absGap && !integralPoint(res.X, st.p.Integers)) {
-		st.opt.RootOpen()
+		res.Status == lp.Optimal && res.Obj <= st.incObj-absGap && !integralPoint(res.X, st.p.Integers)) &&
+		st.opt.RootOpen() {
+		// The root is the only node: dropping it leaves nothing to search
+		// and no proof to claim.
+		st.dropped++
+		return nil
 	}
 	if res.Status == lp.Optimal && st.opt.Separate != nil {
 		if res, err = st.separate(nd, res); err != nil {
@@ -679,8 +684,8 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 
 	st.pushNode(node{bound: math.Inf(-1)})
 
-	// A context already done (a race loser already cancelled, or a request
-	// past its deadline) skips even the root.
+	// A context already done (a cancelled request, or one past its
+	// deadline) skips even the root.
 	if st.limitHit() {
 		// The unexplored root is DROPPED, not exhausted: finish must not
 		// read the empty heap as a completed proof (a pre-expired deadline

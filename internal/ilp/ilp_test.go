@@ -272,12 +272,36 @@ func TestRootOpenHook(t *testing.T) {
 		{"infeasible", infeasible, nil, 0},
 	} {
 		fired := 0
-		s, err := Solve(tc.p, Options{Incumbent: tc.inc, RootOpen: func() { fired++ }})
+		s, err := Solve(tc.p, Options{Incumbent: tc.inc, RootOpen: func() bool { fired++; return false }})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if fired != tc.want {
 			t.Errorf("%s: RootOpen fired %d times (status %v, %d nodes), want %d", tc.name, fired, s.Status, s.Nodes, tc.want)
+		}
+	}
+}
+
+// TestRootOpenStop: a RootOpen hook that returns true ends the search at
+// its root, before any separation round, and the Solution claims nothing:
+// no proof, an untrusted bound, and the incumbent (when one was given)
+// unproven.
+func TestRootOpenStop(t *testing.T) {
+	p := knapsack([]float64{10, 13, 7, 11}, []float64{5, 6, 3, 5}, 10)
+	for _, inc := range [][]float64{nil, {1, 0, 0, 0}} {
+		separated := 0
+		s, err := Solve(p, Options{Incumbent: inc, RootOpen: func() bool { return true },
+			Separate: func([]float64) []lp.CutRow { separated++; return nil }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Limit
+		if inc != nil {
+			want = Feasible
+		}
+		if s.Status != want || s.BoundTrusted || s.Nodes != 1 || separated != 0 || s.SeparationRounds != 0 {
+			t.Errorf("incumbent %v: status %v trusted=%v nodes=%d separations=%d, want %v/false/1/0",
+				inc, s.Status, s.BoundTrusted, s.Nodes, separated, want)
 		}
 	}
 }

@@ -27,8 +27,8 @@ const (
 	// PhasePresolve covers path enumeration, DAG bound computation, and
 	// greedy warm-start construction, before any N is probed.
 	PhasePresolve = "presolve"
-	// PhaseProbe is one relax-N iteration (arg = N). A race rival records
-	// a second probe span for the same N, overlapping the row search's.
+	// PhaseProbe is one relax-N iteration (arg = N). A solve's probe spans
+	// never overlap.
 	PhaseProbe = "probe"
 	// PhaseModelBuild is ILP model construction for one N, or the
 	// solve's pattern-tree build during the probe for N (arg = N).
@@ -48,9 +48,10 @@ const (
 	CounterNodes      = "bb_nodes"
 	CounterCuts       = "cuts_added"
 	CounterSepRounds  = "separation_rounds"
-	// CounterRaceRivals counts relax-N probes that started a pattern-master
-	// rival beside the row search, and CounterRaceRivalWins the probes
-	// whose verdict the rival supplied.
+	// CounterRaceRivals counts relax-N probes whose open rows root was
+	// handed off to the pattern master, and CounterRaceRivalWins the
+	// probes the pattern master answered. The names are kept from the
+	// formulation race the hand-off replaced.
 	CounterRaceRivals    = "race_rivals"
 	CounterRaceRivalWins = "race_rival_wins"
 )

@@ -100,8 +100,8 @@ func TestUnclosedSpanIgnored(t *testing.T) {
 	}
 }
 
-// Concurrent recording (a race rival beside its row search, the service's
-// solve workers) must be safe; run under -race in the CI race lane.
+// Concurrent recording must be safe (the recorder locks every event); run
+// under -race in the CI race lane.
 func TestRecorderConcurrent(t *testing.T) {
 	r := NewRecorder(1 << 12)
 	var wg sync.WaitGroup

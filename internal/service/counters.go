@@ -35,8 +35,9 @@ type SearchCounters struct {
 	// invocations (zero under the row formulation).
 	ColumnsGenerated int `json:"columns_generated,omitempty"`
 	PricingRounds    int `json:"pricing_rounds,omitempty"`
-	// Formulation race: relax-N probes that started a pattern-master
-	// rival beside the row search (default-formulation solves only).
+	// Relax-N probes whose open rows root was handed off to the pattern
+	// master (default-formulation solves only; the name is kept from the
+	// formulation race the hand-off replaced).
 	RaceRivals int `json:"race_rivals,omitempty"`
 }
 
@@ -111,8 +112,8 @@ var searchFamilies = []searchFamily{
 		func(c *SearchCounters) int { return c.ColumnsGenerated }},
 	{"pricing_rounds", "Branch-and-price pricing-problem invocations.",
 		func(c *SearchCounters) int { return c.PricingRounds }},
-	// Rivals per fresh solve is the share of default requests whose rows
-	// root left a probe open; root-closing workloads stay at zero.
-	{"race_rivals", "Relax-N probes that started a pattern-master rival.",
+	// Hand-offs per fresh solve is the share of default requests whose
+	// rows root left a probe open; root-closing workloads stay at zero.
+	{"race_rivals", "Relax-N probes whose open rows root was handed off to the pattern master.",
 		func(c *SearchCounters) int { return c.RaceRivals }},
 }

@@ -26,15 +26,11 @@ import (
 func TestTraceSolveEndpoint(t *testing.T) {
 	svc, ts := newTestServer(t, Config{Workers: 2})
 	// diamondGraph actually branches (chain/pairs/wide are closed at the
-	// root by the warm start), so the trace carries search counters. The
-	// row model is pinned: under the default its open root starts a
-	// pattern-master rival whose probe span overlaps the rows probe, and
-	// the wall-clock partition check below holds for one model's probes.
+	// root by the warm start), so the trace carries search counters.
 	g := marshalGraph(t, diamondGraph())
-	rows := tempart.FormulationRows
 
 	// Warm the cache with an untraced solve.
-	code, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Graph: g, Board: "small", Formulation: rows})
+	code, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Graph: g, Board: "small"})
 	if code != http.StatusOK {
 		t.Fatalf("warm solve: HTTP %d: %s", code, body)
 	}
@@ -47,7 +43,7 @@ func TestTraceSolveEndpoint(t *testing.T) {
 	// Traced solve: must be a fresh miss even though the cache holds the
 	// answer, and must not disturb the cache.
 	before := svc.cache.Stats()
-	code, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{Graph: g, Board: "small", Formulation: rows, Trace: true})
+	code, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{Graph: g, Board: "small", Trace: true})
 	if code != http.StatusOK {
 		t.Fatalf("traced solve: HTTP %d: %s", code, body)
 	}
@@ -94,7 +90,7 @@ func TestTraceSolveEndpoint(t *testing.T) {
 
 	// The cache entry is still live: an untraced re-solve is a hit and
 	// carries no trace.
-	code, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{Graph: g, Board: "small", Formulation: rows})
+	code, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{Graph: g, Board: "small"})
 	if code != http.StatusOK {
 		t.Fatalf("hit solve: HTTP %d: %s", code, body)
 	}

@@ -45,11 +45,12 @@ type SolveRequest struct {
 	// assignment-variable row model and "patterns" branch-and-price over
 	// partition-pattern columns (which falls back to rows when the
 	// instance carries inter-partition data the pattern master cannot
-	// price). The default "" races them: every relax-N probe runs rows,
-	// and starts the pattern master as a rival when the rows root LP
-	// leaves the probe open; the first proof wins. The optimum is the
-	// same every way, but the search shape and stats differ, so it is
-	// part of the solve-cache key.
+	// price). The default "" hands off between them: every relax-N probe
+	// runs rows, and when the rows root LP leaves the probe open the
+	// pattern master runs for the same N; its proof answers the probe,
+	// and otherwise the row search carries on. The optimum is the same
+	// every way, but the search shape and stats differ, so it is part of
+	// the solve-cache key.
 	Formulation string `json:"formulation,omitempty"`
 }
 
@@ -139,9 +140,10 @@ type Result struct {
 	// and shared results).
 	SearchCounters
 	// Formulation names the ILP model that supplied the answer ("rows" or
-	// "patterns"): the race's winner under the default, the pinned model
-	// otherwise (patterns may fall back to rows when inapplicable). The
-	// search counters are the winning attempt's.
+	// "patterns"): under the default, "patterns" when the accepted probe's
+	// hand-off proved it, and the pinned model otherwise (patterns may
+	// fall back to rows when inapplicable). The search counters are the
+	// answering model's.
 	Formulation string  `json:"formulation,omitempty"`
 	SolveMS     float64 `json:"solve_ms"`
 

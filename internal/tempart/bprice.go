@@ -700,34 +700,33 @@ func (pp *patternPricer) selectionAcyclic(sel [][]int) bool {
 	return ok
 }
 
-// errNoPatternTree is a race rival's verdict when the pattern master does
-// not apply: not decisive, so the row verdict stands.
-var errNoPatternTree = errors.New("tempart: pattern master not applicable")
-
-// patternsApplicable decides whether the pattern master may run a probe of
-// this solve. Two conditions must hold. The instance's worst-case boundary
-// traffic must fit the on-board memory: exactly the instances whose memory
-// rows buildModel drops as never-binding, so the pattern master (which has
-// no memory rows) solves the same problem. And its pattern tree must fit
-// the step budget and the node cap, so every pricing round is exact.
-//
-// The tree is built at most once per solve, here, and kept on the presolve
-// (pre.pricer) when it fits; a tree that does not fit is remembered too
-// (pre.treeOverflow), and the solve runs rows from then on. Until the tree
-// is known, build decides: true builds it now under ctx, and false answers
-// true and leaves the build to the caller's pattern master (a race rival
-// builds on its own goroutine). A build stopped by ctx leaves the tree
-// unknown, so a later probe builds again. The build runs under a
-// model-build span for the probe's N.
-func patternsApplicable(ctx context.Context, in Input, pre *presolve, N int, build bool) bool {
+// patternsExcluded reports a solve the pattern master cannot run: its
+// worst-case boundary traffic exceeds the on-board memory, or its pattern
+// tree is known not to fit. The first is exactly the instances whose
+// memory rows buildModel keeps, which the pattern master (it has no memory
+// rows) would not solve. The check builds nothing.
+func patternsExcluded(in Input, pre *presolve) bool {
 	total := 0
 	for _, e := range in.Graph.Edges() {
 		total += e.Data
 	}
+	return total > in.Board.Memory.Words || pre.treeOverflow
+}
+
+// patternsApplicable decides whether the pattern master may run a probe of
+// this solve: it is not excluded (patternsExcluded), and its pattern tree
+// fits the step budget and the node cap, so every pricing round is exact.
+//
+// The tree is built at most once per solve, here, under ctx, and kept on
+// the presolve (pre.pricer) when it fits; a tree that does not fit is
+// remembered too (pre.treeOverflow), and the solve runs rows from then on.
+// A build stopped by ctx leaves the tree unknown, so a later probe builds
+// again. The build runs under a model-build span for the probe's N.
+func patternsApplicable(ctx context.Context, in Input, pre *presolve, N int) bool {
 	switch {
-	case total > in.Board.Memory.Words || pre.treeOverflow:
+	case patternsExcluded(in, pre):
 		return false
-	case pre.pricer != nil || !build:
+	case pre.pricer != nil:
 		return true
 	}
 	maxNodes := maxTreeNodes
@@ -788,7 +787,7 @@ func solveForNPatterns(ctx context.Context, in Input, pre *presolve, N int) (*Pa
 	buildSpan.End()
 
 	var sol *ilp.BPSolution
-	solveTime, err := searchProbe(ctx, in, N, func() (int, lp.SolverStats, error) {
+	solveTime, err := searchProbe(ctx, in, N, nil, func(func() bool) (int, lp.SolverStats, error) {
 		var err error
 		if sol, err = ilp.SolveBP(opts); err != nil {
 			return 0, lp.SolverStats{}, err

@@ -193,7 +193,7 @@ func TestPatternPricerColumnsFeasible(t *testing.T) {
 // function bounds, and convexity only shrinks the pattern set further).
 func TestPatternRootBoundDominatesPackingNeed(t *testing.T) {
 	if testing.Short() {
-		t.Skip("deep unit-cost pricing probes; skipped under -short (the race lane)")
+		t.Skip("deep unit-cost pricing probes; skipped under -short (the chaos lane)")
 	}
 	entries := loadPortfolio(t)
 	type inst struct {
@@ -264,7 +264,7 @@ func TestPatternFormulationEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if testing.Short() {
-		return // the chains are sequential searches: no coverage for the race lane
+		return // the chains are sequential searches the chaos lane need not repeat
 	}
 	// The portfolio chains' board: 100 CLBs, 1024 words, 1 ms reconfiguration.
 	chainBoard := board(100, 1024, 1e6)
@@ -322,7 +322,7 @@ func TestPatternFormulationFallsBackToRows(t *testing.T) {
 	g.MustAddTask(dfg.Task{Name: "b", Resources: 60, Delay: 100})
 	g.MustAddEdge("a", "b", 200) // 200 words > 100-word memory
 	b := board(100, 100, 0)
-	if patternsApplicable(context.Background(), Input{Graph: g, Board: b}, newPresolve(g, b), 1, true) {
+	if patternsApplicable(context.Background(), Input{Graph: g, Board: b}, newPresolve(g, b), 1) {
 		t.Fatal("patternsApplicable should reject 200 words > 100")
 	}
 	part, err := Solve(context.Background(), Input{Graph: g, Board: b, Formulation: FormulationPatterns})
@@ -685,7 +685,7 @@ func TestPatternPricerMatchesReference(t *testing.T) {
 		checkPricingRounds(t, fmt.Sprintf("layered#%d", k), rng, builtPricer(t, g, b), 6)
 	}
 	if testing.Short() {
-		return // the portfolio rounds are sequential work the race lane need not repeat
+		return // the portfolio rounds are sequential work the chaos lane need not repeat
 	}
 	for _, e := range loadPortfolio(t) {
 		pp := newPatternPricer(newPresolve(e.graph, e.board))
@@ -720,7 +720,7 @@ func TestPatternTreeOverflowsOnWideLayers(t *testing.T) {
 		"fir8": {Graph: fir8.graph, Board: fir8.board},
 	} {
 		pre := newPresolve(in.Graph, in.Board)
-		if patternsApplicable(context.Background(), in, pre, 1, true) || !pre.treeOverflow || pre.pricer != nil {
+		if patternsApplicable(context.Background(), in, pre, 1) || !pre.treeOverflow || pre.pricer != nil {
 			t.Errorf("%s: pattern master applies (overflow=%v); want the tree to overflow", name, pre.treeOverflow)
 		}
 	}

@@ -28,7 +28,7 @@ import (
 // make the cardinality bound exact.) Symmetry breaking and the warm start
 // are disabled on top to keep the tree maximal, and the row model is
 // pinned: the pattern master proves the instance in milliseconds, so the
-// default race would close it before any cancel or deadline lands.
+// default's hand-off would close it before any cancel or deadline lands.
 func hardInput(nTasks int) Input {
 	g := dfg.New("hard")
 	for i := 0; i < nTasks; i++ {
@@ -84,7 +84,8 @@ func TestSolveContextCancelStopsSearch(t *testing.T) {
 // results: same optimum and search as the uncancellable batch context.
 //
 // The row model is pinned: node counts are one model's search, and under
-// the default this instance races, so they would depend on the winner.
+// the default this instance hands off, so they would be the answering
+// model's.
 func TestSolveContextCompletesUncancelled(t *testing.T) {
 	in := Input{Graph: randomDAG(3, 10), Board: arch.SmallTestBoard(), Formulation: FormulationRows}
 	want, err := Solve(context.Background(), in)

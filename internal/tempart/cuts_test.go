@@ -97,7 +97,7 @@ func randomFractionalPoint(rng *rand.Rand, g *dfg.Graph, m *tpModel, N int) []fl
 // the search could prune the true optimum.
 func TestCutsNeverExcludeFeasibleSolutions(t *testing.T) {
 	if testing.Short() {
-		t.Skip("sequential brute-force enumeration; skipped under -short (the race lane)")
+		t.Skip("sequential brute-force enumeration; skipped under -short (the chaos lane)")
 	}
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -275,7 +275,7 @@ func TestBoundaryCutsCloseFIRBankRoot(t *testing.T) {
 // the claimed floors.
 func TestBoundaryChainFloorSound(t *testing.T) {
 	if testing.Short() {
-		t.Skip("sequential brute-force enumeration; skipped under -short (the race lane)")
+		t.Skip("sequential brute-force enumeration; skipped under -short (the chaos lane)")
 	}
 	for seed := int64(0); seed < 30; seed++ {
 		g := randomDAG(seed, 6)

@@ -116,7 +116,7 @@ func TestEvaluateDelaysMatchesPathSum(t *testing.T) {
 		in := entryInput(&e)
 		if !e.Quick {
 			// The pinned model's search is stress-lane long; the default
-			// race answers the same instance in milliseconds.
+			// hand-off answers the same instance in milliseconds.
 			in.Formulation = ""
 		}
 		ins[name] = in

@@ -66,14 +66,15 @@ type Input struct {
 	// tests pin that — but neither dominates: rows closes the DCT, FIR and
 	// packing probes at its root, while the pattern master's
 	// set-partitioning bound closes chain and mixed-cardinality instances
-	// the row model crawls through. The default (the empty string) races
-	// them: each probe runs rows, and starts the pattern master as a rival
-	// when the rows root LP leaves the probe open; the first proof wins
-	// (raceForN). Instances whose worst-case boundary traffic exceeds the
-	// on-board memory (the pattern master has no Eq. 3 rows), or whose
-	// pattern space does not fit the pricer's pattern tree, run rows
-	// alone, pinned or not, and report Stats.Formulation "rows" (see
-	// patternsApplicable).
+	// the row model crawls through. The default (the empty string) runs
+	// rows on each probe and hands the probe off to the pattern master
+	// when the rows root LP leaves it open, on the same goroutine: a
+	// pattern proof answers the probe, and otherwise the row search carries
+	// on from its root (handOffForN). Instances whose worst-case boundary
+	// traffic exceeds the on-board memory (the pattern master has no Eq. 3
+	// rows), or whose pattern space does not fit the pricer's pattern
+	// tree, run rows alone, pinned or not, and report Stats.Formulation
+	// "rows" (see patternsApplicable).
 	Formulation string
 	// NoSymmetryBreaking disables the ordering constraints between
 	// provably interchangeable tasks. They are on by default: they never
@@ -89,8 +90,9 @@ type Input struct {
 	// sampled node events (the recorder is handed down through
 	// ilp.Options.Trace). A nil Trace is free — every recording site is a
 	// nil-receiver no-op — so the batch and benchmark paths pay nothing.
-	// A race rival's probe span overlaps the row search's spans of the
-	// same probe; span durations then sum to more than wall clock.
+	// A solve runs on one goroutine, so its probe spans never overlap; a
+	// hand-off's model-build and search spans lie inside their probe's,
+	// beside the row search's search spans rather than inside them.
 	Trace *obs.Recorder
 	// MaxNodes bounds each probe's branch-and-bound (or branch-and-price)
 	// nodes (0 = the ilp default).
@@ -100,11 +102,11 @@ type Input struct {
 	// that reaches a search (tests only: it lets a test panic inside a
 	// probe).
 	testProbe func()
-	// testRival, when non-nil, runs on a race's rival goroutine before the
-	// pattern master starts, with the race's context (tests only: it lets
-	// a test cancel a solve once its rival is live, or hold the rival
-	// until the row search wins).
-	testRival func(race context.Context)
+	// testHandOff, when non-nil, runs at each hand-off to the pattern
+	// master, before the pattern tree's build, and returns the context
+	// the hand-off runs under (tests only: it lets a test cancel the solve
+	// there, or stop the hand-off alone).
+	testHandOff func(ctx context.Context) context.Context
 	// testMaxTreeNodes, when positive, replaces the pattern tree's node
 	// cap maxTreeNodes (tests only: it makes a small instance's tree
 	// overflow).
@@ -159,15 +161,15 @@ type SolveStats struct {
 	// underlying simplex engine across the whole B&B search.
 	Solver lp.SolverStats
 	// RaceRivals counts the relax-N probes of a default-formulation solve
-	// that started a pattern-master rival beside the row search (see
-	// raceForN); zero when a formulation is pinned.
+	// whose open rows root was handed off to the pattern master (see
+	// handOffForN); zero when a formulation is pinned.
 	RaceRivals int
 	// Formulation names the model that supplied the winning probe's
 	// verdict ("rows" or "patterns"); empty for non-ILP results. Under the
-	// default it names the race's winner, and under a pin it can still
-	// differ from Input.Formulation when the pattern backend declined the
-	// instance (inter-partition data, or a pattern space past the tree's
-	// cap) and fell back to rows.
+	// default it is "patterns" when that probe's hand-off was decisive,
+	// and under a pin it can still differ from Input.Formulation when the
+	// pattern backend declined the instance (inter-partition data, or a
+	// pattern space past the tree's cap) and fell back to rows.
 	Formulation string
 }
 
@@ -268,10 +270,10 @@ func AnytimeLowerBound(g *dfg.Graph, board arch.Board) float64 {
 // Solve runs the full temporal partitioning tool: preprocessing, model
 // generation for the lower-bound N, and the relax-N loop until feasibility.
 //
-// ctx bounds the search: cancelling it aborts the running search (and a
-// race rival) at its next limit check, and a cancelled solve returns
-// ctx.Err() even when the aborted search had already found a feasible (but
-// unproven) incumbent. Deadline expiry is different — that is the anytime
+// ctx bounds the search: cancelling it aborts the running search (the row
+// search or a hand-off's pattern master) at its next limit check, and a
+// cancelled solve returns ctx.Err() even when the aborted search had
+// already found a feasible (but unproven) incumbent. Deadline expiry is different — that is the anytime
 // contract: when ctx died of context.DeadlineExceeded and the
 // solve still produced a partitioning (the best incumbent, marked Partial
 // with a proven LatencyBound and Gap), the partitioning is returned instead
@@ -377,13 +379,7 @@ func validateInput(g *dfg.Graph, board arch.Board) error {
 type proofTally struct {
 	packNeed    int // instance-wide bin-packing dual bound (presolve)
 	dualFathoms int
-	rivals      int // probes that started a pattern-master rival
-}
-
-// absorb folds a race attempt's sub-tally into the aggregate (only the
-// attempt whose verdict stands contributes).
-func (tally *proofTally) absorb(sub *proofTally) {
-	tally.dualFathoms += sub.dualFathoms
+	rivals      int // probes handed off to the pattern master
 }
 
 // stampProofStats folds the tally into the winning partitioning's stats,
@@ -708,32 +704,32 @@ func buildModel(in Input, pre *presolve, N int, withPresolveCut bool) *tpModel {
 // ListPartition and EvaluateDelays list no path, so they have no cap.
 const MaxPaths = 20000
 
-// Formulation values for Input.Formulation (empty races the two).
+// Formulation values for Input.Formulation (empty hands off between the
+// two).
 const (
 	FormulationRows     = "rows"
 	FormulationPatterns = "patterns"
 )
 
 // solveForN solves one relax-N probe under the requested formulation: a
-// pinned model runs alone, and the default races the two (raceForN).
-// It returns (nil, nil) when the model is infeasible at this N.
+// pinned model runs alone, and the default hands off between the two
+// (handOffForN). It returns (nil, nil) when the model is infeasible at
+// this N.
 func solveForN(ctx context.Context, in Input, pre *presolve, N int, tally *proofTally) (*Partitioning, error) {
-	if in.Formulation != FormulationRows && patternsApplicable(ctx, in, pre, N, in.Formulation == FormulationPatterns) {
-		switch in.Formulation {
-		case FormulationPatterns:
-			return solveForNPatterns(ctx, in, pre, N)
-		case "":
-			return raceForN(ctx, in, pre, N, tally)
-		}
+	switch {
+	case in.Formulation == "":
+		return handOffForN(ctx, in, pre, N, tally)
+	case in.Formulation == FormulationPatterns && patternsApplicable(ctx, in, pre, N):
+		return solveForNPatterns(ctx, in, pre, N)
 	}
-	return solveForNRows(ctx, in, pre, N, tally, ilp.Options{Context: ctx})
+	return solveForNRows(ctx, in, pre, N, tally, nil)
 }
 
 // solveForNRows builds and solves the Eqs. 1-8 row model for a fixed
-// partition bound, with solveForN's return contract. base carries the
-// search's stop context and hooks (a race stops its row search through
-// its own child of ctx); ctx labels the profile.
-func solveForNRows(ctx context.Context, in Input, pre *presolve, N int, tally *proofTally, base ilp.Options) (*Partitioning, error) {
+// partition bound, with solveForN's return contract. rootOpen, when
+// non-nil, is the search's ilp.Options.RootOpen hook; it runs outside the
+// probe's search span (searchProbe).
+func solveForNRows(ctx context.Context, in Input, pre *presolve, N int, tally *proofTally, rootOpen func() bool) (*Partitioning, error) {
 	g := in.Graph
 	nT := g.NumTasks()
 	buildStart := time.Now()
@@ -742,8 +738,7 @@ func solveForNRows(ctx context.Context, in Input, pre *presolve, N int, tally *p
 	obs.Do(ctx, "phase", obs.PhaseModelBuild, func(context.Context) {
 		m = buildModel(in, pre, N, true)
 	})
-	opts := base
-	opts.MaxNodes, opts.Trace = in.MaxNodes, in.Trace
+	opts := ilp.Options{Context: ctx, MaxNodes: in.MaxNodes, Trace: in.Trace}
 	if !in.DisableWarmStart {
 		if inc := warmStart(pre, N, m.nVars, m.needMem, m.yv, m.wv, m.dv); inc != nil {
 			opts.Incumbent = inc
@@ -762,8 +757,9 @@ func solveForNRows(ctx context.Context, in Input, pre *presolve, N int, tally *p
 	buildSpan.End()
 
 	var sol *ilp.Solution
-	solveTime, err := searchProbe(ctx, in, N, func() (int, lp.SolverStats, error) {
+	solveTime, err := searchProbe(ctx, in, N, rootOpen, func(rootOpen func() bool) (int, lp.SolverStats, error) {
 		var err error
+		opts.RootOpen = rootOpen
 		if sol, err = ilp.Solve(m.ilp, opts); err != nil {
 			return 0, lp.SolverStats{}, err
 		}
@@ -823,17 +819,28 @@ func solveForNRows(ctx context.Context, in Input, pre *presolve, N int, tally *p
 // searchProbe runs one probe's search under its trace span and profile
 // label, emits the node and LP kernel counters at the span's end, and
 // returns the search's wall time. The search's Solver stats are already a
-// delta: its lp.Solver is born inside the search.
-func searchProbe(ctx context.Context, in Input, N int, search func() (nodes int, lps lp.SolverStats, err error)) (time.Duration, error) {
+// delta: its lp.Solver is born inside the search. search receives
+// rootOpen (nil stays nil) wrapped to run outside the search span, which
+// ends before the hook and reopens after it: a hand-off's own spans are
+// then no part of the row search's.
+func searchProbe(ctx context.Context, in Input, N int, rootOpen func() bool, search func(rootOpen func() bool) (nodes int, lps lp.SolverStats, err error)) (time.Duration, error) {
 	start := time.Now()
 	span := in.Trace.BeginArg(obs.PhaseSearch, int64(N))
+	var aside func() bool
+	if rootOpen != nil {
+		aside = func() bool {
+			span.End()
+			defer func() { span = in.Trace.BeginArg(obs.PhaseSearch, int64(N)) }()
+			return rootOpen()
+		}
+	}
 	var (
 		nodes int
 		lps   lp.SolverStats
 		err   error
 	)
 	obs.Do(ctx, "phase", obs.PhaseSearch, func(context.Context) {
-		nodes, lps, err = search()
+		nodes, lps, err = search(aside)
 	})
 	if err != nil {
 		span.End()

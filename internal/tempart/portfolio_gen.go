@@ -153,8 +153,8 @@ type PortfolioInstance struct {
 	NoSymmetry bool `json:"no_symmetry"`
 	NoWarm     bool `json:"no_warm_start"`
 	// Formulation selects the solver backend (tempart.Input.Formulation):
-	// "rows" pins the row model, "patterns" branch-and-price, and "" races
-	// the two. Every committed row pins one, so node counts and the
+	// "rows" pins the row model, "patterns" branch-and-price, and "" hands
+	// off between the two. Every committed row pins one, so node counts and the
 	// benchmarks built on them measure one model's search.
 	Formulation string `json:"formulation,omitempty"`
 	// Expect pins the outcome: "solve" (proven optimum at WantN), "limit"

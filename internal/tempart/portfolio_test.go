@@ -137,7 +137,7 @@ func entryName(e *portfolioEntry) string {
 // deliberately budget-bound yardstick.
 func TestHardPortfolio(t *testing.T) {
 	if testing.Short() {
-		t.Skip("portfolio searches are sequential throughput yardsticks; skipped under -short (the race lane)")
+		t.Skip("portfolio searches are sequential throughput yardsticks; skipped under -short (the chaos lane)")
 	}
 	entries := loadPortfolio(t)
 	for i := range entries {

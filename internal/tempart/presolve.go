@@ -78,9 +78,8 @@ type presolve struct {
 
 	// pricer is the pattern master's pricer with its pattern tree, and
 	// treeOverflow records a tree that did not fit. patternsApplicable sets
-	// them, at most once per solve; the pattern probes run one at a time
-	// (a race joins its rival before the probe returns), so they need no
-	// lock.
+	// them, at most once per solve; a solve runs on one goroutine, so
+	// they need no lock.
 	pricer       *patternPricer
 	treeOverflow bool
 }

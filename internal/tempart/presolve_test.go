@@ -149,7 +149,7 @@ func cloneGraph(seed int64) *dfg.Graph {
 // interchangeable clone families.
 func TestSymmetryBreakingPreservesOptimum(t *testing.T) {
 	if testing.Short() {
-		t.Skip("sequential model-equivalence sweep; skipped under -short (the race lane)")
+		t.Skip("sequential model-equivalence sweep; skipped under -short (the chaos lane)")
 	}
 	type fixture struct {
 		name  string
@@ -301,7 +301,7 @@ func packingFeasibleExact(items []int, cap, bins int) bool {
 // provably exists — and its bound must not exceed the completion's Σd.
 func TestNodeBoundNeverFathomsCompletableBoxes(t *testing.T) {
 	if testing.Short() {
-		t.Skip("sequential brute-force enumeration; skipped under -short (the race lane)")
+		t.Skip("sequential brute-force enumeration; skipped under -short (the chaos lane)")
 	}
 	for seed := int64(0); seed < 25; seed++ {
 		g := randomDAG(300+seed, 6)

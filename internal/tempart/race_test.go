@@ -3,9 +3,9 @@ package tempart
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -17,10 +17,13 @@ import (
 	"repro/internal/obs"
 )
 
-// The default formulation races the two models per relax-N probe
-// (raceForN). These tests pin the race's contract: the same optima as a
-// pinned model, no rival on probes the rows root closes, and a clean
-// cancel. None of them skip under -short, so the race lane runs them.
+// The default formulation hands a relax-N probe off from the row search to
+// the pattern master when the rows root leaves it open (handOffForN).
+// These tests pin the hand-off's contract: the same optima as a pinned
+// model, no hand-off on probes the rows root closes, repeatable counters,
+// and a clean cancel. The trace counters and Stats field keep the names
+// race_rivals and RaceRivals from the formulation race the hand-off
+// replaced.
 
 // TestRaceQuickPortfolio solves every quick portfolio instance the
 // manifest expects to close under the default formulation: each must reach
@@ -79,7 +82,7 @@ func TestRaceRootClosingProbesStartNoRival(t *testing.T) {
 
 // TestRaceMatchesRowsOnRandomDAGs runs the brute-force property set's
 // random small DAGs under the default and under pinned rows: N and latency
-// must agree, and some seeds must actually race.
+// must agree, and some seeds must actually hand off.
 func TestRaceMatchesRowsOnRandomDAGs(t *testing.T) {
 	rivals := 0
 	for seed := int64(0); seed < 40; seed++ {
@@ -105,34 +108,30 @@ func TestRaceMatchesRowsOnRandomDAGs(t *testing.T) {
 	}
 }
 
-// TestRaceCancelJoinsRival cancels a default solve from inside its rival,
-// once both attempts are live: the solve reports context.Canceled, and no
-// goroutine outlives it.
-func TestRaceCancelJoinsRival(t *testing.T) {
+// TestRaceCancelDuringHandOff cancels a default solve at its first
+// hand-off, before the pattern tree's build: the build stops, the row
+// search stops at its next limit check, and the solve reports
+// context.Canceled.
+func TestRaceCancelDuringHandOff(t *testing.T) {
 	e := portfolioFile(t, "chain9.json")
-	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rec := obs.NewRecorder(0)
 	_, err := Solve(ctx, Input{Graph: e.graph, Board: e.board, NoSymmetryBreaking: e.NoSymmetry,
-		DisableWarmStart: e.NoWarm, Trace: rec, testRival: func(context.Context) { cancel() }})
+		DisableWarmStart: e.NoWarm, Trace: rec, testHandOff: func(ctx context.Context) context.Context {
+			cancel()
+			return ctx
+		}})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled race returned %v, want context.Canceled", err)
+		t.Fatalf("cancelled hand-off returned %v, want context.Canceled", err)
 	}
 	if n := rec.Trace().Counters[obs.CounterRaceRivals]; n != 1 {
 		t.Fatalf("race_rivals = %d, want 1", n)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after the solve, %d before", runtime.NumGoroutine(), before)
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
-// TestRaceTraceShowsRival pins the race's timeline: the rival runs under
-// its own probe span for the same N, and the trace counts the launch.
+// TestRaceTraceShowsRival pins the hand-off's timeline: it runs inside the
+// probe's one span, and the trace counts it.
 func TestRaceTraceShowsRival(t *testing.T) {
 	e := portfolioFile(t, "chain9.json")
 	rec := obs.NewRecorder(0)
@@ -151,12 +150,55 @@ func TestRaceTraceShowsRival(t *testing.T) {
 			probes++
 		}
 	}
-	if probes != 2 {
-		t.Fatalf("%d probe spans at N=%d, want the rows probe and its rival", probes, p.N)
+	if probes != 1 {
+		t.Fatalf("%d probe spans at N=%d, want one: the hand-off runs inside the probe", probes, p.N)
 	}
 	if won := tr.Counters[obs.CounterRaceRivalWins] > 0; won != (p.Stats.Formulation == FormulationPatterns) {
 		t.Fatalf("race_rival_wins = %d but the answer came from %s",
 			tr.Counters[obs.CounterRaceRivalWins], p.Stats.Formulation)
+	}
+}
+
+// TestDefaultSolveDeterministic: a default solve runs on one goroutine, so
+// repeating it repeats its search, counter for counter, whichever model
+// answers. The instances are the chain and mixed-packing fixtures and
+// fresh 9-task chains, which hand off at most probes.
+func TestDefaultSolveDeterministic(t *testing.T) {
+	ins := map[string]Input{}
+	for _, file := range []string{"chain9.json", "chain10.json", "pack2638.json"} {
+		e := portfolioFile(t, file)
+		e.Formulation = ""
+		ins[file] = entryInput(e)
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		ins[fmt.Sprintf("chain9 seed %d", seed)] = Input{
+			Graph: portfolioChain(rand.New(rand.NewSource(seed)), 9), Board: board(100, 1024, 1e6)}
+	}
+	type counters struct {
+		nodes, lpIterations, pivots int
+		formulation                 string
+		rivals                      int
+	}
+	handedOff := 0
+	for name, in := range ins {
+		var first counters
+		for run := 0; run < 3; run++ {
+			p, err := Solve(context.Background(), in)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			s := p.Stats
+			got := counters{s.Nodes, s.LPIterations, s.Solver.Pivots, s.Formulation, s.RaceRivals}
+			if run == 0 {
+				first = got
+			} else if got != first {
+				t.Fatalf("%s: run %d counters %+v, run 0 %+v", name, run, got, first)
+			}
+		}
+		handedOff += first.rivals
+	}
+	if handedOff == 0 {
+		t.Fatal("no solve handed off: the set no longer exercises the hand-off")
 	}
 }
 
@@ -226,7 +268,7 @@ func TestPinnedPatternsPastTheTreeRunRows(t *testing.T) {
 	}
 }
 
-// raceTwice is a small random DAG whose default solve starts a rival at two
+// raceTwice is a small random DAG whose default solve hands off at two
 // probes (N=2 and N=3): the row root leaves both open.
 func raceTwice() Input {
 	return Input{Graph: randomGraph(rand.New(rand.NewSource(12))), Board: board(100, 50, 1000), MaxPartitions: 4}
@@ -234,8 +276,8 @@ func raceTwice() Input {
 
 // raceAgainstRows solves in under the default formulation and under pinned
 // rows, checks that the two agree, and returns the default solve and its
-// trace's race_rivals count.
-func raceAgainstRows(t *testing.T, in Input) (*Partitioning, int64) {
+// trace.
+func raceAgainstRows(t *testing.T, in Input) (*Partitioning, *obs.Trace) {
 	t.Helper()
 	rows := in
 	rows.Formulation = FormulationRows
@@ -253,29 +295,31 @@ func raceAgainstRows(t *testing.T, in Input) (*Partitioning, int64) {
 		t.Fatalf("race N=%d latency=%v optimal=%v, rows N=%d latency=%v",
 			p.N, p.Latency, p.Optimal, want.N, want.Latency)
 	}
-	return p, rec.Trace().Counters[obs.CounterRaceRivals]
+	return p, rec.Trace()
 }
 
 // TestRaceNoRivalAfterTreeOverflow caps the pattern tree at one node, so
-// the first rival's build overflows: that rival is counted, its verdict
-// leaves the rows answer standing, and no later probe starts a rival.
+// the first hand-off's build overflows: that hand-off is counted, the rows
+// answer stands, and no later probe hands off.
 func TestRaceNoRivalAfterTreeOverflow(t *testing.T) {
 	in := raceTwice()
-	if _, rivals := raceAgainstRows(t, in); rivals != 2 {
-		t.Fatalf("uncapped race started %d rivals, want 2", rivals)
+	if _, tr := raceAgainstRows(t, in); tr.Counters[obs.CounterRaceRivals] != 2 {
+		t.Fatalf("uncapped solve handed off %d probes, want 2", tr.Counters[obs.CounterRaceRivals])
 	}
 	in.testMaxTreeNodes = 1
-	p, rivals := raceAgainstRows(t, in)
-	if rivals != 1 || p.Stats.RaceRivals != 1 || p.Stats.Formulation != FormulationRows {
+	p, tr := raceAgainstRows(t, in)
+	if rivals := tr.Counters[obs.CounterRaceRivals]; rivals != 1 || p.Stats.RaceRivals != 1 || p.Stats.Formulation != FormulationRows {
 		t.Fatalf("capped race: race_rivals=%d stats=%d formulation=%q, want 1/1/rows",
 			rivals, p.Stats.RaceRivals, p.Stats.Formulation)
 	}
 }
 
-// TestRaceCancelledBuildLeavesTreeUnknown holds each rival until the row
-// search has won its probe, so the rival's tree build starts cancelled and
-// stops at its first poll. A cancelled build says nothing about the tree's
-// size: the next probe must start a rival again, which builds anew.
+// TestRaceCancelledBuildLeavesTreeUnknown stops the first hand-off's tree
+// build through the hand-off's own context, so the build ends at its first
+// poll while the solve goes on. A stopped build says nothing about the
+// tree's size: the second probe must hand off again and build anew, so its
+// N holds three model-build spans (the row model, the tree and the pattern
+// master) and the first probe's N two.
 func TestRaceCancelledBuildLeavesTreeUnknown(t *testing.T) {
 	in := raceTwice()
 	done := make(chan struct{})
@@ -283,11 +327,27 @@ func TestRaceCancelledBuildLeavesTreeUnknown(t *testing.T) {
 	if newPatternPricer(newPresolve(in.Graph, in.Board)).buildTree(done, maxTreeNodes) {
 		t.Fatal("a build with its done channel closed ran to completion")
 	}
-	in.testRival = func(race context.Context) { <-race.Done() }
-	p, rivals := raceAgainstRows(t, in)
-	if rivals != 2 || p.Stats.RaceRivals != 2 || p.Stats.Formulation != FormulationRows {
-		t.Fatalf("race_rivals=%d stats=%d formulation=%q, want 2/2/rows",
-			rivals, p.Stats.RaceRivals, p.Stats.Formulation)
+	handOffs := 0
+	in.testHandOff = func(ctx context.Context) context.Context {
+		if handOffs++; handOffs > 1 {
+			return ctx
+		}
+		stopped, stop := context.WithCancel(ctx)
+		stop()
+		return stopped
+	}
+	p, tr := raceAgainstRows(t, in)
+	if rivals := tr.Counters[obs.CounterRaceRivals]; rivals != 2 || p.Stats.RaceRivals != 2 {
+		t.Fatalf("race_rivals=%d stats=%d, want 2/2", rivals, p.Stats.RaceRivals)
+	}
+	builds := map[int64]int{}
+	for _, sp := range tr.Spans {
+		if sp.Phase == obs.PhaseModelBuild {
+			builds[sp.N]++
+		}
+	}
+	if builds[2] != 2 || builds[3] != 3 {
+		t.Fatalf("model-build spans per N %v, want 2 at N=2 and 3 at N=3", builds)
 	}
 }
 

@@ -93,43 +93,68 @@ func TestTraceTimelineCoversSolve(t *testing.T) {
 	}
 }
 
-// TestTraceSpeculativeParallel drives the recorder through the concurrent
-// path that remains inside one solve — a race rival recording its probe,
-// build and search spans beside the row search — so the CI race lane
-// exercises those recording sites under -race.
-func TestTraceSpeculativeParallel(t *testing.T) {
+// TestTraceHandOffTimeline pins the timeline of a traced default chain9
+// solve, whose open probes hand off to the pattern master: tracing does
+// not move the answer, the probe spans do not overlap, every model-build
+// and search span (the pattern master's too) lies inside the probe span of
+// its N, and no two search spans overlap, so the row search's span stops
+// while the pattern master runs and the phase totals add up.
+func TestTraceHandOffTimeline(t *testing.T) {
 	e := portfolioFile(t, "chain9.json")
-	rec := obs.NewRecorder(1 << 12)
-	in := Input{
-		Graph: e.graph, Board: e.board, Trace: rec,
-		NoSymmetryBreaking: e.NoSymmetry, DisableWarmStart: e.NoWarm,
-	}
-	untraced, err := Solve(context.Background(), Input{Graph: e.graph, Board: e.board,
-		NoSymmetryBreaking: e.NoSymmetry, DisableWarmStart: e.NoWarm})
+	in := Input{Graph: e.graph, Board: e.board, NoSymmetryBreaking: e.NoSymmetry, DisableWarmStart: e.NoWarm}
+	untraced, err := Solve(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := obs.NewRecorder(1 << 12)
+	in.Trace = rec
 	part, err := Solve(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tracing must not perturb the answer.
 	if part.N != untraced.N || part.Latency != untraced.Latency {
 		t.Fatalf("traced solve N=%d lat=%g, untraced N=%d lat=%g",
 			part.N, part.Latency, untraced.N, untraced.Latency)
 	}
-	if part.Stats.RaceRivals == 0 {
-		t.Fatal("no probe started a rival: the solve recorded from one goroutine only")
+	if part.Stats.RaceRivals == 0 || part.Stats.Formulation != FormulationPatterns {
+		t.Fatalf("rivals=%d formulation=%q, want the pattern master's answer through a hand-off",
+			part.Stats.RaceRivals, part.Stats.Formulation)
 	}
 	tr := rec.Trace()
-	var probes int
-	for _, sp := range tr.Spans {
+	if tr.Dropped != 0 {
+		t.Fatalf("trace dropped %d events", tr.Dropped)
+	}
+	end := func(sp obs.TraceSpan) int64 { return sp.StartNS + sp.DurNS }
+	probes := map[int64]obs.TraceSpan{}
+	last := map[string]obs.TraceSpan{}
+	builds := map[int64]int{}
+	for _, sp := range tr.Spans { // sorted by start
+		switch sp.Phase {
+		case obs.PhaseProbe, obs.PhaseSearch:
+			if prev, ok := last[sp.Phase]; ok && sp.StartNS < end(prev) {
+				t.Errorf("%s span at N=%d [%d, %d) overlaps the one at N=%d [%d, %d)",
+					sp.Phase, sp.N, sp.StartNS, end(sp), prev.N, prev.StartNS, end(prev))
+			}
+			last[sp.Phase] = sp
+		}
 		if sp.Phase == obs.PhaseProbe {
-			probes++
+			probes[sp.N] = sp
 		}
 	}
-	if probes == 0 {
-		t.Fatalf("no probe spans; spans = %+v", tr.Spans)
+	for _, sp := range tr.Spans {
+		if sp.Phase != obs.PhaseModelBuild && sp.Phase != obs.PhaseSearch {
+			continue
+		}
+		if sp.Phase == obs.PhaseModelBuild {
+			builds[sp.N]++
+		}
+		probe, ok := probes[sp.N]
+		if !ok || sp.StartNS < probe.StartNS || end(sp) > end(probe) {
+			t.Errorf("%s span at N=%d [%d, %d) outside its probe span %+v", sp.Phase, sp.N, sp.StartNS, end(sp), probe)
+		}
+	}
+	if builds[int64(part.N)] < 2 {
+		t.Errorf("model-build spans per N %v: the winning probe recorded no pattern-master build", builds)
 	}
 }
 
