@@ -588,7 +588,11 @@ func BenchmarkILP_Chain9(b *testing.B) { benchPortfolio(b, "chain9.json", false)
 // master (see tempart.Input.Formulation). The solve runs on one goroutine,
 // so its search counters repeat run for run, and it reports the same ones
 // as BenchmarkILP_Chain9; against it, its ns/op is the hand-off's
-// end-to-end gain on the chain family.
+// end-to-end gain on the chain family. Nine tasks with at most two to a
+// partition leave the set-partitioning LP an odd-cardinality gap that the
+// pattern master's parity row (ilp.SolveBP) closes: about 25 B&B nodes
+// here, against over 200 without the row, so the node gate catches the
+// row being lost.
 func BenchmarkILP_Chain9Default(b *testing.B) { benchPortfolio(b, "chain9.json", true) }
 
 // BenchmarkDCT8x8Greedy partitions the 128-task 8x8 DCT generalization

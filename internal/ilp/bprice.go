@@ -12,8 +12,9 @@ import (
 
 // This file implements a generic branch-and-price driver over the lp
 // package's dynamic-growth primitives: a restricted set-partitioning
-// master (one EQ cover row per item, one LE count row) grows columns in
-// place through lp.Solver.AddCols, a caller-supplied pricing problem
+// master (one EQ cover row per item, one LE count row, and for an odd item
+// count one LE parity row) grows columns in place through
+// lp.Solver.AddCols, a caller-supplied pricing problem
 // generates negative-reduced-cost columns from the master's duals
 // (lp.Solver.RowDuals), and integrality is enforced by Ryan–Foster
 // branching on item pairs — the branching scheme under which the pricing
@@ -23,6 +24,17 @@ import (
 // fractional points without a fractional Ryan–Foster pair, and refuted
 // integral selections (CheckSelection) are cut off with no-good rows
 // through the same AddRows arena the cutting-plane layer uses.
+//
+// The master's LP bound is the Gilmore–Gomory set-partitioning bound plus
+// the parity row Σ_S ⌊|S|/2⌋·x_S ≤ ⌊n/2⌋, the ½-multiplier Chvátal–Gomory
+// rounding of the n exact-cover rows (Edmonds' odd-set inequality on the
+// whole item set). When no column holds more than two items the master is
+// the matching LP, which covers an odd item set with half-pairs; the row
+// cuts those points off. It is valid for every integral cover — each
+// column holds at least 2·⌊|S|/2⌋ items, and an integral cover's item
+// total is n — whatever the branching decisions and no-goods, so it is a
+// base row at every node. For even n it is implied by the cover rows
+// (Σ ⌊|S|/2⌋·x_S ≤ Σ |S|·x_S/2 = n/2) and is not added.
 
 // BPColumn is one candidate column of the restricted master: a subset of
 // items with its objective cost. The driver owns neither slice after the
@@ -33,15 +45,19 @@ type BPColumn struct {
 }
 
 // BPPricer solves the pricing problem at one node: given the cover-row
-// duals lambda (one per item), the count-row dual mu, and the node's
-// Ryan–Foster state — same pairs must appear together-or-not-at-all,
-// differ pairs never together, forbidden content keys (see BPKey) never at
-// all — it returns candidate columns with negative reduced cost
-// Cost - Σ lambda[item] - mu, best first. The second result reports an
+// duals lambda (one per item), the count-row dual mu, the parity-row dual
+// sigma (0 when the item count is even and the master has no parity row),
+// and the node's Ryan–Foster state — same pairs must appear
+// together-or-not-at-all, differ pairs never together, forbidden content
+// keys (see BPKey) never at all — it returns candidate columns with
+// negative reduced cost Cost - Σ lambda[item] - mu - sigma·⌊|S|/2⌋, best
+// first. sigma is the dual of a ≤ row and so is ≤ 0 up to the LP's
+// tolerances; a pricer's prune must stay valid for a small positive sigma
+// too. The second result reports an
 // INEXACT round: the pricer exhausted its own search budget, so an empty
 // return does not prove that no negative column exists and the driver must
 // not treat the node bound as proven.
-type BPPricer func(lambda []float64, mu float64, same, differ [][2]int, forbidden map[string]bool) ([]BPColumn, bool)
+type BPPricer func(lambda []float64, mu, sigma float64, same, differ [][2]int, forbidden map[string]bool) ([]BPColumn, bool)
 
 // BPOptions configures SolveBP.
 type BPOptions struct {
@@ -69,12 +85,13 @@ type BPOptions struct {
 	// property of the selection alone (tempart: acyclic pattern
 	// precedence), so the no-good is globally valid.
 	CheckSelection func(selection [][]int) bool
-	// ObjInteger asserts that every column cost is integral, so every
-	// feasible objective is too: a converged node bound strictly above
-	// incumbent-1 then prunes (the ceiling argument). This is what closes
-	// proofs on instances whose LP bound is fractional — without it the
-	// search must grind the gap below 1 by branching alone.
-	ObjInteger bool
+	// ObjStep, when positive, asserts that every column cost is an
+	// integral multiple of it, so every feasible objective is too: a
+	// converged node bound strictly above incumbent-ObjStep then prunes
+	// (the ceiling argument). This is what closes proofs on instances whose
+	// LP bound is fractional — without it the search must grind the gap
+	// below the step by branching alone. 0 asserts nothing.
+	ObjStep float64
 
 	MaxNodes int // node budget (default 10000)
 
@@ -193,7 +210,8 @@ type bpState struct {
 
 // SolveBP runs branch-and-price on the set-partitioning master described
 // by opts: minimize Σ Cost_S·x_S subject to Σ_{S∋t} x_S = 1 per item t,
-// Σ_S x_S ≤ Count, x_S ∈ {0,1}. Columns are generated on demand by
+// Σ_S x_S ≤ Count, x_S ∈ {0,1}, with the parity row for odd NumItems
+// (see the file comment). Columns are generated on demand by
 // opts.Pricer; one lp.Solver carries the whole tree, with node re-entry
 // through bound resets and the warm dual repair.
 func SolveBP(opts BPOptions) (*BPSolution, error) {
@@ -212,9 +230,9 @@ func SolveBP(opts BPOptions) (*BPSolution, error) {
 	deadline := searchDeadline(opts.Context)
 
 	// Restricted master: artificial columns 0..NumItems-1 (cost ArtCost,
-	// unit entry in their own cover row, no count-row entry — artificials
-	// must never consume the count budget), then the cover and count rows.
-	// Every real column arrives through AddCols.
+	// unit entry in their own cover row, no count-row or parity-row entry —
+	// artificials must never consume either budget), then the cover, count
+	// and parity rows. Every real column arrives through AddCols.
 	n := opts.NumItems
 	p := lp.NewProblem(n)
 	for t := 0; t < n; t++ {
@@ -225,6 +243,9 @@ func SolveBP(opts BPOptions) (*BPSolution, error) {
 		p.AddRow(lp.EQ, map[int]float64{t: 1}, 1)
 	}
 	p.AddRow(lp.LE, nil, float64(opts.Count))
+	if n%2 == 1 {
+		p.AddRow(lp.LE, nil, float64(n/2))
+	}
 
 	st := &bpState{
 		opt:       opts,
@@ -321,8 +342,8 @@ func (st *bpState) addColumns(cols []BPColumn) error {
 			key:   key,
 		}
 		insertionSortInts(pat.items)
-		rows := make([]int, 0, len(pat.items)+1)
-		vals := make([]float64, 0, len(pat.items)+1)
+		rows := make([]int, 0, len(pat.items)+2)
+		vals := make([]float64, 0, len(pat.items)+2)
 		for _, it := range pat.items {
 			if it < 0 || it >= st.opt.NumItems {
 				return fmt.Errorf("ilp: SolveBP: column item %d out of range [0,%d)", it, st.opt.NumItems)
@@ -333,6 +354,10 @@ func (st *bpState) addColumns(cols []BPColumn) error {
 		}
 		rows = append(rows, st.opt.NumItems) // count row
 		vals = append(vals, 1)
+		if st.parity() && len(pat.items) >= 2 {
+			rows = append(rows, st.opt.NumItems+1)
+			vals = append(vals, float64(len(pat.items)/2))
+		}
 		st.byKey[key] = len(st.pats)
 		st.pats = append(st.pats, pat)
 		st.patCost = append(st.patCost, c.Cost)
@@ -344,6 +369,10 @@ func (st *bpState) addColumns(cols []BPColumn) error {
 	st.colsGenerated += len(batch)
 	return st.sv.AddCols(batch)
 }
+
+// parity reports whether the master carries the parity row (row
+// NumItems+1): the item count is odd.
+func (st *bpState) parity() bool { return st.opt.NumItems%2 == 1 }
 
 // patCol maps a pattern index to its master LP column.
 func (st *bpState) patCol(pi int) int { return st.opt.NumItems + pi }
@@ -444,8 +473,8 @@ func (st *bpState) processNode(node []bpDecision) ([][]bpDecision, error) {
 			}
 			if st.haveInc {
 				cut := st.incumbentObj - 1e-9
-				if st.opt.ObjInteger {
-					cut = st.incumbentObj - 1 + 1e-6
+				if st.opt.ObjStep > 0 {
+					cut = st.incumbentObj - st.opt.ObjStep + 1e-6
 				}
 				if sol.Obj > cut {
 					return nil, nil // bound prune
@@ -571,7 +600,11 @@ func (st *bpState) solveAndPrice() (*lp.Solution, bool, error) {
 		st.pricingRounds++
 		lambda := st.duals[:st.opt.NumItems]
 		mu := st.duals[st.opt.NumItems]
-		cand, inexact := st.opt.Pricer(lambda, mu, st.same, st.differ, st.forbidden)
+		sigma := 0.0
+		if st.parity() {
+			sigma = st.duals[st.opt.NumItems+1]
+		}
+		cand, inexact := st.opt.Pricer(lambda, mu, sigma, st.same, st.differ, st.forbidden)
 		before := len(st.pats)
 		if err := st.addColumns(cand); err != nil {
 			return nil, false, err

@@ -11,10 +11,10 @@ import (
 // bin-packing master: columns are subsets of items fitting the capacity,
 // unit cost each, so SolveBP minimizes the bin count. Exhaustive subset
 // enumeration keeps the oracle trivially correct — exactly what a driver
-// test wants.
+// test wants. Reduced costs carry the parity-row dual sigma.
 func binPackPricer(sizes []int, capacity int) BPPricer {
 	n := len(sizes)
-	return func(lambda []float64, mu float64, same, differ [][2]int, forbidden map[string]bool) ([]BPColumn, bool) {
+	return func(lambda []float64, mu, sigma float64, same, differ [][2]int, forbidden map[string]bool) ([]BPColumn, bool) {
 		var out []BPColumn
 	mask:
 		for mask := 1; mask < 1<<n; mask++ {
@@ -47,7 +47,7 @@ func binPackPricer(sizes []int, capacity int) BPPricer {
 			if forbidden[BPKey(items)] {
 				continue
 			}
-			rc := 1.0 - mu
+			rc := 1.0 - mu - sigma*float64(len(items)/2)
 			for _, t := range items {
 				rc -= lambda[t]
 			}
@@ -78,7 +78,7 @@ func binPackOpts(sizes []int, capacity, count int) BPOptions {
 		MaxFeasObj: float64(count),
 		Seeds:      singletonSeeds(len(sizes)),
 		Pricer:     binPackPricer(sizes, capacity),
-		ObjInteger: true,
+		ObjStep:    1,
 		MaxNodes:   5000,
 	}
 }
@@ -129,22 +129,47 @@ func TestSolveBPBinPackingMixed(t *testing.T) {
 	}
 }
 
-// TestSolveBPFractionalRoot forces branching: three items of size 2 on
-// 4-unit bins — the LP root packs three half-pairs for a bound of 1.5,
-// the integer optimum is 2 — and checks Ryan–Foster closes it.
-func TestSolveBPFractionalRoot(t *testing.T) {
+// TestSolveBPParityRowClosesTriangle: three items of size 2 on 4-unit
+// bins. Without the parity row the LP root packs three half-pairs for a
+// bound of 1.5; the row ⌊|S|/2⌋-sums the pairs to at most ⌊3/2⌋ = 1, so
+// the root bound is the optimum, 2, and the search closes at the root.
+func TestSolveBPParityRowClosesTriangle(t *testing.T) {
 	sizes := []int{2, 2, 2}
-	sol, err := SolveBP(binPackOpts(sizes, 4, 3))
+	opts := binPackOpts(sizes, 4, 3)
+	opts.MaxNodes = 1
+	sol, err := SolveBP(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Status != Optimal || math.Abs(sol.Obj-2) > 1e-9 {
-		t.Fatalf("got %v obj=%v, want Optimal 2", sol.Status, sol.Obj)
+	if sol.Status != Optimal || math.Abs(sol.Obj-2) > 1e-9 || sol.Nodes != 1 {
+		t.Fatalf("got %v obj=%v in %d nodes, want Optimal 2 at the root", sol.Status, sol.Obj, sol.Nodes)
+	}
+	if !sol.BoundTrusted || math.Abs(sol.Bound-2) > 1e-9 {
+		t.Fatalf("bound %v trusted=%v, want trusted 2", sol.Bound, sol.BoundTrusted)
+	}
+	checkCover(t, sol.Columns, sizes, 4)
+}
+
+// branchSizes is the fractional-root instance of the branching tests:
+// three items of size 2 and one of size 4 on 4-unit bins. The item count
+// is even, so the master has no parity row; the LP root packs the 4 alone
+// and three half-pairs for a bound of 2.5, and the integer optimum is 3.
+var branchSizes = []int{2, 2, 2, 4}
+
+// TestSolveBPFractionalRoot forces branching on branchSizes and checks
+// Ryan–Foster closes it.
+func TestSolveBPFractionalRoot(t *testing.T) {
+	sol, err := SolveBP(binPackOpts(branchSizes, 4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != Optimal || math.Abs(sol.Obj-3) > 1e-9 {
+		t.Fatalf("got %v obj=%v, want Optimal 3", sol.Status, sol.Obj)
 	}
 	if sol.Nodes < 3 {
 		t.Fatalf("solved in %d nodes; the root is fractional, branching was expected", sol.Nodes)
 	}
-	checkCover(t, sol.Columns, sizes, 4)
+	checkCover(t, sol.Columns, branchSizes, 4)
 }
 
 // TestSolveBPCheckSelectionNoGood rejects any selection using the {0,1}
@@ -218,13 +243,13 @@ func TestSolveBPDeadline(t *testing.T) {
 	}
 }
 
-// TestSolveBPNodeLimit: MaxNodes 1 on the fractional instance cannot close
+// TestSolveBPNodeLimit: MaxNodes 1 on branchSizes cannot close
 // the proof and must report Limit with the (trusted) root bound. When the
 // deadline has passed by the time the budget trips (the root's converging
 // pricing round sleeps past it), the stop is a deadline stop: Timeout.
 func TestSolveBPNodeLimit(t *testing.T) {
 	for _, pastDeadline := range []bool{false, true} {
-		opts := binPackOpts([]int{2, 2, 2}, 4, 3)
+		opts := binPackOpts(branchSizes, 4, 4)
 		opts.MaxNodes = 1
 		want := Limit
 		if pastDeadline {
@@ -234,8 +259,8 @@ func TestSolveBPNodeLimit(t *testing.T) {
 			defer cancel()
 			opts.Context = ctx
 			price := opts.Pricer
-			opts.Pricer = func(lambda []float64, mu float64, same, differ [][2]int, forbidden map[string]bool) ([]BPColumn, bool) {
-				cols, inexact := price(lambda, mu, same, differ, forbidden)
+			opts.Pricer = func(lambda []float64, mu, sigma float64, same, differ [][2]int, forbidden map[string]bool) ([]BPColumn, bool) {
+				cols, inexact := price(lambda, mu, sigma, same, differ, forbidden)
 				if len(cols) == 0 {
 					time.Sleep(time.Until(dl) + time.Millisecond)
 				}
@@ -250,8 +275,8 @@ func TestSolveBPNodeLimit(t *testing.T) {
 			t.Fatalf("past deadline %v: status %v (columns %v), want %v without an incumbent",
 				pastDeadline, sol.Status, sol.Columns, want)
 		}
-		if !sol.BoundTrusted || math.Abs(sol.Bound-1.5) > 1e-6 {
-			t.Fatalf("past deadline %v: root bound %v trusted=%v, want trusted 1.5",
+		if !sol.BoundTrusted || math.Abs(sol.Bound-2.5) > 1e-6 {
+			t.Fatalf("past deadline %v: root bound %v trusted=%v, want trusted 2.5",
 				pastDeadline, sol.Bound, sol.BoundTrusted)
 		}
 	}

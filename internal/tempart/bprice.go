@@ -45,20 +45,25 @@ import (
 //     into a valid temporal partitioning.
 //
 // The pattern master's LP bound is the Gilmore–Gomory set-partitioning
-// bound, which dominates the area ratio and (with the convexity and chain
-// costs) the row formulation's relaxation on mixed-cardinality packings —
-// the regime where the row model's search degenerates into an exponential
-// symmetric crawl. The formulation is gated (patternsApplicable) to
-// instances whose worst-case boundary traffic fits the on-board memory —
-// exactly the instances whose memory rows the row model drops too, so
-// neither formulation models Eq. 3 when they compete — and whose pattern
-// tree fits, so every pricing round is exact.
+// bound plus, for an odd task count, ilp.SolveBP's parity row (the
+// ½-rounding of the cover rows), which dominates the area ratio and (with
+// the convexity and chain costs) the row formulation's relaxation on
+// mixed-cardinality packings — the regime where the row model's search
+// degenerates into an exponential symmetric crawl. The parity row closes
+// the odd-cardinality gap of instances whose patterns hold at most two
+// tasks (near-half-board chains), where the set-partitioning LP alone is
+// the matching LP and covers an odd task set with half-pairs. The
+// formulation is gated (patternsApplicable) to instances whose worst-case
+// boundary traffic fits the on-board memory — exactly the instances whose
+// memory rows the row model drops too, so neither formulation models Eq. 3
+// when they compete — and whose pattern tree fits, so every pricing round
+// is exact.
 
 // patternPricer is the pricing problem of the pattern formulation: find
-// feasible patterns with negative reduced cost d(S) − Σ λ_t − μ under the
-// node's Ryan–Foster constraints. One pricer serves every pattern probe of
-// a Solve: patternsApplicable creates it and builds its tree, and keeps it
-// on the presolve only when the tree fits.
+// feasible patterns with negative reduced cost d(S) − Σ λ_t − μ −
+// σ·⌊|S|/2⌋ under the node's Ryan–Foster constraints. One pricer serves
+// every pattern probe of a Solve: patternsApplicable creates it and builds
+// its tree, and keeps it on the presolve only when the tree fits.
 //
 // Pricing is split by what depends on the duals. The static include rules
 // — CLB and extra-resource area, the convexity taint rule, the chain delay
@@ -375,7 +380,7 @@ func (pp *patternPricer) buildTree(done <-chan struct{}, maxNodes int) bool {
 type pricingRound struct {
 	pp        *patternPricer
 	lambda    []float64
-	mu        float64
+	mu, sigma float64
 	posSuf    []float64 // posSuf[i] = Σ λ_t over t ∈ order[i:] with λ_t > 0
 	same      [][2]int
 	samePart  [][]int // task -> its same-partners
@@ -391,13 +396,26 @@ type pricedColumn struct {
 	cost, rc float64
 }
 
-// pruned is the reduced-cost prune at position i of a set with d(S) =
-// delay and dual sum lamSum: no extension by order[i:] can price negative,
-// since the cost only grows along a branch and the duals still to come add
-// at most posSuf[i]. posSuf shrinks as i grows, so a prune at i holds at
-// every later position too.
+// pruned is the reduced-cost prune at position i of the current set, with
+// d(S) = delay and dual sum lamSum: no extension by order[i:] can price
+// negative, since the cost only grows along a branch, the duals still to
+// come add at most posSuf[i], and the parity term is at least
+// parityFloor(σ, |S|, len(order)-i). posSuf shrinks and the parity floor
+// grows as i grows, so a prune at i holds at every later position too.
 func (r *pricingRound) pruned(i int, delay, lamSum float64) bool {
-	return delay-lamSum-r.mu-r.posSuf[i] >= -rcEps
+	pp := r.pp
+	return delay-lamSum-r.mu-r.posSuf[i]+parityFloor(r.sigma, len(pp.cur), len(pp.order)-i) >= -rcEps
+}
+
+// parityFloor is a lower bound on the parity term −σ·⌊|S'|/2⌋ of every
+// extension S' of a size-s set by 1 to rest more tasks. For σ ≤ 0 the term
+// grows with |S'|, so the one-task extension bounds it; for σ > 0 (the
+// LP's tolerance on a ≤ row's dual) it shrinks, so the largest does.
+func parityFloor(sigma float64, s, rest int) float64 {
+	if sigma <= 0 {
+		return -sigma * float64((s+1)/2)
+	}
+	return -sigma * float64((s+rest)/2)
 }
 
 // admits applies the Ryan–Foster rules to including t = order[i]: no
@@ -451,7 +469,7 @@ func (r *pricingRound) nextStop(stop, i, t int) int {
 // holds every same-partner of its members, and is not forbidden.
 func (r *pricingRound) offer(delay, lamSum float64) {
 	pp := r.pp
-	rc := delay - lamSum - r.mu
+	rc := delay - lamSum - r.mu - r.sigma*float64(len(pp.cur)/2)
 	if rc >= -rcEps || len(r.best) == maxPricedCols && rc >= r.best[r.worst].rc {
 		return
 	}
@@ -523,12 +541,13 @@ func (r *pricingRound) walk(lo, hi int, delay, lamSum float64, stop int) {
 // carried by value, so a column's reduced cost does not depend on what the
 // enumeration visited before it. A cancelled probe reports the round
 // inexact; SolveBP then makes no bound claims from it.
-func (pp *patternPricer) price(lambda []float64, mu float64, same, differ [][2]int, forbidden map[string]bool) ([]ilp.BPColumn, bool) {
+func (pp *patternPricer) price(lambda []float64, mu, sigma float64, same, differ [][2]int, forbidden map[string]bool) ([]ilp.BPColumn, bool) {
 	nT := len(pp.order)
 	r := &pricingRound{
 		pp:        pp,
 		lambda:    lambda,
 		mu:        mu,
+		sigma:     sigma,
 		posSuf:    make([]float64, nT+1),
 		same:      same,
 		samePart:  make([][]int, nT),
@@ -746,6 +765,26 @@ func patternsApplicable(ctx context.Context, in Input, pre *presolve, N int) boo
 	return pre.pricer != nil
 }
 
+// delayStep is the objective granularity of the pattern master
+// (ilp.BPOptions.ObjStep): the greatest common divisor of the task delays
+// (non-negative, by graph validation) when every delay is a whole number
+// that float64 holds exactly, else 0. Every d(S) is the delay sum of a
+// chain, so every objective is a multiple of it.
+func delayStep(delays []float64) float64 {
+	var step int64
+	for _, d := range delays {
+		if d != math.Trunc(d) || d > 1<<53 {
+			return 0
+		}
+		a, b := int64(d), step
+		for b != 0 {
+			a, b = b, a%b
+		}
+		step = a
+	}
+	return float64(step)
+}
+
 // solveForNPatterns is the pattern-formulation twin of solveForN: run
 // branch-and-price at the fixed partition budget N over the solve's pricer,
 // which patternsApplicable must have built, and map the winning selection
@@ -760,13 +799,8 @@ func solveForNPatterns(ctx context.Context, in Input, pre *presolve, N int) (*Pa
 	pp := pre.pricer
 	pp.done = ctx.Done()
 	sumDelay := 0.0
-	integral := true
 	for t := 0; t < nT; t++ {
-		d := g.Task(t).Delay
-		sumDelay += d
-		if d != math.Trunc(d) {
-			integral = false
-		}
+		sumDelay += g.Task(t).Delay
 	}
 	opts := ilp.BPOptions{
 		NumItems: nT,
@@ -779,7 +813,7 @@ func solveForNPatterns(ctx context.Context, in Input, pre *presolve, N int) (*Pa
 		Seeds:          pp.seedColumns(!in.DisableWarmStart),
 		Pricer:         pp.price,
 		CheckSelection: pp.selectionAcyclic,
-		ObjInteger:     integral,
+		ObjStep:        delayStep(pre.delays),
 		MaxNodes:       in.MaxNodes,
 		Context:        ctx,
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -147,7 +149,7 @@ func TestPatternPricerColumnsFeasible(t *testing.T) {
 				}
 			}
 		}
-		cols, inexact := pp.price(lambda, 0, same, differ, nil)
+		cols, inexact := pp.price(lambda, 0, 0, same, differ, nil)
 		if inexact {
 			t.Errorf("seed %d: pricing inexact on a %d-task graph", seed, n)
 			return false
@@ -222,37 +224,41 @@ func TestPatternRootBoundDominatesPackingNeed(t *testing.T) {
 }
 
 // TestPatternFormulationEquivalence pins the tentpole's correctness claim:
-// both formulations prove the same minimum N and the same optimal latency,
-// with a trusted bound, on random DAGs and on seeded 9- and 10-task
-// portfolio chains. The random DAGs have 3-6 tasks and close in a few
-// nodes; the chains are near-capacity items whose row search branches
-// through dozens of nodes, so they keep every pruning rule of the deep
-// search honest against the pattern master.
+// the row model, the pattern master and the default (rows handing an open
+// root off to the pattern master) prove the same minimum N and the same
+// optimal latency, with a trusted bound, on random DAGs, on seeded 9-, 10-
+// and 11-task portfolio chains (the 11-task row searches are the longest,
+// so they get half the seeds), on the odd-sized layered DAG
+// testdata/layered13.json and on the 15-item packing pack15. The random
+// DAGs have 3-6 tasks and close in a few nodes; the chains are
+// near-capacity items whose row search branches through dozens of nodes,
+// so they keep every pruning rule of the deep search honest against the
+// pattern master. The odd-sized instances give the pattern master its
+// parity row.
 func TestPatternFormulationEquivalence(t *testing.T) {
 	equal := func(name string, g *dfg.Graph, b arch.Board) bool {
-		rows, err := Solve(context.Background(), Input{Graph: g, Board: b, Formulation: FormulationRows})
-		if err != nil {
-			t.Errorf("%s rows: %v", name, err)
-			return false
-		}
-		pats, err := Solve(context.Background(), Input{Graph: g, Board: b, Formulation: FormulationPatterns})
-		if err != nil {
-			t.Errorf("%s patterns: %v", name, err)
-			return false
-		}
-		if !rows.Optimal || !pats.Optimal || !rows.BoundTrusted || !pats.BoundTrusted {
-			t.Errorf("%s: optimal/trusted rows=%v/%v patterns=%v/%v",
-				name, rows.Optimal, rows.BoundTrusted, pats.Optimal, pats.BoundTrusted)
-			return false
-		}
-		if rows.N != pats.N || math.Abs(rows.Latency-pats.Latency) > 1e-6 {
-			t.Errorf("%s: rows N=%d lat=%v, patterns N=%d lat=%v",
-				name, rows.N, rows.Latency, pats.N, pats.Latency)
-			return false
-		}
-		if err := CheckFeasible(g, b, pats.Assign, pats.N); err != nil {
-			t.Errorf("%s: pattern assignment infeasible: %v", name, err)
-			return false
+		var first *Partitioning
+		for _, f := range []string{FormulationRows, FormulationPatterns, ""} {
+			part, err := Solve(context.Background(), Input{Graph: g, Board: b, Formulation: f})
+			if err != nil {
+				t.Errorf("%s %q: %v", name, f, err)
+				return false
+			}
+			if !part.Optimal || !part.BoundTrusted {
+				t.Errorf("%s %q: optimal=%v trusted=%v", name, f, part.Optimal, part.BoundTrusted)
+				return false
+			}
+			if err := CheckFeasible(g, b, part.Assign, part.N); err != nil {
+				t.Errorf("%s %q: assignment infeasible: %v", name, f, err)
+				return false
+			}
+			if first == nil {
+				first = part
+			} else if part.N != first.N || math.Abs(part.Latency-first.Latency) > 1e-6 {
+				t.Errorf("%s: rows N=%d lat=%v, %q N=%d lat=%v",
+					name, first.N, first.Latency, f, part.N, part.Latency)
+				return false
+			}
 		}
 		return true
 	}
@@ -268,10 +274,49 @@ func TestPatternFormulationEquivalence(t *testing.T) {
 	}
 	// The portfolio chains' board: 100 CLBs, 1024 words, 1 ms reconfiguration.
 	chainBoard := board(100, 1024, 1e6)
-	for _, n := range []int{9, 10} {
-		for seed := int64(1); seed <= 8; seed++ {
-			g := portfolioChain(rand.New(rand.NewSource(seed)), n)
-			equal(fmt.Sprintf("chain%d seed %d", n, seed), g, chainBoard)
+	for _, c := range []struct {
+		n     int
+		seeds int64
+	}{{9, 8}, {10, 8}, {11, 4}} {
+		for seed := int64(1); seed <= c.seeds; seed++ {
+			g := portfolioChain(rand.New(rand.NewSource(seed)), c.n)
+			equal(fmt.Sprintf("chain%d seed %d", c.n, seed), g, chainBoard)
+		}
+	}
+	// tgen -kind layered -n 13 -seed 1, on the chains' board.
+	data, err := os.ReadFile(filepath.Join("testdata", "layered13.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	layered, err := dfg.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	equal("layered13", layered, chainBoard)
+	pack := portfolioFile(t, "pack15.json")
+	equal("pack15", pack.graph, pack.board)
+}
+
+// TestDelayStep pins the pattern master's objective granularity: the gcd
+// of whole-number delays (the portfolio chains' {80, 100, 120} give 20),
+// and 0 — no rounding — as soon as one delay is not a whole number.
+func TestDelayStep(t *testing.T) {
+	for _, c := range []struct {
+		delays []float64
+		want   float64
+	}{
+		{[]float64{80, 100, 120}, 20},
+		{[]float64{120, 80, 80, 100}, 20},
+		{[]float64{100}, 100},
+		{[]float64{0, 30, 45}, 15},
+		{[]float64{7, 100}, 1},
+		{[]float64{80, 100.5, 120}, 0},
+		{[]float64{0.25}, 0},
+		{[]float64{0, 0}, 0},
+		{nil, 0},
+	} {
+		if got := delayStep(c.delays); got != c.want {
+			t.Errorf("delayStep(%v) = %v, want %v", c.delays, got, c.want)
 		}
 	}
 }
@@ -382,9 +427,11 @@ func TestPatternChainBlocks102(t *testing.T) {
 // topological order afresh, applying the static and the per-round rules at
 // every step, and carries each set's dual sum by value. It has its own
 // scratch and reads only the pricer's static fields. unitCost prices every
-// pattern at 1 instead of d(S) (patternPackBound's master), and a round
-// past budget steps is reported inexact.
-func referencePrice(pp *patternPricer, unitCost bool, budget int, lambda []float64, mu float64, same, differ [][2]int, forbidden map[string]bool) ([]ilp.BPColumn, bool) {
+// pattern at 1 instead of d(S) (patternPackBound's master), noPrune drops
+// the reduced-cost prune (a valid prune cuts only subtrees that hold no
+// negative column, so the result must not change), and a round past
+// budget steps is reported inexact.
+func referencePrice(pp *patternPricer, unitCost, noPrune bool, budget int, lambda []float64, mu, sigma float64, same, differ [][2]int, forbidden map[string]bool) ([]ilp.BPColumn, bool) {
 	pre := pp.pre
 	nT := len(pre.delays)
 	clbCap := pre.board.FPGA.CLBs
@@ -456,11 +503,21 @@ func referencePrice(pp *patternPricer, unitCost bool, budget int, lambda []float
 			inexact = true
 			return
 		}
+		if i == nT || areaRes+pp.sufMinRes[i] > clbCap {
+			return
+		}
 		costLB := curDelay
 		if unitCost {
 			costLB = 1
 		}
-		if costLB-lamSum-mu-posSuf[i] >= -eps || i == nT || areaRes+pp.sufMinRes[i] > clbCap {
+		// Every set below adds 1 to nT-i tasks to cur: the parity term
+		// −σ·⌊|S|/2⌋ is smallest at the fewest of them for σ ≤ 0 and at the
+		// most for σ > 0.
+		parity := -sigma * float64((len(cur)+1)/2)
+		if sigma > 0 {
+			parity = -sigma * float64((len(cur)+nT-i)/2)
+		}
+		if !noPrune && costLB-lamSum-mu-posSuf[i]+parity >= -eps {
 			return
 		}
 		t := pp.order[i]
@@ -515,7 +572,7 @@ func referencePrice(pp *patternPricer, unitCost bool, budget int, lambda []float
 			if unitCost {
 				cost = 1
 			}
-			if rc := cost - lam - mu; rc < -eps {
+			if rc := cost - lam - mu - sigma*float64(len(cur)/2); rc < -eps {
 				complete := true
 				for _, u := range cur {
 					for _, v := range samePart[u] {
@@ -581,19 +638,22 @@ func layeredGraph(rng *rand.Rand, nT int) *dfg.Graph {
 
 // pricingDuals draws signed duals on a grid of tenths, scaled to the cost
 // of a pattern, so many columns tie in exact arithmetic and any drift in a
-// dual sum reorders them; and a signed μ.
-func pricingDuals(rng *rand.Rand, g *dfg.Graph) ([]float64, float64) {
+// dual sum reorders them; a signed μ; and a parity dual σ of the sign of
+// sigmaSign (0 for 0).
+func pricingDuals(rng *rand.Rand, g *dfg.Graph, sigmaSign int) (lambda []float64, mu, sigma float64) {
 	nT := g.NumTasks()
 	scale := 0.0
 	for t := 0; t < nT; t++ {
 		scale += g.Task(t).Delay
 	}
 	scale /= float64(nT)
-	lambda := make([]float64, nT)
+	lambda = make([]float64, nT)
 	for t := range lambda {
 		lambda[t] = scale * float64(rng.Intn(21)-5) / 10
 	}
-	return lambda, scale * float64(rng.Intn(11)-5) / 10
+	mu = scale * float64(rng.Intn(11)-5) / 10
+	sigma = scale * float64(sigmaSign*(1+rng.Intn(10))) / 10
+	return lambda, mu, sigma
 }
 
 // ryanFosterPairs draws a few distinct same and differ task pairs.
@@ -622,14 +682,17 @@ func builtPricer(t *testing.T, g *dfg.Graph, b arch.Board) *patternPricer {
 
 // checkPricingRounds prices several rounds on one built pricer and
 // compares each round with the reference under ==: items, costs, order and
-// the inexact flag. Every other round also forbids a random share of the
-// previous round's columns.
+// the inexact flag. The parity dual σ cycles through negative, zero and
+// positive, and each round's reference is also run without the
+// reduced-cost prune, which must not change it: the walk's prune, the
+// reference's twin, is then valid for every sign of σ. Every other round
+// also forbids a random share of the previous round's columns.
 func checkPricingRounds(t *testing.T, name string, rng *rand.Rand, pp *patternPricer, rounds int) {
 	t.Helper()
 	g := pp.pre.g
 	var prev []ilp.BPColumn
 	for round := 0; round < rounds; round++ {
-		lambda, mu := pricingDuals(rng, g)
+		lambda, mu, sigma := pricingDuals(rng, g, round%3-1)
 		var same, differ [][2]int
 		if round > 0 {
 			same, differ = ryanFosterPairs(rng, g.NumTasks())
@@ -643,11 +706,16 @@ func checkPricingRounds(t *testing.T, name string, rng *rand.Rand, pp *patternPr
 				}
 			}
 		}
-		want, wantInexact := referencePrice(pp, false, pricerBudget, lambda, mu, same, differ, forbidden)
-		got, gotInexact := pp.price(lambda, mu, same, differ, forbidden)
+		want, wantInexact := referencePrice(pp, false, false, pricerBudget, lambda, mu, sigma, same, differ, forbidden)
+		got, gotInexact := pp.price(lambda, mu, sigma, same, differ, forbidden)
 		if gotInexact != wantInexact || !equalColumns(got, want) {
-			t.Fatalf("%s round %d (same %v differ %v, %d forbidden):\n got %v inexact=%v\nwant %v inexact=%v",
-				name, round, same, differ, len(forbidden), got, gotInexact, want, wantInexact)
+			t.Fatalf("%s round %d (σ %v, same %v differ %v, %d forbidden):\n got %v inexact=%v\nwant %v inexact=%v",
+				name, round, sigma, same, differ, len(forbidden), got, gotInexact, want, wantInexact)
+		}
+		full, fullInexact := referencePrice(pp, false, true, pricerBudget, lambda, mu, sigma, same, differ, forbidden)
+		if fullInexact != wantInexact || !equalColumns(full, want) {
+			t.Fatalf("%s round %d (σ %v): the reduced-cost prune changed the round:\npruned %v inexact=%v\n  full %v inexact=%v",
+				name, round, sigma, want, wantInexact, full, fullInexact)
 		}
 		prev = got
 	}
@@ -752,11 +820,11 @@ func patternPackBound(g *dfg.Graph, board arch.Board) (float64, bool) {
 		ArtCost:    4*float64(nT) + 16,
 		MaxFeasObj: float64(nT),
 		Seeds:      seeds,
-		Pricer: func(lambda []float64, mu float64, same, differ [][2]int, forbidden map[string]bool) ([]ilp.BPColumn, bool) {
-			return referencePrice(pp, true, 16*pricerBudget, lambda, mu, same, differ, forbidden)
+		Pricer: func(lambda []float64, mu, sigma float64, same, differ [][2]int, forbidden map[string]bool) ([]ilp.BPColumn, bool) {
+			return referencePrice(pp, true, false, 16*pricerBudget, lambda, mu, sigma, same, differ, forbidden)
 		},
-		ObjInteger: true,
-		MaxNodes:   1,
+		ObjStep:  1,
+		MaxNodes: 1,
 	})
 	if err != nil {
 		return 0, false
